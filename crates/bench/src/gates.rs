@@ -19,11 +19,11 @@
 //! 3. **fusion** — `gde.comb.fused_stages > 0`: the benchmarked pipelines
 //!    still reach the stage-fusion rewriter (DESIGN.md § Stage fusion);
 //! 4. **compact-values** — `gde.value.inline_hits > 0`: the compact
-//!    value representation is still on the hot path (DESIGN.md § Compact
-//!    values);
+//!    value representation is still on the hot path (DESIGN.md § String
+//!    plane);
 //! 5. **concat-slices** — `gde.value.concat_slices > 0`: concatenation
 //!    still reaches the builder arena's zero-copy regimes (DESIGN.md §
-//!    String builder arena);
+//!    String plane);
 //! 6. **embedded/native ratio** — the Sequential-Lightweight
 //!    Junicon/Native median ratio stays under baseline + 15% headroom.
 
@@ -198,8 +198,8 @@ pub fn run_gates(doc: &Json, th: &Thresholds) -> Vec<GateReport> {
         doc,
         "compact-values",
         "gde.value.inline_hits",
-        "no value took the inline (Sym/Slice/scalar) path — the compact \
-         representation is off the hot path (DESIGN.md § Compact values)",
+        "no value took the inline (Sym/window/scalar) path — the compact \
+         representation is off the hot path (DESIGN.md § String plane)",
     ));
 
     // 5. Builder-arena wiring: the figure6 run's untimed report pass
@@ -209,7 +209,7 @@ pub fn run_gates(doc: &Json, th: &Thresholds) -> Vec<GateReport> {
         "concat-slices",
         "gde.value.concat_slices",
         "no concatenation widened or tail-extended an arena window — the \
-         string builder is off the hot path (DESIGN.md § String builder arena)",
+         string builder is off the hot path (DESIGN.md § String plane)",
     ));
 
     // 6. Embedded/native Sequential-Lightweight ratio. Missing cells are
@@ -234,7 +234,7 @@ pub fn run_gates(doc: &Json, th: &Thresholds) -> Vec<GateReport> {
                         format!(
                             "{detail} — per-word allocations, by-name lookups, or an \
                              unfused hot path are back on the embedded side \
-                             (DESIGN.md § Compact values)"
+                             (DESIGN.md § String plane)"
                         ),
                     )
                 }

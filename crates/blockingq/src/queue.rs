@@ -408,43 +408,12 @@ impl<T> BlockingQueue<T> {
         }
     }
 
-    /// Dequeue up to `max` elements without blocking.
-    ///
-    /// `Ok(batch)` is non-empty unless `max == 0` (which returns an empty
-    /// batch immediately); an empty open queue is `Err(TryTakeError::Empty)`
-    /// and a closed drained one is `Err(TryTakeError::Closed)`.
-    pub fn try_take_batch(&self, max: usize) -> Result<Vec<T>, TryTakeError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        let mut st = self.shared.state.lock();
-        if st.buf.is_empty() {
-            return if st.cause.is_some() {
-                Err(TryTakeError::Closed)
-            } else {
-                Err(TryTakeError::Empty)
-            };
-        }
-        let n = st.buf.len().min(max);
-        let out: Vec<T> = st.buf.drain(..n).collect();
-        drop(st);
-        self.shared.not_full.notify_all();
-        obs_on!(record_batch_take(n););
-        Ok(out)
-    }
-
     /// Block until at least one element is available, then move the
     /// *entire* buffered contents into `out` (appending, FIFO order) in a
     /// single mutex acquisition. Returns the number of elements moved;
-    /// `0` means the queue is closed and drained (end-of-stream).
+    /// `0` means the queue is closed and drained (end-of-stream; the
+    /// reason is [`BlockingQueue::close_cause`]).
     pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
-        self.drain_into_with_cause(out).unwrap_or(0)
-    }
-
-    /// Like [`BlockingQueue::drain_into`], but end-of-stream returns the
-    /// recorded [`CloseCause`] instead of a bare `0`. `Ok(moved)` is
-    /// always ≥ 1.
-    pub fn drain_into_with_cause(&self, out: &mut Vec<T>) -> Result<usize, CloseCause> {
         let mut st = self.shared.state.lock();
         obs_on!(let mut waited = false;);
         loop {
@@ -455,10 +424,10 @@ impl<T> BlockingQueue<T> {
                 drop(st);
                 self.shared.not_full.notify_all();
                 obs_on!(record_batch_take(n););
-                return Ok(n);
+                return n;
             }
-            if let Some(cause) = &st.cause {
-                return Err(cause.clone());
+            if st.cause.is_some() {
+                return 0;
             }
             obs_on!(if !waited {
                 waited = true;
@@ -468,27 +437,6 @@ impl<T> BlockingQueue<T> {
             self.shared.not_empty.wait(&mut st);
             st.take_waiters -= 1;
         }
-    }
-
-    /// Non-blocking [`BlockingQueue::drain_into`]: moves the entire
-    /// buffered contents into `out` and returns `Ok(moved)` (≥ 1), or the
-    /// reason nothing could be moved.
-    pub fn try_drain_into(&self, out: &mut Vec<T>) -> Result<usize, TryTakeError> {
-        let mut st = self.shared.state.lock();
-        if st.buf.is_empty() {
-            return if st.cause.is_some() {
-                Err(TryTakeError::Closed)
-            } else {
-                Err(TryTakeError::Empty)
-            };
-        }
-        let n = st.buf.len();
-        out.reserve(n);
-        out.extend(st.buf.drain(..));
-        drop(st);
-        self.shared.not_full.notify_all();
-        obs_on!(record_batch_take(n););
-        Ok(n)
     }
 
     /// Like [`BlockingQueue::take`] but gives up after `timeout`,
@@ -810,7 +758,6 @@ mod tests {
         assert_eq!(q.put_all(vec![]), Ok(()));
         assert_eq!(q.try_put_all(vec![]), Ok(()));
         assert_eq!(q.take_batch(0), Some(vec![]));
-        assert_eq!(q.try_take_batch(0), Ok(vec![]));
     }
 
     #[test]
@@ -887,29 +834,16 @@ mod tests {
     }
 
     #[test]
-    fn try_take_batch_empty_and_closed() {
-        let q: BlockingQueue<i32> = BlockingQueue::bounded(4);
-        assert_eq!(q.try_take_batch(3), Err(TryTakeError::Empty));
-        q.put_all(vec![1, 2, 3]).unwrap();
-        assert_eq!(q.try_take_batch(2), Ok(vec![1, 2]));
-        q.close();
-        assert_eq!(q.try_take_batch(2), Ok(vec![3]));
-        assert_eq!(q.try_take_batch(2), Err(TryTakeError::Closed));
-    }
-
-    #[test]
     fn drain_into_appends_and_signals_eos() {
         let q = BlockingQueue::bounded(8);
         q.put_all(vec![1, 2, 3]).unwrap();
         let mut out = vec![0];
         assert_eq!(q.drain_into(&mut out), 3);
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(q.try_drain_into(&mut out), Err(TryTakeError::Empty));
         q.put(4).unwrap();
-        assert_eq!(q.try_drain_into(&mut out), Ok(1));
+        assert_eq!(q.drain_into(&mut out), 1);
         q.close();
         assert_eq!(q.drain_into(&mut out), 0, "end-of-stream");
-        assert_eq!(q.try_drain_into(&mut out), Err(TryTakeError::Closed));
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 
@@ -952,13 +886,11 @@ mod tests {
         assert_eq!(cause.fault().unwrap().stage(), "stage-x");
         assert_eq!(cause.fault().unwrap().message(), "boom");
         assert_eq!(q.take_batch_with_cause(8).expect_err("ended"), cause);
-        let mut out = Vec::new();
-        assert_eq!(q.drain_into_with_cause(&mut out).expect_err("ended"), cause);
         assert_eq!(q.close_cause(), Some(cause));
         // The legacy shapes still see a plain end-of-stream.
         assert_eq!(q.take(), None);
         assert_eq!(q.take_batch(8), None);
-        assert_eq!(q.drain_into(&mut out), 0);
+        assert_eq!(q.drain_into(&mut Vec::new()), 0);
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub(crate) struct QueueStats {
     /// Batch-put transactions (`put_all` / `try_put_all` moving ≥ 1
     /// element under one lock acquisition). Items still count in `puts`.
     pub batch_puts: Arc<obs::Counter>,
-    /// Batch-take transactions (`take_batch` / `try_take_batch` /
-    /// `drain_into` moving ≥ 1 element). Items still count in `takes`.
+    /// Batch-take transactions (`take_batch` / `drain_into` moving ≥ 1
+    /// element). Items still count in `takes`.
     pub batch_takes: Arc<obs::Counter>,
     /// Elements moved per batch transaction (both directions) — the
     /// amortization factor. `p50 ≈ batch size` means the chunked

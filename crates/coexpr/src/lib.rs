@@ -83,11 +83,6 @@ impl CoExpr {
     pub fn into_value(self) -> Value {
         Value::Co(self.into_ref())
     }
-
-    /// The environment the body is currently running in (test hook).
-    pub fn working_env(&self) -> &Env {
-        &self.working
-    }
 }
 
 impl Coroutine for CoExpr {

@@ -629,20 +629,16 @@ impl Gen for Promote {
                     let v = (self.src)().deref();
                     self.state = match v {
                         Value::List(l) => PromoteState::Items(values(l.lock().clone())),
-                        s @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)) => {
-                            PromoteState::Items(values(
-                                s.as_str()
-                                    .expect("string form")
-                                    .chars()
-                                    .map(|c| Value::from(c.to_string()))
-                                    .collect(),
-                            ))
-                        }
                         Value::Table(t) => PromoteState::Items(values(
                             t.lock().entries.values().cloned().collect(),
                         )),
                         Value::Co(c) => PromoteState::Co(c, false),
-                        _ => PromoteState::Dead,
+                        other => match other.as_str() {
+                            Some(text) => PromoteState::Items(values(
+                                text.chars().map(|c| Value::from(c.to_string())).collect(),
+                            )),
+                            None => PromoteState::Dead,
+                        },
                     };
                 }
                 PromoteState::Items(vs) => return vs.resume(),
@@ -712,73 +708,6 @@ impl Gen for InvokeIter {
 // ---------------------------------------------------------------------------
 // Control constructs
 // ---------------------------------------------------------------------------
-
-/// `every e do body`: drive `e` to failure, evaluating `body` (bounded) for
-/// each result; the whole construct fails (produces no results), like Icon's
-/// `every`.
-pub fn every_do(source: impl Gen + 'static, body: impl FnMut(&Value) + Send + 'static) -> EveryDo {
-    EveryDo {
-        source: Box::new(source),
-        body: Box::new(body),
-        done: false,
-    }
-}
-
-pub struct EveryDo {
-    source: BoxGen,
-    body: Box<dyn FnMut(&Value) + Send>,
-    done: bool,
-}
-
-impl Gen for EveryDo {
-    fn resume(&mut self) -> Step {
-        if !self.done {
-            while let Step::Suspend(v) = self.source.resume() {
-                (self.body)(&v);
-            }
-            self.done = true;
-        }
-        Step::Fail
-    }
-    fn restart(&mut self) {
-        self.source.restart();
-        self.done = false;
-    }
-}
-
-/// `while cond do body`: re-evaluates the bounded condition thunk before
-/// each pass; runs the body while the condition succeeds. Fails when done.
-pub fn while_do(
-    cond: impl FnMut() -> Option<Value> + Send + 'static,
-    body: impl FnMut() + Send + 'static,
-) -> WhileDo {
-    WhileDo {
-        cond: Box::new(cond),
-        body: Box::new(body),
-        done: false,
-    }
-}
-
-pub struct WhileDo {
-    cond: Box<dyn FnMut() -> Option<Value> + Send>,
-    body: Box<dyn FnMut() + Send>,
-    done: bool,
-}
-
-impl Gen for WhileDo {
-    fn resume(&mut self) -> Step {
-        if !self.done {
-            while (self.cond)().is_some() {
-                (self.body)();
-            }
-            self.done = true;
-        }
-        Step::Fail
-    }
-    fn restart(&mut self) {
-        self.done = false;
-    }
-}
 
 /// `if cond then e1 else e2`: evaluates the bounded condition once per
 /// (re)start, then delegates all iteration to the chosen branch.
@@ -1077,33 +1006,6 @@ mod tests {
         let mut g = invoke_iter(|| None);
         assert_eq!(g.resume(), Step::Fail);
         assert_eq!(g.resume(), Step::Fail);
-    }
-
-    #[test]
-    fn every_do_drives_side_effects() {
-        let acc = Var::new(Value::from(0));
-        let acc2 = acc.clone();
-        let mut g = every_do(to_range(1, 4, 1), move |v| {
-            let cur = acc2.get();
-            acc2.set(ops::add(&cur, v).unwrap());
-        });
-        assert_eq!(g.resume(), Step::Fail); // every fails
-        assert_eq!(acc.get().as_int(), Some(10));
-    }
-
-    #[test]
-    fn while_do_loops_until_cond_fails() {
-        let n = Var::new(Value::from(0));
-        let (nc, nb) = (n.clone(), n.clone());
-        let mut g = while_do(
-            move || ops::lt(&nc.get(), &Value::from(5)),
-            move || {
-                let cur = nb.get();
-                nb.set(ops::add(&cur, &Value::from(1)).unwrap());
-            },
-        );
-        assert_eq!(g.resume(), Step::Fail);
-        assert_eq!(n.get().as_int(), Some(5));
     }
 
     #[test]

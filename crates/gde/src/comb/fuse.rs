@@ -62,12 +62,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// True for stages that produce at most one output per input — the
-    /// stages `fuse()` may compose.
-    pub fn is_monogenic(&self) -> bool {
-        !matches!(self, Stage::Flat(_))
-    }
-
     /// The stage as a monogenic closure (barriers have none).
     fn as_fn(&self) -> Option<FusedFn> {
         match self {

@@ -15,7 +15,7 @@
 //! * [`comb`] — the composition forms the transformation maps constructs
 //!   onto: product (`&`), alternation (`|`), bound iteration (`x in e`),
 //!   limitation, bounded expressions, `to` ranges, promotion (`!e`),
-//!   invocation, and the control constructs `every`/`while`/`if`;
+//!   invocation, `if` and sequencing (loops are lowered by `junicon::rt`);
 //! * [`Var`] — reified variables (the `IconVar` analogue) giving the
 //!   first-class reference semantics of Sec. V.C;
 //! * [`ops`] — the goal-directed operators: arithmetic with automatic big-
@@ -117,5 +117,5 @@ pub use func::ProcValue;
 pub use gen::{BoxGen, Gen, GenExt, GenIter, Step};
 pub use strbuf::{StrBuf, StrBuilder};
 pub use sym::Symbol;
-pub use value::{BuiltStr, CoRef, Coroutine, Key, ObjData, ObjRef, StrSlice, Value};
+pub use value::{CoRef, Coroutine, Key, ObjData, ObjRef, StrWin, Value};
 pub use var::Var;

@@ -36,8 +36,8 @@ pub fn to_num(v: &Value) -> Option<Num> {
         Value::Int(i) => Some(Num::Int(i)),
         Value::Big(b) => Some(Num::Big((*b).clone())),
         Value::Real(r) => Some(Num::Real(r)),
-        s @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)) => {
-            let s = s.as_str().expect("string form").trim();
+        s => {
+            let s = s.as_str()?.trim();
             if let Ok(i) = s.parse::<i64>() {
                 Some(Num::Int(i))
             } else if let Ok(b) = BigInt::from_str_radix(s, 10) {
@@ -48,7 +48,6 @@ pub fn to_num(v: &Value) -> Option<Num> {
                 None
             }
         }
-        _ => None,
     }
 }
 
@@ -287,10 +286,6 @@ impl std::fmt::Write for NumBuf {
 /// outlive a temporary) — callers deref first.
 pub fn to_text<'a>(v: &'a Value, buf: &'a mut NumBuf) -> Option<&'a str> {
     match v {
-        Value::Str(s) => Some(s),
-        Value::Sym(s) => Some(s.as_str()),
-        Value::Slice(s) => Some(s.as_str()),
-        Value::Built(s) => Some(s.as_str()),
         Value::Int(i) => {
             write!(buf, "{i}").ok()?;
             obs_on!(crate::obs_hot::coerce_cached().inc());
@@ -307,7 +302,7 @@ pub fn to_text<'a>(v: &'a Value, buf: &'a mut NumBuf) -> Option<&'a str> {
             write!(buf, "{b}").ok()?;
             Some(buf.as_str())
         }
-        _ => None,
+        s => s.as_str(),
     }
 }
 
@@ -346,11 +341,6 @@ fn small_int_sym(i: i64) -> Option<Symbol> {
 /// Coerce to a string (Icon's implicit string conversion).
 pub fn to_str(v: &Value) -> Option<Arc<str>> {
     match v.deref() {
-        Value::Str(s) => Some(s),
-        // Interned handles already own a canonical shared allocation.
-        Value::Sym(s) => Some(s.arc()),
-        Value::Slice(s) => Some(Arc::from(s.as_str())),
-        Value::Built(s) => Some(Arc::from(s.as_str())),
         Value::Int(i) => Some(int_arc(i)),
         Value::Big(b) => Some(Arc::from(b.to_string().as_str())),
         Value::Real(r) => {
@@ -361,7 +351,8 @@ pub fn to_str(v: &Value) -> Option<Arc<str>> {
             }
             Some(Arc::from(buf.as_str()))
         }
-        _ => None,
+        Value::Str(s) => Some(s),
+        s => s.shared_text(),
     }
 }
 
@@ -402,72 +393,29 @@ fn format_real_into(r: f64, buf: &mut NumBuf) {
 /// * otherwise both coerced texts are appended into the arena and the
 ///   result windows over the pair (`concat_copies`).
 ///
-/// The result is a borrowed [`Value::Built`] (or widened
-/// [`Value::Slice`]) handle: it pins its chunk and promotes at every
-/// escape route, exactly like the line-arena slices. For an owned result
-/// (the pre-arena behaviour) use [`concat_owned`].
+/// The result is a borrowed window ([`Value::is_borrowed`]): it pins its
+/// owner and promotes at every escape route, exactly like the line-arena
+/// slices. For an owned result (the pre-arena behaviour) use
+/// [`concat_owned`].
 pub fn concat(a: &Value, b: &Value) -> Option<Value> {
     let (mut da, mut db) = (None, None);
     let a = deref_into(a, &mut da);
     let b = deref_into(b, &mut db);
-    if let Some(widened) = try_widen(a, b) {
+    if let Some(widened) = Value::try_join(a, b) {
+        obs_on!(crate::obs_hot::concat_slices().inc());
         return Some(widened);
-    }
-    if let Value::Built(x) = a {
-        // Tail extension: `x` ends exactly at the current chunk's
-        // published length, so appending `b` widens it in place.
-        let mut bbuf = NumBuf::new();
-        let btext = to_text(b, &mut bbuf)?;
-        if let Some(w) = strbuf::with_builder(|bl| bl.try_extend(&x.window(), btext)) {
-            obs_on!(crate::obs_hot::concat_slices().inc());
-            return Some(Value::built(w));
-        }
-        obs_on!(crate::obs_hot::concat_copies().inc());
-        return Some(Value::built(strbuf::with_builder(|bl| {
-            bl.push_concat(x.as_str(), btext)
-        })));
     }
     let (mut abuf, mut bbuf) = (NumBuf::new(), NumBuf::new());
     let x = to_text(a, &mut abuf)?;
     let y = to_text(b, &mut bbuf)?;
-    obs_on!(crate::obs_hot::concat_copies().inc());
-    Some(Value::built(strbuf::with_builder(|bl| {
-        bl.push_concat(x, y)
-    })))
-}
-
-/// The adjacency fast path: two windows of the same owner where `a` ends
-/// exactly where `b` starts merge into one wider window of that owner —
-/// zero bytes copied. (The test-only `strbuf::ADJACENCY_SKEW` hook
-/// shortens the widened window by one byte so the differential suite can
-/// prove an off-by-one here is caught.)
-fn try_widen(a: &Value, b: &Value) -> Option<Value> {
-    let skew = |len: u32| {
-        if strbuf::adjacency_skew() {
-            len.saturating_sub(1)
-        } else {
-            len
+    strbuf::with_builder(|bl| {
+        if let Some(extended) = bl.try_extend(a, y) {
+            obs_on!(crate::obs_hot::concat_slices().inc());
+            return Some(extended);
         }
-    };
-    match (a, b) {
-        (Value::Slice(x), Value::Slice(y)) if Arc::ptr_eq(x.owner(), y.owner()) => {
-            let ((xs, xl), (ys, yl)) = (x.bounds(), y.bounds());
-            if xs + xl == ys {
-                obs_on!(crate::obs_hot::concat_slices().inc());
-                return Some(Value::Slice(x.with_bounds(xs, skew(xl + yl))));
-            }
-            None
-        }
-        (Value::Built(x), Value::Built(y)) if Arc::ptr_eq(x.owner(), y.owner()) => {
-            let ((xs, xl), (ys, yl)) = (x.bounds(), y.bounds());
-            if xs + xl == ys {
-                obs_on!(crate::obs_hot::concat_slices().inc());
-                return Some(Value::Built(x.with_bounds(xs, skew(xl + yl))));
-            }
-            None
-        }
-        _ => None,
-    }
+        obs_on!(crate::obs_hot::concat_copies().inc());
+        Some(bl.push_concat(x, y))
+    })
 }
 
 /// String concatenation into a fresh owned `String` — the pre-arena
@@ -537,46 +485,12 @@ pub fn equiv(a: &Value, b: &Value) -> Option<Value> {
 /// collect is gone. ASCII text (the hot case) resolves the character in
 /// O(1); other text takes a single `char_indices` walk with early exit
 /// at the target. Negative and zero indices need the character count —
-/// replayed from the [`BuiltStr`](crate::BuiltStr) cache or counted with
-/// the ASCII fast path. The result is a *window into the subscripted
-/// value's own owner* (its line buffer, arena chunk, or interner node) —
-/// no allocation on any string path.
+/// replayed from a borrowed window's cache or counted with the ASCII
+/// fast path. The result is a *window into the subscripted value's own
+/// owner* (its line buffer, arena chunk, or interner node) — no
+/// allocation on any string path.
 pub fn index(x: &Value, i: &Value) -> Option<Value> {
     match x.deref() {
-        ref sv @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)) => {
-            let text = sv.as_str().expect("string form");
-            let raw = raw_icon_index(i)?;
-            let idx = if raw > 0 {
-                (raw - 1) as usize
-            } else {
-                let chars = match sv {
-                    Value::Built(s) => s.char_len(),
-                    Value::Slice(s) => s.char_len(),
-                    _ => crate::value::str_char_len(text),
-                };
-                let adj = chars as i64 + raw - 1;
-                if adj < 0 {
-                    return None;
-                }
-                adj as usize
-            };
-            let (bs, be) = char_window(text, idx)?;
-            Some(match sv {
-                Value::Slice(s) => {
-                    let (start, _) = s.bounds();
-                    Value::Slice(s.with_bounds(start + bs as u32, (be - bs) as u32))
-                }
-                Value::Built(s) => {
-                    let (start, _) = s.bounds();
-                    Value::Built(s.with_bounds(start + bs as u32, (be - bs) as u32))
-                }
-                Value::Str(s) => Value::slice(s.clone(), bs, be),
-                // A symbol's text is a canonical immortal allocation:
-                // windowing it costs one refcount, no interner walk.
-                Value::Sym(s) => Value::slice(s.arc(), bs, be),
-                _ => unreachable!("string form"),
-            })
-        }
         Value::List(l) => {
             let l = l.lock();
             let idx = icon_index(i, l.len())?;
@@ -592,7 +506,21 @@ pub fn index(x: &Value, i: &Value) -> Option<Value> {
                     .unwrap_or_else(|| t.default.clone()),
             )
         }
-        _ => None,
+        sv => {
+            let text = sv.as_str()?;
+            let raw = raw_icon_index(i)?;
+            let idx = if raw > 0 {
+                (raw - 1) as usize
+            } else {
+                let adj = sv.char_len()? as i64 + raw - 1;
+                if adj < 0 {
+                    return None;
+                }
+                adj as usize
+            };
+            let (bs, be) = char_window(text, idx)?;
+            sv.subwindow(bs, be)
+        }
     }
 }
 
@@ -762,23 +690,17 @@ mod tests {
     #[test]
     fn concat_yields_arena_windows() {
         let v = concat(&s("ab"), &s("cd")).unwrap();
-        assert!(
-            matches!(v, Value::Built(_)),
-            "fresh concat lands in the arena"
-        );
+        let (chunk, start, _) = v.chunk_span().expect("fresh concat lands in the arena");
         assert_eq!(v.as_str(), Some("abcd"));
         // A left-leaning chain tail-extends: every link shares one chunk
         // window with the previous result.
         let chain = concat(&concat(&v, &s("-")).unwrap(), &i(7)).unwrap();
         assert_eq!(chain.as_str(), Some("abcd-7"));
-        if let (Value::Built(a), Value::Built(b)) = (&v, &chain) {
-            assert!(
-                Arc::ptr_eq(a.owner(), b.owner()),
-                "chain must stay in one chunk"
-            );
-        } else {
-            panic!("chain result must be Built");
-        }
+        let (chain_chunk, chain_start, _) = chain.chunk_span().expect("chain result is built");
+        assert!(
+            Arc::ptr_eq(chunk, chain_chunk) && start == chain_start,
+            "chain must extend in place"
+        );
     }
 
     #[test]
@@ -786,22 +708,18 @@ mod tests {
         let line: Arc<str> = Arc::from("hello world");
         let a = Value::slice(line.clone(), 0, 5);
         let b = Value::slice(line.clone(), 5, 11);
+        let pins = Arc::strong_count(&line);
         let joined = concat(&a, &b).unwrap();
-        match &joined {
-            Value::Slice(w) => {
-                assert!(
-                    Arc::ptr_eq(w.owner(), &line),
-                    "widening must reuse the owner"
-                );
-                assert_eq!(w.as_str(), "hello world");
-            }
-            other => panic!("adjacent slices must widen, got {other:?}"),
-        }
+        assert_eq!(joined.as_str(), Some("hello world"));
+        assert!(
+            joined.is_borrowed() && Arc::strong_count(&line) == pins + 1,
+            "widening must reuse the owner"
+        );
         // Non-adjacent windows of the same owner fall back to a copy.
         let c = Value::slice(line.clone(), 0, 5);
         let d = Value::slice(line.clone(), 6, 11);
         let copied = concat(&c, &d).unwrap();
-        assert!(matches!(copied, Value::Built(_)));
+        assert!(copied.chunk_span().is_some());
         assert_eq!(copied.as_str(), Some("helloworld"));
     }
 
@@ -878,21 +796,17 @@ mod tests {
     fn index_returns_windows_into_the_owner() {
         let line: Arc<str> = Arc::from("alpha beta");
         let word = Value::slice(line.clone(), 0, 5);
+        let pins = Arc::strong_count(&line);
         let c = index(&word, &i(2)).unwrap();
-        match &c {
-            Value::Slice(w) => {
-                assert!(
-                    Arc::ptr_eq(w.owner(), &line),
-                    "subscript must window the owner"
-                );
-                assert_eq!(w.as_str(), "l");
-            }
-            other => panic!("expected a slice window, got {other:?}"),
-        }
-        // Built subscripts window the chunk.
+        assert_eq!(c.as_str(), Some("l"));
+        assert!(
+            c.is_borrowed() && Arc::strong_count(&line) == pins + 1,
+            "subscript must window the owner"
+        );
+        // Concat-result subscripts window the chunk.
         let built = concat(&s("wi"), &s("de")).unwrap();
         let d = index(&built, &i(4)).unwrap();
-        assert!(matches!(d, Value::Built(_)));
+        assert!(d.chunk_span().is_some());
         assert_eq!(d.as_str(), Some("e"));
         // Sym subscripts window the canonical interner allocation.
         let sym = Value::interned("symbolic");

@@ -1,13 +1,13 @@
-//! The string builder arena — shared append-only buffers behind
-//! [`Value::Built`](crate::Value::Built).
+//! The string builder arena — the shared append-only buffers that
+//! `ops::concat` results window into.
 //!
 //! `ops::concat` used to re-own every result into a fresh `String` +
 //! `Arc<str>`; on concat-heavy paths (the paper's per-word `word=count`
 //! formatting, report assembly) that is two allocations per `||`. The
 //! builder arena replaces them with *windows into a shared chunk*: a
 //! [`StrBuilder`] appends operand bytes into its current [`StrBuf`] chunk
-//! and hands out `(chunk, start, len)` handles — the string analogue of
-//! the per-line slice arena from the compact-value work. Three regimes,
+//! and hands out borrowed window values over them — the string analogue
+//! of the per-line slice arena from the compact-value work. Three regimes,
 //! from cheapest up:
 //!
 //! * **adjacency widening** — the operands are windows of the *same*
@@ -44,8 +44,9 @@
 //! geometrically up to a cap so a long report does not thrash chunk
 //! allocation. Windows never span chunks.
 
+use crate::value::Value;
 use std::cell::{RefCell, UnsafeCell};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// First chunk size; retirement doubles up to [`MAX_CHUNK`].
@@ -54,8 +55,8 @@ const MIN_CHUNK: usize = 1 << 12;
 /// dedicated chunk of its own size, but steady-state chunks stop here.
 const MAX_CHUNK: usize = 1 << 16;
 
-/// An append-only shared string chunk: the arena behind
-/// [`Value::Built`](crate::Value::Built) windows.
+/// An append-only shared string chunk: the arena behind `ops::concat`
+/// windows.
 ///
 /// Bytes up to [`StrBuf::len`] are published UTF-8 and immutable; bytes
 /// beyond it belong exclusively to the owning [`StrBuilder`].
@@ -122,7 +123,7 @@ impl StrBuf {
         // Safety: every published byte came from a `&str` via `push_str`/
         // `push_concat`/`try_extend`, and the builder only hands out
         // windows aligned to those writes — re-validating on every read
-        // would make `BuiltStr::as_str` O(len) per call.
+        // would make `Value::as_str` O(len) per call.
         unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 
@@ -142,17 +143,9 @@ impl StrBuf {
     }
 }
 
-/// A window into a [`StrBuf`] as the builder hands them out.
-#[derive(Clone)]
-pub struct BufWindow {
-    pub buf: Arc<StrBuf>,
-    pub start: u32,
-    pub len: u32,
-}
-
 /// The per-stage string builder: owns the current chunk, appends concat
-/// operands, and hands out [`BufWindow`]s. Not `Clone` — one writer per
-/// chunk, by construction.
+/// operands, and hands out borrowed window values over what it wrote.
+/// Not `Clone` — one writer per chunk, by construction.
 pub struct StrBuilder {
     chunk: Arc<StrBuf>,
 }
@@ -185,39 +178,28 @@ impl StrBuilder {
     }
 
     /// Append `text` as a fresh published window.
-    pub fn push_str(&mut self, text: &str) -> BufWindow {
-        let start = self.reserve(text.len());
-        self.chunk.write(start, text.as_bytes());
-        self.chunk.publish(start + text.len());
-        BufWindow {
-            buf: self.chunk.clone(),
-            start: start as u32,
-            len: text.len() as u32,
-        }
+    pub fn push_str(&mut self, text: &str) -> Value {
+        self.push_concat(text, "")
     }
 
     /// Append the concatenation `a || b` as one published window.
-    pub fn push_concat(&mut self, a: &str, b: &str) -> BufWindow {
+    pub fn push_concat(&mut self, a: &str, b: &str) -> Value {
         let total = a.len() + b.len();
         let start = self.reserve(total);
         self.chunk.write(start, a.as_bytes());
         self.chunk.write(start + a.len(), b.as_bytes());
         self.chunk.publish(start + total);
-        BufWindow {
-            buf: self.chunk.clone(),
-            start: start as u32,
-            len: total as u32,
-        }
+        Value::chunk_window(&self.chunk, start, start + total)
     }
 
-    /// Tail extension: if `w` is the last published window of the
+    /// Tail extension: if `left` is the last published window of the
     /// *current* chunk and `b` fits (possibly after growth is ruled
     /// out — extension never relocates), append only `b`'s bytes and
     /// return the widened window. `None` means the caller must fall back
     /// to a fresh [`StrBuilder::push_concat`].
-    pub fn try_extend(&mut self, w: &BufWindow, b: &str) -> Option<BufWindow> {
-        let end = (w.start + w.len) as usize;
-        if !Arc::ptr_eq(&w.buf, &self.chunk) || end != self.chunk.len() {
+    pub fn try_extend(&mut self, left: &Value, b: &str) -> Option<Value> {
+        let (chunk, start, end) = left.chunk_span()?;
+        if !Arc::ptr_eq(chunk, &self.chunk) || end != self.chunk.len() {
             return None;
         }
         if end + b.len() > self.chunk.capacity() {
@@ -225,11 +207,7 @@ impl StrBuilder {
         }
         self.chunk.write(end, b.as_bytes());
         self.chunk.publish(end + b.len());
-        Some(BufWindow {
-            buf: self.chunk.clone(),
-            start: w.start,
-            len: w.len + b.len() as u32,
-        })
+        Some(Value::chunk_window(&self.chunk, start, end + b.len()))
     }
 
     /// Room for `n` more bytes in the current chunk, retiring it if
@@ -260,23 +238,6 @@ pub fn with_builder<R>(f: impl FnOnce(&mut StrBuilder) -> R) -> R {
     BUILDER.with(|b| f(&mut b.borrow_mut()))
 }
 
-/// Test-only mutation hook for the differential suite: when set, the
-/// adjacency fast path in `ops::concat` widens its window *one byte
-/// short* — the classic off-by-one the boxed-vs-builder differential
-/// must catch (`gde/tests/strplane_diff.rs`). Production code must never
-/// enable it.
-#[doc(hidden)]
-pub static ADJACENCY_SKEW: AtomicBool = AtomicBool::new(false);
-
-#[doc(hidden)]
-pub fn set_adjacency_skew(on: bool) {
-    ADJACENCY_SKEW.store(on, Ordering::SeqCst);
-}
-
-pub(crate) fn adjacency_skew() -> bool {
-    ADJACENCY_SKEW.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,16 +247,9 @@ mod tests {
         let mut b = StrBuilder::new();
         let w1 = b.push_str("hello");
         let w2 = b.push_concat(" ", "world");
-        assert_eq!(
-            w1.buf
-                .window(w1.start as usize, (w1.start + w1.len) as usize),
-            "hello"
-        );
-        assert_eq!(
-            w2.buf
-                .window(w2.start as usize, (w2.start + w2.len) as usize),
-            " world"
-        );
+        assert_eq!(w1.as_str(), Some("hello"));
+        assert_eq!(w2.as_str(), Some(" world"));
+        assert!(w1.is_borrowed() && w2.is_borrowed());
     }
 
     #[test]
@@ -303,13 +257,10 @@ mod tests {
         let mut b = StrBuilder::new();
         let w = b.push_str("ab");
         let wide = b.try_extend(&w, "cd").expect("tail window must extend");
-        assert!(Arc::ptr_eq(&w.buf, &wide.buf));
-        assert_eq!(wide.start, w.start);
-        assert_eq!(
-            wide.buf
-                .window(wide.start as usize, (wide.start + wide.len) as usize),
-            "abcd"
-        );
+        assert_eq!(wide.as_str(), Some("abcd"));
+        let (chunk, start, end) = wide.chunk_span().expect("a chunk window");
+        assert!(Arc::ptr_eq(chunk, b.chunk()));
+        assert_eq!((start, end), (0, 4), "nothing was re-copied");
     }
 
     #[test]
@@ -318,18 +269,25 @@ mod tests {
         let w = b.push_str("ab");
         let _later = b.push_str("xx"); // w is no longer the tail
         assert!(b.try_extend(&w, "cd").is_none());
+        // Nor do values that are not windows of this builder's chunk.
+        assert!(b.try_extend(&Value::str("ab"), "cd").is_none());
+        let line: Arc<str> = Arc::from("ab");
+        assert!(b.try_extend(&Value::slice(line, 0, 2), "cd").is_none());
     }
 
     #[test]
     fn retirement_keeps_old_windows_alive() {
         let mut b = StrBuilder::new();
         let w = b.push_str("keep");
-        let first_chunk = Arc::downgrade(&w.buf);
+        let first_chunk = Arc::downgrade(b.chunk());
         // Overflow the chunk: forces retirement.
         let big = "y".repeat(MIN_CHUNK);
-        let w2 = b.push_str(&big);
-        assert!(!Arc::ptr_eq(&w.buf, &w2.buf), "oversize push must retire");
-        assert_eq!(w.buf.window(0, 4), "keep", "retired chunk still readable");
+        let _w2 = b.push_str(&big);
+        assert!(
+            !std::ptr::eq(first_chunk.as_ptr(), Arc::as_ptr(b.chunk())),
+            "oversize push must retire"
+        );
+        assert_eq!(w.as_str(), Some("keep"), "retired chunk still readable");
         drop(w);
         assert!(
             first_chunk.upgrade().is_none(),
@@ -342,11 +300,7 @@ mod tests {
         let mut b = StrBuilder::new();
         let huge = "z".repeat(MAX_CHUNK + 17);
         let w = b.push_str(&huge);
-        assert_eq!(w.len as usize, huge.len());
-        assert_eq!(
-            w.buf.window(w.start as usize, (w.start + w.len) as usize),
-            huge
-        );
+        assert_eq!(w.as_str(), Some(huge.as_str()));
     }
 
     #[test]
@@ -361,11 +315,7 @@ mod tests {
     fn published_windows_are_readable_across_threads() {
         let mut b = StrBuilder::new();
         let w = b.push_str("crossing");
-        let handle = std::thread::spawn(move || {
-            w.buf
-                .window(w.start as usize, (w.start + w.len) as usize)
-                .to_string()
-        });
+        let handle = std::thread::spawn(move || w.to_string());
         // Keep writing while the reader runs: disjoint bytes.
         for _ in 0..100 {
             b.push_str("noise");

@@ -2,7 +2,7 @@
 
 use crate::env::Env;
 use crate::func::ProcValue;
-use crate::strbuf::{BufWindow, StrBuf};
+use crate::strbuf::StrBuf;
 use crate::sym::Symbol;
 use crate::var::Var;
 use bigint::BigInt;
@@ -142,29 +142,53 @@ impl std::hash::Hash for Key {
     }
 }
 
-/// A view into a shared line buffer: the compact representation for
-/// string payloads produced by hot generators (`WordSplit`).
+/// What a [`StrWin`] borrows from: a line buffer (what hot generators
+/// such as `WordSplit` window, and what subscripting an owned or interned
+/// string windows) or a builder-arena chunk (what `ops::concat` appends
+/// into). The niche in `Arc<str>`'s pointer packs the tag: 16 bytes.
+#[derive(Clone)]
+enum Owner {
+    Line(Arc<str>),
+    Chunk(Arc<StrBuf>),
+}
+
+impl Owner {
+    fn same(&self, other: &Owner) -> bool {
+        match (self, other) {
+            (Owner::Line(a), Owner::Line(b)) => Arc::ptr_eq(a, b),
+            (Owner::Chunk(a), Owner::Chunk(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Bytes `[start, end)` of the owner's text.
+    fn text(&self, start: usize, end: usize) -> &str {
+        match self {
+            Owner::Line(line) => &line[start..end],
+            Owner::Chunk(chunk) => chunk.window(start, end),
+        }
+    }
+}
+
+/// The borrowed string form: a `(start, len)` byte window into a shared
+/// owner. Minting one costs no hashing, no interner walk and no
+/// allocation — just a refcount on the owner.
 ///
-/// The "arena" here is the pipeline's per-line `Arc<str>` buffer: every
-/// word of a line is a `(start, len)` window into the one allocation the
-/// corpus already holds, so yielding a word costs no hashing, no interner
-/// walk, and no new allocation — just an `Arc` refcount on the line.
-/// Slices are *borrowed handles* in the ownership sense: they pin their
-/// line buffer alive, so any value that outlives its stage must be
-/// promoted to an owned form ([`Value::promote`]) to let the arena drop.
-pub struct StrSlice {
-    owner: Arc<str>,
+/// Windows are *borrowed handles* in the ownership sense: they pin their
+/// owner alive, so any value that outlives its stage must be promoted to
+/// an owned form ([`Value::promote`]) to let the arena drop.
+pub struct StrWin {
+    owner: Owner,
     start: u32,
     len: u32,
-    /// Cached char count; `u32::MAX` = not yet computed. (The fat owner
-    /// pointer plus this still fits the 32-byte payload budget set by
-    /// `ProcValue` — see the size test.)
+    /// Cached char count; `u32::MAX` = not yet computed. Filled lazily on
+    /// the first [`Value::size`] / negative subscript and replayed after.
     chars: AtomicU32,
 }
 
-impl Clone for StrSlice {
-    fn clone(&self) -> StrSlice {
-        StrSlice {
+impl Clone for StrWin {
+    fn clone(&self) -> StrWin {
+        StrWin {
             owner: self.owner.clone(),
             start: self.start,
             len: self.len,
@@ -173,112 +197,46 @@ impl Clone for StrSlice {
     }
 }
 
-impl StrSlice {
-    /// The viewed text.
-    pub fn as_str(&self) -> &str {
-        &self.owner[self.start as usize..(self.start + self.len) as usize]
+impl StrWin {
+    /// Window coordinates are `u32`: an owner of 4 GiB or more cannot be
+    /// windowed past that offset.
+    fn fits(end: usize) -> bool {
+        end <= u32::MAX as usize
     }
 
-    /// The backing line buffer this slice pins.
-    pub fn owner(&self) -> &Arc<str> {
-        &self.owner
+    /// The one place a window is built: bytes `[start, end)` of `owner`,
+    /// which the caller has placed on char boundaries of the owner's
+    /// (published) text. Coordinates that do not fit are re-owned.
+    ///
+    /// `#[inline]` here and on [`Value::slice_at_ascii_delims`]: the word
+    /// splitter mints one window per word from another crate, and without
+    /// the hint the pair stops being inlined there (≈ 5 % of the embedded
+    /// `seq_light` lane); the re-own path stays out of line.
+    #[inline]
+    fn mint(owner: Owner, start: usize, end: usize) -> Value {
+        if !Self::fits(end) {
+            return Self::reown(&owner, start, end);
+        }
+        Value::Win(StrWin {
+            owner,
+            start: start as u32,
+            len: (end - start) as u32,
+            chars: AtomicU32::new(u32::MAX),
+        })
+    }
+
+    #[cold]
+    fn reown(owner: &Owner, start: usize, end: usize) -> Value {
+        Value::Str(Arc::from(owner.text(start, end)))
+    }
+
+    fn as_str(&self) -> &str {
+        let start = self.start as usize;
+        self.owner.text(start, start + self.len as usize)
     }
 
     /// Character count, computed once and cached.
-    pub fn char_len(&self) -> usize {
-        let cached = self.chars.load(Ordering::Relaxed);
-        if cached != u32::MAX {
-            return cached as usize;
-        }
-        let n = str_char_len(self.as_str());
-        self.chars.store(n as u32, Ordering::Relaxed);
-        n
-    }
-
-    /// `(start, len)` of the window, in bytes of the owner.
-    pub(crate) fn bounds(&self) -> (u32, u32) {
-        (self.start, self.len)
-    }
-
-    /// Another window of the same owner (byte coordinates of the owner;
-    /// boundary validity is the caller's obligation, as with
-    /// [`Value::slice_at_ascii_delims`]).
-    pub(crate) fn with_bounds(&self, start: u32, len: u32) -> StrSlice {
-        StrSlice {
-            owner: self.owner.clone(),
-            start,
-            len,
-            chars: AtomicU32::new(u32::MAX),
-        }
-    }
-}
-
-/// A window into a builder-arena chunk ([`StrBuf`]): the compact
-/// representation for concatenation results (`ops::concat`).
-///
-/// Like [`StrSlice`] this is a borrowed handle — it pins its chunk and
-/// must be [promoted](Value::promote) at every escape route — but its
-/// owner pointer is *thin* (`StrBuf` is sized), which leaves room for a
-/// cached character count without growing [`Value`] past its 32-byte
-/// budget. The count is filled lazily on the first [`BuiltStr::char_len`]
-/// call (subscripts with negative indices, `*x`) and replayed after.
-pub struct BuiltStr {
-    buf: Arc<StrBuf>,
-    start: u32,
-    len: u32,
-    /// Cached char count; `u32::MAX` = not yet computed.
-    chars: AtomicU32,
-}
-
-impl Clone for BuiltStr {
-    fn clone(&self) -> BuiltStr {
-        BuiltStr {
-            buf: self.buf.clone(),
-            start: self.start,
-            len: self.len,
-            chars: AtomicU32::new(self.chars.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl BuiltStr {
-    /// The viewed text.
-    pub fn as_str(&self) -> &str {
-        self.buf
-            .window(self.start as usize, (self.start + self.len) as usize)
-    }
-
-    /// The arena chunk this window pins.
-    pub fn owner(&self) -> &Arc<StrBuf> {
-        &self.buf
-    }
-
-    pub(crate) fn window(&self) -> BufWindow {
-        BufWindow {
-            buf: self.buf.clone(),
-            start: self.start,
-            len: self.len,
-        }
-    }
-
-    /// `(start, len)` of the window, in bytes of the chunk.
-    pub(crate) fn bounds(&self) -> (u32, u32) {
-        (self.start, self.len)
-    }
-
-    /// Another window of the same chunk (byte coordinates of the chunk,
-    /// which must lie within its published prefix).
-    pub(crate) fn with_bounds(&self, start: u32, len: u32) -> BuiltStr {
-        BuiltStr {
-            buf: self.buf.clone(),
-            start,
-            len,
-            chars: AtomicU32::new(u32::MAX),
-        }
-    }
-
-    /// Character count, computed once and cached.
-    pub fn char_len(&self) -> usize {
+    fn char_len(&self) -> usize {
         let cached = self.chars.load(Ordering::Relaxed);
         if cached != u32::MAX {
             return cached as usize;
@@ -307,11 +265,14 @@ pub(crate) fn str_char_len(s: &str) -> usize {
 /// structures. All variants are `Send + Sync`, which is what lets pipes move
 /// generated values between threads.
 ///
-/// The compact variants — [`Value::Sym`] (copyable interned handle with a
-/// cached hash) and [`Value::Slice`] (arena-backed view into a shared line
-/// buffer) — exist so the per-element cost of fused stages is a move, not
-/// an `Arc` clone plus a re-hash; `Clone` is hand-written to count how
-/// often each regime is hit (`gde.value.inline_hits` / `arc_clones`).
+/// Strings come in three forms — owned [`Value::Str`], interned
+/// [`Value::Sym`] (copyable handle with a cached hash) and borrowed
+/// [`Value::Win`] (a window into a shared owner) — which are
+/// representations, not types: every operation reads them through
+/// [`Value::as_str`] and the window operations of this module, which is
+/// the only one that knows how a borrowed string is stored. `Clone` is
+/// hand-written to count how often each regime is hit
+/// (`gde.value.inline_hits` / `arc_clones`).
 #[derive(Default)]
 pub enum Value {
     /// The null value (`&null`); also the value of unset variables.
@@ -327,14 +288,10 @@ pub enum Value {
     Str(Arc<str>),
     /// Interned string: a copyable handle into the immortal symbol table.
     Sym(Symbol),
-    /// Borrowed string: a window into a shared line buffer (see
-    /// [`StrSlice`]). Must be [promoted](Value::promote) before escaping
-    /// its pipeline.
-    Slice(StrSlice),
-    /// Borrowed string: a window into a builder-arena chunk (see
-    /// [`BuiltStr`]) — what `ops::concat` yields. Must be
+    /// Borrowed string: a window into a shared line buffer or
+    /// builder-arena chunk (see [`StrWin`]). Must be
     /// [promoted](Value::promote) before escaping its pipeline.
-    Built(BuiltStr),
+    Win(StrWin),
     /// Mutable shared list.
     List(Arc<Mutex<Vec<Value>>>),
     /// Mutable shared table with a default value.
@@ -378,13 +335,9 @@ impl Clone for Value {
                 obs_on!(crate::obs_hot::value_arc_clones().inc());
                 Value::Str(s.clone())
             }
-            Value::Slice(s) => {
+            Value::Win(w) => {
                 obs_on!(crate::obs_hot::value_arc_clones().inc());
-                Value::Slice(s.clone())
-            }
-            Value::Built(s) => {
-                obs_on!(crate::obs_hot::value_arc_clones().inc());
-                Value::Built(s.clone())
+                Value::Win(w.clone())
             }
             Value::List(l) => {
                 obs_on!(crate::obs_hot::value_arc_clones().inc());
@@ -437,7 +390,7 @@ impl Value {
     }
 
     /// Build a borrowed string value: a `[start, end)` window into a
-    /// shared line buffer (see [`StrSlice`]). The window must lie on
+    /// shared line buffer (see [`StrWin`]). The window must lie on
     /// `char` boundaries. This is the zero-hash, zero-allocation path hot
     /// generators use per emitted word; the handle pins `owner` until it
     /// is dropped or [promoted](Value::promote).
@@ -446,12 +399,7 @@ impl Value {
             .get(start..end)
             .expect("Value::slice window must be in-bounds on char boundaries");
         obs_on!(crate::obs_hot::value_inline_hits().inc());
-        Value::Slice(StrSlice {
-            owner,
-            start: start as u32,
-            len: (end - start) as u32,
-            chars: AtomicU32::new(u32::MAX),
-        })
+        StrWin::mint(Owner::Line(owner), start, end)
     }
 
     /// [`Value::slice`] for producers whose windows are char-boundary
@@ -467,17 +415,13 @@ impl Value {
     /// system, where even a relaxed atomic increment is measurable. They
     /// count locally and flush per batch via
     /// [`Value::note_inline_windows`].
+    #[inline]
     pub fn slice_at_ascii_delims(owner: Arc<str>, start: usize, end: usize) -> Value {
         debug_assert!(
             owner.get(start..end).is_some(),
             "slice_at_ascii_delims window must be in-bounds on char boundaries"
         );
-        Value::Slice(StrSlice {
-            owner,
-            start: start as u32,
-            len: (end - start) as u32,
-            chars: AtomicU32::new(u32::MAX),
-        })
+        StrWin::mint(Owner::Line(owner), start, end)
     }
 
     /// Batched `gde.value.inline_hits` accounting for
@@ -494,22 +438,32 @@ impl Value {
         });
     }
 
-    /// Wrap a builder-arena window (see [`crate::strbuf`]) as a borrowed
-    /// string value.
-    pub fn built(w: BufWindow) -> Value {
-        Value::Built(BuiltStr {
-            buf: w.buf,
-            start: w.start,
-            len: w.len,
-            chars: AtomicU32::new(u32::MAX),
-        })
+    /// A borrowed window over bytes `[start, end)` of a builder-arena
+    /// chunk, which must be a published `&str` write (see
+    /// [`crate::strbuf`]).
+    pub(crate) fn chunk_window(chunk: &Arc<StrBuf>, start: usize, end: usize) -> Value {
+        StrWin::mint(Owner::Chunk(chunk.clone()), start, end)
     }
 
-    /// True for the borrowed string forms ([`Value::Slice`],
-    /// [`Value::Built`]) that pin an arena and must be
-    /// [promoted](Value::promote) before escaping their stage.
+    /// The chunk and byte span `(chunk, start, end)` of a builder-arena
+    /// window; `None` for every other value.
+    pub(crate) fn chunk_span(&self) -> Option<(&Arc<StrBuf>, usize, usize)> {
+        match self {
+            Value::Win(StrWin {
+                owner: Owner::Chunk(chunk),
+                start,
+                len,
+                ..
+            }) => Some((chunk, *start as usize, *start as usize + *len as usize)),
+            _ => None,
+        }
+    }
+
+    /// True for the borrowed string form ([`Value::Win`]), which pins an
+    /// arena and must be [promoted](Value::promote) before escaping its
+    /// stage.
     pub fn is_borrowed(&self) -> bool {
-        matches!(self, Value::Slice(_) | Value::Built(_))
+        matches!(self, Value::Win(_))
     }
 
     /// Promote a borrowed handle to an owned value — the escape hatch a
@@ -517,21 +471,15 @@ impl Value {
     /// captured by a deferred body, used as a table key, or crossing a
     /// pipe to another thread).
     ///
-    /// Small slices promote to interned [`Value::Sym`] handles (matching
+    /// Small windows promote to interned [`Value::Sym`] handles (matching
     /// what the pre-compact runtime stored for escaped words, and keeping
     /// later comparisons on the pointer fast path); larger ones become
     /// plain owned strings so the immortal interner is never fed bulk
-    /// text. Either way the promoted value no longer pins its line
-    /// buffer, so the arena can drop as soon as the pipeline does.
+    /// text. Either way the promoted value no longer pins its owner, so
+    /// the arena can drop as soon as the pipeline does.
     pub fn promote(self) -> Value {
-        match &self {
-            Value::Slice(s) => Self::promote_text(s.as_str()),
-            Value::Built(s) => Self::promote_text(s.as_str()),
-            _ => self,
-        }
-    }
-
-    fn promote_text(text: &str) -> Value {
+        let Value::Win(w) = &self else { return self };
+        let text = w.as_str();
         obs_on!(crate::obs_hot::value_promotions().inc());
         if text.len() <= Self::PROMOTE_INTERN_MAX {
             Value::Sym(Symbol::new(text))
@@ -540,19 +488,67 @@ impl Value {
         }
     }
 
-    /// Longest slice (in bytes) that [`Value::promote`] routes through the
-    /// immortal interner; longer text gets a private owned allocation.
+    /// Longest window (in bytes) that [`Value::promote`] routes through
+    /// the immortal interner; longer text gets a private owned allocation.
     const PROMOTE_INTERN_MAX: usize = 64;
 
-    /// The text of a string-like value (`Str`, `Sym` or `Slice`), without
-    /// dereferencing.
-    fn text(&self) -> Option<&str> {
+    /// Adjacency widening: two windows of the same owner where `a` ends
+    /// exactly where `b` starts merge into one wider window of that
+    /// owner — zero bytes copied. `None` for anything else.
+    pub(crate) fn try_join(a: &Value, b: &Value) -> Option<Value> {
+        let (Value::Win(x), Value::Win(y)) = (a, b) else {
+            return None;
+        };
+        if !x.owner.same(&y.owner) || x.start + x.len != y.start {
+            return None;
+        }
+        let start = x.start as usize;
+        Some(StrWin::mint(
+            x.owner.clone(),
+            start,
+            start + x.len as usize + y.len as usize,
+        ))
+    }
+
+    /// A window over bytes `[bs, be)` of this string's text that shares
+    /// the string's own owner (its line buffer, arena chunk, or interner
+    /// node): narrows a borrowed window, windows an owned or interned
+    /// string. `None` for non-strings and for spans that are out of
+    /// bounds or split a char.
+    pub(crate) fn subwindow(&self, bs: usize, be: usize) -> Option<Value> {
+        self.as_str()?.get(bs..be)?;
         match self {
-            Value::Str(s) => Some(s),
-            Value::Sym(s) => Some(s.as_str()),
-            Value::Slice(s) => Some(s.as_str()),
-            Value::Built(s) => Some(s.as_str()),
+            Value::Win(w) => {
+                let start = w.start as usize;
+                Some(StrWin::mint(w.owner.clone(), start + bs, start + be))
+            }
+            Value::Str(s) => Some(Value::slice(s.clone(), bs, be)),
+            // A symbol's text is a canonical immortal allocation:
+            // windowing it costs one refcount, no interner walk.
+            Value::Sym(s) => Some(Value::slice(s.arc(), bs, be)),
             _ => None,
+        }
+    }
+
+    /// The text of any string form as a shared allocation: owned and
+    /// interned strings hand out their own `Arc`, a borrowed window
+    /// re-owns its bytes (a window into a window's owner would need
+    /// nested offsets at every consumer).
+    pub fn shared_text(&self) -> Option<Arc<str>> {
+        match self {
+            Value::Str(s) => Some(s.clone()),
+            Value::Sym(s) => Some(s.arc()),
+            Value::Win(w) => Some(Arc::from(w.as_str())),
+            _ => None,
+        }
+    }
+
+    /// Character count of any string form; borrowed windows replay their
+    /// cached count, the others take the ASCII fast path before decoding.
+    pub(crate) fn char_len(&self) -> Option<usize> {
+        match self {
+            Value::Win(w) => Some(w.char_len()),
+            _ => self.as_str().map(str_char_len),
         }
     }
 
@@ -598,10 +594,15 @@ impl Value {
         }
     }
 
-    /// The string slice, if this is a string (owned, interned, or
-    /// borrowed form).
+    /// The text, if this is a string (owned, interned, or borrowed
+    /// form); reified variables are not dereferenced.
     pub fn as_str(&self) -> Option<&str> {
-        self.text()
+        match self {
+            Value::Str(s) => Some(s),
+            Value::Sym(s) => Some(s.as_str()),
+            Value::Win(w) => Some(w.as_str()),
+            _ => None,
+        }
     }
 
     /// The list handle, if this is a list.
@@ -633,7 +634,7 @@ impl Value {
             Value::Real(r) => Some(Key::RealBits(r.to_bits())),
             Value::Str(s) => Some(Key::Str(s)),
             Value::Sym(s) => Some(Key::Sym(s)),
-            v @ (Value::Slice(_) | Value::Built(_)) => match v.promote() {
+            v @ Value::Win(_) => match v.promote() {
                 Value::Sym(s) => Some(Key::Sym(s)),
                 Value::Str(s) => Some(Key::Str(s)),
                 _ => unreachable!("promoting a borrowed handle yields a string form"),
@@ -647,13 +648,7 @@ impl Value {
     pub fn size(&self) -> Option<i64> {
         let v = self.deref();
         match &v {
-            // The borrowed forms replay their cached char counts; the
-            // owned forms take the ASCII fast path before decoding.
-            Value::Built(s) => Some(s.char_len() as i64),
-            Value::Slice(s) => Some(s.char_len() as i64),
-            Value::Str(_) | Value::Sym(_) => {
-                Some(str_char_len(v.text().expect("string form")) as i64)
-            }
+            Value::Str(_) | Value::Sym(_) | Value::Win(_) => v.char_len().map(|n| n as i64),
             Value::List(l) => Some(l.lock().len() as i64),
             Value::Table(t) => Some(t.lock().entries.len() as i64),
             Value::Co(c) => Some(c.lock().produced() as i64),
@@ -667,7 +662,7 @@ impl Value {
             Value::Null => "null",
             Value::Int(_) | Value::Big(_) => "integer",
             Value::Real(_) => "real",
-            Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_) => "string",
+            Value::Str(_) | Value::Sym(_) | Value::Win(_) => "string",
             Value::List(_) => "list",
             Value::Table(_) => "table",
             Value::Proc(_) => "procedure",
@@ -695,13 +690,8 @@ impl Value {
             (Value::Sym(a), Value::Sym(b)) => a == b,
             // Mixed string forms (owned / interned / borrowed) compare by
             // text: the representation is an optimization, not a type.
-            (a @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)), b)
-                if matches!(
-                    b,
-                    Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)
-                ) =>
-            {
-                a.text() == b.text()
+            (a @ (Value::Str(_) | Value::Sym(_) | Value::Win(_)), b) if b.as_str().is_some() => {
+                a.as_str() == b.as_str()
             }
             (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b),
             (Value::Table(a), Value::Table(b)) => Arc::ptr_eq(a, b),
@@ -723,7 +713,7 @@ impl Value {
             // Crossing a thread boundary is the canonical "outlives its
             // stage" event: borrowed slices promote to owned form so the
             // consumer never pins the producer's line buffers.
-            v @ (Value::Slice(_) | Value::Built(_)) => v.promote(),
+            v @ Value::Win(_) => v.promote(),
             Value::List(l) => {
                 let items = l.lock().iter().map(Value::deep_copy).collect();
                 Value::list(items)
@@ -798,8 +788,7 @@ impl fmt::Debug for Value {
             Value::Real(r) => write!(f, "{r:?}"),
             Value::Str(s) => write!(f, "{s:?}"),
             Value::Sym(s) => write!(f, "{:?}", s.as_str()),
-            Value::Slice(s) => write!(f, "{:?}", s.as_str()),
-            Value::Built(s) => write!(f, "{:?}", s.as_str()),
+            Value::Win(w) => write!(f, "{:?}", w.as_str()),
             Value::List(l) => {
                 let l = l.lock();
                 write!(f, "[")?;
@@ -824,7 +813,7 @@ impl fmt::Display for Value {
     /// Icon-style string image: strings print bare, others as in `Debug`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let v = self.deref();
-        match v.text() {
+        match v.as_str() {
             Some(s) => f.write_str(s),
             None => write!(f, "{v:?}"),
         }
@@ -840,26 +829,36 @@ mod tests {
         // Step moves a Value per suspension on the hot path. The ceiling
         // is set by `ProcValue` (a fat `Arc<str>` name plus a fat
         // `Arc<dyn Fn>` — 32 bytes), so the enum is 40 bytes with the
-        // tag. The string payloads must stay at or under that 32-byte
-        // line: `StrSlice` spends its headroom on the cached char count,
-        // and `BuiltStr`'s thin chunk pointer keeps it at 24. Adding a
-        // field that pushes any payload past 32 grows *every* Value.
+        // tag. `StrWin` must stay at or under that 32-byte line: its
+        // owner tag rides in the niche of `Arc<str>`'s pointer (16 bytes
+        // for either owner), leaving room for the coordinates and the
+        // cached char count. Adding a field that pushes it past 32 grows
+        // *every* Value.
         assert!(
-            std::mem::size_of::<Value>() <= 40,
-            "Value is {} bytes (BuiltStr {}, StrSlice {})",
+            std::mem::size_of::<StrWin>() <= 32 && std::mem::size_of::<Value>() <= 40,
+            "Value is {} bytes (StrWin {})",
             std::mem::size_of::<Value>(),
-            std::mem::size_of::<BuiltStr>(),
-            std::mem::size_of::<StrSlice>()
+            std::mem::size_of::<StrWin>()
         );
-        assert!(std::mem::size_of::<StrSlice>() <= 32);
-        assert!(std::mem::size_of::<BuiltStr>() <= 24);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn window_coordinates_are_checked_against_u32() {
+        // The predicate the one window constructor applies before
+        // narrowing to `u32`; past it, `mint` re-owns the text instead of
+        // wrapping the coordinates.
+        assert!(StrWin::fits(0));
+        assert!(StrWin::fits(u32::MAX as usize));
+        assert!(!StrWin::fits(u32::MAX as usize + 1));
+        assert!(!StrWin::fits(usize::MAX));
     }
 
     #[test]
     fn built_values_behave_like_strings() {
         use crate::strbuf::StrBuilder;
         let mut b = StrBuilder::new();
-        let v = Value::built(b.push_str("héllo"));
+        let v = b.push_str("héllo");
         assert_eq!(v.as_str(), Some("héllo"));
         assert_eq!(v.type_name(), "string");
         assert_eq!(v.size(), Some(5)); // chars, not bytes
@@ -872,10 +871,29 @@ mod tests {
     }
 
     #[test]
+    fn windows_join_only_within_one_owner() {
+        use crate::strbuf::StrBuilder;
+        let mut b = StrBuilder::new();
+        let (chunk_ab, chunk_cd) = (b.push_str("ab"), b.push_str("cd"));
+        let line: Arc<str> = Arc::from("abcd");
+        let line_ab = Value::slice(line.clone(), 0, 2);
+        let line_cd = Value::slice(line, 2, 4);
+        for (l, r) in [(&chunk_ab, &chunk_cd), (&line_ab, &line_cd)] {
+            let joined = Value::try_join(l, r).expect("adjacent windows of one owner");
+            assert_eq!(joined.as_str(), Some("abcd"));
+            assert!(Value::try_join(r, l).is_none(), "not adjacent");
+        }
+        // The coordinates line up, the owners do not.
+        assert!(Value::try_join(&line_ab, &chunk_cd).is_none());
+        assert!(Value::try_join(&chunk_ab, &line_cd).is_none());
+        assert!(Value::try_join(&Value::str("ab"), &line_cd).is_none());
+    }
+
+    #[test]
     fn built_promotes_and_unpins_its_chunk() {
         use crate::strbuf::StrBuilder;
         let mut b = StrBuilder::new();
-        let v = Value::built(b.push_str("escape"));
+        let v = b.push_str("escape");
         let weak = Arc::downgrade(b.chunk());
         drop(b);
         let promoted = v.clone().promote();
@@ -895,11 +913,11 @@ mod tests {
     fn var_store_promotes_built() {
         use crate::strbuf::StrBuilder;
         let mut b = StrBuilder::new();
-        let var = Var::new(Value::built(b.push_str("stored")));
+        let var = Var::new(b.push_str("stored"));
         assert!(!var.get().is_borrowed());
-        var.set(Value::built(b.push_str("again")));
+        var.set(b.push_str("again"));
         assert!(!var.get().is_borrowed());
-        var.update(|v| *v = Value::built(b.push_str("updated")));
+        var.update(|v| *v = b.push_str("updated"));
         assert!(!var.get().is_borrowed());
         assert_eq!(var.get().as_str(), Some("updated"));
     }
@@ -994,7 +1012,7 @@ mod tests {
         let interned = Value::interned("word");
         let sliced = slice_of("a word b", 2, 6);
         assert!(matches!(interned, Value::Sym(_)));
-        assert!(matches!(sliced, Value::Slice(_)));
+        assert!(sliced.is_borrowed());
         for v in [&owned, &interned, &sliced] {
             assert_eq!(v.as_str(), Some("word"));
             assert_eq!(v.type_name(), "string");

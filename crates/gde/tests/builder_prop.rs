@@ -1,5 +1,5 @@
-//! Property suite for builder-arena lifetime: no `Value::Built` window
-//! outlives its chunk, and no escaped value pins the arena.
+//! Property suite for builder-arena lifetime: no builder window outlives
+//! its chunk, and no escaped value pins the arena.
 //!
 //! [`ops::concat`](gde::ops::concat) hands out windows into shared
 //! [`gde::StrBuf`] chunks. Like slice handles, these are borrowed: they
@@ -30,16 +30,16 @@ fn word(n: u16) -> String {
     }
 }
 
-/// Build `word || "-"` through the arena: a `Value::Built` window (plus
-/// the expected text), and a weak observer on the chunk it pins.
+/// Build `word || "-"` through the arena: a builder window (plus the
+/// expected text), and a weak observer on the chunk it pins — the
+/// thread's current chunk, which the concat just wrote into.
 fn built_value(w: &str) -> (Value, String, Option<Weak<gde::StrBuf>>) {
     let line: Arc<str> = Arc::from(w);
     let v = gde::ops::concat(&Value::slice(line, 0, w.len()), &Value::str("-"))
         .expect("strings concatenate");
-    let weak = match &v {
-        Value::Built(s) => Some(Arc::downgrade(s.owner())),
-        _ => None,
-    };
+    let weak = v
+        .is_borrowed()
+        .then(|| gde::strbuf::with_builder(|b| Arc::downgrade(b.chunk())));
     (v, format!("{w}-"), weak)
 }
 

@@ -1,7 +1,7 @@
 //! Differential property suite for the compact value representation.
 //!
 //! `gde::Value` claims that its three string forms — owned `Str`,
-//! interned `Sym`, and arena-backed `Slice` — are *representations*, not
+//! interned `Sym`, and borrowed `Win` — are *representations*, not
 //! types: any pipeline must compute the same thing whichever form its
 //! string payloads arrive in. This suite generates random word lists and
 //! random stage pipelines over them (coercions, concatenation, table-key
@@ -19,13 +19,27 @@
 //!
 //! A mutation sanity check proves the oracle has teeth: comparing a
 //! pipeline against one whose source drops the last word diverges.
+//!
+//! With the `obs` feature on, the suite also pins the *exact* refcount,
+//! promotion and concat counts of the embedded word-count programs over
+//! one fixed corpus, so a representation change that costs an extra
+//! refcount per word fails here and not only in the external benchmark.
 
 use gde::comb::fuse::StagePlan;
 use gde::comb::values;
 use gde::{BoxGen, Gen, GenExt, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tinyprop::prelude::*;
+
+/// The `gde.value.*` counters are process-global: every test in this
+/// binary moves them, so all of them serialize on this lock and
+/// [`refcount_traffic_is_pinned`] reads exact deltas.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 // ---------------------------------------------------------------------------
 // Word and source generators
@@ -165,6 +179,7 @@ proptest! {
         word_recipe in prop::collection::vec(any::<u16>(), 0..24),
         ops in prop::collection::vec((0u8..=6, any::<i64>()), 0..6),
     ) {
+        let _obs = obs_guard();
         let words: Vec<String> = word_recipe.iter().map(|&n| word(n)).collect();
         let (plan_b, counters_b) = build_plan(&ops);
         let (plan_c, counters_c) = build_plan(&ops);
@@ -204,6 +219,7 @@ proptest! {
     fn dropped_word_mutation_is_caught(
         word_recipe in prop::collection::vec(any::<u16>(), 1..16),
     ) {
+        let _obs = obs_guard();
         let words: Vec<String> = word_recipe.iter().map(|&n| word(n)).collect();
         let mut full = compact_source(&words);
         let mut truncated = compact_source(&words[..words.len() - 1]);
@@ -221,6 +237,7 @@ proptest! {
 /// arithmetic, compared against the same words boxed.
 #[test]
 fn wordcount_shape_agrees() {
+    let _obs = obs_guard();
     let words: Vec<String> = (0..40).map(|i| format!("{}", i * 37)).collect();
     let mk_plan = || {
         StagePlan::new()
@@ -242,6 +259,7 @@ fn wordcount_shape_agrees() {
 /// table as one populated through boxed keys, probed through either form.
 #[test]
 fn tables_agree_across_key_forms() {
+    let _obs = obs_guard();
     let words = ["alpha", "beta", "alpha", "é7", "beta", "alpha"];
     let fill = |mk: &dyn Fn(&str) -> Value| {
         let t = Value::table();
@@ -278,4 +296,41 @@ fn tables_agree_across_key_forms() {
             }
         }
     }
+}
+
+/// Refcount traffic of the embedded programs, exactly. The counts were
+/// recorded when the borrowed form was still two structs (one per owner);
+/// a string representation may change only if they do not.
+#[cfg(feature = "obs")]
+#[test]
+fn refcount_traffic_is_pinned() {
+    use wordcount::{embedded, Corpus, Weight};
+    const COUNTERS: [&str; 5] = [
+        "gde.value.arc_clones",
+        "gde.value.inline_hits",
+        "gde.value.promotions",
+        "gde.value.concat_slices",
+        "gde.value.concat_copies",
+    ];
+    let _obs = obs_guard();
+    let delta = |run: &dyn Fn()| {
+        let before = COUNTERS.map(|name| obs::counter(name).get());
+        run();
+        let after = COUNTERS.map(|name| obs::counter(name).get());
+        std::array::from_fn::<u64, 5, _>(|i| after[i] - before[i])
+    };
+    // Repeats, a multi-byte word, unparsable words, stray whitespace.
+    let corpus = Corpus::from_lines(vec![
+        "10 zz 7 abc 10".to_string(),
+        "héllo 42 zz".to_string(),
+        "  7 7 q1 ".to_string(),
+    ]);
+    let sequential = delta(&|| {
+        embedded::sequential(&corpus, Weight::Light);
+    });
+    assert_eq!(sequential, [9, 11, 0, 0, 0], "embedded::sequential");
+    let report = delta(&|| {
+        embedded::frequency_report(&corpus);
+    });
+    assert_eq!(report, [47, 23, 22, 7, 7], "embedded::frequency_report");
 }

@@ -15,7 +15,7 @@
 //!
 //! The suite drives random schedules of escape events over words sliced
 //! from shared line buffers and asserts, for every schedule: no escaped
-//! value is a `Slice`; every escaped value still reads the right text;
+//! value is borrowed; every escaped value still reads the right text;
 //! and once the schedule's local handles drop, every line buffer is freed
 //! (checked through `Weak` observers — escaped values do not pin the
 //! arena).
@@ -51,7 +51,7 @@ fn build_line(words: &[String]) -> (Vec<Value>, Weak<str>) {
 /// Assert an escaped value upholds the invariant: owned form, right text.
 fn assert_promoted(v: &Value, want: &str, how: &str) {
     assert!(
-        !matches!(v, Value::Slice(_)),
+        !v.is_borrowed(),
         "{how}: a borrowed handle escaped unpromoted"
     );
     assert_eq!(v.as_str(), Some(want), "{how}: text corrupted by promotion");

@@ -15,25 +15,17 @@
 //!   keys owned strings produce);
 //! * **identical restart replay**.
 //!
-//! A mutation sanity check proves the oracle has teeth: with the
-//! `ADJACENCY_SKEW` hook enabled, the adjacency fast path widens its
-//! window one byte short, and the differential catches it.
+//! A mutation sanity check proves the oracle has teeth: a test-local
+//! mutant of `concat` whose borrowed results come back one byte short —
+//! the classic widening off-by-one — runs through the same plans, and the
+//! differential catches it.
 
 use gde::comb::fuse::StagePlan;
 use gde::comb::values;
 use gde::{BoxGen, Gen, GenExt, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tinyprop::prelude::*;
-
-/// The skew hook is process-global; every test in this binary serializes
-/// on this lock so the mutation check cannot corrupt a concurrent
-/// differential run.
-static SKEW_LOCK: Mutex<()> = Mutex::new(());
-
-fn skew_guard() -> std::sync::MutexGuard<'static, ()> {
-    SKEW_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Deterministic word from a recipe integer: numeric words (coercion +
 /// small-int image cache), plain ASCII, and multi-byte text (widening
@@ -68,6 +60,17 @@ type StageOp = (u8, i64);
 type Counters = Vec<Arc<AtomicUsize>>;
 type ConcatFn = fn(&Value, &Value) -> Option<Value>;
 
+/// `left[1] || right[2]` (just `left[1]` when `right` has no second
+/// char): subscripts are windows into the subscripted value's own owner,
+/// so whether the pair widens depends on whose windows they are.
+fn first_then_second(cat: ConcatFn, left: &Value, right: &Value) -> Option<Value> {
+    let first = gde::ops::index(left, &Value::from(1))?;
+    match gde::ops::index(right, &Value::from(2)) {
+        Some(second) => cat(&first, &second),
+        None => Some(first),
+    }
+}
+
 /// Build a concat-heavy [`StagePlan`] from a recipe, parameterized by the
 /// concatenation implementation under test. Each call builds independent
 /// counters and tables, so a builder and a boxed instance compare stage
@@ -78,7 +81,7 @@ fn build_plan(ops: &[StageOp], cat: ConcatFn) -> (StagePlan, Counters) {
     for &(code, k) in ops {
         let c = Arc::new(AtomicUsize::new(0));
         counters.push(Arc::clone(&c));
-        plan = match code % 7 {
+        plan = match code % 9 {
             // Suffix concat: the report-assembly shape (`w || "-t"`).
             // Chained occurrences make the tail-extension regime hot.
             0 => plan.filter_map(move |v| {
@@ -101,11 +104,7 @@ fn build_plan(ops: &[StageOp], cat: ConcatFn) -> (StagePlan, Counters) {
             // adjacency-widening fast path (when both chars exist).
             3 => plan.filter_map(move |v| {
                 c.fetch_add(1, Ordering::Relaxed);
-                let first = gde::ops::index(v, &Value::from(1))?;
-                match gde::ops::index(v, &Value::from(2)) {
-                    Some(second) => cat(&first, &second),
-                    None => Some(first),
-                }
+                first_then_second(cat, v, v)
             }),
             // Table-key counting: concatenated values escape as keys; the
             // stage emits the running count for its key.
@@ -131,9 +130,24 @@ fn build_plan(ops: &[StageOp], cat: ConcatFn) -> (StagePlan, Counters) {
                 })
             }
             // Explicit promotion: the escape hatch itself as a stage.
-            _ => plan.map(move |v| {
+            6 => plan.map(move |v| {
                 c.fetch_add(1, Ordering::Relaxed);
                 v.clone().promote()
+            }),
+            // Mixed owners: a window into the value's own owner (line
+            // buffer, interner node) against a window into the arena
+            // chunk a concat just wrote. These never widen, whatever
+            // their coordinates are.
+            7 => plan.filter_map(move |v| {
+                c.fetch_add(1, Ordering::Relaxed);
+                first_then_second(cat, v, &cat(v, &Value::str("+"))?)
+            }),
+            // Chunk adjacency: a sub-window of a concat result and its
+            // right neighbour widen within the chunk.
+            _ => plan.filter_map(move |v| {
+                c.fetch_add(1, Ordering::Relaxed);
+                let built = cat(v, v)?;
+                first_then_second(cat, &built, &built)
             }),
         };
     }
@@ -162,9 +176,8 @@ proptest! {
     #[test]
     fn builder_and_boxed_concat_agree(
         word_recipe in prop::collection::vec(any::<u16>(), 0..24),
-        ops in prop::collection::vec((0u8..=6, any::<i64>()), 0..6),
+        ops in prop::collection::vec((0u8..=8, any::<i64>()), 0..6),
     ) {
-        let _guard = skew_guard();
         let words: Vec<String> = word_recipe.iter().map(|&n| word(n)).collect();
         let (plan_built, counters_built) = build_plan(&ops, gde::ops::concat);
         let (plan_boxed, counters_boxed) = build_plan(&ops, gde::ops::concat_owned);
@@ -202,55 +215,48 @@ proptest! {
     }
 }
 
-/// Resets the skew hook even if the asserting test panics, so one failure
-/// cannot cascade into every other test in the binary.
-struct SkewReset;
-impl Drop for SkewReset {
-    fn drop(&mut self) {
-        gde::strbuf::set_adjacency_skew(false);
+/// The mutant: [`gde::ops::concat`] with a borrowed result that comes
+/// back one byte short (callers feed it ASCII, so the cut is a char
+/// boundary).
+fn concat_one_short(a: &Value, b: &Value) -> Option<Value> {
+    let joined = gde::ops::concat(a, b)?;
+    match joined.as_str() {
+        Some(text) if joined.is_borrowed() && !text.is_empty() => {
+            Some(Value::str(&text[..text.len() - 1]))
+        }
+        _ => Some(joined),
     }
 }
 
 /// Mutation sanity check: an off-by-one in adjacency widening is exactly
-/// the kind of bug this differential exists to catch. With the skew hook
-/// on, `v[1] || v[2]` over a shared owner comes back one byte short, and
-/// the boxed oracle disagrees.
+/// the kind of bug this differential exists to catch. Through the
+/// adjacent-window stage, `v[1] || v[2]` over a shared owner comes back
+/// one byte short from the mutant, and the boxed oracle disagrees.
 #[test]
 fn adjacency_off_by_one_is_caught() {
-    let _guard = skew_guard();
-    let _reset = SkewReset;
+    let words = ["hello".to_string(), "world".to_string()];
+    let run = |cat: ConcatFn| {
+        let (plan, _) = build_plan(&[(3, 0)], cat);
+        rendered(&mut *plan.instantiate(compact_source(&words)))
+    };
+    let oracle = run(gde::ops::concat_owned);
 
-    let line: Arc<str> = Arc::from("hello world");
-    let v = Value::slice(line, 0, 5); // "hello"
-    let a = gde::ops::index(&v, &Value::from(1)).unwrap(); // "h"
-    let b = gde::ops::index(&v, &Value::from(2)).unwrap(); // "e"
+    // Sanity: unmutated, the fast path is exact.
+    assert_eq!(run(gde::ops::concat), oracle);
+    assert_eq!(oracle, [r#""he""#, r#""wo""#]);
 
-    // Sanity: with the hook off, the fast path is exact.
-    let good = gde::ops::concat(&a, &b).unwrap();
-    assert_eq!(good.as_str(), Some("he"));
-    assert_eq!(
-        format!("{good:?}"),
-        format!("{:?}", gde::ops::concat_owned(&a, &b).unwrap())
-    );
-
-    // With the hook on, the widened window drops its last byte — and the
-    // differential oracle notices.
-    gde::strbuf::set_adjacency_skew(true);
-    let skewed = gde::ops::concat(&a, &b).unwrap();
-    let oracle = gde::ops::concat_owned(&a, &b).unwrap();
+    let mutant = run(concat_one_short);
     assert_ne!(
-        format!("{skewed:?}"),
-        format!("{oracle:?}"),
-        "skewed adjacency widening must diverge from the boxed oracle"
+        mutant, oracle,
+        "a short adjacency widening must diverge from the boxed oracle"
     );
-    assert_eq!(skewed.as_str(), Some("h"));
+    assert_eq!(mutant, [r#""h""#, r#""w""#]);
 }
 
 /// The report-assembly shape exactly: `word || "=" || count` chains, the
 /// concat sequence `wordcount::embedded::frequency_report` performs.
 #[test]
 fn report_chains_agree() {
-    let _guard = skew_guard();
     let words: Vec<String> = (0..40).map(|i| format!("w{}", i % 7)).collect();
     let eq = Value::interned("=");
     let chain = |cat: ConcatFn| -> Vec<String> {

@@ -52,7 +52,7 @@ fn assert_owned_words(got: &[Value], want_count: usize, tag: &str) {
     assert_eq!(got.len(), want_count, "{tag}: wrong word count");
     for (i, v) in got.iter().enumerate() {
         assert!(
-            !matches!(v, Value::Slice(_)),
+            !v.is_borrowed(),
             "{tag}: a borrowed handle crossed the pipe"
         );
         assert_eq!(
@@ -146,7 +146,7 @@ fn close_under_fire_never_leaks_borrowed_handles() {
         }
         for v in &prefix {
             assert!(
-                !matches!(v, Value::Slice(_)),
+                !v.is_borrowed(),
                 "cut {cut}: borrowed handle in consumed prefix"
             );
         }
@@ -162,8 +162,8 @@ fn close_under_fire_never_leaks_borrowed_handles() {
 
 #[test]
 fn mixed_compact_forms_cross_intact() {
-    // Sym and Slice and Str all cross the boundary with their text (and
-    // non-slice forms keep their representation — only Slice rewrites).
+    // Sym, window and Str all cross the boundary with their text (and
+    // owned forms keep their representation — only the window rewrites).
     let line: Arc<str> = Arc::from("alpha beta gamma");
     let mk = move || {
         Box::new(values(vec![
@@ -175,7 +175,7 @@ fn mixed_compact_forms_cross_intact() {
     let got = pipes::drain(Pipe::with_capacity(mk, 4));
     assert_eq!(got.len(), 3);
     assert_eq!(got[0].as_str(), Some("alpha"));
-    assert!(!matches!(got[0], Value::Slice(_)));
+    assert!(!got[0].is_borrowed());
     assert!(matches!(got[1], Value::Sym(_)), "Sym crosses as Sym");
     assert!(matches!(got[2], Value::Str(_)), "Str crosses as Str");
     assert_eq!(got[1].as_str(), Some("beta"));

@@ -43,28 +43,13 @@ fn word_stream(lines: Value) -> BoxGen {
 /// the run *after* it fuses into the barrier node itself
 /// ([`gde::comb::fuse::FlatFused`]).
 fn word_split_factory(line: &Value) -> BoxGen {
-    match line_buffer(line) {
+    match line.shared_text() {
         Some(line) => Box::new(WordSplit {
             line,
             pos: 0,
             pending: 0,
         }) as BoxGen,
         None => Box::new(fail()) as BoxGen,
-    }
-}
-
-/// The shared `Arc<str>` buffer behind a line value, for [`WordSplit`]
-/// to scan in place.
-fn line_buffer(line: &Value) -> Option<std::sync::Arc<str>> {
-    match line {
-        Value::Str(s) => Some(s.clone()),
-        Value::Sym(s) => Some(s.arc()),
-        // A slice-of-a-slice would need nested offsets, and builder-arena
-        // lines would thread a second owner type through the splitter;
-        // both are cold here — re-own the window instead.
-        Value::Slice(s) => Some(std::sync::Arc::from(s.as_str())),
-        Value::Built(s) => Some(std::sync::Arc::from(s.as_str())),
-        _ => None,
     }
 }
 
@@ -129,7 +114,7 @@ impl Gen for WordSplit {
     /// Flat barriers recycle the splitter across lines: swap the buffer,
     /// rewind, skip the per-line factory call + box (see [`Gen::rebind`]).
     fn rebind(&mut self, v: &Value) -> bool {
-        match line_buffer(v) {
+        match v.shared_text() {
             Some(line) => {
                 self.line = line;
                 self.pos = 0;

@@ -13,7 +13,7 @@
 //! exponentiation on the parsed value, and the heavy `hashNumber` searches
 //! for the next probable prime and folds in a trigonometric series.
 
-use bigint::{BigInt, BigUint};
+use bigint::BigUint;
 
 /// Computational weight of the hash nodes (the two halves of Fig. 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,11 +109,6 @@ pub fn hash_word(word: &str, weight: Weight) -> Option<f64> {
 /// The reduction (`sumHash` in Fig. 3).
 pub fn sum_hash(sofar: f64, hash: f64) -> f64 {
     sofar + hash
-}
-
-/// Signed wrapper used by embedded code (`Value::big` holds [`BigInt`]).
-pub fn word_to_number_signed(word: &str, weight: Weight) -> Option<BigInt> {
-    word_to_number(word, weight).map(BigInt::from)
 }
 
 #[cfg(test)]

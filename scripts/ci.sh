@@ -157,16 +157,9 @@ echo "   -- stage fusion (fused vs unfused combinator chains):"
 TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
     cargo bench --offline -q -p bench --bench fusion \
     | grep -E "fusion/" | sed 's/^/      /'
-# Value representation: create/clone/key costs per string form, the
-# compact-value win re-measured cheaply every run (see DESIGN.md §
-# Compact values).
-echo "   -- value representation (Str vs Sym vs Slice):"
-TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
-    cargo bench --offline -q -p bench --bench value_repr \
-    | grep -E "value_repr/" | sed 's/^/      /'
 # String plane: builder-arena concat vs owned, coerced compares, and
 # byte-indexed subscripting, re-measured cheaply every run (see DESIGN.md
-# § String builder arena).
+# § String plane).
 echo "   -- string plane (builder vs owned concat, coercions, subscripts):"
 TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
     cargo bench --offline -q -p bench --bench str_ops \

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification (ROADMAP.md) plus the hermetic-build guard (ISSUE 1):
 #
-#   1. grep guard  — no dependency section in any Cargo.toml may name a
+#   1. grep guards — no dependency section in any Cargo.toml may name a
 #                    registry (version-requirement) dependency; everything
 #                    must be a `path = ...` / `workspace = true` entry;
+#                    and no source outside `gde/src/value.rs` may name
+#                    the borrowed string representation (ISSUE 19);
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null);
 #   3. build+test  — `cargo build --release --offline` and
@@ -38,6 +40,17 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 echo "   ok: all dependency entries are path/workspace"
+
+# How a borrowed string is stored is known by one file (DESIGN.md §
+# String plane): everything else goes through `Value::as_str`,
+# `is_borrowed`, `shared_text` and the window operations of that module.
+if hits="$(grep -rnE 'Value::(Win|Slice|Built)|StrWin \{' crates/*/src \
+        | grep -v '^crates/gde/src/value\.rs:')"; then
+    echo "$hits"
+    echo "FAIL: the borrowed string representation is named outside crates/gde/src/value.rs"
+    exit 1
+fi
+echo "   ok: the string window is private to gde::value"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 if cargo metadata --offline --format-version 1 2>/dev/null | grep -q '"source":"registry+'; then
