@@ -16,9 +16,9 @@
 
 mod builtins;
 
-use crate::ast::BinOp;
 use crate::normalize::{normalize_program, Atom, CoKind, NClass, NProc, Norm, VarRef};
 use crate::parse::{parse_expr, parse_program, ParseError};
+use crate::prim::vals;
 use crate::resolve::resolve_program;
 use crate::rt::{self, Flag, Slot};
 use bigint::BigInt;
@@ -182,27 +182,20 @@ impl Interp {
     /// surface.
     #[doc(hidden)]
     pub fn load_normalized(&self, nprog: &crate::normalize::NProgram) {
+        let (shared, globals) = (&self.shared, &self.shared.globals);
         for p in &nprog.procs {
-            let proc_value = self.make_proc(Arc::new(p.clone()));
-            self.shared
-                .globals
-                .declare(&p.name, Value::Proc(proc_value));
+            let proc = make_bound_proc_in(Arc::clone(shared), Arc::new(p.clone()), globals.clone());
+            globals.declare(&p.name, Value::Proc(proc));
         }
         for c in &nprog.classes {
             let ctor = self.make_class(Arc::new(c.clone()));
-            self.shared.globals.declare(&c.name, Value::Proc(ctor));
+            globals.declare(&c.name, Value::Proc(ctor));
         }
         // Top-level statements: drive each once (bounded), like field
         // initializers / main in the paper's model.
-        let tmps = rt::tmps(nprog.tmp_count);
+        let mut ctx = Ctx::activation(shared, globals.clone(), nprog.tmp_count);
         for stmt in &nprog.stmts {
-            let ctx = Ctx {
-                shared: Arc::clone(&self.shared),
-                env: self.shared.globals.clone(),
-                tmps: Arc::clone(&tmps),
-                returned: rt::flag(),
-                loop_flags: None,
-            };
+            ctx.returned = rt::flag();
             let mut g = compile_stmt(stmt, &ctx);
             // drive to completion so that suspensions inside top-level
             // statements (rare) do not stall the load
@@ -217,13 +210,7 @@ impl Interp {
     pub fn gen(&self, src: &str) -> Result<BoxGen, JuniconError> {
         let expr = parse_expr(src)?;
         let (norm, tmp_count) = crate::normalize::normalize_expr(&expr);
-        let ctx = Ctx {
-            shared: Arc::clone(&self.shared),
-            env: self.shared.globals.clone(),
-            tmps: rt::tmps(tmp_count),
-            returned: rt::flag(),
-            loop_flags: None,
-        };
+        let ctx = Ctx::activation(&self.shared, self.shared.globals.clone(), tmp_count);
         Ok(compile(&norm, &ctx, Mode::Value))
     }
 
@@ -265,7 +252,7 @@ impl Interp {
             for m in &nclass.methods {
                 methods.insert(
                     m.name.clone(),
-                    make_bound_proc(Arc::clone(&shared), Arc::new(m.clone()), fields.clone()),
+                    make_bound_proc_in(Arc::clone(&shared), Arc::new(m.clone()), fields.clone()),
                 );
             }
             let obj = Arc::new(gde::ObjData {
@@ -282,21 +269,10 @@ impl Interp {
             Box::new(comb::unit(Value::Object(obj))) as BoxGen
         })
     }
-
-    /// Build the [`ProcValue`] for a normalized procedure.
-    fn make_proc(&self, nproc: Arc<NProc>) -> ProcValue {
-        let shared = Arc::clone(&self.shared);
-        let scope = shared.globals.clone();
-        make_bound_proc_in(shared, nproc, scope)
-    }
 }
 
 /// A procedure whose invocation frames are children of `scope` (the
 /// globals for free procedures, an instance's field env for methods).
-fn make_bound_proc(shared: Arc<Shared>, nproc: Arc<NProc>, scope: Env) -> ProcValue {
-    make_bound_proc_in(shared, nproc, scope)
-}
-
 fn make_bound_proc_in(shared: Arc<Shared>, nproc: Arc<NProc>, scope: Env) -> ProcValue {
     let name = nproc.name.clone();
     // Resolved procedures carry a slot layout (parameters first); build it
@@ -324,13 +300,7 @@ fn make_bound_proc_in(shared: Arc<Shared>, nproc: Arc<NProc>, scope: Env) -> Pro
                 env
             }
         };
-        let ctx = Ctx {
-            shared: Arc::clone(&shared),
-            env,
-            tmps: rt::tmps(nproc.tmp_count),
-            returned: rt::flag(),
-            loop_flags: None,
-        };
+        let ctx = Ctx::activation(&shared, env, nproc.tmp_count);
         let stmts: Vec<BoxGen> = nproc.body.iter().map(|s| compile_stmt(s, &ctx)).collect();
         Box::new(rt::body_root(stmts, ctx.returned.clone())) as BoxGen
     })
@@ -352,6 +322,19 @@ struct Ctx {
 }
 
 impl Ctx {
+    /// The context of a fresh activation — a procedure call, a top-level
+    /// evaluation, or a deferred body (`<>e`, `|<>e`, `|>e`) each time it
+    /// is created: its own temporaries and return flag, no enclosing loop.
+    fn activation(shared: &Arc<Shared>, env: Env, tmp_count: u32) -> Ctx {
+        Ctx {
+            shared: Arc::clone(shared),
+            env,
+            tmps: rt::tmps(tmp_count),
+            returned: rt::flag(),
+            loop_flags: None,
+        }
+    }
+
     fn abort_flags(&self) -> Vec<Flag> {
         let mut flags = vec![self.returned.clone()];
         if let Some((b, n)) = &self.loop_flags {
@@ -406,20 +389,10 @@ fn target_cell(t: &VarRef, ctx: &Ctx) -> Var {
 /// bare expressions are evaluated once (bounded) for their side effects and
 /// contribute no suspensions.
 fn compile_stmt(n: &Norm, ctx: &Ctx) -> BoxGen {
-    match n {
-        Norm::Suspend(_)
-        | Norm::Return(_)
-        | Norm::Fail
-        | Norm::Break
-        | Norm::Next
-        | Norm::Block(_)
-        | Norm::If { .. }
-        | Norm::While { .. }
-        | Norm::Until { .. }
-        | Norm::Every { .. }
-        | Norm::Scan { .. }
-        | Norm::Repeat(_) => compile(n, ctx, Mode::Stmt),
-        expr => Box::new(rt::mute_once(compile(expr, ctx, Mode::Value))),
+    if n.is_stmt_form() {
+        compile(n, ctx, Mode::Stmt)
+    } else {
+        Box::new(rt::mute_once(compile(n, ctx, Mode::Value)))
     }
 }
 
@@ -444,30 +417,25 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
             let gens: Vec<BoxGen> = items.iter().map(|i| compile(i, ctx, mode)).collect();
             Box::new(comb::alt_all(gens))
         }
-        Norm::Op(op, a, b) => {
-            let (ra, rb) = (rt_atom(a, ctx), rt_atom(b, ctx));
-            let op = *op;
-            Box::new(comb::thunk(move || apply_binop(op, &ra.get(), &rb.get())))
-        }
-        Norm::Neg(a) => {
-            let ra = rt_atom(a, ctx);
-            Box::new(comb::thunk(move || gde::ops::neg(&ra.get())))
-        }
-        Norm::Size(a) => {
-            let ra = rt_atom(a, ctx);
-            Box::new(comb::thunk(move || ra.get().size().map(Value::from)))
+        Norm::Prim { op, args } => {
+            let slots: Vec<Slot> = args.iter().map(|a| rt_atom(a, ctx)).collect();
+            let eval = op.row().eval;
+            let name = op.name().to_string();
+            // A `::` call reaches the host's registered natives first.
+            let host = op.is_host_call().then(|| Arc::clone(&ctx.shared));
+            Box::new(comb::thunk(move || {
+                let native = host
+                    .as_ref()
+                    .and_then(|s| s.natives.lock().get(&name).cloned());
+                if let Some(f) = native {
+                    return f(&slots[0].get(), &vals(&slots[1..]));
+                }
+                eval(&slots, &name)
+            }))
         }
         Norm::Promote(a) => {
             let ra = rt_atom(a, ctx);
             Box::new(comb::promote(move || ra.get()))
-        }
-        Norm::Activate(a) => {
-            let ra = rt_atom(a, ctx);
-            Box::new(comb::thunk(move || coexpr::activate(&ra.get())))
-        }
-        Norm::Refresh(a) => {
-            let ra = rt_atom(a, ctx);
-            Box::new(comb::thunk(move || coexpr::refresh(&ra.get())))
         }
         Norm::Invoke { callee, args } => {
             let rc = rt_atom(callee, ctx);
@@ -476,49 +444,6 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
                 let callee = rc.get().deref();
                 let argv: Vec<Value> = rargs.iter().map(|a| a.get()).collect();
                 gde::func::invoke_value(&callee, argv)
-            }))
-        }
-        Norm::NativeInvoke {
-            target,
-            method,
-            args,
-        } => {
-            let rt = rt_atom(target, ctx);
-            let rargs: Vec<Slot> = args.iter().map(|a| rt_atom(a, ctx)).collect();
-            let shared = Arc::clone(&ctx.shared);
-            let method = method.clone();
-            Box::new(comb::thunk(move || {
-                let argv: Vec<Value> = rargs.iter().map(|a| a.get()).collect();
-                dispatch_native(&shared, &rt.get(), &method, &argv)
-            }))
-        }
-        Norm::Index { base, index } => {
-            let (rb, ri) = (rt_atom(base, ctx), rt_atom(index, ctx));
-            Box::new(comb::thunk(move || gde::ops::index(&rb.get(), &ri.get())))
-        }
-        Norm::IndexAssign { base, index, value } => {
-            let (rb, ri, rv) = (rt_atom(base, ctx), rt_atom(index, ctx), rt_atom(value, ctx));
-            Box::new(comb::thunk(move || {
-                gde::ops::index_assign(&rb.get(), &ri.get(), rv.get())
-            }))
-        }
-        Norm::FieldGet { base, field } => {
-            let rb = rt_atom(base, ctx);
-            let field = field.clone();
-            Box::new(comb::thunk(move || rt::field_get(&rb.get(), &field)))
-        }
-        Norm::FieldSet { base, field, value } => {
-            let rb = rt_atom(base, ctx);
-            let rv = rt_atom(value, ctx);
-            let field = field.clone();
-            Box::new(comb::thunk(move || {
-                rt::field_set(&rb.get(), &field, rv.get())
-            }))
-        }
-        Norm::ListLit(items) => {
-            let ritems: Vec<Slot> = items.iter().map(|a| rt_atom(a, ctx)).collect();
-            Box::new(comb::thunk(move || {
-                Some(Value::list(ritems.iter().map(|a| a.get()).collect()))
             }))
         }
         Norm::SetVar { target, from } => {
@@ -573,32 +498,13 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
                 els_gen,
             ))
         }
-        Norm::While { cond, body } => compile_loop(ctx, cond, body.as_deref(), false),
-        Norm::Until { cond, body } => compile_loop(ctx, cond, body.as_deref(), true),
+        Norm::While { cond, body } => compile_loop(ctx, cond, body.as_deref(), Some(false)),
+        Norm::Until { cond, body } => compile_loop(ctx, cond, body.as_deref(), Some(true)),
         Norm::Repeat(body) => {
             // repeat b ≡ while &null do b (a condition that always succeeds)
-            compile_loop(ctx, &Norm::Atom(Atom::Null), Some(body), false)
+            compile_loop(ctx, &Norm::Atom(Atom::Null), Some(body), Some(false))
         }
-        Norm::Every { source, body } => {
-            // Drive source; for each value run the body (a statement) to
-            // completion, yielding the body's suspensions; `every` itself
-            // contributes nothing and fails at the end.
-            let (break_f, next_f) = (rt::flag(), rt::flag());
-            let body_ctx = Ctx {
-                loop_flags: Some((break_f.clone(), next_f.clone())),
-                ..ctx.clone()
-            };
-            let source_gen = compile(source, ctx, Mode::Value);
-            let body_gen = body.as_ref().map(|b| compile_stmt(b, &body_ctx));
-            Box::new(rt::every_gen(
-                source_gen,
-                body_gen,
-                ctx.returned.clone(),
-                break_f,
-                next_f,
-                ctx.loop_flags.clone(),
-            ))
-        }
+        Norm::Every { source, body } => compile_loop(ctx, source, body.as_deref(), None),
         Norm::Not(inner) => {
             let g = Arc::new(Mutex::new(compile(inner, ctx, Mode::Value)));
             Box::new(comb::thunk(move || {
@@ -641,20 +547,13 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
                 Box::new(rt::flag_fail(flag))
             }
         },
-        Norm::Break => {
-            let flag = ctx
-                .loop_flags
-                .as_ref()
-                .map(|(b, _)| b.clone())
-                .unwrap_or_else(rt::flag);
-            Box::new(rt::flag_fail(flag))
-        }
-        Norm::Next => {
-            let flag = ctx
-                .loop_flags
-                .as_ref()
-                .map(|(_, n)| n.clone())
-                .unwrap_or_else(rt::flag);
+        Norm::Break | Norm::Next => {
+            // Outside any loop of this activation there is no flag to raise.
+            let flag = match (&ctx.loop_flags, n) {
+                (Some((brk, _)), Norm::Break) => brk.clone(),
+                (Some((_, nxt)), _) => nxt.clone(),
+                (None, _) => rt::flag(),
+            };
             Box::new(rt::flag_fail(flag))
         }
         Norm::Decl(decls) => {
@@ -702,13 +601,7 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
                         let shared = Arc::clone(&shared);
                         let env = env.clone();
                         Some(coexpr::create(move || {
-                            let ctx = Ctx {
-                                shared: Arc::clone(&shared),
-                                env: env.clone(),
-                                tmps: rt::tmps(tmp_count),
-                                returned: rt::flag(),
-                                loop_flags: None,
-                            };
+                            let ctx = Ctx::activation(&shared, env.clone(), tmp_count);
                             compile(&body, &ctx, Mode::Value)
                         }))
                     }))
@@ -719,13 +612,7 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
                         let body = body.clone();
                         let shared = Arc::clone(&shared);
                         Some(coexpr::create_shadowed(&env, move |shadow_env| {
-                            let ctx = Ctx {
-                                shared: Arc::clone(&shared),
-                                env: shadow_env.clone(),
-                                tmps: rt::tmps(tmp_count),
-                                returned: rt::flag(),
-                                loop_flags: None,
-                            };
+                            let ctx = Ctx::activation(&shared, shadow_env.clone(), tmp_count);
                             compile(&body, &ctx, Mode::Value)
                         }))
                     }))
@@ -752,13 +639,7 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
                 let shared = Arc::clone(&shared);
                 Some(pipes::pipe_value(
                     move || {
-                        let ctx = Ctx {
-                            shared: Arc::clone(&shared),
-                            env: pristine.shadow(),
-                            tmps: rt::tmps(tmp_count),
-                            returned: rt::flag(),
-                            loop_flags: None,
-                        };
+                        let ctx = Ctx::activation(&shared, pristine.shadow(), tmp_count);
                         compile(&body, &ctx, Mode::Value)
                     },
                     pipes::DEFAULT_CAPACITY,
@@ -768,61 +649,25 @@ fn compile(n: &Norm, ctx: &Ctx, mode: Mode) -> BoxGen {
     }
 }
 
-fn compile_loop(ctx: &Ctx, cond: &Norm, body: Option<&Norm>, until: bool) -> BoxGen {
+/// A loop: `while`/`until` re-test a condition (`until` says which outcome
+/// ends it); `every` (`until: None`) drives a source, running the body — a
+/// statement — to completion per value, yielding the body's suspensions and
+/// failing at the end. The one place loop flags are made and handed to a body.
+fn compile_loop(ctx: &Ctx, head: &Norm, body: Option<&Norm>, until: Option<bool>) -> BoxGen {
     let (break_f, next_f) = (rt::flag(), rt::flag());
     let body_ctx = Ctx {
         loop_flags: Some((break_f.clone(), next_f.clone())),
         ..ctx.clone()
     };
-    let cond_gen = compile(cond, ctx, Mode::Value);
-    let body_gen = body.map(|b| compile_stmt(b, &body_ctx));
-    Box::new(rt::loop_gen(
-        cond_gen,
-        body_gen,
-        until,
-        ctx.returned.clone(),
-        break_f,
-        next_f,
-        ctx.loop_flags.clone(),
-    ))
-}
-
-fn apply_binop(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
-    use gde::ops;
-    match op {
-        BinOp::Add => ops::add(a, b),
-        BinOp::Sub => ops::sub(a, b),
-        BinOp::Mul => ops::mul(a, b),
-        BinOp::Div => ops::div(a, b),
-        BinOp::Rem => ops::rem(a, b),
-        BinOp::Pow => ops::pow(a, b),
-        BinOp::Lt => ops::lt(a, b),
-        BinOp::Le => ops::le(a, b),
-        BinOp::Gt => ops::gt(a, b),
-        BinOp::Ge => ops::ge(a, b),
-        BinOp::NumEq => ops::num_eq(a, b),
-        BinOp::NumNe => ops::num_ne(a, b),
-        BinOp::Concat => ops::concat(a, b),
-        BinOp::StrLt => ops::str_lt(a, b),
-        BinOp::StrLe => ops::str_le(a, b),
-        BinOp::StrGt => ops::str_gt(a, b),
-        BinOp::StrGe => ops::str_ge(a, b),
-        BinOp::StrEq => ops::str_eq(a, b),
-        BinOp::StrNe => ops::str_ne(a, b),
-        BinOp::Equiv => ops::equiv(a, b),
+    let head = compile(head, ctx, Mode::Value);
+    let body = body.map(|b| compile_stmt(b, &body_ctx));
+    let (returned, outer) = (ctx.returned.clone(), ctx.loop_flags.clone());
+    match until {
+        Some(until) => Box::new(rt::loop_gen(
+            head, body, until, returned, break_f, next_f, outer,
+        )),
+        None => Box::new(rt::every_gen(head, body, returned, break_f, next_f, outer)),
     }
-}
-
-fn dispatch_native(
-    shared: &Arc<Shared>,
-    target: &Value,
-    method: &str,
-    args: &[Value],
-) -> Option<Value> {
-    if let Some(f) = shared.natives.lock().get(method).cloned() {
-        return f(target, args);
-    }
-    rt::native_method(target, method, args)
 }
 
 #[cfg(test)]

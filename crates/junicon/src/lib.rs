@@ -11,6 +11,7 @@
 //!   flattened IR ──[resolve]──► slot-addressed IR (static frame coordinates)
 //!   slotted IR ──[interp]──► gde combinator trees (executable)
 //!             └─[emit]────► Rust source targeting the gde runtime
+//!                  ▲ both ask [prim] what a primitive means / how it is spelled
 //! ```
 //!
 //! * [`annot`] — the *scoped annotations* metaparser: recognizes
@@ -25,6 +26,11 @@
 //! * [`normalize`] — the Sec. V.A rewrite: flattening nested generators in
 //!   primary expressions into products of bound iterators
 //!   (`e(ex).c[ei]` ⇒ `(f in ⟦e⟧) & (x in ⟦ex⟧) & (o in !f(x)) & …`).
+//!   The IR's operand/child structure is written once
+//!   ([`normalize::Norm::parts`]); every analysis is a caller of it.
+//! * [`prim`] — the primitive table: each monogenic operation over atom
+//!   operands is one row giving the function the interpreter calls and the
+//!   Rust path the emitter prints, derived from one token.
 //! * [`resolve`] — the slot-resolution pass: assigns declared variables
 //!   static `(depth, slot)` frame coordinates so the executors address
 //!   frames by index instead of hashing names, with a conservative
@@ -46,6 +52,7 @@ pub mod lex;
 pub mod mixed;
 pub mod normalize;
 pub mod parse;
+pub mod prim;
 pub mod resolve;
 pub mod rt;
 

@@ -15,6 +15,7 @@
 //! combinators; in the paper, plain Java).
 
 use crate::ast::{BinOp, ClassDecl, Expr, ProcDecl, Program, UnOp};
+use crate::prim::Prim;
 use gde::Symbol;
 
 /// An atomic operand after flattening.
@@ -77,54 +78,19 @@ pub enum Norm {
     Bind(u32, Box<Norm>),
     /// Alternation `e | e'`.
     Alt(Vec<Norm>),
-    /// Binary operation over atoms (fails when an operand fails to coerce).
-    Op(BinOp, Atom, Atom),
-    /// Unary negation / size over an atom.
-    Neg(Atom),
-    Size(Atom),
+    /// A primitive over atom operands: one row of [`crate::prim`].
+    Prim {
+        op: Prim,
+        args: Vec<Atom>,
+    },
     /// Promotion `!a`.
     Promote(Atom),
-    /// Co-expression activation `@a`.
-    Activate(Atom),
-    /// Refresh `^a`.
-    Refresh(Atom),
     /// Generator-function invocation: iterate the generator returned by
     /// applying the (atom-valued) callee to atom arguments.
     Invoke {
         callee: Atom,
         args: Vec<Atom>,
     },
-    /// Host-native invocation `target::method(args)` — promoted to a
-    /// singleton result ("plain Java methods" treatment).
-    NativeInvoke {
-        target: Atom,
-        method: String,
-        args: Vec<Atom>,
-    },
-    /// Subscript read `base[index]`.
-    Index {
-        base: Atom,
-        index: Atom,
-    },
-    /// Subscript write `base[index] := value`.
-    IndexAssign {
-        base: Atom,
-        index: Atom,
-        value: Atom,
-    },
-    /// Field read `base.field`.
-    FieldGet {
-        base: Atom,
-        field: String,
-    },
-    /// Field write `base.field := value`.
-    FieldSet {
-        base: Atom,
-        field: String,
-        value: Atom,
-    },
-    /// List construction from atoms.
-    ListLit(Vec<Atom>),
     /// Assignment into a variable; yields the assigned value.
     SetVar {
         target: VarRef,
@@ -196,6 +162,137 @@ pub enum Norm {
         subject: Box<Norm>,
         body: Box<Norm>,
     },
+}
+
+/// One direct part of a node, in the order [`Norm::parts`] hands them out.
+pub enum Part<A, T, N> {
+    /// An operand read.
+    Read(A),
+    /// An assignment target.
+    Target(T),
+    /// A declared name (its initializer, if any, follows as a `Child`).
+    Decl(T),
+    /// A sub-expression compiled on the main stream.
+    Child(N),
+    /// A deferred body (`<>e`, `|<>e`, `|>e`): compiled at each creation.
+    Deferred(N),
+}
+
+/// `Norm`'s operand and child structure, written once for `&` and `&mut`:
+/// the direct parts of a node in the order the interpreter binds and
+/// compiles them (which is what scoping analyses must mirror).
+macro_rules! parts_fn {
+    ($(#[$doc:meta])* $name:ident $(, $m:tt)?) => {
+        $(#[$doc])*
+        pub fn $name<'a>(
+            &'a $($m)? self,
+            mut f: impl FnMut(Part<&'a $($m)? Atom, &'a $($m)? VarRef, &'a $($m)? Norm>),
+        ) {
+            match self {
+                Norm::Atom(a) | Norm::Promote(a) => f(Part::Read(a)),
+                Norm::Prim { args, .. } => {
+                    for a in args {
+                        f(Part::Read(a));
+                    }
+                }
+                Norm::Invoke { callee, args } => {
+                    f(Part::Read(callee));
+                    for a in args {
+                        f(Part::Read(a));
+                    }
+                }
+                Norm::SetVar { target, from } | Norm::RevSet { target, from } => {
+                    f(Part::Target(target));
+                    f(Part::Read(from));
+                }
+                Norm::ToRange { from, to, by } => {
+                    f(Part::Read(from));
+                    f(Part::Read(to));
+                    if let Some(b) = by {
+                        f(Part::Read(b));
+                    }
+                }
+                Norm::Limit { inner, n } => {
+                    f(Part::Read(n));
+                    f(Part::Child(inner));
+                }
+                Norm::Product(ns) | Norm::Alt(ns) | Norm::Block(ns) => {
+                    for n in ns {
+                        f(Part::Child(n));
+                    }
+                }
+                Norm::Bind(_, n) | Norm::Repeat(n) | Norm::Not(n) | Norm::Suspend(n) => {
+                    f(Part::Child(n))
+                }
+                Norm::If { cond, then, els } => {
+                    f(Part::Child(cond));
+                    f(Part::Child(then));
+                    if let Some(e) = els {
+                        f(Part::Child(e));
+                    }
+                }
+                Norm::While { cond: first, body: rest }
+                | Norm::Until { cond: first, body: rest }
+                | Norm::Every { source: first, body: rest } => {
+                    f(Part::Child(first));
+                    if let Some(b) = rest {
+                        f(Part::Child(b));
+                    }
+                }
+                Norm::Return(value) => {
+                    if let Some(v) = value {
+                        f(Part::Child(v));
+                    }
+                }
+                Norm::Scan { subject, body } => {
+                    f(Part::Child(subject));
+                    f(Part::Child(body));
+                }
+                Norm::Decl(decls) => {
+                    for (target, init) in decls {
+                        f(Part::Decl(target));
+                        if let Some(e) = init {
+                            f(Part::Child(e));
+                        }
+                    }
+                }
+                Norm::CoCreate { body, .. } | Norm::Pipe(body) => f(Part::Deferred(body)),
+                Norm::Fail | Norm::Break | Norm::Next => {}
+            }
+        }
+    };
+}
+
+impl Norm {
+    parts_fn!(
+        /// Visit the node's direct parts.
+        parts
+    );
+    parts_fn!(
+        /// [`Norm::parts`] over mutable references.
+        parts_mut,
+        mut
+    );
+
+    /// Statement forms keep their control semantics in statement position;
+    /// any other node there is evaluated once, bounded and silent.
+    pub fn is_stmt_form(&self) -> bool {
+        matches!(
+            self,
+            Norm::Suspend(_)
+                | Norm::Return(_)
+                | Norm::Fail
+                | Norm::Break
+                | Norm::Next
+                | Norm::Block(_)
+                | Norm::If { .. }
+                | Norm::While { .. }
+                | Norm::Until { .. }
+                | Norm::Every { .. }
+                | Norm::Scan { .. }
+                | Norm::Repeat(_)
+        )
+    }
 }
 
 /// A normalized procedure.
@@ -298,6 +395,16 @@ fn with_binds(mut binds: Vec<Norm>, core: Norm) -> Norm {
     }
 }
 
+/// A primitive over flattened operands.
+fn prim<'e>(op: Prim, operands: impl IntoIterator<Item = &'e Expr>, tmps: &mut Tmps) -> Norm {
+    let mut binds = Vec::new();
+    let args = operands
+        .into_iter()
+        .map(|e| flatten(e, &mut binds, tmps))
+        .collect();
+    with_binds(binds, Norm::Prim { op, args })
+}
+
 /// Normalize an expression to a generator node.
 fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
     match e {
@@ -327,12 +434,7 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
             Norm::Alt(items)
         }
 
-        Expr::Binary(op, a, b) => {
-            let mut binds = Vec::new();
-            let fa = flatten(a, &mut binds, tmps);
-            let fb = flatten(b, &mut binds, tmps);
-            with_binds(binds, Norm::Op(*op, fa, fb))
-        }
+        Expr::Binary(op, a, b) => prim(Prim::Op(*op), [&**a, &**b], tmps),
 
         Expr::Unary(op, inner) => match op {
             UnOp::Pipe => Norm::Pipe(Box::new(normalize(inner, tmps))),
@@ -345,22 +447,16 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
                 body: Box::new(normalize(inner, tmps)),
             },
             UnOp::Deref => normalize(inner, tmps),
-            _ => {
+            UnOp::Promote => {
                 let mut binds = Vec::new();
                 let a = flatten(inner, &mut binds, tmps);
-                let core = match op {
-                    UnOp::Neg => Norm::Neg(a),
-                    UnOp::Size => Norm::Size(a),
-                    UnOp::Promote => Norm::Promote(a),
-                    UnOp::Activate => Norm::Activate(a),
-                    UnOp::Refresh => Norm::Refresh(a),
-                    UnOp::IsNull => Norm::Op(BinOp::Equiv, a, Atom::Null),
-                    UnOp::Pipe | UnOp::FirstClass | UnOp::CoExpr | UnOp::Deref => {
-                        unreachable!("handled above")
-                    }
-                };
-                with_binds(binds, core)
+                with_binds(binds, Norm::Promote(a))
             }
+            UnOp::Neg => prim(Prim::Neg, [&**inner], tmps),
+            UnOp::Size => prim(Prim::Size, [&**inner], tmps),
+            UnOp::Activate => prim(Prim::Activate, [&**inner], tmps),
+            UnOp::Refresh => prim(Prim::Refresh, [&**inner], tmps),
+            UnOp::IsNull => prim(Prim::Op(BinOp::Equiv), [&**inner, &Expr::Null], tmps),
         },
 
         Expr::Create(inner) => Norm::CoCreate {
@@ -413,32 +509,9 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
                     },
                 )
             }
-            Expr::Index(base, idx) => {
-                let mut binds = Vec::new();
-                let b = flatten(base, &mut binds, tmps);
-                let i = flatten(idx, &mut binds, tmps);
-                let v = flatten(value, &mut binds, tmps);
-                with_binds(
-                    binds,
-                    Norm::IndexAssign {
-                        base: b,
-                        index: i,
-                        value: v,
-                    },
-                )
-            }
+            Expr::Index(base, idx) => prim(Prim::IndexAssign, [&**base, &**idx, &**value], tmps),
             Expr::Field(base, field) => {
-                let mut binds = Vec::new();
-                let b = flatten(base, &mut binds, tmps);
-                let v = flatten(value, &mut binds, tmps);
-                with_binds(
-                    binds,
-                    Norm::FieldSet {
-                        base: b,
-                        field: field.clone(),
-                        value: v,
-                    },
-                )
+                prim(Prim::FieldSet(field.clone()), [&**base, &**value], tmps)
             }
             other => {
                 // Unsupported assignment target: normalize both sides and
@@ -462,40 +535,12 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
             )
         }
         Expr::NativeCall(target, method, args) => {
-            let mut binds = Vec::new();
-            let t = flatten(target, &mut binds, tmps);
-            let fargs = args.iter().map(|a| flatten(a, &mut binds, tmps)).collect();
-            with_binds(
-                binds,
-                Norm::NativeInvoke {
-                    target: t,
-                    method: method.clone(),
-                    args: fargs,
-                },
-            )
+            let operands = std::iter::once(&**target).chain(args);
+            prim(Prim::Native(method.clone()), operands, tmps)
         }
-        Expr::Index(base, idx) => {
-            let mut binds = Vec::new();
-            let b = flatten(base, &mut binds, tmps);
-            let i = flatten(idx, &mut binds, tmps);
-            with_binds(binds, Norm::Index { base: b, index: i })
-        }
-        Expr::Field(base, field) => {
-            let mut binds = Vec::new();
-            let b = flatten(base, &mut binds, tmps);
-            with_binds(
-                binds,
-                Norm::FieldGet {
-                    base: b,
-                    field: field.clone(),
-                },
-            )
-        }
-        Expr::List(items) => {
-            let mut binds = Vec::new();
-            let atoms = items.iter().map(|i| flatten(i, &mut binds, tmps)).collect();
-            with_binds(binds, Norm::ListLit(atoms))
-        }
+        Expr::Index(base, idx) => prim(Prim::Index, [&**base, &**idx], tmps),
+        Expr::Field(base, field) => prim(Prim::FieldGet(field.clone()), [&**base], tmps),
+        Expr::List(items) => prim(Prim::List, items, tmps),
         Expr::Scan(subject, body) => Norm::Scan {
             subject: Box::new(normalize(subject, tmps)),
             body: Box::new(normalize(body, tmps)),
@@ -601,6 +646,13 @@ mod tests {
         normalize_expr(&parse_expr(src).unwrap()).0
     }
 
+    fn prim_of<const N: usize>(op: Prim, args: [Atom; N]) -> Norm {
+        Norm::Prim {
+            op,
+            args: args.to_vec(),
+        }
+    }
+
     #[test]
     fn atoms_stay_atoms() {
         assert_eq!(norm("42"), Norm::Atom(Atom::Int(42)));
@@ -612,10 +664,10 @@ mod tests {
 
     #[test]
     fn simple_op_needs_no_hoisting() {
-        // x + 1 — both operands atomic: a bare Op node.
+        // x + 1 — both operands atomic: a bare primitive node.
         assert_eq!(
             norm("x + 1"),
-            Norm::Op(BinOp::Add, Atom::Var("x".into()), Atom::Int(1))
+            prim_of(Prim::Op(BinOp::Add), [Atom::Var("x".into()), Atom::Int(1)])
         );
     }
 
@@ -630,7 +682,7 @@ mod tests {
                     if matches!(&**inner, Norm::ToRange { .. })));
                 assert_eq!(
                     factors[1],
-                    Norm::Op(BinOp::Mul, Atom::Tmp(0), Atom::Var("y".into()))
+                    prim_of(Prim::Op(BinOp::Mul), [Atom::Tmp(0), Atom::Var("y".into())])
                 );
             }
             other => panic!("got {other:?}"),
@@ -659,7 +711,13 @@ mod tests {
                     }
                     other => panic!("got {other:?}"),
                 }
-                assert!(matches!(&factors[2], Norm::Op(BinOp::Mul, _, _)));
+                assert!(matches!(
+                    &factors[2],
+                    Norm::Prim {
+                        op: Prim::Op(BinOp::Mul),
+                        ..
+                    }
+                ));
             }
             other => panic!("got {other:?}"),
         }
@@ -673,11 +731,13 @@ mod tests {
             Norm::Product(factors) => {
                 // (t in e(ex)) & (t2 in t.c) ... & index
                 assert!(factors.len() >= 2);
-                assert!(matches!(factors.last(), Some(Norm::Index { .. })));
-                // every operand of the final Index is an atom
-                if let Some(Norm::Index { base, index }) = factors.last() {
-                    assert!(matches!(base, Atom::Tmp(_)));
-                    assert!(matches!(index, Atom::Var(_)));
+                // the operands of the final Index are a temporary and a name
+                match factors.last() {
+                    Some(Norm::Prim {
+                        op: Prim::Index,
+                        args,
+                    }) => assert!(matches!(args[..], [Atom::Tmp(_), Atom::Var(_)])),
+                    other => panic!("got {other:?}"),
                 }
             }
             other => panic!("got {other:?}"),
@@ -727,11 +787,10 @@ mod tests {
         let n = norm("xs[2] := v");
         assert_eq!(
             n,
-            Norm::IndexAssign {
-                base: Atom::Var("xs".into()),
-                index: Atom::Int(2),
-                value: Atom::Var("v".into())
-            }
+            prim_of(
+                Prim::IndexAssign,
+                [Atom::Var("xs".into()), Atom::Int(2), Atom::Var("v".into())]
+            )
         );
     }
 
@@ -835,11 +894,10 @@ mod tests {
         let n = norm("line::split(\"x\")");
         assert_eq!(
             n,
-            Norm::NativeInvoke {
-                target: Atom::Var("line".into()),
-                method: "split".into(),
-                args: vec![Atom::Str("x".into())]
-            }
+            prim_of(
+                Prim::Native("split".into()),
+                [Atom::Var("line".into()), Atom::Str("x".into())]
+            )
         );
     }
 

@@ -44,11 +44,17 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest expression tree the parser builds: nested operands, brackets
+/// and bodies, and links of one operator chain, all count. The parser and
+/// every later pass recurse over that tree, so this is what keeps hostile
+/// input from overflowing the stack (in a debug build a 2 MiB thread
+/// survives about 80 levels of parenthesis).
+const MAX_DEPTH: usize = 64;
+
 /// Parse a whole embedded region: procedure declarations and top-level
 /// statements.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(src)?;
     let mut prog = Program::default();
     while !p.at_end() {
         // allow stray semicolons between declarations
@@ -72,8 +78,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 
 /// Parse a single expression (for REPL / tests).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     if !p.at_end() {
         return Err(p.error("trailing input after expression"));
@@ -84,9 +89,42 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// A bound on the depth of the tree under construction.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Parser, ParseError> {
+        let toks = lex(src)?;
+        Ok(Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    /// One level deeper: a nested operand, or one more link of an operator
+    /// chain. Fails past [`MAX_DEPTH`].
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("expression deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `parse` one level down; what it deepened ends with it.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        let outer = self.depth;
+        self.deepen()?;
+        let parsed = parse(self);
+        self.depth = outer;
+        parsed
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
     }
@@ -294,18 +332,20 @@ impl Parser {
 
     // ---- expressions -------------------------------------------------------
 
+    /// Every bracketed expression, argument, statement and body is parsed
+    /// through here: one level down from whatever encloses it.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.assign_expr()
+        self.nested(Parser::assign_expr)
     }
 
     fn assign_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.product_expr()?;
         if self.eat(&Tok::Assign) {
-            let rhs = self.assign_expr()?; // right associative
+            let rhs = self.nested(Parser::assign_expr)?; // right associative
             return Ok(Expr::Assign(Box::new(lhs), Box::new(rhs)));
         }
         if self.eat(&Tok::RevAssign) {
-            let rhs = self.assign_expr()?;
+            let rhs = self.nested(Parser::assign_expr)?;
             return Ok(Expr::RevAssign(Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
@@ -314,6 +354,7 @@ impl Parser {
     fn product_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.alt_expr()?;
         while self.eat(&Tok::Amp) {
+            self.deepen()?;
             let rhs = self.alt_expr()?;
             lhs = Expr::Product(Box::new(lhs), Box::new(rhs));
         }
@@ -323,6 +364,7 @@ impl Parser {
     fn alt_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.scan_expr()?;
         while self.eat(&Tok::Bar) {
+            self.deepen()?;
             let rhs = self.scan_expr()?;
             lhs = Expr::Alt(Box::new(lhs), Box::new(rhs));
         }
@@ -332,6 +374,7 @@ impl Parser {
     fn scan_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.range_expr()?;
         while self.eat(&Tok::Question) {
+            self.deepen()?;
             let rhs = self.range_expr()?;
             lhs = Expr::Scan(Box::new(lhs), Box::new(rhs));
         }
@@ -376,6 +419,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deepen()?;
             let rhs = self.concat_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -385,6 +429,7 @@ impl Parser {
     fn concat_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.add_expr()?;
         while self.eat(&Tok::BarBar) {
+            self.deepen()?;
             let rhs = self.add_expr()?;
             lhs = Expr::Binary(BinOp::Concat, Box::new(lhs), Box::new(rhs));
         }
@@ -400,6 +445,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deepen()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -416,6 +462,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deepen()?;
             let rhs = self.pow_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -425,7 +472,7 @@ impl Parser {
     fn pow_expr(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.unary_expr()?;
         if self.eat(&Tok::Caret) {
-            let rhs = self.pow_expr()?; // right associative
+            let rhs = self.nested(Parser::pow_expr)?; // right associative
             return Ok(Expr::Binary(BinOp::Pow, Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
@@ -446,15 +493,15 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Parser::unary_expr)?;
             return Ok(Expr::Unary(op, Box::new(operand)));
         }
         if self.eat_kw(Kw::Not) {
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Parser::unary_expr)?;
             return Ok(Expr::Not(Box::new(operand)));
         }
         if self.eat_kw(Kw::Create) {
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Parser::unary_expr)?;
             return Ok(Expr::Create(Box::new(operand)));
         }
         self.postfix_expr()
@@ -494,6 +541,7 @@ impl Parser {
                 }
                 _ => break,
             }
+            self.deepen()?;
         }
         Ok(e)
     }
@@ -867,6 +915,35 @@ mod tests {
     fn amp_is_product_in_infix_position() {
         let e = parse_expr("x & y").unwrap();
         assert!(matches!(e, E::Product(_, _)));
+    }
+
+    #[test]
+    fn hostile_depth_is_an_error_not_a_stack_overflow() {
+        // 100 000 levels on this 2 MiB test thread, by nesting and by chain.
+        let n = 100_000;
+        for src in [
+            format!("{}x{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}x{}", "[".repeat(n), "]".repeat(n)),
+            format!("{}x{}", "f(".repeat(n), ")".repeat(n)),
+            format!("{}x", "if x then ".repeat(n)),
+            format!("{}x", "- ".repeat(n)),
+            format!("{}1", "x := ".repeat(n)),
+            format!("{}1", "2 ^ ".repeat(n)),
+            format!("{}1", "1 + ".repeat(n)),
+            format!("x{}", ".f".repeat(n)),
+        ] {
+            let err = parse_expr(&src).unwrap_err();
+            assert!(err.msg.contains("deeper than"), "{err}");
+            assert!(err.at < src.len());
+        }
+        // A tree of exactly MAX_DEPTH levels still parses, and a level ends
+        // with the statement that opened it.
+        let n = MAX_DEPTH - 1;
+        let deep = format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse_expr(&deep).unwrap(), Expr::var("x"));
+        assert!(parse_expr(&format!("{}1", "1 + ".repeat(n))).is_ok());
+        let long = format!("def f(x) {{ {} }}", "x := x + 1 * 2; ".repeat(10 * n));
+        assert_eq!(parse_program(&long).unwrap().procs[0].body.len(), 10 * n);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! that binding exactly — including against [`gde::env::Env::shadow`]
 //! copies, which preserve the layout.
 
-use crate::normalize::{Atom, NClass, NProc, NProgram, Norm, VarRef};
+use crate::normalize::{Atom, NClass, NProc, NProgram, Norm, Part, VarRef};
 use gde::Symbol;
 use std::collections::{HashMap, HashSet};
 
@@ -103,34 +103,30 @@ pub fn fusable_suffix(factors: &[Norm]) -> usize {
     run.min(factors.len().saturating_sub(1))
 }
 
-/// Is this atom a statically-resolved operand (literal, frame slot, or
-/// temporary)? Dynamic names and `&`-keywords make the factor unfusable.
-fn atom_is_static(a: &Atom) -> bool {
-    !matches!(a, Atom::Var(_))
-}
-
-/// Is this factor a monogenic thunk shape over static operands?
+/// Is this factor a monogenic thunk shape over static operands: literals,
+/// frame slots and temporaries read, slots assigned? Dynamic names and
+/// `&`-keywords make the factor unfusable.
 fn fusable_monogenic(n: &Norm) -> bool {
-    match n {
-        Norm::Atom(a) | Norm::Neg(a) | Norm::Size(a) => atom_is_static(a),
-        Norm::Op(_, a, b) | Norm::Index { base: a, index: b } => {
-            atom_is_static(a) && atom_is_static(b)
-        }
-        Norm::IndexAssign { base, index, value } => {
-            atom_is_static(base) && atom_is_static(index) && atom_is_static(value)
-        }
-        Norm::FieldGet { base, .. } => atom_is_static(base),
-        Norm::FieldSet { base, value, .. } => atom_is_static(base) && atom_is_static(value),
-        Norm::ListLit(items) => items.iter().all(atom_is_static),
-        Norm::SetVar { target, from } => matches!(target, VarRef::Slot(..)) && atom_is_static(from),
-        Norm::NativeInvoke { target, args, .. } => {
-            atom_is_static(target) && args.iter().all(atom_is_static)
-        }
+    let monogenic = match n {
         // Binding a temporary to a monogenic factor is itself monogenic
         // (the set runs as the factor produces its one value).
-        Norm::Bind(_, inner) => fusable_monogenic(inner),
+        Norm::Atom(_) | Norm::SetVar { .. } | Norm::Bind(..) => true,
+        Norm::Prim { op, .. } => !op.is_barrier(),
         _ => false,
+    };
+    if !monogenic {
+        return false;
     }
+    let mut operands_static = true;
+    n.parts(|part| {
+        operands_static &= match part {
+            Part::Read(a) => !matches!(a, Atom::Var(_)),
+            Part::Target(t) => matches!(t, VarRef::Slot(..)),
+            Part::Child(inner) => fusable_monogenic(inner),
+            Part::Decl(_) | Part::Deferred(_) => false,
+        }
+    });
+    operands_static
 }
 
 /// Resolve every procedure and class method in the program. Top-level
@@ -229,119 +225,17 @@ impl PoisonScan<'_> {
         }
     }
 
-    fn atom(&mut self, a: &Atom, deferred: bool) {
-        if let Atom::Var(name) = a {
-            self.use_of(name, deferred);
-        }
-    }
-
     fn walk(&mut self, n: &Norm, deferred: bool) {
-        match n {
-            Norm::Atom(a)
-            | Norm::Neg(a)
-            | Norm::Size(a)
-            | Norm::Promote(a)
-            | Norm::Activate(a)
-            | Norm::Refresh(a) => self.atom(a, deferred),
-            Norm::Product(fs) | Norm::Alt(fs) | Norm::Block(fs) => {
-                for f in fs {
-                    self.walk(f, deferred);
-                }
-            }
-            Norm::Bind(_, inner)
-            | Norm::Repeat(inner)
-            | Norm::Not(inner)
-            | Norm::Suspend(inner) => self.walk(inner, deferred),
-            Norm::Return(inner) => {
-                if let Some(e) = inner {
-                    self.walk(e, deferred);
-                }
-            }
-            Norm::Op(_, a, b) | Norm::Index { base: a, index: b } => {
-                self.atom(a, deferred);
-                self.atom(b, deferred);
-            }
-            Norm::IndexAssign { base, index, value } => {
-                self.atom(base, deferred);
-                self.atom(index, deferred);
-                self.atom(value, deferred);
-            }
-            Norm::FieldGet { base, .. } => self.atom(base, deferred),
-            Norm::FieldSet { base, value, .. } => {
-                self.atom(base, deferred);
-                self.atom(value, deferred);
-            }
-            Norm::Invoke { callee, args } => {
-                self.atom(callee, deferred);
-                for a in args {
-                    self.atom(a, deferred);
-                }
-            }
-            Norm::NativeInvoke { target, args, .. } => {
-                self.atom(target, deferred);
-                for a in args {
-                    self.atom(a, deferred);
-                }
-            }
-            Norm::ListLit(items) => {
-                for a in items {
-                    self.atom(a, deferred);
-                }
-            }
-            Norm::SetVar { target, from } | Norm::RevSet { target, from } => {
-                self.use_of(target.name(), deferred);
-                self.atom(from, deferred);
-            }
-            Norm::ToRange { from, to, by } => {
-                self.atom(from, deferred);
-                self.atom(to, deferred);
-                if let Some(b) = by {
-                    self.atom(b, deferred);
-                }
-            }
-            Norm::Limit { inner, n } => {
-                self.walk(inner, deferred);
-                self.atom(n, deferred);
-            }
-            Norm::If { cond, then, els } => {
-                self.walk(cond, deferred);
-                self.walk(then, deferred);
-                if let Some(e) = els {
-                    self.walk(e, deferred);
-                }
-            }
-            Norm::While { cond, body } | Norm::Until { cond, body } => {
-                self.walk(cond, deferred);
-                if let Some(b) = body {
-                    self.walk(b, deferred);
-                }
-            }
-            Norm::Every { source, body } => {
-                self.walk(source, deferred);
-                if let Some(b) = body {
-                    self.walk(b, deferred);
-                }
-            }
-            Norm::Scan { subject, body } => {
-                self.walk(subject, deferred);
-                self.walk(body, deferred);
-            }
-            Norm::Decl(decls) => {
-                for (target, init) in decls {
-                    // The unresolved interpreter declares the name *before*
-                    // compiling the initializer, so the declaration comes
-                    // first here too.
-                    self.decl_of(target.name(), deferred);
-                    if let Some(e) = init {
-                        self.walk(e, deferred);
-                    }
-                }
-            }
-            // Deferred bodies: everything below compiles at co-expression
-            // creation time.
-            Norm::CoCreate { body, .. } | Norm::Pipe(body) => self.walk(body, true),
-            Norm::Fail | Norm::Break | Norm::Next => {}
-        }
+        n.parts(|part| match part {
+            Part::Read(Atom::Var(name)) => self.use_of(name, deferred),
+            Part::Read(_) => {}
+            Part::Target(t) => self.use_of(t.name(), deferred),
+            // The unresolved interpreter declares the name *before*
+            // compiling the initializer, which follows as a child.
+            Part::Decl(t) => self.decl_of(t.name(), deferred),
+            Part::Child(c) => self.walk(c, deferred),
+            Part::Deferred(body) => self.walk(body, true),
+        })
     }
 }
 
@@ -402,112 +296,16 @@ impl Resolver<'_> {
     }
 
     fn walk(&mut self, n: &mut Norm) {
-        match n {
-            Norm::Atom(a)
-            | Norm::Neg(a)
-            | Norm::Size(a)
-            | Norm::Promote(a)
-            | Norm::Activate(a)
-            | Norm::Refresh(a) => self.atom(a),
-            Norm::Product(fs) | Norm::Alt(fs) | Norm::Block(fs) => {
-                for f in fs {
-                    self.walk(f);
-                }
-            }
-            Norm::Bind(_, inner)
-            | Norm::Repeat(inner)
-            | Norm::Not(inner)
-            | Norm::Suspend(inner) => self.walk(inner),
-            Norm::Return(inner) => {
-                if let Some(e) = inner {
-                    self.walk(e);
-                }
-            }
-            Norm::Op(_, a, b) | Norm::Index { base: a, index: b } => {
-                self.atom(a);
-                self.atom(b);
-            }
-            Norm::IndexAssign { base, index, value } => {
-                self.atom(base);
-                self.atom(index);
-                self.atom(value);
-            }
-            Norm::FieldGet { base, .. } => self.atom(base),
-            Norm::FieldSet { base, value, .. } => {
-                self.atom(base);
-                self.atom(value);
-            }
-            Norm::Invoke { callee, args } => {
-                self.atom(callee);
-                for a in args {
-                    self.atom(a);
-                }
-            }
-            Norm::NativeInvoke { target, args, .. } => {
-                self.atom(target);
-                for a in args {
-                    self.atom(a);
-                }
-            }
-            Norm::ListLit(items) => {
-                for a in items {
-                    self.atom(a);
-                }
-            }
-            Norm::SetVar { target, from } | Norm::RevSet { target, from } => {
-                self.target(target);
-                self.atom(from);
-            }
-            Norm::ToRange { from, to, by } => {
-                self.atom(from);
-                self.atom(to);
-                if let Some(b) = by {
-                    self.atom(b);
-                }
-            }
-            Norm::Limit { inner, n } => {
-                self.walk(inner);
-                self.atom(n);
-            }
-            Norm::If { cond, then, els } => {
-                self.walk(cond);
-                self.walk(then);
-                if let Some(e) = els {
-                    self.walk(e);
-                }
-            }
-            Norm::While { cond, body } | Norm::Until { cond, body } => {
-                self.walk(cond);
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-            }
-            Norm::Every { source, body } => {
-                self.walk(source);
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-            }
-            Norm::Scan { subject, body } => {
-                self.walk(subject);
-                self.walk(body);
-            }
-            Norm::Decl(decls) => {
-                for (target, init) in decls {
-                    // Declare before resolving the initializer: the
-                    // unresolved interpreter creates the cell before the
-                    // initializer compiles, so `local x := x + 1` reads
-                    // the *new* cell.
-                    self.declare(target);
-                    if let Some(e) = init {
-                        self.walk(e);
-                    }
-                }
-            }
+        n.parts_mut(|part| match part {
+            Part::Read(a) => self.atom(a),
+            Part::Target(t) => self.target(t),
+            // Declared before its initializer resolves, so `local x := x + 1`
+            // reads the *new* cell, as in the unresolved interpreter.
+            Part::Decl(t) => self.declare(t),
+            Part::Child(c) => self.walk(c),
             // Deferred bodies stay fully by-name (see module docs).
-            Norm::CoCreate { .. } | Norm::Pipe(_) => {}
-            Norm::Fail | Norm::Break | Norm::Next => {}
-        }
+            Part::Deferred(_) => {}
+        })
     }
 }
 
@@ -525,70 +323,13 @@ mod tests {
 
     /// Collect every (depth, idx, name) slot reference in a node tree.
     fn slot_refs(n: &Norm, out: &mut Vec<(u16, u16, String)>) {
-        let on_atom = |a: &Atom, out: &mut Vec<(u16, u16, String)>| {
-            if let Atom::Slot(d, i, s) = a {
-                out.push((*d, *i, s.as_str().to_string()));
-            }
-        };
-        match n {
-            Norm::Atom(a)
-            | Norm::Neg(a)
-            | Norm::Size(a)
-            | Norm::Promote(a)
-            | Norm::Activate(a)
-            | Norm::Refresh(a) => on_atom(a, out),
-            Norm::Product(fs) | Norm::Alt(fs) | Norm::Block(fs) => {
-                fs.iter().for_each(|f| slot_refs(f, out))
-            }
-            Norm::Bind(_, x) | Norm::Repeat(x) | Norm::Not(x) | Norm::Suspend(x) => {
-                slot_refs(x, out)
-            }
-            Norm::Op(_, a, b) => {
-                on_atom(a, out);
-                on_atom(b, out);
-            }
-            Norm::Invoke { callee, args } => {
-                on_atom(callee, out);
-                args.iter().for_each(|a| on_atom(a, out));
-            }
-            Norm::SetVar { target, from } | Norm::RevSet { target, from } => {
-                if let VarRef::Slot(d, i, s) = target {
-                    out.push((*d, *i, s.as_str().to_string()));
-                }
-                on_atom(from, out);
-            }
-            Norm::While { cond, body } | Norm::Until { cond, body } => {
-                slot_refs(cond, out);
-                if let Some(b) = body {
-                    slot_refs(b, out);
-                }
-            }
-            Norm::Every { source, body } => {
-                slot_refs(source, out);
-                if let Some(b) = body {
-                    slot_refs(b, out);
-                }
-            }
-            Norm::If { cond, then, els } => {
-                slot_refs(cond, out);
-                slot_refs(then, out);
-                if let Some(e) = els {
-                    slot_refs(e, out);
-                }
-            }
-            Norm::Decl(ds) => {
-                for (t, init) in ds {
-                    if let VarRef::Slot(d, i, s) = t {
-                        out.push((*d, *i, s.as_str().to_string()));
-                    }
-                    if let Some(e) = init {
-                        slot_refs(e, out);
-                    }
-                }
-            }
-            Norm::Return(Some(e)) => slot_refs(e, out),
-            _ => {}
-        }
+        n.parts(|part| match part {
+            Part::Read(Atom::Slot(d, i, s))
+            | Part::Target(VarRef::Slot(d, i, s))
+            | Part::Decl(VarRef::Slot(d, i, s)) => out.push((*d, *i, s.as_str().to_string())),
+            Part::Read(_) | Part::Target(_) | Part::Decl(_) => {}
+            Part::Child(c) | Part::Deferred(c) => slot_refs(c, out),
+        })
     }
 
     fn proc_slot_refs(p: &NProc) -> Vec<(u16, u16, String)> {
@@ -716,12 +457,17 @@ mod tests {
     #[test]
     fn fusable_suffix_marks_trailing_monogenic_runs_only() {
         use crate::ast::BinOp;
+        use crate::prim::Prim;
+        let times2 = |a: Atom| Norm::Prim {
+            op: Prim::Op(BinOp::Mul),
+            args: vec![a, Atom::Int(2)],
+        };
         let gen = Norm::ToRange {
             from: Atom::Int(1),
             to: Atom::Int(3),
             by: None,
         };
-        let op = Norm::Op(BinOp::Mul, Atom::Tmp(0), Atom::Int(2));
+        let op = times2(Atom::Tmp(0));
         // generator | op → the op fuses onto the generator.
         assert_eq!(fusable_suffix(&[gen.clone(), op.clone()]), 1);
         // generator | bind(op) | op → the whole trailing run fuses.
@@ -730,11 +476,19 @@ mod tests {
             2
         );
         // Dynamic-name operands are fusion barriers.
-        let dynamic = Norm::Op(BinOp::Mul, Atom::Var("x".into()), Atom::Int(2));
-        assert_eq!(fusable_suffix(&[gen.clone(), dynamic]), 0);
+        assert_eq!(
+            fusable_suffix(&[gen.clone(), times2(Atom::Var("x".into()))]),
+            0
+        );
         // &-keywords read the scanning stack: barrier.
-        let keyword = Norm::Op(BinOp::Mul, Atom::Var("&pos".into()), Atom::Int(2));
+        let keyword = times2(Atom::Var("&pos".into()));
         assert_eq!(fusable_suffix(&[gen.clone(), keyword]), 0);
+        // Stepping a co-expression stays its own product link.
+        let step = Norm::Prim {
+            op: Prim::Activate,
+            args: vec![Atom::Tmp(0)],
+        };
+        assert_eq!(fusable_suffix(&[gen.clone(), step]), 0);
         // An all-monogenic product keeps one leading factor as the base.
         assert_eq!(fusable_suffix(&[op.clone(), op.clone()]), 1);
         // A generator in last position ends the (empty) run.

@@ -84,6 +84,16 @@ pub fn slot_const(v: Value) -> Slot {
     Slot::Const(v)
 }
 
+/// `*v`: the size as a value; fails for sizeless values.
+pub fn size(v: &Value) -> Option<Value> {
+    v.size().map(Value::from)
+}
+
+/// `[items…]`: list construction (never fails).
+pub fn list(items: Vec<Value>) -> Option<Value> {
+    Some(Value::list(items))
+}
+
 /// Field read `base.field`: objects read their field (or produce a bound
 /// method); tables fall back to string-keyed lookup.
 pub fn field_get(base: &Value, field: &str) -> Option<Value> {
@@ -692,7 +702,7 @@ pub fn native_method(target: &Value, method: &str, args: &[Value]) -> Option<Val
             }
             Some(target.deref())
         }
-        "size" | "length" => target.size().map(Value::from),
+        "size" | "length" => size(target),
         "toString" => ops::to_str(target).map(Value::Str),
         "charAt" => {
             // 0-based, Java style.

@@ -1,26 +1,28 @@
-//! Snapshot test for the Fig. 5 translation example.
+//! Snapshot tests for the emitter.
 //!
 //! The paper's Fig. 5 shows the Java translation of
 //! `def spawnMap (f, chunk) { suspend ! (|> f(!chunk)); }`.
-//! Here the same procedure is transpiled to Rust; the checked-in fixture is
-//! compared byte-for-byte against the current emitter output, and the
-//! `emitted_exec` test compiles and runs the very same fixture. Regenerate
-//! with `UPDATE_FIXTURES=1 cargo test -p junicon`.
+//! Here that procedure and three more sources (`fixtures/sources.rs`) are
+//! transpiled to Rust; each checked-in fixture is compared byte-for-byte
+//! against the current emitter output, and the `emitted_exec` test compiles
+//! and runs the very same fixtures. Regenerate with
+//! `UPDATE_FIXTURES=1 cargo test -p junicon`.
+
+#[path = "fixtures/sources.rs"]
+mod sources;
 
 use junicon::emit::emit_program_source;
 
-pub const SPAWNMAP_SRC: &str = "def spawnMap(f, chunk) { suspend ! (|> f(!chunk)); }";
-
-/// A second fixture covering statement-level emission: loops, suspend
-/// inside a loop body, assignment, and goal-directed comparison.
-pub const COUNTDOWN_SRC: &str = "def countdown(n) { while n > 0 do { suspend n; n := n - 1; }; }";
-
-fn check_fixture(src: &str, path: &str) {
+fn check_fixture(src: &str, name: &str) {
+    let path = format!(
+        "{}/tests/fixtures/{name}_emitted.rs",
+        env!("CARGO_MANIFEST_DIR")
+    );
     let want = emit_program_source(src).unwrap();
     if std::env::var("UPDATE_FIXTURES").is_ok() {
-        std::fs::write(path, &want).unwrap();
+        std::fs::write(&path, &want).unwrap();
     }
-    let have = std::fs::read_to_string(path)
+    let have = std::fs::read_to_string(&path)
         .expect("fixture missing — run UPDATE_FIXTURES=1 cargo test -p junicon");
     assert_eq!(
         have, want,
@@ -31,22 +33,20 @@ fn check_fixture(src: &str, path: &str) {
 
 #[test]
 fn spawnmap_fixture_is_current() {
-    check_fixture(
-        SPAWNMAP_SRC,
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/spawnmap_emitted.rs"
-        ),
-    );
+    check_fixture(sources::SPAWNMAP_SRC, "spawnmap");
 }
 
 #[test]
 fn countdown_fixture_is_current() {
-    check_fixture(
-        COUNTDOWN_SRC,
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/countdown_emitted.rs"
-        ),
-    );
+    check_fixture(sources::COUNTDOWN_SRC, "countdown");
+}
+
+#[test]
+fn prims_fixture_is_current() {
+    check_fixture(sources::PRIMS_SRC, "prims");
+}
+
+#[test]
+fn fig4_fixture_is_current() {
+    check_fixture(sources::FIG4_SRC, "fig4");
 }

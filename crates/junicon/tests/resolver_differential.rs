@@ -240,6 +240,16 @@ fn refreshed_coexpr_rebinds_against_final_frame() {
 }
 
 #[test]
+fn limit_bound_binds_before_the_limited_expression_declares() {
+    // The bound `x` is the parameter: it is bound before the block's
+    // `local x` exists, so one result, not as many as the local says.
+    assert_agree(
+        "def f(x) { suspend { local x := 3; x to 9 } \\ x; }",
+        "f(1)",
+    );
+}
+
+#[test]
 fn implicit_local_stays_dynamic() {
     assert_agree("def f(a) { q := a + 1; q := q * 2; return q; }", "f(5)");
 }
@@ -249,7 +259,7 @@ fn implicit_local_stays_dynamic() {
 // ---------------------------------------------------------------------------
 
 mod mutation {
-    use junicon::normalize::{normalize_program, Atom, Norm, VarRef};
+    use junicon::normalize::{normalize_program, Atom, Norm, Part, VarRef};
     use junicon::parse::parse_program;
     use junicon::resolve::resolve_program;
     use junicon::Interp;
@@ -258,46 +268,13 @@ mod mutation {
     /// frame width) — the classic off-by-one a slot-assigning resolver
     /// could commit.
     fn skew(n: &mut Norm, width: u16) {
-        let bump = |a: &mut Atom| {
-            if let Atom::Slot(0, i, _) = a {
-                *i = (*i + 1) % width;
-            }
-        };
-        let bump_ref = |t: &mut VarRef| {
-            if let VarRef::Slot(0, i, _) = t {
-                *i = (*i + 1) % width;
-            }
-        };
-        match n {
-            Norm::Atom(a)
-            | Norm::Neg(a)
-            | Norm::Size(a)
-            | Norm::Promote(a)
-            | Norm::Activate(a)
-            | Norm::Refresh(a) => bump(a),
-            Norm::Product(fs) | Norm::Alt(fs) | Norm::Block(fs) => {
-                fs.iter_mut().for_each(|f| skew(f, width))
-            }
-            Norm::Bind(_, x) | Norm::Repeat(x) | Norm::Not(x) | Norm::Suspend(x) => skew(x, width),
-            Norm::Return(Some(e)) => skew(e, width),
-            Norm::Op(_, a, b) => {
-                bump(a);
-                bump(b);
-            }
-            Norm::SetVar { target, from } | Norm::RevSet { target, from } => {
-                bump_ref(target);
-                bump(from);
-            }
-            Norm::Decl(ds) => {
-                for (t, init) in ds {
-                    bump_ref(t);
-                    if let Some(e) = init {
-                        skew(e, width);
-                    }
-                }
-            }
-            _ => {}
-        }
+        n.parts_mut(|part| match part {
+            Part::Read(Atom::Slot(0, i, _))
+            | Part::Target(VarRef::Slot(0, i, _))
+            | Part::Decl(VarRef::Slot(0, i, _)) => *i = (*i + 1) % width,
+            Part::Read(_) | Part::Target(_) | Part::Decl(_) => {}
+            Part::Child(c) | Part::Deferred(c) => skew(c, width),
+        })
     }
 
     #[test]

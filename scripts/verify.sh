@@ -4,8 +4,10 @@
 #   1. grep guards — no dependency section in any Cargo.toml may name a
 #                    registry (version-requirement) dependency; everything
 #                    must be a `path = ...` / `workspace = true` entry;
-#                    and no source outside `gde/src/value.rs` may name
+#                    no source outside `gde/src/value.rs` may name
 #                    the borrowed string representation (ISSUE 19);
+#                    and neither back end nor the resolver may name a
+#                    `gde::ops` primitive (ISSUE 21);
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null);
 #   3. build+test  — `cargo build --release --offline` and
@@ -51,6 +53,16 @@ if hits="$(grep -rnE 'Value::(Win|Slice|Built)|StrWin \{' crates/*/src \
     exit 1
 fi
 echo "   ok: the string window is private to gde::value"
+
+# What a primitive means and how it is spelled in Rust is one table
+# (junicon/src/prim.rs, DESIGN.md § The primitive table): the interpreter and the
+# emitter ask a row, so neither names an `ops::` function itself.
+if hits="$(grep -n 'ops::' crates/junicon/src/{emit,interp,resolve}.rs)"; then
+    echo "$hits"
+    echo "FAIL: a primitive is named outside crates/junicon/src/prim.rs"
+    exit 1
+fi
+echo "   ok: primitives are named by the table only"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 if cargo metadata --offline --format-version 1 2>/dev/null | grep -q '"source":"registry+'; then
