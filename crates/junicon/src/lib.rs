@@ -9,9 +9,10 @@
 //!   embedded text ──[lex]──► tokens ──[parse]──► AST
 //!   AST ──[normalize]──► flattened products of bound iterators
 //!   flattened IR ──[resolve]──► slot-addressed IR (static frame coordinates)
-//!   slotted IR ──[interp]──► gde combinator trees (executable)
-//!             └─[emit]────► Rust source targeting the gde runtime
-//!                  ▲ both ask [prim] what a primitive means / how it is spelled
+//!   slotted IR ──[lower]──► plan: a tree of kernel-constructor calls ([rt], gde::comb)
+//!   plan ──[interp]──► the calls made: gde combinator trees (executable)
+//!       └─[emit]────► the calls printed: Rust source targeting the gde runtime
+//!          ▲ [lower] asks [prim] what a primitive means / how it is spelled
 //! ```
 //!
 //! * [`annot`] — the *scoped annotations* metaparser: recognizes
@@ -31,15 +32,23 @@
 //! * [`prim`] — the primitive table: each monogenic operation over atom
 //!   operands is one row giving the function the interpreter calls and the
 //!   Rust path the emitter prints, derived from one token.
+//! * `lower` (crate-private) — the one lowering both back ends share:
+//!   `Norm → Plan`, once per procedure. A plan node is a call to one kernel
+//!   constructor of [`rt`] / `gde::comb` with classified arguments;
+//!   statement-vs-value position, loop flags, deferred-body activations
+//!   and stage fusion are decided there.
 //! * [`resolve`] — the slot-resolution pass: assigns declared variables
 //!   static `(depth, slot)` frame coordinates so the executors address
 //!   frames by index instead of hashing names, with a conservative
 //!   poisoning analysis keeping genuinely dynamic references by-name.
-//! * [`interp`] — a tree-walking evaluator over the [`gde`] runtime with
-//!   suspendable procedure bodies (so `suspend` works inside loops without
-//!   threads, as the paper's kernel does).
-//! * [`emit`] — the migration target: emits Rust source that builds the
-//!   same combinator trees (the Fig. 5 analogue), snapshot-tested.
+//! * [`interp`] — the interpreter: lowers a program at load and
+//!   instantiates a procedure's plan per call over the [`gde`] runtime,
+//!   with suspendable procedure bodies (so `suspend` works inside loops
+//!   without threads, as the paper's kernel does).
+//! * [`emit`] — the migration target: prints the same plans as Rust source
+//!   (the Fig. 5 analogue), snapshot-tested, compiled and executed.
+//! * [`rt`] — the kernel both back ends target: the constructors a plan
+//!   names, public because emitted code calls them.
 //! * [`mixed`] — the driver tying it together for whole mixed-language
 //!   files: extract, transform, interpret or splice.
 
@@ -49,6 +58,7 @@ pub mod emit;
 pub mod fmt;
 pub mod interp;
 pub mod lex;
+mod lower;
 pub mod mixed;
 pub mod normalize;
 pub mod parse;

@@ -303,10 +303,10 @@ pub struct NProc {
     pub body: Vec<Norm>,
     /// Number of compiler temporaries the body needs.
     pub tmp_count: u32,
-    /// Activation-frame slot names assigned by the resolve pass
-    /// (parameters first, then one slot per statically-scoped `local`
-    /// declaration, in pre-order). Empty until resolved; an empty list
-    /// means every reference goes through the by-name fallback.
+    /// Activation-frame slot names: the parameters (they exist from frame
+    /// birth, so they always lead the list), then what the resolve pass
+    /// appends — one slot per statically-scoped `local` declaration, in
+    /// pre-order.
     pub slots: Vec<String>,
 }
 
@@ -324,6 +324,7 @@ pub struct NProgram {
     pub procs: Vec<NProc>,
     pub classes: Vec<NClass>,
     pub stmts: Vec<Norm>,
+    /// The most temporaries any one top-level statement needs.
     pub tmp_count: u32,
 }
 
@@ -345,13 +346,14 @@ impl Tmps {
 pub fn normalize_program(p: &Program) -> NProgram {
     let procs = p.procs.iter().map(normalize_proc).collect();
     let classes = p.classes.iter().map(normalize_class).collect();
-    let mut tmps = Tmps::default();
-    let stmts = p.stmts.iter().map(|e| normalize(e, &mut tmps)).collect();
+    // Each top-level statement is an activation of its own, so each numbers
+    // its temporaries from zero.
+    let (stmts, tmps): (Vec<Norm>, Vec<u32>) = p.stmts.iter().map(normalize_expr).unzip();
     NProgram {
         procs,
         classes,
         stmts,
-        tmp_count: tmps.next,
+        tmp_count: tmps.into_iter().max().unwrap_or(0),
     }
 }
 
@@ -373,7 +375,7 @@ pub fn normalize_proc(p: &ProcDecl) -> NProc {
         params: p.params.clone(),
         body,
         tmp_count: tmps.next,
-        slots: Vec::new(),
+        slots: p.params.clone(),
     }
 }
 

@@ -73,6 +73,7 @@ pub fn gets(prefix: &str, ks: std::ops::Range<usize>) -> String {
 macro_rules! path_str {
     ($a:ident $(:: $b:ident)*) => { concat!(stringify!($a) $(, "::", stringify!($b))*) };
 }
+pub(crate) use path_str;
 
 /// A row from a calling convention and the function it applies to. Each
 /// convention gives the operand count, the arguments as the interpreter

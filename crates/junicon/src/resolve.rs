@@ -61,39 +61,29 @@ use gde::Symbol;
 use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
-// Fusable-run annotation (consumed by the emitter)
+// Fusable-run annotation (consumed by `lower`)
 // ---------------------------------------------------------------------------
 
 /// The length of the maximal *fusable* suffix of a product's factors: the
 /// trailing run of monogenic factors (at most one value per activation —
-/// the flattened thunk shapes) whose operands are all statically
-/// resolved. The emitter collapses such a run into a single composed
-/// filter-map closure over the preceding factor
-/// ([`gde::comb::fuse::emitted_fused`]), eliminating one product link and
-/// one boxed `resume` per run factor per binding.
-///
-/// The analysis is deliberately conservative — a factor only joins a run
-/// when the fused closure provably evaluates it with the by-node tree's
-/// exact semantics:
+/// the flattened thunk shapes) whose operands are all statically resolved.
+/// `lower` makes such a run one composed closure over the preceding factor,
+/// so a factor joins only when that closure provably evaluates it with the
+/// by-node tree's exact semantics:
 ///
 /// * **generator factors** (invocation, promotion, ranges, alternation,
 ///   nested products, …) can yield many values per binding, so
 ///   backtracking must be able to re-enter them — they end every run;
 /// * **dynamic-name operands** ([`Atom::Var`]) are barriers: a by-name
-///   lookup can spring an implicit local mid-product
-///   (`lookup_or_declare` mutates the frame), and the `&`-keywords
-///   (`&subject`/`&pos`) read the scanning stack, whose innermost frame
-///   can change between the product's construction and the closure's
-///   evaluation — only slot-resolved cells, temporaries and literals are
-///   known to read the same cell either way (see DESIGN.md § Stage
-///   fusion);
-/// * **by-name assignment targets** ([`VarRef::Named`]) stay unfused for
-///   the same reason.
+///   lookup can spring an implicit local mid-product, and the `&`-keywords
+///   read the scanning stack, whose innermost frame can change between the
+///   product's construction and the closure's evaluation — only
+///   slot-resolved cells, temporaries and literals are known to read the
+///   same cell either way (see DESIGN.md § One lowering);
+/// * **by-name assignment targets** ([`VarRef::Named`]) likewise.
 ///
-/// The suffix never includes *every* factor — the emitter keeps at least
-/// one leading factor as the generator the fused closure hangs off — and
-/// callers get that clamp here so the annotation is the single source of
-/// truth.
+/// The suffix never includes *every* factor: at least one leading factor
+/// stays as the generator the fused closure hangs off.
 pub fn fusable_suffix(factors: &[Norm]) -> usize {
     let run = factors
         .iter()

@@ -3,12 +3,16 @@
 //! The paper's translation targets a small kernel of runtime classes
 //! (`IconIterator`, `IconSequence`, `IconSuspend`, `IconFail`, … — see
 //! Fig. 5). This module is that kernel's public face in the Rust
-//! reproduction: the interpreter compiles onto it, and the [`crate::emit`]
-//! transpiler generates Rust source that calls exactly the same
-//! constructors, so interpreted and emitted programs share one semantics.
+//! reproduction: every node of a lowered plan (`junicon::lower`) is a call
+//! to a constructor here or in [`gde::comb`], which the interpreter makes
+//! and the [`crate::emit`] transpiler prints, so a node's meaning is
+//! written once, as code, and interpreted and emitted programs share it.
 
+use gde::comb::{self, IfThenElse, InvokeIter, Promote, Thunk, ToRangeDyn};
+use gde::env::{Env, FrameLayout};
 use gde::ops;
 use gde::{BoxGen, Gen, GenExt, Step, Value, Var};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -20,9 +24,43 @@ pub fn flag() -> Flag {
     Arc::new(AtomicBool::new(false))
 }
 
+/// The control flags of one activation: `[0]` is raised when it returns or
+/// fails, then a break/next pair per loop.
+pub fn flags(count: u32) -> Vec<Flag> {
+    (0..count).map(|_| flag()).collect()
+}
+
 /// A vector of fresh temporaries (the reified `x_N_r` cells of Fig. 5).
 pub fn tmps(count: u32) -> Arc<Vec<Var>> {
     Arc::new((0..count).map(|_| Var::null()).collect())
+}
+
+/// A fresh activation frame under `scope`: slot cells shaped by `layout`,
+/// the first `params` of them set from `args` (missing arguments are null,
+/// the variadic convention).
+pub fn frame(scope: &Env, layout: &Arc<FrameLayout>, params: usize, args: &[Value]) -> Env {
+    let env = scope.child_with_layout(layout.clone());
+    for i in 0..params {
+        env.slot_local(i).set(gde::func::arg(args, i));
+    }
+    env
+}
+
+/// Run a top-level statement: drive it to failure so that a suspension
+/// inside it (rare) does not stall the load.
+pub fn drive(mut g: BoxGen) {
+    while let Step::Suspend(_) = g.resume() {}
+}
+
+/// Bounded evaluation: the first result of `g`, started over.
+fn first(g: &mut BoxGen) -> Option<Value> {
+    g.restart();
+    g.next_value()
+}
+
+/// Is any of these flags raised?
+fn raised(flags: &[Flag]) -> bool {
+    flags.iter().any(|f| f.load(Ordering::Relaxed))
 }
 
 /// A runtime operand slot: a constant or a variable cell — the reified
@@ -62,26 +100,10 @@ impl Slot {
     }
 }
 
-/// Slot over a named variable in an environment.
-pub fn slot_var(env: &gde::env::Env, name: &str) -> Slot {
-    Slot::Cell(env.lookup_or_declare(name))
-}
-
-/// Slot over a resolved `(depth, slot)` frame coordinate — the fast path
-/// emitted for statically-resolved variable references (no hashing, no
-/// frame lock; see `gde::Env::slot`).
-pub fn slot_at(env: &gde::env::Env, depth: usize, idx: usize) -> Slot {
-    Slot::Cell(env.slot(depth, idx))
-}
-
-/// Slot over a temporary.
-pub fn slot_tmp(tmps: &Arc<Vec<Var>>, i: u32) -> Slot {
-    Slot::Cell(tmps[i as usize].clone())
-}
-
-/// Slot over a constant.
-pub fn slot_const(v: Value) -> Slot {
-    Slot::Const(v)
+/// Slot over a big-integer literal (decimal digits; null if malformed).
+pub fn slot_big(digits: &str) -> Slot {
+    let parsed = bigint::BigInt::from_str_radix(digits, 10);
+    Slot::Const(parsed.map(Value::big).unwrap_or(Value::Null))
 }
 
 /// `*v`: the size as a value; fails for sizeless values.
@@ -117,6 +139,50 @@ pub fn field_set(base: &Value, field: &str, v: Value) -> Option<Value> {
 }
 
 // ---------------------------------------------------------------------------
+// Nodes over operand slots
+// ---------------------------------------------------------------------------
+
+/// A variable or literal in generator position: its current value, once.
+pub fn atom(s: Slot) -> Thunk {
+    comb::thunk(move || Some(s.get()))
+}
+
+/// Promotion `!a` of the slot's value, re-read at each restart.
+pub fn promote(s: Slot) -> Promote {
+    comb::promote(move || s.get())
+}
+
+/// Generator-function invocation `callee(args…)`: callee and arguments are
+/// re-read at each restart.
+pub fn invoke(callee: Slot, args: Vec<Slot>) -> InvokeIter {
+    comb::invoke_iter(move || {
+        let argv: Vec<Value> = args.iter().map(Slot::get).collect();
+        gde::func::invoke_value(&callee.get().deref(), argv)
+    })
+}
+
+/// The assignment itself: store `from`'s value in `cell` and hand it back.
+pub fn assign(cell: &Var, from: &Slot) -> Value {
+    let v = from.get();
+    cell.set(v.clone());
+    v
+}
+
+/// Assignment `x := a`; yields the assigned value.
+pub fn set_var(cell: Var, from: Slot) -> Thunk {
+    comb::thunk(move || Some(assign(&cell, &from)))
+}
+
+/// `from to to by by` with the bounds re-read at each restart.
+pub fn to_range(from: Slot, to: Slot, by: Slot) -> ToRangeDyn {
+    comb::to_range_dyn(
+        move || from.to_i64(),
+        move || to.to_i64(),
+        move || by.to_i64(),
+    )
+}
+
+// ---------------------------------------------------------------------------
 // Statement sequencing
 // ---------------------------------------------------------------------------
 
@@ -127,6 +193,8 @@ pub struct StmtSeq {
     stmts: Vec<BoxGen>,
     pos: usize,
     aborts: Vec<Flag>,
+    /// A procedure-body root lowers its `returned` flag on restart.
+    root: bool,
 }
 
 /// Build a [`StmtSeq`].
@@ -135,19 +203,24 @@ pub fn stmt_seq(stmts: Vec<BoxGen>, aborts: Vec<Flag>) -> StmtSeq {
         stmts,
         pos: 0,
         aborts,
+        root: false,
     }
 }
 
-impl StmtSeq {
-    fn aborted(&self) -> bool {
-        self.aborts.iter().any(|f| f.load(Ordering::Relaxed))
+/// Procedure-body root: the statements abort on the return flag, which a
+/// restart lowers (the `IconSequence(..., IconNullIterator, IconFail)`
+/// wrapper of Fig. 5).
+pub fn body_root(stmts: Vec<BoxGen>, returned: Flag) -> StmtSeq {
+    StmtSeq {
+        root: true,
+        ..stmt_seq(stmts, vec![returned])
     }
 }
 
 impl Gen for StmtSeq {
     fn resume(&mut self) -> Step {
         while self.pos < self.stmts.len() {
-            if self.aborted() {
+            if raised(&self.aborts) {
                 return Step::Fail;
             }
             match self.stmts[self.pos].resume() {
@@ -158,36 +231,13 @@ impl Gen for StmtSeq {
         Step::Fail
     }
     fn restart(&mut self) {
+        if self.root {
+            self.aborts[0].store(false, Ordering::Relaxed);
+        }
         for s in &mut self.stmts {
             s.restart();
         }
         self.pos = 0;
-    }
-}
-
-/// Procedure-body root: a [`StmtSeq`] whose `returned` flag is reset on
-/// restart (the `IconSequence(..., IconNullIterator, IconFail)` wrapper of
-/// Fig. 5).
-pub struct BodyRoot {
-    seq: StmtSeq,
-    returned: Flag,
-}
-
-/// Build a procedure body from statement generators and the return flag.
-pub fn body_root(stmts: Vec<BoxGen>, returned: Flag) -> BodyRoot {
-    BodyRoot {
-        seq: stmt_seq(stmts, vec![returned.clone()]),
-        returned,
-    }
-}
-
-impl Gen for BodyRoot {
-    fn resume(&mut self) -> Step {
-        self.seq.resume()
-    }
-    fn restart(&mut self) {
-        self.returned.store(false, Ordering::Relaxed);
-        self.seq.restart();
     }
 }
 
@@ -276,68 +326,77 @@ impl Gen for FlagFail {
 }
 
 // ---------------------------------------------------------------------------
-// Loops
+// Control nodes that drive children they own
 // ---------------------------------------------------------------------------
 
-/// `while`/`until`/`repeat`: re-evaluates the bounded condition before each
-/// pass, runs the body to completion, yields the body's suspensions.
+/// How a loop pass starts.
+enum Head {
+    /// `while` / `until` / `repeat`: re-test the bounded condition; `until`
+    /// says which outcome ends the loop.
+    Test { cond: BoxGen, until: bool },
+    /// `every`: resume the source, one pass per value.
+    Every(BoxGen),
+}
+
+/// A loop: starts a pass as its head says, runs the body (a statement)
+/// to completion, yields the body's suspensions, fails at the end.
 pub struct LoopGen {
-    cond: BoxGen,
+    head: Head,
     body: Option<BoxGen>,
-    until: bool,
     in_pass: bool,
-    returned: Flag,
     break_f: Flag,
     next_f: Flag,
-    outer_loop: Option<(Flag, Flag)>,
+    /// The enclosing context's abort flags (procedure return, an outer
+    /// loop's break/next): raised mid-body, they end this loop too.
+    aborts: Vec<Flag>,
 }
 
-/// Build a [`LoopGen`]. `until` inverts the condition test. `outer_loop`
-/// carries the flags of the enclosing loop, if any, so that an outer
-/// `break`/`next` raised mid-body also aborts this loop.
-pub fn loop_gen(
-    cond: BoxGen,
-    body: Option<BoxGen>,
-    until: bool,
-    returned: Flag,
-    break_f: Flag,
-    next_f: Flag,
-    outer_loop: Option<(Flag, Flag)>,
-) -> LoopGen {
+fn loop_gen(head: Head, body: Option<BoxGen>, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> LoopGen {
     LoopGen {
-        cond,
+        head,
         body,
-        until,
         in_pass: false,
-        returned,
-        break_f,
-        next_f,
-        outer_loop,
+        break_f: brk,
+        next_f: nxt,
+        aborts,
     }
 }
 
-impl LoopGen {
-    fn outer_abort(&self) -> bool {
-        if self.returned.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some((b, n)) = &self.outer_loop {
-            return b.load(Ordering::Relaxed) || n.load(Ordering::Relaxed);
-        }
-        false
-    }
+type LoopBody = Option<BoxGen>;
+
+/// `while cond do body` (`repeat body` is `while &null do body`).
+pub fn while_do(cond: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> LoopGen {
+    loop_gen(Head::Test { cond, until: false }, body, brk, nxt, aborts)
+}
+
+/// `until cond do body`.
+pub fn until_do(cond: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> LoopGen {
+    loop_gen(Head::Test { cond, until: true }, body, brk, nxt, aborts)
+}
+
+/// `every source do body`: one body pass per source value.
+pub fn every_do(
+    source: BoxGen,
+    body: LoopBody,
+    brk: Flag,
+    nxt: Flag,
+    aborts: Vec<Flag>,
+) -> LoopGen {
+    loop_gen(Head::Every(source), body, brk, nxt, aborts)
 }
 
 impl Gen for LoopGen {
     fn resume(&mut self) -> Step {
         loop {
-            if self.outer_abort() || self.break_f.load(Ordering::Relaxed) {
+            if raised(&self.aborts) || self.break_f.load(Ordering::Relaxed) {
                 return Step::Fail;
             }
             if !self.in_pass {
-                self.cond.restart();
-                let succeeded = self.cond.next_value().is_some();
-                if succeeded == self.until {
+                let go = match &mut self.head {
+                    Head::Test { cond, until } => first(cond).is_some() != *until,
+                    Head::Every(source) => !source.resume().is_fail(),
+                };
+                if !go {
                     return Step::Fail;
                 }
                 self.in_pass = true;
@@ -364,7 +423,8 @@ impl Gen for LoopGen {
         }
     }
     fn restart(&mut self) {
-        self.cond.restart();
+        let (Head::Test { cond: head, .. } | Head::Every(head)) = &mut self.head;
+        head.restart();
         if let Some(b) = &mut self.body {
             b.restart();
         }
@@ -374,93 +434,91 @@ impl Gen for LoopGen {
     }
 }
 
-/// `every source do body`: one body pass per source value.
-pub struct EveryGen {
-    source: BoxGen,
-    body: Option<BoxGen>,
-    in_pass: bool,
-    returned: Flag,
-    break_f: Flag,
-    next_f: Flag,
-    outer_loop: Option<(Flag, Flag)>,
-}
-
-/// Build an [`EveryGen`].
-pub fn every_gen(
-    source: BoxGen,
-    body: Option<BoxGen>,
-    returned: Flag,
-    break_f: Flag,
-    next_f: Flag,
-    outer_loop: Option<(Flag, Flag)>,
-) -> EveryGen {
-    EveryGen {
-        source,
-        body,
-        in_pass: false,
-        returned,
-        break_f,
-        next_f,
-        outer_loop,
+/// Bounded evaluation of an owned child from an `Fn`. The child leaves its
+/// cell for the call; no lock, since one thread drives a generator tree.
+fn bounded(child: BoxGen) -> impl Fn() -> Option<Value> + Send {
+    let cell = Cell::new(Some(child));
+    move || {
+        let mut child = cell.take()?;
+        let v = first(&mut child);
+        cell.set(Some(child));
+        v
     }
 }
 
-impl EveryGen {
-    fn outer_abort(&self) -> bool {
-        if self.returned.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some((b, n)) = &self.outer_loop {
-            return b.load(Ordering::Relaxed) || n.load(Ordering::Relaxed);
-        }
-        false
-    }
+/// `if cond then e1 else e2`: evaluates the bounded condition once per
+/// (re)start, then delegates all iteration to the chosen branch (a missing
+/// `else` fails).
+pub fn if_gen(cond: BoxGen, then: BoxGen, els: Option<BoxGen>) -> IfThenElse {
+    let els = els.unwrap_or_else(|| Box::new(comb::fail()));
+    comb::if_then_else(bounded(cond), then, els)
 }
 
-impl Gen for EveryGen {
-    fn resume(&mut self) -> Step {
-        loop {
-            if self.outer_abort() || self.break_f.load(Ordering::Relaxed) {
-                return Step::Fail;
-            }
-            if !self.in_pass {
-                match self.source.resume() {
-                    Step::Suspend(_) => {
-                        self.in_pass = true;
-                        self.next_f.store(false, Ordering::Relaxed);
-                        if let Some(b) = &mut self.body {
-                            b.restart();
-                        }
-                    }
-                    Step::Fail => return Step::Fail,
-                }
-            }
-            match &mut self.body {
-                Some(b) => match b.resume() {
-                    Step::Suspend(v) => {
-                        if self.next_f.load(Ordering::Relaxed)
-                            || self.break_f.load(Ordering::Relaxed)
-                        {
-                            self.in_pass = false;
-                            continue;
-                        }
-                        return Step::Suspend(v);
-                    }
-                    Step::Fail => self.in_pass = false,
-                },
-                None => self.in_pass = false,
-            }
-        }
-    }
-    fn restart(&mut self) {
-        self.source.restart();
-        if let Some(b) = &mut self.body {
-            b.restart();
-        }
-        self.in_pass = false;
-        self.break_f.store(false, Ordering::Relaxed);
-        self.next_f.store(false, Ordering::Relaxed);
-    }
+/// `not e`: succeeds (null) iff the bounded `e` fails.
+pub fn not(inner: BoxGen) -> Thunk {
+    let inner = bounded(inner);
+    comb::thunk(move || match inner() {
+        Some(_) => None,
+        None => Some(Value::Null),
+    })
+}
+
+/// `local x [:= e]`: the cell exists from construction (so later lookups
+/// bind it); each evaluation sets it to the bounded initializer's value,
+/// or null.
+pub fn decl(cell: Var, init: Option<BoxGen>) -> Thunk {
+    let init = init.map(bounded);
+    comb::thunk(move || {
+        cell.set(init.as_ref().and_then(|f| f()).unwrap_or(Value::Null));
+        Some(Value::Null)
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Deferred bodies: `<>e`, `|<>e`, `|>e`
+// ---------------------------------------------------------------------------
+//
+// A deferred body is an activation of its own (own temporaries and flags,
+// no enclosing loop); `body` builds its generator over the environment it
+// is handed, each time the co-expression is created or refreshed.
+
+/// `<>e` / `create e`: a first-class co-expression over the current
+/// environment.
+pub fn co_create(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> Thunk {
+    let (env, body) = (env.clone(), Arc::new(body));
+    comb::thunk(move || {
+        let (env, body) = (env.clone(), Arc::clone(&body));
+        Some(coexpr::create(move || body(env.clone())))
+    })
+}
+
+/// `|<>e`: a co-expression over a shadow copy of the environment.
+pub fn co_create_shadowed(
+    env: &Env,
+    body: impl Fn(Env) -> BoxGen + Send + Sync + 'static,
+) -> Thunk {
+    let (env, body) = (env.clone(), Arc::new(body));
+    comb::thunk(move || {
+        let body = Arc::clone(&body);
+        Some(coexpr::create_shadowed(&env, move |shadow| {
+            body(shadow.clone())
+        }))
+    })
+}
+
+/// `|>e` evaluates to a *first-class proxy value*: each evaluation shadows
+/// the environment (the pipe wraps a co-expression, `|>e → c=|<>e; …`) and
+/// spawns a fresh producer thread; the resulting `Value::Co` can be
+/// assigned, activated with `@`, promoted with `!`, or refreshed with `^`.
+pub fn pipe(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> Thunk {
+    let (env, body) = (env.clone(), Arc::new(body));
+    comb::thunk(move || {
+        let (pristine, body) = (env.shadow(), Arc::clone(&body));
+        Some(pipes::pipe_value(
+            move || body(pristine.shadow()),
+            pipes::DEFAULT_CAPACITY,
+        ))
+    })
 }
 
 /// `e \ n` where `n` is re-read from its slot at each restart.
@@ -470,8 +528,9 @@ pub struct DynLimit {
     remaining: Option<i64>,
 }
 
-/// Build a [`DynLimit`].
-pub fn dyn_limit(inner: BoxGen, n: Slot) -> DynLimit {
+/// Build a [`DynLimit`]. The bound comes first because it binds first: in
+/// `{ local x := 3; x to 9 } \ x` the bound is the *outer* `x`.
+pub fn dyn_limit(n: Slot, inner: BoxGen) -> DynLimit {
     DynLimit {
         inner,
         n,
@@ -633,8 +692,7 @@ pub fn scan_gen(subject: BoxGen, body: BoxGen) -> ScanGen {
 impl Gen for ScanGen {
     fn resume(&mut self) -> Step {
         if !self.active {
-            self.subject.restart();
-            let subj = match self.subject.next_value().and_then(|v| ops::to_str(&v)) {
+            let subj = match first(&mut self.subject).and_then(|v| ops::to_str(&v)) {
                 Some(s) => s,
                 None => return Step::Fail,
             };
@@ -793,10 +851,124 @@ mod tests {
         assert_eq!(b.next_value().unwrap().as_int(), Some(3));
     }
 
+    /// A three-pass loop under either head. Its body suspends 10, raises
+    /// `raise` during the second pass it ever runs, then suspends 20. Also
+    /// returns the cell the `while` head counts passes in.
+    fn three_passes(every: bool, raise: Option<Flag>, flags: [Flag; 3]) -> (LoopGen, Var) {
+        let [outer, brk, nxt] = flags;
+        let count = |cell: Var| {
+            let k = cell.get().as_int().unwrap() + 1;
+            cell.set(Value::from(k));
+            k
+        };
+        let passes = Var::new(Value::from(0));
+        let head: BoxGen = if every {
+            Box::new(to_range(1, 3, 1))
+        } else {
+            let passes = passes.clone();
+            Box::new(thunk(move || {
+                (count(passes.clone()) <= 3).then_some(Value::Null)
+            }))
+        };
+        let ran = Var::new(Value::from(0));
+        let trip = thunk(move || {
+            if let (2, Some(flag)) = (count(ran.clone()), &raise) {
+                flag.store(true, Ordering::Relaxed);
+            }
+            None
+        });
+        let stmts: Vec<BoxGen> = vec![
+            Box::new(unit(Value::from(10))),
+            Box::new(trip),
+            Box::new(unit(Value::from(20))),
+        ];
+        let body = stmt_seq(stmts, vec![outer.clone(), brk.clone(), nxt.clone()]);
+        let make = if every { every_do } else { while_do };
+        let l = make(head, Some(Box::new(body)), brk, nxt, vec![outer]);
+        (l, passes)
+    }
+
+    #[test]
+    fn both_loop_heads_honour_break_next_outer_abort_and_restart() {
+        let ints = |l: &mut LoopGen| -> Vec<i64> {
+            let values = l.collect_values();
+            values.iter().map(|v| v.as_int().unwrap()).collect()
+        };
+        let fresh = || [flag(), flag(), flag()];
+        let up = |f: &Flag| f.load(Ordering::Relaxed);
+        for every in [false, true] {
+            let (mut l, _) = three_passes(every, None, fresh());
+            assert_eq!(ints(&mut l), [10, 20, 10, 20, 10, 20]);
+
+            // `next` skips the rest of its pass only.
+            let f = fresh();
+            let (mut l, _) = three_passes(every, Some(f[2].clone()), f);
+            assert_eq!(ints(&mut l), [10, 20, 10, 10, 20]);
+
+            // `break` ends the loop; a restart lowers the flag and the
+            // loop runs again (the body no longer raises anything).
+            let f = fresh();
+            let (mut l, passes) = three_passes(every, Some(f[1].clone()), f.clone());
+            assert_eq!(ints(&mut l), [10, 20, 10]);
+            assert!(up(&f[1]));
+            passes.set(Value::from(0));
+            l.restart();
+            assert!(!up(&f[1]));
+            assert_eq!(ints(&mut l), [10, 20, 10, 20, 10, 20]);
+
+            // A flag of the enclosing context (return, an outer loop's
+            // break/next) raised mid-body ends this loop too, and is not
+            // this loop's to lower.
+            let f = fresh();
+            let (mut l, passes) = three_passes(every, Some(f[0].clone()), f.clone());
+            assert_eq!(ints(&mut l), [10, 20, 10]);
+            passes.set(Value::from(0));
+            l.restart();
+            assert!(up(&f[0]) && ints(&mut l).is_empty());
+        }
+        // `until` runs passes while its condition fails.
+        let n = Var::new(Value::from(0));
+        let cond = thunk(move || {
+            n.update(|v| *v = Value::from(v.as_int().unwrap() + 1));
+            (n.get().as_int() > Some(2)).then_some(Value::Null)
+        });
+        let body: BoxGen = Box::new(unit(Value::from(7)));
+        let mut u = until_do(Box::new(cond), Some(body), flag(), flag(), vec![]);
+        assert_eq!(u.count(), 2);
+    }
+
+    #[test]
+    fn if_not_and_decl_drive_the_children_they_own() {
+        let x = Var::new(Value::from(1));
+        let positive = |x: &Var| -> BoxGen {
+            let x = x.clone();
+            Box::new(thunk(move || ops::gt(&x.get(), &Value::from(0))))
+        };
+        let range = || Box::new(to_range(1, 2, 1)) as BoxGen;
+        let mut g = if_gen(positive(&x), range(), None);
+        assert_eq!(g.count(), 2);
+        // The condition is re-evaluated per restart; a missing else fails.
+        x.set(Value::from(-1));
+        g.restart();
+        assert_eq!(g.count(), 0);
+        let mut n = not(positive(&x));
+        assert!(n.next_value().unwrap().is_null() && n.next_value().is_none());
+        x.set(Value::from(1));
+        n.restart();
+        assert!(n.next_value().is_none());
+        // A declaration takes the initializer's first value, or null.
+        let cell = Var::new(Value::from(9));
+        let mut d = decl(cell.clone(), Some(range()));
+        assert!(d.next_value().unwrap().is_null() && d.next_value().is_none());
+        assert_eq!(cell.get().as_int(), Some(1));
+        decl(cell.clone(), None).next_value();
+        assert!(cell.get().is_null());
+    }
+
     #[test]
     fn dyn_limit_rereads_bound() {
         let n = Var::new(Value::from(2));
-        let mut l = dyn_limit(Box::new(to_range(1, 10, 1)), Slot::Cell(n.clone()));
+        let mut l = dyn_limit(Slot::Cell(n.clone()), Box::new(to_range(1, 10, 1)));
         assert_eq!(l.collect_values().len(), 2);
         n.set(Value::from(4));
         l.restart();
@@ -807,10 +979,15 @@ mod tests {
     fn slots_read_cells_and_constants() {
         let env = gde::env::Env::root();
         env.declare("x", Value::from(9));
-        assert_eq!(slot_var(&env, "x").get().as_int(), Some(9));
-        assert_eq!(slot_const(Value::from(3)).to_i64(), Some(3));
-        let t = tmps(2);
-        t[1].set(Value::from(5));
-        assert_eq!(slot_tmp(&t, 1).get().as_int(), Some(5));
+        assert_eq!(
+            Slot::Cell(env.lookup_or_declare("x")).get().as_int(),
+            Some(9)
+        );
+        assert_eq!(Slot::Const(Value::from(3)).to_i64(), Some(3));
+        assert_eq!(
+            slot_big("36893488147419103232").get().to_string(),
+            "36893488147419103232"
+        );
+        assert!(slot_big("12x").get().is_null());
     }
 }

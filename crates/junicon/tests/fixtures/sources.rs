@@ -6,13 +6,25 @@
 pub const SPAWNMAP_SRC: &str = "def spawnMap(f, chunk) { suspend ! (|> f(!chunk)); }";
 
 /// Statement-level emission: loops, suspend inside a loop body, assignment,
-/// and goal-directed comparison.
-pub const COUNTDOWN_SRC: &str = "def countdown(n) { while n > 0 do { suspend n; n := n - 1; }; }";
+/// and goal-directed comparison. Then a top-level section, each statement
+/// an activation of its own: a `return` or `fail` ends that statement only,
+/// so `b` is written and the loop runs (to its `break`).
+pub const COUNTDOWN_SRC: &str = r#"
+def countdown(n) { while n > 0 do { suspend n; n := n - 1; }; }
+write("a");
+return;
+write("b");
+fail;
+local t := 0;
+every i := countdown(5) do { if i < 3 then break; t := t + i; };
+write("t=", t, " i=", i);
+"#;
 
 /// Every row of `junicon::prim`, standing alone (its own thunk) and as the
 /// tail of a product over a generator operand (a fused closure); the three
-/// zero-operand forms `g()`, `s::m()` and `[]`; and deferred bodies that
-/// loop and `break` inside an enclosing loop.
+/// zero-operand forms `g()`, `s::m()` and `[]`; deferred bodies that loop
+/// and `break` inside an enclosing loop; and (`control`) the kernel
+/// constructors the other fixtures do not reach.
 pub const PRIMS_SRC: &str = r#"
 def binops(a, b) {
     suspend (a + b) | (a - b) | (a * b) | (a / b) | (a % b) | (a ^ b)
@@ -48,6 +60,23 @@ def shapes(n, s) {
     suspend @c;
     suspend (1 to 2) + @c;
     suspend @(^c);
+}
+def control(n, s) {
+    local i, x, c;
+    i := 0;
+    until i >= n do { i := i + 1; if i = 2 then next; suspend i; };
+    repeat { i := i - 1; if i < 1 then break; suspend -i; };
+    suspend (1 to 10) \ n;
+    suspend if not (n < 0) then "pos" else "neg";
+    x := 1;
+    suspend (x <- 5) & (x > 9);
+    suspend x;
+    suspend s ? { tab(3); &subject || &pos };
+    c := |<> (x := x + n);
+    suspend @c | x;
+    suspend 12345678901234567890123 + n;
+    if n > 3 then fail;
+    return n & (n + 1);
 }
 def deferred(n) {
     local t, c, i;

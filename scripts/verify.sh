@@ -6,8 +6,9 @@
 #                    must be a `path = ...` / `workspace = true` entry;
 #                    no source outside `gde/src/value.rs` may name
 #                    the borrowed string representation (ISSUE 19);
-#                    and neither back end nor the resolver may name a
-#                    `gde::ops` primitive (ISSUE 21);
+#                    neither back end, the lowering nor the resolver may
+#                    name a `gde::ops` primitive (ISSUE 21); and neither
+#                    back end may name the source IR (ISSUE 22);
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null);
 #   3. build+test  — `cargo build --release --offline` and
@@ -55,14 +56,24 @@ fi
 echo "   ok: the string window is private to gde::value"
 
 # What a primitive means and how it is spelled in Rust is one table
-# (junicon/src/prim.rs, DESIGN.md § The primitive table): the interpreter and the
-# emitter ask a row, so neither names an `ops::` function itself.
-if hits="$(grep -n 'ops::' crates/junicon/src/{emit,interp,resolve}.rs)"; then
+# (junicon/src/prim.rs, DESIGN.md § The primitive table): the lowering and
+# both back ends ask a row, so none names an `ops::` function itself.
+if hits="$(grep -n 'ops::' crates/junicon/src/{emit,interp,lower,resolve}.rs)"; then
     echo "$hits"
     echo "FAIL: a primitive is named outside crates/junicon/src/prim.rs"
     exit 1
 fi
 echo "   ok: primitives are named by the table only"
+
+# One lowering (junicon/src/lower.rs, DESIGN.md § One lowering) holds the
+# only match over `Norm` that feeds a back end: the interpreter instantiates
+# the plan and the emitter prints it, so neither sees the source IR.
+if hits="$(grep -n 'Norm::' crates/junicon/src/{emit,interp}.rs)"; then
+    echo "$hits"
+    echo "FAIL: a back end matches on Norm; lower it in crates/junicon/src/lower.rs instead"
+    exit 1
+fi
+echo "   ok: the back ends consume Plan, not Norm"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 if cargo metadata --offline --format-version 1 2>/dev/null | grep -q '"source":"registry+'; then

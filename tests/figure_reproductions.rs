@@ -158,7 +158,7 @@ fn figure5_transpilation_path() {
     )
     .unwrap();
     assert!(out.contains("pub fn proc_spawnMap"));
-    assert!(out.contains("pipes::pipe_value"));
+    assert!(out.contains("rt::pipe(&env, |env| {"));
 }
 
 /// Fig. 6: all sixteen cells compute the same answer (the performance
