@@ -1,14 +1,15 @@
 //! Regenerate Figure 6: normalized execution time of the word-count suite.
+//! Report-only: the table reproduces the figure's shape over hand-built
+//! trees; CI gates on the source-to-result benchmark (`bench --bin gates`).
 //!
 //! ```text
-//! cargo run -p bench --release --bin figure6 [-- --lines N --heavy-lines N --iters N --json PATH]
+//! cargo run -p bench --release --bin figure6 [-- --lines N --heavy-lines N --iters N]
 //! ```
 
 use bench::{render_table, run_figure6, shape_findings, Figure6Config};
 
 fn main() {
     let mut cfg = Figure6Config::default();
-    let mut json_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -26,11 +27,10 @@ fn main() {
             "--iters" => cfg.iterations = take(&mut i).parse().expect("--iters N"),
             "--warmup" => cfg.warmup = take(&mut i).parse().expect("--warmup N"),
             "--seed" => cfg.seed = take(&mut i).parse().expect("--seed N"),
-            "--json" => json_path = Some(take(&mut i)),
             "--help" | "-h" => {
                 println!(
                     "figure6 — regenerate the paper's Fig. 6 table\n\
-                     options: --lines N --heavy-lines N --words N --iters N --warmup N --seed N --json PATH"
+                     options: --lines N --heavy-lines N --words N --iters N --warmup N --seed N"
                 );
                 return;
             }
@@ -72,20 +72,6 @@ fn main() {
         );
     }
 
-    // One untimed pass of the concat-heavy embedded program: the word
-    // suite proper never concatenates, so this is what puts the builder
-    // arena's counters (`gde.value.concat_slices` etc.) into the obs
-    // snapshot below — the wiring gate checks they are non-zero there.
-    {
-        let corpus = wordcount::corpus::Corpus::generate(64, cfg.words_per_line.max(2), cfg.seed);
-        let report = wordcount::embedded::frequency_report(&corpus);
-        assert_eq!(
-            report,
-            wordcount::native::frequency_report(corpus.lines()),
-            "embedded frequency report diverged from native"
-        );
-    }
-
     #[cfg(feature = "obs")]
     {
         // Register the environment counters even if nothing bumped them:
@@ -99,53 +85,4 @@ fn main() {
         }
         println!();
     }
-
-    if let Some(path) = json_path {
-        std::fs::write(&path, to_json(&cfg, &measurements)).expect("write json");
-        eprintln!("wrote {path}");
-    }
-}
-
-/// Minimal JSON rendering (hand-rolled; no serde in the hermetic
-/// workspace). The layout is an object so the obs snapshot can ride along
-/// with the timings — `BENCH_baseline.json` is this, committed.
-fn to_json(cfg: &Figure6Config, m: &[bench::Measurement]) -> String {
-    let rows: Vec<String> = m
-        .iter()
-        .map(|x| {
-            format!(
-                "    {{\"suite\": \"{}\", \"variant\": \"{}\", \"weight\": \"{}\", \"median_ns\": {}, \"normalized\": {}}}",
-                x.suite,
-                x.variant,
-                x.weight,
-                x.median.as_nanos(),
-                x.normalized
-            )
-        })
-        .collect();
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"figure6-v2\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"light_lines\": {}, \"heavy_lines\": {}, \"words_per_line\": {}, \"iterations\": {}, \"warmup\": {}, \"seed\": {}, \"exec_threads\": {}}},\n",
-        cfg.light_lines,
-        cfg.heavy_lines,
-        cfg.words_per_line,
-        cfg.iterations,
-        cfg.warmup,
-        cfg.seed,
-        // The effective pool width (EXEC_THREADS override or core count):
-        // scaling runs are meaningless without it recorded next to the
-        // timings.
-        exec::global_threads()
-    ));
-    out.push_str(&format!(
-        "  \"measurements\": [\n{}\n  ],\n",
-        rows.join(",\n")
-    ));
-    #[cfg(feature = "obs")]
-    out.push_str(&format!("  \"obs\": {}\n", obs::snapshot().render_json()));
-    #[cfg(not(feature = "obs"))]
-    out.push_str("  \"obs\": null\n");
-    out.push_str("}\n");
-    out
 }

@@ -1,152 +1,129 @@
-//! CI gate runner: evaluates the regression gates against a figure6 JSON
-//! snapshot and prints one PASS/FAIL/SKIP line per gate.
+//! CI gate runner: evaluates the regression gates (`bench::gates`) against
+//! the result files of one `benchmark/run.sh` run and prints one
+//! PASS/FAIL/SKIP line per gate, then one `bench-history-v1` JSON line
+//! built from the same files (what `BENCH_history.jsonl` keeps, one line
+//! per PR) and, with `--history`, a report-only drift table against that
+//! file's last line.
 //!
 //!     cargo run -p bench --release --bin gates -- \
-//!         --json BENCH_ci.json \
-//!         --max-blocked-take-ratio 0.0747 \
-//!         --max-seq-lw-ratio 1.53 \
-//!         [--strict] [--baseline BENCH_baseline.json] \
-//!         [--schedtest-json SCHEDTEST_ci.json] \
-//!         [--faults-json FAULTS_ci.json]
+//!         --results benchmark/out --commit "$(git rev-parse --short HEAD)" \
+//!         [--history BENCH_history.jsonl] [--strict] \
+//!         [--schedtest-json SCHEDTEST_ci.json] [--faults-json FAULTS_ci.json]
 //!
-//! Exit code 1 on any FAIL, or on any SKIP under `--strict` (CI sets
-//! strict so an accidentally obs-less bench build cannot silently turn
-//! the counter gates off). `--baseline` additionally prints a report-only
-//! per-cell drift table against the committed baseline snapshot.
-//! `--schedtest-json` points at the JSON-lines summary the schedule-
-//! exploration smoke appends (SCHEDTEST_JSON); without the flag that gate
-//! reports SKIP (strict CI turns the skip into a failure, so CI cannot
-//! quietly drop the smoke). `--faults-json` points at the `fault-smoke-v1`
-//! snapshot the `fault_smoke` binary writes; same SKIP-unless-passed
-//! contract, so CI cannot quietly drop the fault-plane smoke either.
+//! Exit code 1 on any FAIL, or on any SKIP under `--strict`. The caps are
+//! constants of the gate table, not flags. Only `schedtest` and `faults`
+//! can SKIP — when their file is not passed — and CI sets `--strict` so it
+//! cannot quietly drop either smoke.
 
-use bench::gates::{run_gates, GateStatus, Thresholds};
+use bench::gates::{self, GateReport, GateStatus};
 use bench::json::Json;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gates --json PATH --max-blocked-take-ratio R --max-seq-lw-ratio R \
-         [--strict] [--baseline PATH] [--schedtest-json PATH] [--faults-json PATH]"
+        "usage: gates --results DIR --commit ID [--history PATH] [--strict] \
+         [--schedtest-json PATH] [--faults-json PATH]"
     );
     std::process::exit(2);
 }
 
-fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("gates: cannot read {path}: {e}");
         std::process::exit(2);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
+    })
+}
+
+fn parse(path: &str, text: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| {
         eprintln!("gates: {path} is not valid JSON: {e}");
         std::process::exit(2);
     })
 }
 
-fn main() -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut schedtest_path: Option<String> = None;
-    let mut faults_path: Option<String> = None;
-    let mut max_blocked_take_ratio: Option<f64> = None;
-    let mut max_seq_lw_ratio: Option<f64> = None;
-    let mut strict = false;
+fn skipped(name: &'static str, flag: &str) -> GateReport {
+    GateReport {
+        name,
+        status: GateStatus::Skip,
+        detail: format!("no {flag} (smoke not run)"),
+    }
+}
 
+fn main() -> ExitCode {
+    let mut paths: [Option<String>; 5] = Default::default();
+    let mut strict = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("gates: {what} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--json" => json_path = Some(value("--json")),
-            "--baseline" => baseline_path = Some(value("--baseline")),
-            "--schedtest-json" => schedtest_path = Some(value("--schedtest-json")),
-            "--faults-json" => faults_path = Some(value("--faults-json")),
-            "--max-blocked-take-ratio" => {
-                max_blocked_take_ratio = value("--max-blocked-take-ratio").parse().ok()
+        let slot = match arg.as_str() {
+            "--results" => 0,
+            "--commit" => 1,
+            "--history" => 2,
+            "--schedtest-json" => 3,
+            "--faults-json" => 4,
+            "--strict" => {
+                strict = true;
+                continue;
             }
-            "--max-seq-lw-ratio" => max_seq_lw_ratio = value("--max-seq-lw-ratio").parse().ok(),
-            "--strict" => strict = true,
-            "--help" | "-h" => usage(),
             other => {
                 eprintln!("gates: unknown argument {other}");
                 usage();
             }
-        }
+        };
+        paths[slot] = Some(args.next().unwrap_or_else(|| {
+            eprintln!("gates: {arg} needs a value");
+            usage()
+        }));
     }
-
-    let (Some(json_path), Some(max_blocked_take_ratio), Some(max_seq_lw_ratio)) =
-        (json_path, max_blocked_take_ratio, max_seq_lw_ratio)
-    else {
+    let [Some(results_dir), Some(commit), history, schedtest, faults] = paths else {
         usage();
     };
 
-    let doc = load(&json_path);
-    let th = Thresholds {
-        max_blocked_take_ratio,
-        max_seq_lw_ratio,
-    };
-
-    let mut reports = run_gates(&doc, &th);
-    reports.push(match &schedtest_path {
-        None => bench::gates::GateReport {
-            name: "schedtest",
-            status: GateStatus::Skip,
-            detail: "no --schedtest-json (schedule-exploration smoke not run)".into(),
-        },
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => bench::gates::schedtest_gate(&text),
-            Err(e) => bench::gates::GateReport {
-                name: "schedtest",
-                status: GateStatus::Fail,
-                detail: format!("cannot read {path}: {e}"),
-            },
-        },
+    let results = gates::load_results(Path::new(&results_dir));
+    let mut reports = gates::run_gates(&results);
+    let schedtest = schedtest.map(|path| read(&path));
+    reports.push(match &schedtest {
+        None => skipped("schedtest", "--schedtest-json"),
+        Some(text) => gates::schedtest_gate(text),
     });
-    reports.push(match &faults_path {
-        None => bench::gates::GateReport {
-            name: "faults",
-            status: GateStatus::Skip,
-            detail: "no --faults-json (fault-plane smoke not run)".into(),
-        },
-        Some(path) => bench::gates::faults_gate(&load(path)),
+    reports.push(match &faults {
+        None => skipped("faults", "--faults-json"),
+        Some(path) => gates::faults_gate(&parse(path, &read(path))),
     });
-    let mut failed = false;
-    let mut skipped = false;
     for r in &reports {
         let tag = match r.status {
             GateStatus::Pass => "PASS",
-            GateStatus::Fail => {
-                failed = true;
-                "FAIL"
-            }
-            GateStatus::Skip => {
-                skipped = true;
-                "SKIP"
-            }
+            GateStatus::Fail => "FAIL",
+            GateStatus::Skip => "SKIP",
         };
-        println!(
-            "[gate] {tag} {name}: {detail}",
-            name = r.name,
-            detail = r.detail
-        );
+        println!("[gate] {tag} {}: {}", r.name, r.detail);
     }
 
-    if let Some(baseline_path) = baseline_path {
-        let baseline = load(&baseline_path);
-        println!("\n[drift] per-cell medians vs {baseline_path} (report-only):");
-        match bench::gates::drift_table(&doc, &baseline) {
-            Ok(table) => print!("{table}"),
-            Err(e) => println!("[drift] not available: {e}"),
+    // The record and the drift table read the documents the `results`
+    // gate vouched for; without it there is nothing worth recording.
+    if reports[0].status == GateStatus::Pass {
+        let explored = schedtest
+            .and_then(|text| gates::schedtest_totals(&text).ok())
+            .map(|(_explorations, schedules)| schedules);
+        match gates::history_line(&results, &commit, explored) {
+            Ok(line) => println!("{line}"),
+            Err(e) => println!("[history] not available: {e}"),
+        }
+        if let Some(path) = history {
+            let text = read(&path);
+            let last = text.lines().rfind(|l| !l.trim().is_empty()).unwrap_or("");
+            println!("\n[drift] end-to-end cells vs the last line of {path} (report-only):");
+            match gates::drift_table(&results, &parse(&path, last)) {
+                Ok(table) => print!("{table}"),
+                Err(e) => println!("[drift] not available: {e}"),
+            }
         }
     }
 
-    if failed {
+    let has = |status| reports.iter().any(|r| r.status == status);
+    if has(GateStatus::Fail) {
         ExitCode::from(1)
-    } else if skipped && strict {
+    } else if strict && has(GateStatus::Skip) {
         eprintln!("gates: skipped gates are failures under --strict");
         ExitCode::from(1)
     } else {

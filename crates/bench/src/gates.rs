@@ -1,49 +1,29 @@
 //! The CI regression gates as a tested library.
 //!
-//! Every perf PR used to grow `scripts/ci.sh` by another inline grep/awk
-//! block — untested shell that silently skipped when the JSON schema
-//! shifted (a renamed key yielded an empty grep, and an empty grep looked
-//! exactly like "obs is off"). These functions read a parsed
-//! `BENCH_ci.json` structurally instead: a malformed or renamed key is a
-//! loud [`GateStatus::Fail`], and a skip happens only for the one
-//! legitimate reason (the snapshot was produced without the `obs`
-//! feature, so there are no counters to read).
+//! CI gates on the one measured surface: the ten result files a
+//! `benchmark/run.sh` run leaves in `benchmark/out/` (five workloads,
+//! each untraced and traced; `BENCHMARK.json` is the contract).
+//! [`run_gates`] first checks that every file is there and reports a
+//! correct, non-empty run with no failed operation (`results`), then
+//! evaluates [`TABLE`], one row per gate. Nothing here skips: the harness
+//! omits a note whose value is 0, so for a `NonZero` row a renamed key and
+//! a dead mechanism are the same loud FAIL.
 //!
-//! The gates, in order:
-//!
-//! 1. **schema** — the document is a `figure6-v2` object with a config, a
-//!    non-empty measurement table of well-formed rows, and an obs member;
-//! 2. **contention** — `blockingq.queue.blocked_takes / takes` stays
-//!    under the pre-batching baseline ratio (DESIGN.md § Batched
-//!    transport);
-//! 3. **fusion** — `gde.comb.fused_stages > 0`: the benchmarked pipelines
-//!    still reach the stage-fusion rewriter (DESIGN.md § Stage fusion);
-//! 4. **compact-values** — `gde.value.inline_hits > 0`: the compact
-//!    value representation is still on the hot path (DESIGN.md § String
-//!    plane);
-//! 5. **concat-slices** — `gde.value.concat_slices > 0`: concatenation
-//!    still reaches the builder arena's zero-copy regimes (DESIGN.md §
-//!    String plane);
-//! 6. **embedded/native ratio** — the Sequential-Lightweight
-//!    Junicon/Native median ratio stays under baseline + 15% headroom.
+//! The two gates over other files ([`schedtest_gate`], [`faults_gate`])
+//! keep their own readers. [`history_line`] and [`drift_table`] turn the
+//! documents the gates just read into the record `BENCH_history.jsonl`
+//! keeps and a report-only comparison with its last line.
 
 use crate::json::Json;
-
-/// Threshold knobs, passed by `scripts/ci.sh` (they are *derived from the
-/// committed baseline*, so they live in the script next to the derivation
-/// note, not here).
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    pub max_blocked_take_ratio: f64,
-    pub max_seq_lw_ratio: f64,
-}
+use std::collections::BTreeMap;
+use std::path::Path;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateStatus {
     Pass,
     Fail,
-    /// Legitimately not checkable (obs snapshot absent). `--strict` mode
-    /// turns this into a failure at the exit-code level.
+    /// The caller passed no input for this gate (`schedtest`, `faults`
+    /// only). `--strict` turns this into a failure at the exit-code level.
     Skip,
 }
 
@@ -55,33 +35,421 @@ pub struct GateReport {
 }
 
 impl GateReport {
-    fn pass(name: &'static str, detail: String) -> Self {
+    /// `Ok` is a PASS and `Err` a FAIL; either way the text is the detail.
+    fn of(name: &'static str, outcome: Result<String, String>) -> Self {
+        let (status, detail) = match outcome {
+            Ok(detail) => (GateStatus::Pass, detail),
+            Err(detail) => (GateStatus::Fail, detail),
+        };
         GateReport {
             name,
-            status: GateStatus::Pass,
-            detail,
-        }
-    }
-    fn fail(name: &'static str, detail: String) -> Self {
-        GateReport {
-            name,
-            status: GateStatus::Fail,
-            detail,
-        }
-    }
-    fn skip(name: &'static str, detail: String) -> Self {
-        GateReport {
-            name,
-            status: GateStatus::Skip,
+            status,
             detail,
         }
     }
 }
 
-/// Read a counter out of the obs snapshot. `Ok(None)` means the snapshot
-/// itself is absent (`"obs": null` — bench built without the feature);
-/// a *present* snapshot with a missing or non-counter metric is an error,
-/// because that is exactly what a silent schema rename looks like.
+/// The benchmark's workloads and ladder rungs, by the names
+/// `BENCHMARK.json` gives them (`tests/gates.rs` checks them against it).
+pub const WORKLOADS: [&str; 5] = [
+    "seq_light",
+    "pipe_light",
+    "mapreduce_heavy",
+    "strings_report",
+    "compile_heavy",
+];
+const LADDER: [&str; 10] = [
+    "wordcount.raw_loop_ns",
+    "wordcount.iterator_ns",
+    "gde.gen_ns",
+    "gde.value_ns",
+    "gde.stages_unfused_ns",
+    "gde.stages_fused_ns",
+    "gde.flat_ns",
+    "blockingq.queue_hop_ns",
+    "pipes.thread_hop_ns",
+    "mapreduce.chunk_ns",
+];
+
+/// One run's result documents by (workload, trace). An `Err` is a file
+/// that could not be read or parsed; a missing entry is a missing file.
+pub type Results = BTreeMap<(&'static str, u8), Result<Json, String>>;
+
+/// Read `result-<workload>-trace{0,1}.json` for every workload from `dir`.
+pub fn load_results(dir: &Path) -> Results {
+    let mut out = Results::new();
+    for workload in WORKLOADS {
+        for trace in [0, 1] {
+            let path = dir.join(format!("result-{workload}-trace{trace}.json"));
+            let doc = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))
+                .and_then(|text| {
+                    Json::parse(&text).map_err(|e| format!("{}: bad JSON: {e}", path.display()))
+                });
+            out.insert((workload, trace), doc);
+        }
+    }
+    out
+}
+
+/// What a table row asks of `notes.<key>.value`.
+#[derive(Debug, Clone, Copy)]
+pub enum Check {
+    /// Present and > 0: the mechanism is still on the measured path.
+    NonZero,
+    /// Present and at most the cap.
+    AtMost(f64),
+    /// `key / <this note>` at most the cap. The numerator may be a true
+    /// zero (absent from `notes`) only while `result.metrics` still lists
+    /// the metric it splits by path; the denominator must be positive.
+    RatioAtMost(&'static str, f64),
+}
+
+/// One gate: a note of one result file and what must hold of it.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    pub gate: &'static str,
+    pub workload: &'static str,
+    pub trace: u8,
+    pub key: &'static str,
+    pub check: Check,
+    /// What a FAIL means, appended to the detail.
+    pub guards: &'static str,
+}
+
+/// Blocking episodes per transported item on the embedded `pipe_light`
+/// lane. The cap is the pre-batching seed baseline (28 262 blocked takes
+/// over 378 288 takes; scale-free, DESIGN.md § Batched transport); the
+/// batched transport reads 150 / 20 000 = 0.0075.
+pub const MAX_BLOCKED_TAKES_PER_WORD: f64 = 0.0747;
+
+/// `embedded_over_native` on untraced `seq_light`. Derived 2026-10-03 from
+/// ten `benchmark/run.sh --quick --workload seq_light --trace 0` readings
+/// on the 2-vCPU reference VM (1.172 1.570 1.531 1.516 1.516 1.567 1.525
+/// 1.539 1.544 1.505): their maximum 1.570 × 1.15 headroom = 1.8055. When
+/// a legitimate change moves the ratio, re-derive it the same way and let
+/// the PR's `BENCH_history.jsonl` line record the move.
+pub const MAX_SEQ_LIGHT_EMBEDDED_OVER_NATIVE: f64 = 1.81;
+
+pub const TABLE: [Row; 6] = [
+    Row {
+        gate: "fusion",
+        workload: "seq_light",
+        trace: 1,
+        key: "gde.fused_stages.embedded",
+        check: Check::NonZero,
+        guards: "the embedded lane no longer reaches stage fusion (DESIGN.md § Stage fusion)",
+    },
+    Row {
+        gate: "compact-values",
+        workload: "seq_light",
+        trace: 1,
+        key: "gde.inline_hits_per_word.embedded",
+        check: Check::NonZero,
+        guards: "no value took an inline (Sym/window/scalar) form (DESIGN.md § String plane)",
+    },
+    Row {
+        gate: "concat-slices",
+        workload: "strings_report",
+        trace: 1,
+        key: "gde.concat_slices.embedded",
+        check: Check::NonZero,
+        guards: "no concat reached the string builder's zero-copy regimes (DESIGN.md § String plane)",
+    },
+    Row {
+        gate: "resolve",
+        workload: "seq_light",
+        trace: 1,
+        key: "gde.slot_hits_per_word.interp",
+        check: Check::NonZero,
+        guards: "interpreted source reads no variable through a resolved slot (DESIGN.md § Slot-resolved environments)",
+    },
+    Row {
+        gate: "contention",
+        workload: "pipe_light",
+        trace: 1,
+        key: "blockingq.blocked_takes.embedded",
+        check: Check::RatioAtMost("input_words", MAX_BLOCKED_TAKES_PER_WORD),
+        guards: "per-item transport is back on the hot path (DESIGN.md § Batched transport)",
+    },
+    Row {
+        gate: "seq-lw-ratio",
+        workload: "seq_light",
+        trace: 0,
+        key: "embedded_over_native",
+        check: Check::AtMost(MAX_SEQ_LIGHT_EMBEDDED_OVER_NATIVE),
+        guards: "per-word allocation, by-name lookup or an unfused hot path is back (DESIGN.md § String plane)",
+    },
+];
+
+fn note(doc: &Json, key: &str) -> Option<f64> {
+    doc.path(&["notes", key, "value"]).and_then(Json::as_f64)
+}
+
+fn metric(doc: &Json, name: &str) -> Option<f64> {
+    doc.path(&["result", "metrics", name, "value"])
+        .and_then(Json::as_f64)
+}
+
+/// The `results` gate on one document: `Err` says what is wrong with it.
+fn check_result(doc: &Json) -> Result<(), String> {
+    let field = |name: &str| doc.path(&["result", name]);
+    match field("correct") {
+        Some(Json::Bool(true)) => {}
+        other => return Err(format!("result.correct is {other:?}, expected true")),
+    }
+    match field("failed").and_then(Json::as_u64) {
+        Some(0) => {}
+        other => return Err(format!("result.failed is {other:?}, expected 0")),
+    }
+    match field("attempted").and_then(Json::as_u64) {
+        Some(n) if n > 0 => Ok(()),
+        other => Err(format!("result.attempted is {other:?}, expected > 0")),
+    }
+}
+
+impl Row {
+    fn evaluate(&self, doc: &Json) -> Result<String, String> {
+        let key = self.key;
+        let at = format!("{} trace{} notes.\"{key}\"", self.workload, self.trace);
+        match self.check {
+            Check::NonZero => match note(doc, key) {
+                Some(v) if v > 0.0 => Ok(format!("{at} = {v} > 0")),
+                Some(v) => Err(format!("{at} = {v}")),
+                None => Err(format!("{at} is absent (0, or a renamed key)")),
+            },
+            Check::AtMost(cap) => match note(doc, key) {
+                Some(v) if v <= cap => Ok(format!("{at} = {v:.3} (cap {cap})")),
+                Some(v) => Err(format!("{at} = {v:.3} (cap {cap})")),
+                None => Err(format!("{at} is absent (renamed key?)")),
+            },
+            Check::RatioAtMost(den_key, cap) => {
+                let den = match note(doc, den_key) {
+                    Some(d) if d > 0.0 => d,
+                    other => return Err(format!("notes.\"{den_key}\" is {other:?}, expected > 0")),
+                };
+                let base = key.rsplit_once('.').map_or(key, |(base, _path)| base);
+                let num = match note(doc, key) {
+                    Some(n) => n,
+                    None if metric(doc, base).is_some() => 0.0,
+                    None => {
+                        return Err(format!(
+                            "{at} and result.metrics.\"{base}\" are both absent (renamed key?)"
+                        ))
+                    }
+                };
+                let ratio = num / den;
+                let detail = format!("{at} / {den_key} = {num}/{den} = {ratio:.4} (cap {cap})");
+                if ratio <= cap {
+                    Ok(detail)
+                } else {
+                    Err(detail)
+                }
+            }
+        }
+    }
+}
+
+/// Run the `results` gate and every [`TABLE`] row. When a result file is
+/// missing, unreadable or reports a wrong or failed run, the numbers in
+/// the rest are not trustworthy: the rows FAIL as "not evaluated".
+pub fn run_gates(results: &Results) -> Vec<GateReport> {
+    let mut problems = Vec::new();
+    for workload in WORKLOADS {
+        for trace in [0, 1] {
+            let file = format!("result-{workload}-trace{trace}.json");
+            match results.get(&(workload, trace)) {
+                None => problems.push(format!("{file} is missing")),
+                Some(Err(e)) => problems.push(e.clone()),
+                Some(Ok(doc)) => {
+                    if let Err(e) = check_result(doc) {
+                        problems.push(format!("{file}: {e}"));
+                    }
+                }
+            }
+        }
+    }
+    let trusted = problems.is_empty();
+    let results_gate = if trusted {
+        Ok("10 result files, every one correct with 0 failed operations".into())
+    } else {
+        Err(problems.join("; "))
+    };
+    let rows = TABLE.iter().map(|row| {
+        let outcome = match results.get(&(row.workload, row.trace)) {
+            Some(Ok(doc)) if trusted => row
+                .evaluate(doc)
+                .map_err(|detail| format!("{detail} — {}", row.guards)),
+            _ => Err("not evaluated: results gate failed".into()),
+        };
+        GateReport::of(row.gate, outcome)
+    });
+    std::iter::once(GateReport::of("results", results_gate))
+        .chain(rows)
+        .collect()
+}
+
+/// The end-to-end cells: every metric of every untraced run (7 × 5) and
+/// the ratio the harness derives from the same iterations, the headline.
+fn end_to_end(results: &Results) -> Result<Vec<(&'static str, &str, f64)>, String> {
+    let mut cells = Vec::new();
+    for workload in WORKLOADS {
+        let Some(Ok(doc)) = results.get(&(workload, 0)) else {
+            return Err(format!("no untraced result for {workload}"));
+        };
+        let Some(Json::Obj(metrics)) = doc.path(&["result", "metrics"]) else {
+            return Err(format!("{workload}: no result.metrics object"));
+        };
+        for name in metrics.keys() {
+            let value =
+                metric(doc, name).ok_or_else(|| format!("{workload}: {name} has no value"))?;
+            cells.push((workload, name.as_str(), value));
+        }
+        let ratio = note(doc, "embedded_over_native")
+            .ok_or_else(|| format!("{workload}: no embedded_over_native note"))?;
+        cells.push((workload, "embedded_over_native", ratio));
+    }
+    Ok(cells)
+}
+
+/// One `bench-history-v1` line for `BENCH_history.jsonl`: the commit, the
+/// host's cores, the end-to-end cells, the `seq_light` ladder and the
+/// schedules the model suites explored (`null` when no summary was read).
+pub fn history_line(
+    results: &Results,
+    commit: &str,
+    explored_schedules: Option<u64>,
+) -> Result<String, String> {
+    let Some(Ok(traced)) = results.get(&("seq_light", 1)) else {
+        return Err("no traced result for seq_light".into());
+    };
+    let traced_metric = |name: &str| {
+        metric(traced, name).ok_or_else(|| format!("seq_light trace1: no metric \"{name}\""))
+    };
+    let cells = end_to_end(results)?;
+    let workloads: Vec<String> = WORKLOADS
+        .iter()
+        .map(|w| {
+            let metrics: Vec<String> = cells
+                .iter()
+                .filter(|(workload, _, _)| workload == w)
+                .map(|(_, name, value)| format!("\"{name}\":{value}"))
+                .collect();
+            format!("\"{w}\":{{{}}}", metrics.join(","))
+        })
+        .collect();
+    let mut ladder = Vec::new();
+    for rung in LADDER {
+        ladder.push(format!("\"{rung}\":{}", traced_metric(rung)?));
+    }
+    Ok(format!(
+        "{{\"schema\":\"bench-history-v1\",\"commit\":{commit:?},\"host.cores\":{cores},\
+         \"explored_schedules\":{explored},\"end_to_end\":{{{workloads}}},\"ladder\":{{{ladder}}}}}",
+        cores = traced_metric("host.cores")?,
+        explored = explored_schedules.map_or("null".to_string(), |n| n.to_string()),
+        workloads = workloads.join(","),
+        ladder = ladder.join(","),
+    ))
+}
+
+/// Render the report-only drift table: the end-to-end cells of this run
+/// against one parsed `bench-history-v1` line. A quick CI run against
+/// a full-size history line is noisy cell by cell; the direction across
+/// many cells is what is worth a look in every CI log.
+pub fn drift_table(results: &Results, history: &Json) -> Result<String, String> {
+    if history.get("schema").and_then(Json::as_str) != Some("bench-history-v1") {
+        return Err("history line is not a bench-history-v1 object".into());
+    }
+    let mut out = format!(
+        "{:<16} {:<22} {:>14} {:>14} {:>8}\n",
+        "workload", "metric", "current", "history", "delta"
+    );
+    for (workload, name, cur) in end_to_end(results)? {
+        let line = match history
+            .path(&["end_to_end", workload, name])
+            .and_then(Json::as_f64)
+        {
+            Some(base) if base != 0.0 => format!(
+                "{workload:<16} {name:<22} {cur:>14.4} {base:>14.4} {:>+7.1}%\n",
+                (cur / base - 1.0) * 100.0
+            ),
+            _ => format!(
+                "{workload:<16} {name:<22} {cur:>14.4} {:>14} {:>8}\n",
+                "-", "new"
+            ),
+        };
+        out.push_str(&line);
+    }
+    Ok(out)
+}
+
+/// Sum the JSON-lines summary the schedtest model suites append under
+/// `SCHEDTEST_JSON` (one `schedtest-v1` object per `explore()` call — see
+/// `crates/schedtest/src/lib.rs`) to (explorations, explored schedules).
+/// `Err` is a malformed line or an exploration that found a failing
+/// schedule.
+pub fn schedtest_totals(text: &str) -> Result<(u64, u64), String> {
+    let mut explorations = 0u64;
+    let mut schedules = 0u64;
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let lineno = i + 1;
+        let doc = Json::parse(line).map_err(|e| format!("summary line {lineno}: bad JSON: {e}"))?;
+        match doc.get("schema").and_then(Json::as_str) {
+            Some("schedtest-v1") => {}
+            other => {
+                return Err(format!(
+                    "summary line {lineno}: schema {other:?}, expected \"schedtest-v1\""
+                ))
+            }
+        }
+        let explored = doc
+            .get("explored_schedules")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("summary line {lineno}: no integer \"explored_schedules\""))?;
+        if let Some(Json::Bool(true)) = doc.get("failed") {
+            let test = doc
+                .get("test")
+                .and_then(Json::as_str)
+                .unwrap_or("<unnamed>");
+            return Err(format!(
+                "exploration \"{test}\" found a failing schedule (line {lineno})"
+            ));
+        }
+        explorations += 1;
+        schedules += explored;
+    }
+    Ok((explorations, schedules))
+}
+
+/// The schedule-exploration smoke gate over [`schedtest_totals`]. It holds
+/// when the smoke actually ran: at least one summary line, every line
+/// well-formed, no exploration failed, and `explored_schedules` sums to
+/// more than zero. A summary that parses but explored nothing is exactly
+/// what a mis-wired cfg flag looks like (the model tests compiled out), so
+/// it FAILs rather than skips; the only skip is the caller not passing a
+/// summary at all.
+pub fn schedtest_gate(text: &str) -> GateReport {
+    let outcome = schedtest_totals(text).and_then(|totals| match totals {
+        (0, _) => Err("summary has no schedtest-v1 lines — the smoke ran zero explorations".into()),
+        (explorations, 0) => Err(format!(
+            "{explorations} explorations but explored_schedules sums to 0 — \
+             the model tests compiled out (cfg flag mis-wired?)"
+        )),
+        (explorations, schedules) => Ok(format!(
+            "{explorations} explorations, {schedules} schedules explored"
+        )),
+    });
+    GateReport::of("schedtest", outcome)
+}
+
+/// Read a counter out of a `fault-smoke-v1` obs snapshot. `Ok(None)`
+/// means the snapshot itself is absent (`"obs": null`); a *present*
+/// snapshot with a missing or non-counter metric is an error, because that
+/// is exactly what a silent rename looks like.
 fn counter(doc: &Json, metric: &str) -> Result<Option<u64>, String> {
     let obs = doc
         .get("obs")
@@ -102,230 +470,6 @@ fn counter(doc: &Json, metric: &str) -> Result<Option<u64>, String> {
         .ok_or_else(|| format!("\"{metric}\" has no integer value"))
 }
 
-/// Find a cell median in the measurement table.
-fn median_ns(doc: &Json, suite: &str, variant: &str, weight: &str) -> Option<u64> {
-    doc.get("measurements")?
-        .as_arr()?
-        .iter()
-        .find(|row| {
-            row.get("suite").and_then(Json::as_str) == Some(suite)
-                && row.get("variant").and_then(Json::as_str) == Some(variant)
-                && row.get("weight").and_then(Json::as_str) == Some(weight)
-        })?
-        .get("median_ns")?
-        .as_u64()
-}
-
-/// Run every gate against a parsed snapshot.
-pub fn run_gates(doc: &Json, th: &Thresholds) -> Vec<GateReport> {
-    let mut out = Vec::new();
-
-    // 1. Schema: fail loudly on anything structurally off, because every
-    // later gate reads through this shape.
-    let schema_problem = check_schema(doc);
-    match schema_problem {
-        None => out.push(GateReport::pass(
-            "schema",
-            "figure6-v2 with config, well-formed measurements, obs member".into(),
-        )),
-        Some(problem) => {
-            out.push(GateReport::fail("schema", problem));
-            // The document is not trustworthy; report the rest as failed
-            // rather than guessing through a broken shape.
-            for name in [
-                "contention",
-                "fusion",
-                "compact-values",
-                "concat-slices",
-                "seq-lw-ratio",
-            ] {
-                out.push(GateReport::fail(
-                    name,
-                    "not evaluated: schema gate failed".into(),
-                ));
-            }
-            return out;
-        }
-    }
-
-    // 2. Contention ratio (scale-free, so the smoke corpus works).
-    out.push(
-        match (
-            counter(doc, "blockingq.queue.blocked_takes"),
-            counter(doc, "blockingq.queue.takes"),
-        ) {
-            (Ok(None), _) | (_, Ok(None)) => GateReport::skip(
-                "contention",
-                "no obs snapshot (bench built without the obs feature)".into(),
-            ),
-            (Err(e), _) | (_, Err(e)) => GateReport::fail("contention", e),
-            (Ok(Some(_)), Ok(Some(0))) => GateReport::fail(
-                "contention",
-                "takes = 0: the benchmarked pipelines recorded no queue traffic".into(),
-            ),
-            (Ok(Some(blocked)), Ok(Some(takes))) => {
-                let ratio = blocked as f64 / takes as f64;
-                let detail = format!(
-                    "blocked_takes/takes = {blocked}/{takes} = {ratio:.4} (cap {})",
-                    th.max_blocked_take_ratio
-                );
-                if ratio <= th.max_blocked_take_ratio {
-                    GateReport::pass("contention", detail)
-                } else {
-                    GateReport::fail(
-                        "contention",
-                        format!(
-                            "{detail} — per-item transport crept back onto the hot path \
-                             (DESIGN.md § Batched transport)"
-                        ),
-                    )
-                }
-            }
-        },
-    );
-
-    // 3. Fusion wiring.
-    out.push(wiring_gate(
-        doc,
-        "fusion",
-        "gde.comb.fused_stages",
-        "the benchmarked pipelines no longer reach the stage-fusion rewriter \
-         (DESIGN.md § Stage fusion)",
-    ));
-
-    // 4. Compact-value wiring.
-    out.push(wiring_gate(
-        doc,
-        "compact-values",
-        "gde.value.inline_hits",
-        "no value took the inline (Sym/window/scalar) path — the compact \
-         representation is off the hot path (DESIGN.md § String plane)",
-    ));
-
-    // 5. Builder-arena wiring: the figure6 run's untimed report pass
-    // must reach the zero-copy concat regimes.
-    out.push(wiring_gate(
-        doc,
-        "concat-slices",
-        "gde.value.concat_slices",
-        "no concatenation widened or tail-extended an arena window — the \
-         string builder is off the hot path (DESIGN.md § String plane)",
-    ));
-
-    // 6. Embedded/native Sequential-Lightweight ratio. Missing cells are
-    // a failure: the old grep skipped, which is how a renamed variant
-    // could turn the gate off forever.
-    out.push(
-        match (
-            median_ns(doc, "Junicon", "Sequential", "Lightweight"),
-            median_ns(doc, "Native", "Sequential", "Lightweight"),
-        ) {
-            (Some(j), Some(n)) if n > 0 => {
-                let ratio = j as f64 / n as f64;
-                let detail = format!(
-                    "Junicon/Native Sequential-LW = {j}/{n} = {ratio:.3} (cap {})",
-                    th.max_seq_lw_ratio
-                );
-                if ratio <= th.max_seq_lw_ratio {
-                    GateReport::pass("seq-lw-ratio", detail)
-                } else {
-                    GateReport::fail(
-                        "seq-lw-ratio",
-                        format!(
-                            "{detail} — per-word allocations, by-name lookups, or an \
-                             unfused hot path are back on the embedded side \
-                             (DESIGN.md § String plane)"
-                        ),
-                    )
-                }
-            }
-            (j, n) => GateReport::fail(
-                "seq-lw-ratio",
-                format!(
-                    "Sequential-Lightweight medians missing or zero \
-                     (Junicon: {j:?}, Native: {n:?}) — renamed cell?"
-                ),
-            ),
-        },
-    );
-
-    out
-}
-
-/// Evaluate the schedule-exploration smoke gate on the JSON-lines summary
-/// the schedtest model suites append under `SCHEDTEST_JSON` (one
-/// `schedtest-v1` object per `explore()` call — see
-/// `crates/schedtest/src/lib.rs`). The gate holds when the smoke actually
-/// ran: at least one summary line, every line well-formed, no exploration
-/// failed, and `explored_schedules` sums to more than zero. A summary
-/// that parses but explored nothing is exactly what a mis-wired cfg flag
-/// looks like (the model tests compiled out), so it FAILs rather than
-/// skips; the only skip is the caller not passing a summary at all.
-pub fn schedtest_gate(text: &str) -> GateReport {
-    let name = "schedtest";
-    let mut explorations = 0u64;
-    let mut schedules = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = i + 1;
-        let doc = match Json::parse(line) {
-            Ok(doc) => doc,
-            Err(e) => {
-                return GateReport::fail(name, format!("summary line {lineno}: bad JSON: {e}"))
-            }
-        };
-        match doc.get("schema").and_then(Json::as_str) {
-            Some("schedtest-v1") => {}
-            other => {
-                return GateReport::fail(
-                    name,
-                    format!("summary line {lineno}: schema {other:?}, expected \"schedtest-v1\""),
-                )
-            }
-        }
-        let Some(explored) = doc.get("explored_schedules").and_then(Json::as_u64) else {
-            return GateReport::fail(
-                name,
-                format!("summary line {lineno}: no integer \"explored_schedules\""),
-            );
-        };
-        if let Some(Json::Bool(true)) = doc.get("failed") {
-            let test = doc
-                .get("test")
-                .and_then(Json::as_str)
-                .unwrap_or("<unnamed>");
-            return GateReport::fail(
-                name,
-                format!("exploration \"{test}\" found a failing schedule (line {lineno})"),
-            );
-        }
-        explorations += 1;
-        schedules += explored;
-    }
-    if explorations == 0 {
-        return GateReport::fail(
-            name,
-            "summary has no schedtest-v1 lines — the smoke ran zero explorations".into(),
-        );
-    }
-    if schedules == 0 {
-        return GateReport::fail(
-            name,
-            format!(
-                "{explorations} explorations but explored_schedules sums to 0 — \
-                 the model tests compiled out (cfg flag mis-wired?)"
-            ),
-        );
-    }
-    GateReport::pass(
-        name,
-        format!("{explorations} explorations, {schedules} schedules explored"),
-    )
-}
-
 /// Evaluate the fault-plane wiring gate on the `fault-smoke-v1` snapshot
 /// the `fault_smoke` binary writes (`FAULTS_ci.json`). The smoke run arms
 /// deterministic fault scenarios against every policy surface, so a
@@ -335,27 +479,24 @@ pub fn schedtest_gate(text: &str) -> GateReport {
 /// caller not passing a snapshot at all (`--faults-json` absent), which
 /// strict CI turns into a failure.
 pub fn faults_gate(doc: &Json) -> GateReport {
-    let name = "faults";
+    GateReport::of("faults", check_faults(doc))
+}
+
+fn check_faults(doc: &Json) -> Result<String, String> {
     match doc.get("schema").and_then(Json::as_str) {
         Some("fault-smoke-v1") => {}
-        other => {
-            return GateReport::fail(
-                name,
-                format!("schema {other:?}, expected \"fault-smoke-v1\""),
-            )
-        }
+        other => return Err(format!("schema {other:?}, expected \"fault-smoke-v1\"")),
     }
     match doc.get("injected").and_then(Json::as_u64) {
         Some(0) => {
-            return GateReport::fail(
-                name,
+            return Err(
                 "injected = 0 — the smoke armed no faults (FAULTS mis-parsed \
-                 or the faultinj feature compiled out)"
+                        or the faultinj feature compiled out)"
                     .into(),
             )
         }
         Some(_) => {}
-        None => return GateReport::fail(name, "no integer \"injected\" total".into()),
+        None => return Err("no integer \"injected\" total".into()),
     }
     // Every surface of the fault plane, by its committed counter key.
     // All must be present AND non-zero after the smoke scenarios.
@@ -367,140 +508,18 @@ pub fn faults_gate(doc: &Json) -> GateReport {
         "pipes.faults.degraded_sources",
         "blockingq.close.failed",
     ] {
-        match counter(doc, metric) {
-            Ok(None) => {
-                return GateReport::fail(
-                    name,
-                    "no obs snapshot (fault_smoke built without the obs feature)".into(),
-                )
+        match counter(doc, metric)? {
+            None => {
+                return Err("no obs snapshot (fault_smoke built without the obs feature)".into())
             }
-            Err(e) => return GateReport::fail(name, e),
-            Ok(Some(0)) => {
-                return GateReport::fail(
-                    name,
-                    format!(
-                        "{metric} = 0 — this fault surface no longer fires under \
-                         the smoke scenarios (DESIGN.md § Fault propagation and \
-                         injection)"
-                    ),
-                )
+            Some(0) => {
+                return Err(format!(
+                    "{metric} = 0 — this fault surface no longer fires under the smoke \
+                     scenarios (DESIGN.md § Fault propagation and injection)"
+                ))
             }
-            Ok(Some(v)) => details.push(format!("{metric} = {v}")),
+            Some(v) => details.push(format!("{metric} = {v}")),
         }
     }
-    GateReport::pass(name, details.join(", "))
-}
-
-/// A counter-must-be-nonzero wiring gate (fusion, compact values).
-fn wiring_gate(
-    doc: &Json,
-    name: &'static str,
-    metric: &'static str,
-    why_it_matters: &str,
-) -> GateReport {
-    match counter(doc, metric) {
-        Ok(None) => GateReport::skip(
-            name,
-            "no obs snapshot (bench built without the obs feature)".into(),
-        ),
-        Err(e) => GateReport::fail(name, e),
-        Ok(Some(0)) => GateReport::fail(name, format!("{metric} = 0 — {why_it_matters}")),
-        Ok(Some(v)) => GateReport::pass(name, format!("{metric} = {v} > 0")),
-    }
-}
-
-fn check_schema(doc: &Json) -> Option<String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("figure6-v2") => {}
-        Some(other) => return Some(format!("schema is \"{other}\", expected \"figure6-v2\"")),
-        None => return Some("no \"schema\" member".into()),
-    }
-    if !matches!(doc.get("config"), Some(Json::Obj(_))) {
-        return Some("no \"config\" object".into());
-    }
-    let Some(rows) = doc.get("measurements").and_then(Json::as_arr) else {
-        return Some("no \"measurements\" array".into());
-    };
-    if rows.is_empty() {
-        return Some("\"measurements\" is empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        for key in ["suite", "variant", "weight"] {
-            if row.get(key).and_then(Json::as_str).is_none() {
-                return Some(format!("measurement {i} has no string \"{key}\""));
-            }
-        }
-        if row.get("median_ns").and_then(Json::as_u64).is_none() {
-            return Some(format!("measurement {i} has no integer \"median_ns\""));
-        }
-    }
-    match doc.get("obs") {
-        Some(Json::Obj(_)) | Some(Json::Null) => None,
-        Some(_) => Some("\"obs\" is neither an object nor null".into()),
-        None => Some("no \"obs\" member".into()),
-    }
-}
-
-/// Find a cell's normalized time in the measurement table.
-fn normalized(doc: &Json, suite: &str, variant: &str, weight: &str) -> Option<f64> {
-    doc.get("measurements")?
-        .as_arr()?
-        .iter()
-        .find(|row| {
-            row.get("suite").and_then(Json::as_str) == Some(suite)
-                && row.get("variant").and_then(Json::as_str) == Some(variant)
-                && row.get("weight").and_then(Json::as_str) == Some(weight)
-        })?
-        .get("normalized")?
-        .as_f64()
-}
-
-/// Render the baseline-drift table: per-cell deltas of the current run
-/// against the committed baseline. Report-only — perf on a smoke corpus
-/// is noise, but the *direction* across many cells is signal worth having
-/// in every CI log. The raw median delta mostly reflects corpus scale
-/// when the two runs used different sizes; the `norm` delta (each cell
-/// normalized to its weight set's native-MapReduce bar) is scale-free and
-/// is the column to read.
-pub fn drift_table(current: &Json, baseline: &Json) -> Result<String, String> {
-    let rows = current
-        .get("measurements")
-        .and_then(Json::as_arr)
-        .ok_or("current snapshot has no measurements")?;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12} {:<9} {:<13} {:>12} {:>12} {:>8} {:>8}\n",
-        "weight", "suite", "variant", "current_ns", "baseline_ns", "delta", "norm"
-    ));
-    for row in rows {
-        let (Some(suite), Some(variant), Some(weight), Some(cur)) = (
-            row.get("suite").and_then(Json::as_str),
-            row.get("variant").and_then(Json::as_str),
-            row.get("weight").and_then(Json::as_str),
-            row.get("median_ns").and_then(Json::as_u64),
-        ) else {
-            return Err("malformed measurement row in current snapshot".into());
-        };
-        let norm_delta = match (
-            row.get("normalized").and_then(Json::as_f64),
-            normalized(baseline, suite, variant, weight),
-        ) {
-            (Some(c), Some(b)) if b > 0.0 => format!("{:>+7.1}%", (c / b - 1.0) * 100.0),
-            _ => format!("{:>8}", "-"),
-        };
-        let line = match median_ns(baseline, suite, variant, weight) {
-            Some(base) if base > 0 => {
-                let delta = (cur as f64 / base as f64 - 1.0) * 100.0;
-                format!(
-                    "{weight:<12} {suite:<9} {variant:<13} {cur:>12} {base:>12} {delta:>+7.1}% {norm_delta}\n"
-                )
-            }
-            _ => format!(
-                "{weight:<12} {suite:<9} {variant:<13} {cur:>12} {:>12} {:>8} {norm_delta}\n",
-                "-", "new"
-            ),
-        };
-        out.push_str(&line);
-    }
-    Ok(out)
+    Ok(details.join(", "))
 }

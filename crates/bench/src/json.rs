@@ -1,8 +1,8 @@
-//! A minimal JSON reader for the bench snapshots.
+//! A minimal JSON reader for the files the gates read.
 //!
-//! The hermetic workspace has no serde; the gate binary needs to read
-//! `BENCH_ci.json` *structurally* (the grep/awk gates it replaces broke
-//! silently whenever a key was renamed). This is a small recursive-descent
+//! The hermetic workspace has no serde; the gate binary needs to read the
+//! benchmark's result files *structurally* (the grep/awk gates it replaced
+//! broke silently whenever a key was renamed). This is a small recursive-descent
 //! parser for the JSON subset the harness emits — objects, arrays,
 //! strings with escapes, numbers, booleans, null — that reports parse
 //! errors with a byte offset instead of guessing.
@@ -273,18 +273,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_snapshot_shapes() {
+    fn parses_the_result_file_shapes() {
         let doc = Json::parse(
-            r#"{"schema": "figure6-v2", "config": {"n": 3}, "measurements": [
-                {"suite": "Junicon", "median_ns": 123, "normalized": 1.5}
-            ], "obs": null}"#,
+            r#"{"workload": "seq_light", "trace": 0, "result": {"correct": true,
+                "failed": 0, "metrics": {"setup_s": {"value": 1.5, "unit": "s"}}},
+                "samples": [123], "tags": null}"#,
         )
         .unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("figure6-v2"));
-        assert!(doc.get("obs").unwrap().is_null());
-        let rows = doc.get("measurements").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows[0].get("median_ns").and_then(Json::as_u64), Some(123));
-        assert_eq!(rows[0].get("normalized").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(
+            doc.get("workload").and_then(Json::as_str),
+            Some("seq_light")
+        );
+        assert!(doc.get("tags").unwrap().is_null());
+        let samples = doc.get("samples").and_then(Json::as_arr).unwrap();
+        assert_eq!(samples[0].as_u64(), Some(123));
+        let setup = doc.path(&["result", "metrics", "setup_s", "value"]);
+        assert_eq!(setup.and_then(Json::as_f64), Some(1.5));
+        assert_eq!(doc.path(&["result", "correct"]), Some(&Json::Bool(true)));
     }
 
     #[test]

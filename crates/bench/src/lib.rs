@@ -1,14 +1,16 @@
-//! Benchmark harness for the paper's evaluation (Sec. VII, Fig. 6) and the
-//! ablation studies listed in DESIGN.md.
+//! The paper's Fig. 6 as a table, the ablation sweeps, and the CI gates.
 //!
 //! Fig. 6 reports *normalized execution time* (log scale) for sixteen bars:
 //! {Lightweight, Heavyweight} × {Junicon, Java} × {Sequential, Pipeline,
 //! DataParallel, MapReduce}, normalized within each weight set to the Java
 //! parallel-stream (native MapReduce) time. [`run_figure6`] measures the
 //! same matrix on this machine and [`render_table`] prints it in the same
-//! layout; `cargo run -p bench --release --bin figure6` regenerates the
-//! figure's data, and the criterion benches provide statistically
-//! disciplined per-cell timings.
+//! layout (`cargo run -p bench --release --bin figure6`). The cells are
+//! hand-built combinator trees, so the table reproduces the figure's
+//! *shape*; the one committed, gated number is the source-to-result
+//! benchmark's (`benchmark/run.sh` → [`gates`] → `BENCH_history.jsonl`).
+//! `--bin ablations` runs the parameter sweeps over the same
+//! [`median_of`] timer.
 
 pub mod gates;
 pub mod json;
@@ -17,9 +19,6 @@ use std::time::{Duration, Instant};
 use wordcount::{run_cell, Corpus, Suite, Variant, Weight};
 
 /// One measured cell of the Fig. 6 matrix.
-///
-/// Serialized to JSON by the hand-rolled writer in the `figure6` binary
-/// (no serde: the workspace is hermetic, see DESIGN.md § "Hermetic build").
 #[derive(Clone, Debug)]
 pub struct Measurement {
     pub suite: &'static str,
@@ -59,8 +58,25 @@ impl Default for Figure6Config {
     }
 }
 
+/// Median wall time of `iterations` timed calls of `f` (at least one),
+/// after `warmup` untimed ones.
+pub fn median_of(warmup: usize, iterations: usize, mut f: impl FnMut()) -> Duration {
+    for _ in 0..warmup {
+        f();
+    }
+    let mut samples: Vec<Duration> = (0..iterations.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
 /// Median-of-N timing of one cell.
-pub fn time_cell(
+fn time_cell(
     suite: Suite,
     variant: Variant,
     corpus: &Corpus,
@@ -68,18 +84,9 @@ pub fn time_cell(
     warmup: usize,
     iterations: usize,
 ) -> Duration {
-    for _ in 0..warmup {
+    median_of(warmup, iterations, || {
         std::hint::black_box(run_cell(suite, variant, corpus, weight));
-    }
-    let mut samples: Vec<Duration> = (0..iterations.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(run_cell(suite, variant, corpus, weight));
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+    })
 }
 
 /// Measure the full sixteen-bar matrix.
@@ -127,7 +134,10 @@ pub fn render_table(measurements: &[Measurement]) -> String {
     let mut out = String::new();
     out.push_str(
         "Figure 6 — Performance when translated to Rust\n\
-         (execution time normalized to native MapReduce within each weight set)\n\n",
+         (execution time normalized to native MapReduce within each weight set)\n\
+         Shape only: the Junicon cells are hand-built combinator trees. The one\n\
+         committed, gated ratio is the source-to-result benchmark's\n\
+         (benchmark/run.sh; last line of BENCH_history.jsonl).\n\n",
     );
     for weight in ["Lightweight", "Heavyweight"] {
         out.push_str(&format!("{weight}\n"));

@@ -1,219 +1,323 @@
-//! Fixture tests for the CI gate library.
+//! Tests for the CI gate library.
 //!
-//! Each fixture under `tests/fixtures/` is a hand-written figure6
-//! snapshot exercising one behavior: the passing shape, each gate
-//! tripping individually, the legitimate obs-null skip, and — the cases
-//! the old grep gates got wrong — snapshots whose keys were renamed,
-//! which must FAIL loudly instead of silently skipping.
+//! The benchmark's ten result documents are built in code by `passing()`
+//! — from the metric names of `BENCHMARK.json` and the keys of the gate
+//! table — and each test doctors one field: every table row trips alone,
+//! every way a run can be wrong fails `results` and leaves the rows "not
+//! evaluated", and a renamed key FAILs, never skips. The `schedtest` and
+//! `faults` gates read other files and keep their fixtures.
 
-use bench::gates::{drift_table, run_gates, GateReport, GateStatus, Thresholds};
-use bench::json::Json;
-
-/// The thresholds scripts/ci.sh passes (see the derivation note there).
-const TH: Thresholds = Thresholds {
-    max_blocked_take_ratio: 0.0747,
-    max_seq_lw_ratio: 1.61,
+use bench::gates::{
+    drift_table, history_line, run_gates, Check, GateReport, GateStatus, Results, TABLE, WORKLOADS,
 };
+use bench::json::Json;
+use std::collections::BTreeMap;
 
-fn gate_on(fixture: &str) -> Vec<GateReport> {
-    let doc = Json::parse(fixture).expect("fixture parses");
-    run_gates(&doc, &TH)
+/// The benchmark's contract; read-only here.
+const BENCHMARK_JSON: &str = include_str!("../../../BENCHMARK.json");
+
+/// The `name` of every entry of one of BENCHMARK.json's lists.
+fn contract_names(list: &str) -> Vec<String> {
+    let contract = Json::parse(BENCHMARK_JSON).expect("BENCHMARK.json parses");
+    let entries = contract.get(list).and_then(Json::as_arr).expect(list);
+    let name = |e: &Json| {
+        e.get("name")
+            .and_then(Json::as_str)
+            .expect("name")
+            .to_string()
+    };
+    entries.iter().map(name).collect()
 }
 
-fn status_of<'a>(reports: &'a [GateReport], name: &str) -> &'a GateReport {
+/// `{"value": v}`, the shape of a metric or a note.
+fn value(v: f64) -> Json {
+    Json::Obj(BTreeMap::from([("value".to_string(), Json::Num(v))]))
+}
+
+fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// The member map of `doc.<path>`, for doctoring.
+fn members<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut BTreeMap<String, Json> {
+    let mut cur = doc;
+    for key in path {
+        let Json::Obj(map) = cur else {
+            panic!("{key}: parent is not an object")
+        };
+        cur = map.get_mut(*key).unwrap_or_else(|| panic!("no {key}"));
+    }
+    match cur {
+        Json::Obj(map) => map,
+        _ => panic!("{path:?} is not an object"),
+    }
+}
+
+fn doc_of<'a>(results: &'a mut Results, workload: &'static str, trace: u8) -> &'a mut Json {
+    results
+        .get_mut(&(workload, trace))
+        .expect("document exists")
+        .as_mut()
+        .expect("document parsed")
+}
+
+/// Ten minimal result documents on which every gate passes: an untraced
+/// one carries the end-to-end metrics, a traced one the per-layer metrics,
+/// and each table row's note holds a passing value.
+fn passing() -> Results {
+    let mut results = Results::new();
+    for workload in WORKLOADS {
+        for (trace, list) in [(0, "end_to_end"), (1, "per_layer")] {
+            let metrics = contract_names(list)
+                .into_iter()
+                .map(|name| (name, value(1.0)))
+                .collect();
+            let doc = obj([
+                ("workload", Json::Str(workload.to_string())),
+                (
+                    "result",
+                    obj([
+                        ("correct", Json::Bool(true)),
+                        ("attempted", Json::Num(100.0)),
+                        ("failed", Json::Num(0.0)),
+                        ("metrics", Json::Obj(metrics)),
+                    ]),
+                ),
+                ("notes", obj([("embedded_over_native", value(1.5))])),
+            ]);
+            results.insert((workload, trace), Ok(doc));
+        }
+    }
+    for row in TABLE {
+        let notes = members(doc_of(&mut results, row.workload, row.trace), &["notes"]);
+        let passing = match row.check {
+            Check::NonZero => 2.0,
+            Check::AtMost(cap) => cap * 0.9,
+            Check::RatioAtMost(denominator, cap) => {
+                notes.insert(denominator.to_string(), value(20_000.0));
+                20_000.0 * cap * 0.1
+            }
+        };
+        notes.insert(row.key.to_string(), value(passing));
+    }
+    results
+}
+
+fn report<'a>(reports: &'a [GateReport], name: &str) -> &'a GateReport {
     reports
         .iter()
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("no report for gate {name}"))
 }
 
-const ALL_GATES: [&str; 6] = [
-    "schema",
-    "contention",
-    "fusion",
-    "compact-values",
-    "concat-slices",
-    "seq-lw-ratio",
-];
-
-#[test]
-fn passing_snapshot_passes_every_gate() {
-    let reports = gate_on(include_str!("fixtures/passing.json"));
-    assert_eq!(reports.len(), ALL_GATES.len());
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        assert_eq!(r.status, GateStatus::Pass, "{name}: {}", r.detail);
-    }
-}
-
-#[test]
-fn contention_gate_trips_alone() {
-    let reports = gate_on(include_str!("fixtures/contention_trip.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        let want = if name == "contention" {
+/// Exactly the gates in `failing` FAIL; every other gate PASSes. Hands
+/// back the reports for a look at their details.
+fn assert_only_fails(results: &Results, failing: &[&str]) -> Vec<GateReport> {
+    let reports = run_gates(results);
+    assert_eq!(reports.len(), 1 + TABLE.len());
+    for r in &reports {
+        let want = if failing.contains(&r.name) {
             GateStatus::Fail
         } else {
             GateStatus::Pass
         };
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
+        assert_eq!(r.status, want, "{}: {}", r.name, r.detail);
     }
-    assert!(
-        status_of(&reports, "contention").detail.contains("0.45"),
-        "detail carries the measured ratio"
-    );
+    reports
 }
 
 #[test]
-fn fusion_gate_trips_alone() {
-    let reports = gate_on(include_str!("fixtures/fusion_trip.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        let want = if name == "fusion" {
-            GateStatus::Fail
-        } else {
-            GateStatus::Pass
-        };
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
-    }
-}
-
-#[test]
-fn compact_values_gate_trips_alone() {
-    let reports = gate_on(include_str!("fixtures/compact_trip.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        let want = if name == "compact-values" {
-            GateStatus::Fail
-        } else {
-            GateStatus::Pass
-        };
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
-    }
-}
-
-#[test]
-fn concat_slices_gate_trips_alone() {
-    let reports = gate_on(include_str!("fixtures/concat_trip.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        let want = if name == "concat-slices" {
-            GateStatus::Fail
-        } else {
-            GateStatus::Pass
-        };
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
-    }
-    assert!(
-        status_of(&reports, "concat-slices")
-            .detail
-            .contains("builder"),
-        "detail points at the builder arena"
-    );
-}
-
-#[test]
-fn seq_lw_ratio_gate_trips_alone() {
-    let reports = gate_on(include_str!("fixtures/ratio_trip.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        let want = if name == "seq-lw-ratio" {
-            GateStatus::Fail
-        } else {
-            GateStatus::Pass
-        };
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
-    }
-    assert!(
-        status_of(&reports, "seq-lw-ratio").detail.contains("2.100"),
-        "detail carries the measured ratio"
-    );
-}
-
-#[test]
-fn obs_null_skips_counter_gates_only() {
-    // A snapshot produced without the obs feature: the counter gates are
-    // legitimately uncheckable (SKIP, never PASS), while the schema and
-    // the median-based ratio gate still run.
-    let reports = gate_on(include_str!("fixtures/obs_null.json"));
-    for (name, want) in [
-        ("schema", GateStatus::Pass),
-        ("contention", GateStatus::Skip),
-        ("fusion", GateStatus::Skip),
-        ("compact-values", GateStatus::Skip),
-        ("concat-slices", GateStatus::Skip),
-        ("seq-lw-ratio", GateStatus::Pass),
-    ] {
-        let r = status_of(&reports, name);
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
-    }
-}
-
-#[test]
-fn renamed_median_key_fails_loudly() {
-    // `median_ns` renamed to `median_nanos`: the grep gates this library
-    // replaced would have skipped; the schema gate must fail instead, and
-    // the remaining gates must report failed-not-evaluated, not pass.
-    let reports = gate_on(include_str!("fixtures/renamed_median_key.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        assert_eq!(r.status, GateStatus::Fail, "{name}: {}", r.detail);
-    }
-    assert!(
-        status_of(&reports, "schema").detail.contains("median_ns"),
-        "schema detail names the missing key"
-    );
-}
-
-#[test]
-fn renamed_counter_key_fails_loudly() {
-    // The fused-stages counter renamed: an obs snapshot is present, so a
-    // missing metric is a rename/unregistration bug, not an obs-off skip.
-    let reports = gate_on(include_str!("fixtures/renamed_counter_key.json"));
-    let r = status_of(&reports, "fusion");
-    assert_eq!(r.status, GateStatus::Fail, "fusion: {}", r.detail);
-    assert!(r.detail.contains("gde.comb.fused_stages"));
-    // Gates whose inputs are intact still evaluate normally.
-    assert_eq!(status_of(&reports, "contention").status, GateStatus::Pass);
+fn passing_results_pass_every_gate_under_its_name() {
+    let reports = assert_only_fails(&passing(), &[]);
+    let names: Vec<&str> = reports.iter().map(|r| r.name).collect();
     assert_eq!(
-        status_of(&reports, "compact-values").status,
-        GateStatus::Pass
+        names,
+        [
+            "results",
+            "fusion",
+            "compact-values",
+            "concat-slices",
+            "resolve",
+            "contention",
+            "seq-lw-ratio"
+        ]
     );
-    assert_eq!(status_of(&reports, "seq-lw-ratio").status, GateStatus::Pass);
+}
+
+#[test]
+fn every_row_trips_alone() {
+    for row in TABLE {
+        let mut results = passing();
+        let notes = members(doc_of(&mut results, row.workload, row.trace), &["notes"]);
+        let (tripping, shown) = match row.check {
+            Check::NonZero => (0.0, "= 0".to_string()),
+            Check::AtMost(cap) => (cap * 1.3, format!("{:.3}", cap * 1.3)),
+            Check::RatioAtMost(_, cap) => (20_000.0 * cap * 6.0, format!("{:.4}", cap * 6.0)),
+        };
+        notes.insert(row.key.to_string(), value(tripping));
+        let reports = assert_only_fails(&results, &[row.gate]);
+        let detail = &report(&reports, row.gate).detail;
+        assert!(
+            detail.contains(&shown),
+            "detail carries the reading: {detail}"
+        );
+        assert!(
+            detail.contains(row.guards),
+            "detail says what it guards: {detail}"
+        );
+    }
+}
+
+#[test]
+fn renamed_note_key_fails_never_skips() {
+    for row in TABLE {
+        let mut results = passing();
+        let doc = doc_of(&mut results, row.workload, row.trace);
+        let notes = members(doc, &["notes"]);
+        let renamed = notes.remove(row.key).expect("passing() sets the note");
+        notes.insert(format!("{}_v2", row.key), renamed);
+        if let Check::RatioAtMost(..) = row.check {
+            // The harness omits a note that is 0: with the per-layer metric
+            // still reported, an absent numerator is a true zero…
+            assert_only_fails(&results, &[]);
+            // …and a rename takes the metric's name with it.
+            let base = row.key.rsplit_once('.').expect("path suffix").0;
+            let doc = doc_of(&mut results, row.workload, row.trace);
+            members(doc, &["result", "metrics"])
+                .remove(base)
+                .expect("metric");
+        }
+        let reports = assert_only_fails(&results, &[row.gate]);
+        let detail = &report(&reports, row.gate).detail;
+        assert!(detail.contains(row.key), "detail names the key: {detail}");
+    }
+    // A ratio's denominator has no zero reading: absent is a FAIL.
+    let mut results = passing();
+    members(doc_of(&mut results, "pipe_light", 1), &["notes"]).remove("input_words");
+    assert_only_fails(&results, &["contention"]);
+}
+
+#[test]
+fn a_wrong_or_missing_run_fails_results_and_nothing_else_is_evaluated() {
+    type Doctor = fn(&mut Results);
+    let doctored: [(&str, Doctor); 5] = [
+        ("result-pipe_light-trace1.json is missing", |r| {
+            r.remove(&("pipe_light", 1));
+        }),
+        ("cannot read", |r| {
+            r.insert(("pipe_light", 1), Err("cannot read it".into()));
+        }),
+        ("result.failed", |r| {
+            let result = members(doc_of(r, "strings_report", 0), &["result"]);
+            result.insert("failed".into(), Json::Num(1.0));
+        }),
+        ("result.correct", |r| {
+            let result = members(doc_of(r, "seq_light", 1), &["result"]);
+            result.insert("correct".into(), Json::Bool(false));
+        }),
+        ("result.attempted", |r| {
+            let result = members(doc_of(r, "compile_heavy", 0), &["result"]);
+            result.insert("attempted".into(), Json::Num(0.0));
+        }),
+    ];
+    for (names, doctor) in doctored {
+        let mut results = passing();
+        doctor(&mut results);
+        let reports = run_gates(&results);
+        let results_gate = report(&reports, "results");
+        assert_eq!(results_gate.status, GateStatus::Fail);
+        assert!(
+            results_gate.detail.contains(names),
+            "{}",
+            results_gate.detail
+        );
+        for row in TABLE {
+            let r = report(&reports, row.gate);
+            assert_eq!(r.status, GateStatus::Fail, "{}: {}", r.name, r.detail);
+            assert!(r.detail.contains("not evaluated"), "{}", r.detail);
+        }
+    }
+}
+
+#[test]
+fn the_gate_table_names_only_what_the_benchmark_reports() {
+    let reported: Vec<String> = ["end_to_end", "per_layer"]
+        .iter()
+        .flat_map(|list| contract_names(list))
+        .collect();
+    // Notes the harness writes beside the per-path splits of a metric.
+    let harness_notes = ["input_words", "embedded_over_native"];
+    let known = |key: &str| {
+        let base = [".embedded", ".interp", ".native"]
+            .iter()
+            .find_map(|suffix| key.strip_suffix(suffix))
+            .unwrap_or(key);
+        harness_notes.contains(&base) || reported.iter().any(|name| name == base)
+    };
+    for row in TABLE {
+        assert!(
+            known(row.key),
+            "{}: BENCHMARK.json has no {}",
+            row.gate,
+            row.key
+        );
+        if let Check::RatioAtMost(denominator, _) = row.check {
+            assert!(known(denominator), "{}: no {denominator}", row.gate);
+        }
+    }
+    assert_eq!(contract_names("workloads"), WORKLOADS);
+}
+
+#[test]
+fn history_line_records_the_run_and_drift_compares_with_it() {
+    let mut results = passing();
+    let line = history_line(&results, "abc1234", Some(6863)).expect("history line");
+    assert!(!line.contains('\n'), "one line: {line}");
+    let history = Json::parse(&line).expect("the line is JSON");
+    let text = |key| history.get(key).and_then(Json::as_str);
+    assert_eq!(text("schema"), Some("bench-history-v1"));
+    assert_eq!(text("commit"), Some("abc1234"));
+    assert_eq!(history.get("host.cores").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        history.get("explored_schedules").and_then(Json::as_u64),
+        Some(6863)
+    );
+    let cells = |doc: &Json, path: &[&str]| match doc.path(path) {
+        Some(Json::Obj(map)) => map.len(),
+        other => panic!("{path:?}: {other:?}"),
+    };
+    for workload in WORKLOADS {
+        assert_eq!(cells(&history, &["end_to_end", workload]), 8, "{workload}");
+    }
+    assert_eq!(cells(&history, &["ladder"]), 10);
+    assert!(history_line(&results, "abc1234", None)
+        .expect("history line")
+        .contains("\"explored_schedules\":null"));
+
+    // Against its own record nothing moved; then one cell doubles and one
+    // is missing from the record.
+    let table = drift_table(&results, &history).expect("drift table");
+    assert_eq!(table.lines().count(), 1 + 40, "table:\n{table}");
+    assert_eq!(table.matches("+0.0%").count(), 40, "table:\n{table}");
+    let metrics = members(doc_of(&mut results, "seq_light", 0), &["result", "metrics"]);
+    metrics.insert("setup_s".into(), value(2.0));
+    metrics.insert("brand_new".into(), value(1.0));
+    let table = drift_table(&results, &history).expect("drift table");
+    assert!(table.contains("+100.0%"), "table:\n{table}");
+    assert!(table.contains("new"), "table:\n{table}");
+    assert!(drift_table(&results, &Json::parse("{}").unwrap()).is_err());
 }
 
 #[test]
 fn malformed_json_is_a_parse_error_not_a_skip() {
-    assert!(Json::parse("{\"schema\": \"figure6-v2\",").is_err());
+    assert!(Json::parse("{\"schema\": \"bench-history-v1\",").is_err());
     assert!(Json::parse("").is_err());
-}
-
-#[test]
-fn drift_table_reports_per_cell_deltas() {
-    let current = Json::parse(include_str!("fixtures/ratio_trip.json")).unwrap();
-    let baseline = Json::parse(include_str!("fixtures/passing.json")).unwrap();
-    let table = drift_table(&current, &baseline).unwrap();
-    // 2100000 vs 1330000 ≈ +57.9% median; the native cell is unchanged.
-    assert!(table.contains("+57.9%"), "table:\n{table}");
-    assert!(table.contains("+0.0%"), "table:\n{table}");
-    // Scale-free column: normalized 2.2 vs 1.4 ≈ +57.1%.
-    assert!(table.contains("+57.1%"), "table:\n{table}");
-    // A cell missing from the baseline is marked new, not an error.
-    let partial = Json::parse(
-        r#"{"schema": "figure6-v2", "config": {}, "measurements": [
-            {"suite": "Native", "variant": "Sequential", "weight": "Lightweight", "median_ns": 1000000, "normalized": 1.0}
-        ], "obs": null}"#,
-    )
-    .unwrap();
-    let table = drift_table(&current, &partial).unwrap();
-    assert!(table.contains("new"), "table:\n{table}");
 }
 
 // --- schedule-exploration smoke gate ----------------------------------------
 //
 // `schedtest_gate` reads the JSON-lines summary the model suites append
-// under SCHEDTEST_JSON (crates/schedtest); it is keyed off a text blob,
-// not the figure6 snapshot, so it gets its own fixture set here.
+// under SCHEDTEST_JSON (crates/schedtest).
 
 use bench::gates::schedtest_gate;
 

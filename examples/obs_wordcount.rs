@@ -3,7 +3,7 @@
 //! Runs a few cells of the evaluation matrix (both suites, several
 //! variants) on a small corpus, then prints the `obs` snapshot: queue
 //! traffic, pool utilization, chunk counts, and per-cell wall-time
-//! percentiles — the same numbers `figure6 --json` embeds in its output.
+//! percentiles — the same numbers `figure6` prints after its table.
 //!
 //! Run with: `cargo run --example obs_wordcount`
 

@@ -15,20 +15,23 @@
 #                                 model suites under --cfg schedtest
 #                                 (including the fault-injection models),
 #                                 summarized to SCHEDTEST_ci.json;
-#   7. bench smoke + gates      — a fast figure6 run emitting
-#                                 BENCH_ci.json, the fault-plane smoke
-#                                 emitting FAULTS_ci.json, criterion
-#                                 smokes via the TINYBENCH_* knobs, then
-#                                 the regression gates (`bench --bin
-#                                 gates`, tested in
-#                                 crates/bench/tests/gates.rs) plus a
+#   7. benchmark + gates        — `benchmark/run.sh --quick` (Junicon
+#                                 source text -> result on five
+#                                 workloads, every output checked against
+#                                 a native twin and a repo-independent
+#                                 oracle) and the benchmark's own tests,
+#                                 the fault-plane smoke emitting
+#                                 FAULTS_ci.json, then the regression
+#                                 gates (`bench --bin gates`, tested in
+#                                 crates/bench/tests/gates.rs) over
+#                                 benchmark/out/result-*.json, plus a
 #                                 report-only drift table against the
-#                                 committed BENCH_baseline.json.
+#                                 last line of BENCH_history.jsonl.
 #
 # Strictness: under CI=1 (or CI=true — what GitHub Actions exports) any
 # "loud skip" becomes a hard failure: a runner without rustfmt/clippy, or
-# a bench build that lost its obs snapshot, must fail the pipeline rather
-# than quietly narrowing it. Locally (no CI env) skips stay warnings so a
+# a gate with nothing to read, must fail the pipeline rather than quietly
+# narrowing it. Locally (no CI env) skips stay warnings so a
 # minimal toolchain can still run the rest.
 #
 # Everything is `--offline`: CI must pass on a machine that has never
@@ -119,92 +122,41 @@ RUSTFLAGS="--cfg schedtest" CARGO_TARGET_DIR=target/schedtest \
     -- --test-threads=1
 echo "   ok: model suites green ($(wc -l < SCHEDTEST_ci.json) explorations summarized)"
 
-step "[7/7] bench smoke -> BENCH_ci.json, then the regression gates"
-# Small corpus + few iterations: this is a wiring check (does the
-# harness run, do the gates hold), not a measurement. BENCH_baseline.json
-# is the committed full-size run.
-cargo run --offline -q -p bench --release --bin figure6 -- \
-    --lines 200 --heavy-lines 40 --iters 3 --warmup 1 --json BENCH_ci.json
+step "[7/7] benchmark (quick) -> benchmark/out/result-*.json, then the regression gates"
+# The one measured surface, at a tenth of its run length: a wiring check
+# (does every workload still run and check out on all three paths, do the
+# gates hold), not a measurement. BENCH_history.jsonl holds the full-size
+# runs. The benchmark is a workspace of its own, so this is also the only
+# step that compiles it against the crates' current API.
+# Stale result files go first, so a workload that stops running leaves a
+# missing file (a FAIL of the `results` gate), not yesterday's numbers.
+rm -f benchmark/out/result-*.json
+bash benchmark/run.sh --quick > /dev/null
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+echo "   ok: benchmark ran and its own tests are green"
 # Fault-plane smoke: deterministic injection scenarios through every
 # recovery surface (Retry replay, Propagate, degrading fan-in, pool
 # containment), snapshotting the fault counters for the `faults` gate.
-# Built with the faultinj feature — the figure6 run above stays
-# faultpoint-free, so the seq-lw-ratio gate measures the unarmed plane.
-cargo run --offline -q -p bench --release --features faultinj \
-    --bin fault_smoke -- FAULTS_ci.json 2> /dev/null \
+# The injected panics print their messages on stderr; so would a
+# scenario that fails, which is why stderr stays (without backtraces:
+# five of the panics are the scenarios themselves).
+RUST_BACKTRACE=0 cargo run --offline -q -p bench --release --features faultinj \
+    --bin fault_smoke -- FAULTS_ci.json \
     | sed 's/^/   /'
-# Criterion smoke through the shim's env knobs: tiny sample budget.
-# Print the hot-path numbers with instrumentation ON and OFF side by
-# side (the zero-cost claim, measured).
-echo "   -- obs-overhead (instrumentation ON):"
-TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
-    cargo bench --offline -q -p bench --bench obs_overhead \
-    | grep -E "put_take" | sed 's/^/      /'
-echo "   -- obs-overhead (instrumentation OFF):"
-TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
-    cargo bench --offline -q -p bench --no-default-features --bench obs_overhead \
-    | grep -E "put_take" | sed 's/^/      /'
-# Environment hot path: the slot/by-name gap and the interned-key win,
-# re-measured cheaply every run (see DESIGN.md § Slot-resolved
-# environments).
-echo "   -- env hot path (slot vs by-name vs table keys):"
-TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
-    cargo bench --offline -q -p bench --bench env_hot \
-    | grep -E "env_hot/" | sed 's/^/      /'
-# Stage fusion: the collapsed-closure vs stage-per-node gap, re-measured
-# cheaply every run (see DESIGN.md § Stage fusion).
-echo "   -- stage fusion (fused vs unfused combinator chains):"
-TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
-    cargo bench --offline -q -p bench --bench fusion \
-    | grep -E "fusion/" | sed 's/^/      /'
-# String plane: builder-arena concat vs owned, coerced compares, and
-# byte-indexed subscripting, re-measured cheaply every run (see DESIGN.md
-# § String plane).
-echo "   -- string plane (builder vs owned concat, coercions, subscripts):"
-TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
-    cargo bench --offline -q -p bench --bench str_ops \
-    | grep -E "str_ops/" | sed 's/^/      /'
 
-# The regression gates, extracted from the inline grep/awk blocks that
-# used to live here into a tested binary (crates/bench/src/gates.rs;
-# fixtures in crates/bench/tests/). One PASS/FAIL/SKIP line per gate:
-#
-#   schema          BENCH_ci.json is a well-formed figure6-v2 snapshot —
-#                   renamed keys FAIL loudly instead of skipping;
-#   schedtest       SCHEDTEST_ci.json (step 6) sums to explored_schedules
-#                   > 0 with no failing exploration — the model smoke
-#                   genuinely ran under the virtual scheduler;
-#   contention      blocked_takes/takes <= 0.0747, the pre-batching seed
-#                   baseline (28262/378288; scale-free, see DESIGN.md §
-#                   Batched transport);
-#   fusion          gde.comb.fused_stages > 0 — the benchmarked pipelines
-#                   still reach the stage-fusion rewriter;
-#   compact-values  gde.value.inline_hits > 0 — the compact value
-#                   representation is still on the hot path;
-#   concat-slices   gde.value.concat_slices > 0 — concatenation still
-#                   reaches the builder arena's zero-copy regimes
-#                   (widening / tail extension);
-#   faults          FAULTS_ci.json (fault_smoke above) shows every fault
-#                   counter non-zero: faults.injected, the pipe policy
-#                   counters, and blockingq.close.failed — a renamed key
-#                   or a dead recovery surface FAILs loudly;
-#   seq-lw-ratio    Junicon/Native Sequential-Lightweight median ratio.
-#                   The allocation-free string plane (ISSUE 9: builder
-#                   arena, batched hot-loop instrumentation, generator
-#                   recycling at flat barriers) brought the committed
-#                   full-size baseline to ~1.40x (from ~1.53x after
-#                   ISSUE 7, ~1.73x at seed); gate at baseline + 15%
-#                   headroom = 1.61.
-#
-# The drift table against BENCH_baseline.json is report-only: smoke-size
-# medians are noisy, but the per-cell direction is worth a line in every
-# CI log.
-GATE_FLAGS=(--json BENCH_ci.json
-    --max-blocked-take-ratio 0.0747
-    --max-seq-lw-ratio 1.61
+# The regression gates (crates/bench/src/gates.rs holds the table, the
+# caps and their derivations). One PASS/FAIL line per gate: `results`
+# (ten result files, each a correct run with no failed operation), the
+# table rows `fusion`, `compact-values`, `concat-slices`, `resolve`,
+# `contention`, `seq-lw-ratio`, then `schedtest` (step 6 explored
+# schedules, none failing) and `faults` (every fault counter non-zero).
+# After them: this run as one bench-history-v1 line, and the report-only
+# drift table; CI writes to no tracked file.
+GATE_FLAGS=(--results benchmark/out
+    --commit "$(git rev-parse --short HEAD 2> /dev/null || echo unknown)"
+    --history BENCH_history.jsonl
     --schedtest-json SCHEDTEST_ci.json
-    --faults-json FAULTS_ci.json
-    --baseline BENCH_baseline.json)
+    --faults-json FAULTS_ci.json)
 if [ "$STRICT" = "1" ]; then
     GATE_FLAGS+=(--strict)
 fi
