@@ -8,8 +8,8 @@
 //! provides that substrate:
 //!
 //! * [`BlockingQueue`] — a bounded (or unbounded) MPMC FIFO with blocking
-//!   `put`/`take`, non-blocking and timed variants, and close semantics used
-//!   to signal generator failure across threads;
+//!   `put`/`take`, their batch forms, and close semantics used to signal
+//!   generator failure across threads;
 //! * [`MVar`] — a single-slot mutable variable whose `put` waits until empty
 //!   and whose `take` waits until full, the classic building block the paper
 //!   cites from Id's M-structures, Concurrent Haskell's MVars and CML;
@@ -53,7 +53,7 @@ pub mod testkit;
 
 pub use fault::{CloseCause, Fault};
 pub use mvar::{Future, MVar};
-pub use queue::{BlockingQueue, PutError, TimedOut, TryPutError, TryTakeError};
+pub use queue::{BlockingQueue, PutError};
 
 /// Force-register this crate's obs metrics so snapshots carry explicit
 /// zeros (`blockingq.close.failed` in particular) even before any event

@@ -1,40 +1,22 @@
 //! A bounded MPMC blocking queue with close semantics and batch
 //! operations that amortize the per-element lock/condvar cost.
+//!
+//! Every blocking operation is a short body over one of two private waits,
+//! `wait_for_room` and `wait_for_items`: the paper's "put and take
+//! operations that wait until the queue of results is not full or not
+//! empty, respectively" (Sec. III.B).
 
 use crate::fault::CloseCause;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Error returned by [`BlockingQueue::put`] when the queue has been closed;
-/// carries the rejected element back to the caller.
+/// Error returned by [`BlockingQueue::put`] / [`BlockingQueue::put_all`]
+/// when the queue has been closed; carries the rejected element (or the
+/// unaccepted suffix of a batch) back to the caller.
 #[derive(Debug, PartialEq, Eq)]
 pub struct PutError<T>(pub T);
-
-/// Error returned by [`BlockingQueue::try_put`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryPutError<T> {
-    /// The queue is at capacity.
-    Full(T),
-    /// The queue has been closed.
-    Closed(T),
-}
-
-/// Error returned by [`BlockingQueue::take_timeout`] when the deadline
-/// passes without an element or a close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimedOut;
-
-/// Error returned by [`BlockingQueue::try_take`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryTakeError {
-    /// The queue is currently empty (but not closed).
-    Empty,
-    /// The queue is closed and fully drained.
-    Closed,
-}
 
 struct State<T> {
     buf: VecDeque<T>,
@@ -64,12 +46,14 @@ struct Shared<T> {
 ///
 /// Closing the queue wakes all waiters: producers get their element back via
 /// [`PutError`]; consumers drain the remaining buffered elements and then
-/// observe end-of-stream (`None`). This is how a pipe signals that its
-/// underlying generator failed (terminated). The close carries a
-/// [`CloseCause`]: plain [`BlockingQueue::close`] records `Finished`
-/// (clean end-of-stream), while [`BlockingQueue::close_with`] can record
-/// `Failed(Fault)` so consumers — via the `*_with_cause` take variants or
-/// [`BlockingQueue::close_cause`] — can tell a crash from completion.
+/// observe end-of-stream (`None`, or `0` from `drain_into`). This is how a
+/// pipe signals that its underlying generator failed (terminated). The
+/// close carries a [`CloseCause`]: plain [`BlockingQueue::close`] records
+/// `Finished` (clean end-of-stream), while [`BlockingQueue::close_with`]
+/// can record `Failed(Fault)`; a consumer that has seen end-of-stream
+/// reads [`BlockingQueue::close_cause`] to tell a crash from completion.
+/// That read cannot race: the first close wins, and a closed, drained
+/// queue stays that way.
 pub struct BlockingQueue<T> {
     shared: Arc<Shared<T>>,
 }
@@ -86,23 +70,15 @@ impl<T> BlockingQueue<T> {
     /// Create a bounded queue holding at most `capacity` elements
     /// (minimum 1).
     pub fn bounded(capacity: usize) -> Self {
-        BlockingQueue {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    buf: VecDeque::new(),
-                    cause: None,
-                    put_waiters: 0,
-                    take_waiters: 0,
-                }),
-                not_empty: Condvar::new(),
-                not_full: Condvar::new(),
-                capacity: capacity.max(1),
-            }),
-        }
+        BlockingQueue::with_bound(capacity.max(1))
     }
 
     /// Create a queue with no capacity bound; `put` never blocks.
     pub fn unbounded() -> Self {
+        BlockingQueue::with_bound(usize::MAX)
+    }
+
+    fn with_bound(capacity: usize) -> Self {
         BlockingQueue {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
@@ -113,7 +89,7 @@ impl<T> BlockingQueue<T> {
                 }),
                 not_empty: Condvar::new(),
                 not_full: Condvar::new(),
-                capacity: usize::MAX,
+                capacity,
             }),
         }
     }
@@ -133,11 +109,6 @@ impl<T> BlockingQueue<T> {
         self.shared.state.lock().buf.is_empty()
     }
 
-    /// True iff [`BlockingQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.shared.state.lock().cause.is_some()
-    }
-
     /// Number of threads currently parked in a blocking put waiting for
     /// space. Instantaneously accurate (maintained under the state lock),
     /// but of course stale the moment it returns; meant for tests and
@@ -153,6 +124,35 @@ impl<T> BlockingQueue<T> {
         self.shared.state.lock().take_waiters
     }
 
+    /// The one wait for room: park until the queue has space or is
+    /// closed. `waited` spans a whole public call, so a `put_all` that
+    /// parks several times counts one blocked put.
+    fn wait_for_room(&self, st: &mut MutexGuard<'_, State<T>>, waited: &mut bool) {
+        while st.cause.is_none() && st.buf.len() >= self.shared.capacity {
+            obs_on!(if !*waited {
+                crate::stats::queue().blocked_puts.inc();
+            });
+            *waited = true;
+            st.put_waiters += 1;
+            self.shared.not_full.wait(st);
+            st.put_waiters -= 1;
+        }
+    }
+
+    /// The one wait for items: park until an element is buffered or the
+    /// queue is closed. Still empty afterwards means closed and drained
+    /// for good.
+    fn wait_for_items(&self, st: &mut MutexGuard<'_, State<T>>) {
+        obs_on!(if st.buf.is_empty() && st.cause.is_none() {
+            crate::stats::queue().blocked_takes.inc();
+        });
+        while st.buf.is_empty() && st.cause.is_none() {
+            st.take_waiters += 1;
+            self.shared.not_empty.wait(st);
+            st.take_waiters -= 1;
+        }
+    }
+
     /// Block until space is available, then enqueue `v`.
     ///
     /// Returns `Err(PutError(v))` if the queue is (or becomes, while
@@ -160,42 +160,9 @@ impl<T> BlockingQueue<T> {
     pub fn put(&self, v: T) -> Result<(), PutError<T>> {
         faultpoint!("blockingq.put");
         let mut st = self.shared.state.lock();
-        obs_on!(let mut waited = false;);
-        loop {
-            if st.cause.is_some() {
-                return Err(PutError(v));
-            }
-            if st.buf.len() < self.shared.capacity {
-                st.buf.push_back(v);
-                obs_on!(let depth = st.buf.len(););
-                drop(st);
-                self.shared.not_empty.notify_one();
-                obs_on!({
-                    crate::stats::queue().puts.inc();
-                    crate::stats::queue()
-                        .depth_highwater
-                        .record_max(depth as i64);
-                });
-                return Ok(());
-            }
-            obs_on!(if !waited {
-                waited = true;
-                crate::stats::queue().blocked_puts.inc();
-            });
-            st.put_waiters += 1;
-            self.shared.not_full.wait(&mut st);
-            st.put_waiters -= 1;
-        }
-    }
-
-    /// Enqueue without blocking.
-    pub fn try_put(&self, v: T) -> Result<(), TryPutError<T>> {
-        let mut st = self.shared.state.lock();
+        self.wait_for_room(&mut st, &mut false);
         if st.cause.is_some() {
-            return Err(TryPutError::Closed(v));
-        }
-        if st.buf.len() >= self.shared.capacity {
-            return Err(TryPutError::Full(v));
+            return Err(PutError(v));
         }
         st.buf.push_back(v);
         obs_on!(let depth = st.buf.len(););
@@ -228,18 +195,15 @@ impl<T> BlockingQueue<T> {
             return Ok(());
         }
         faultpoint!("blockingq.put_all");
-        obs_on!(let total = items.len(); let mut accepted = 0usize;);
+        obs_on!(let total = items.len(););
         let mut iter = items.into_iter().peekable();
         let mut st = self.shared.state.lock();
-        obs_on!(let mut waited = false;);
+        let mut waited = false;
         loop {
             if st.cause.is_some() {
                 drop(st);
                 let rest: Vec<T> = iter.collect();
-                obs_on!({
-                    accepted = total - rest.len();
-                    record_batch_put(accepted, 0);
-                });
+                obs_on!(record_batch_put(total - rest.len(), 0););
                 return Err(PutError(rest));
             }
             let mut moved = false;
@@ -251,10 +215,7 @@ impl<T> BlockingQueue<T> {
                 obs_on!(let depth = st.buf.len(););
                 drop(st);
                 self.shared.not_empty.notify_all();
-                obs_on!({
-                    let _ = accepted;
-                    record_batch_put(total, depth);
-                });
+                obs_on!(record_batch_put(total, depth););
                 return Ok(());
             }
             // Partial fill: make the accepted prefix visible to consumers
@@ -263,149 +224,39 @@ impl<T> BlockingQueue<T> {
             if moved {
                 self.shared.not_empty.notify_all();
             }
-            obs_on!(if !waited {
-                waited = true;
-                crate::stats::queue().blocked_puts.inc();
-            });
-            st.put_waiters += 1;
-            self.shared.not_full.wait(&mut st);
-            st.put_waiters -= 1;
-        }
-    }
-
-    /// Enqueue as much of a batch as fits, without blocking.
-    ///
-    /// * `Ok(())` — every element was enqueued.
-    /// * `Err(TryPutError::Closed(items))` — the queue is closed; nothing
-    ///   was enqueued, the whole batch is refunded.
-    /// * `Err(TryPutError::Full(suffix))` — the fitting prefix **was
-    ///   enqueued**; `suffix` is the refunded remainder (non-empty). The
-    ///   accepted count is the original length minus `suffix.len()`.
-    ///
-    /// An empty batch succeeds trivially.
-    pub fn try_put_all(&self, items: Vec<T>) -> Result<(), TryPutError<Vec<T>>> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let mut st = self.shared.state.lock();
-        if st.cause.is_some() {
-            return Err(TryPutError::Closed(items));
-        }
-        let room = self.shared.capacity - st.buf.len();
-        if room == 0 {
-            return Err(TryPutError::Full(items));
-        }
-        if items.len() <= room {
-            obs_on!(let n = items.len(););
-            st.buf.extend(items);
-            obs_on!(let depth = st.buf.len(););
-            drop(st);
-            self.shared.not_empty.notify_all();
-            obs_on!(record_batch_put(n, depth););
-            Ok(())
-        } else {
-            let mut iter = items.into_iter();
-            for _ in 0..room {
-                st.buf.push_back(iter.next().expect("room < len"));
-            }
-            obs_on!(let depth = st.buf.len(););
-            drop(st);
-            self.shared.not_empty.notify_all();
-            obs_on!(record_batch_put(room, depth););
-            Err(TryPutError::Full(iter.collect()))
+            self.wait_for_room(&mut st, &mut waited);
         }
     }
 
     /// Block until an element is available and dequeue it.
     ///
-    /// Returns `None` once the queue is closed *and* drained. Callers
-    /// that need to distinguish a clean end from a failure use
-    /// [`BlockingQueue::take_with_cause`].
+    /// Returns `None` once the queue is closed *and* drained; the reason
+    /// is [`BlockingQueue::close_cause`].
     pub fn take(&self) -> Option<T> {
-        self.take_with_cause().ok()
-    }
-
-    /// Like [`BlockingQueue::take`], but end-of-stream returns the
-    /// recorded [`CloseCause`] instead of a bare `None`.
-    pub fn take_with_cause(&self) -> Result<T, CloseCause> {
         faultpoint!("blockingq.take");
         let mut st = self.shared.state.lock();
-        obs_on!(let mut waited = false;);
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
-                obs_on!(crate::stats::queue().takes.inc(););
-                return Ok(v);
-            }
-            if let Some(cause) = &st.cause {
-                return Err(cause.clone());
-            }
-            obs_on!(if !waited {
-                waited = true;
-                crate::stats::queue().blocked_takes.inc();
-            });
-            st.take_waiters += 1;
-            self.shared.not_empty.wait(&mut st);
-            st.take_waiters -= 1;
-        }
-    }
-
-    /// Dequeue without blocking.
-    pub fn try_take(&self) -> Result<T, TryTakeError> {
-        let mut st = self.shared.state.lock();
-        if let Some(v) = st.buf.pop_front() {
-            drop(st);
-            self.shared.not_full.notify_one();
-            obs_on!(crate::stats::queue().takes.inc(););
-            return Ok(v);
-        }
-        if st.cause.is_some() {
-            Err(TryTakeError::Closed)
-        } else {
-            Err(TryTakeError::Empty)
-        }
+        self.wait_for_items(&mut st);
+        let v = st.buf.pop_front()?;
+        drop(st);
+        self.shared.not_full.notify_one();
+        obs_on!(crate::stats::queue().takes.inc(););
+        Some(v)
     }
 
     /// Block until at least one element is available, then dequeue up to
     /// `max` elements in a single mutex acquisition, preserving FIFO
-    /// order. Returns `None` once the queue is closed *and* drained.
+    /// order. Returns `None` once the queue is closed *and* drained; the
+    /// reason is [`BlockingQueue::close_cause`].
     ///
     /// `max == 0` yields an empty batch immediately, without blocking or
     /// consulting the queue (the degenerate no-op batch).
     pub fn take_batch(&self, max: usize) -> Option<Vec<T>> {
-        self.take_batch_with_cause(max).ok()
-    }
-
-    /// Like [`BlockingQueue::take_batch`], but end-of-stream returns the
-    /// recorded [`CloseCause`] instead of a bare `None`.
-    pub fn take_batch_with_cause(&self, max: usize) -> Result<Vec<T>, CloseCause> {
         if max == 0 {
-            return Ok(Vec::new());
+            return Some(Vec::new());
         }
         faultpoint!("blockingq.take");
-        let mut st = self.shared.state.lock();
-        obs_on!(let mut waited = false;);
-        loop {
-            if !st.buf.is_empty() {
-                let n = st.buf.len().min(max);
-                let out: Vec<T> = st.buf.drain(..n).collect();
-                drop(st);
-                self.shared.not_full.notify_all();
-                obs_on!(record_batch_take(n););
-                return Ok(out);
-            }
-            if let Some(cause) = &st.cause {
-                return Err(cause.clone());
-            }
-            obs_on!(if !waited {
-                waited = true;
-                crate::stats::queue().blocked_takes.inc();
-            });
-            st.take_waiters += 1;
-            self.shared.not_empty.wait(&mut st);
-            st.take_waiters -= 1;
-        }
+        let mut out = Vec::new();
+        (self.take_into(max, &mut out) > 0).then_some(out)
     }
 
     /// Block until at least one element is available, then move the
@@ -414,80 +265,24 @@ impl<T> BlockingQueue<T> {
     /// `0` means the queue is closed and drained (end-of-stream; the
     /// reason is [`BlockingQueue::close_cause`]).
     pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
-        let mut st = self.shared.state.lock();
-        obs_on!(let mut waited = false;);
-        loop {
-            if !st.buf.is_empty() {
-                let n = st.buf.len();
-                out.reserve(n);
-                out.extend(st.buf.drain(..));
-                drop(st);
-                self.shared.not_full.notify_all();
-                obs_on!(record_batch_take(n););
-                return n;
-            }
-            if st.cause.is_some() {
-                return 0;
-            }
-            obs_on!(if !waited {
-                waited = true;
-                crate::stats::queue().blocked_takes.inc();
-            });
-            st.take_waiters += 1;
-            self.shared.not_empty.wait(&mut st);
-            st.take_waiters -= 1;
-        }
+        self.take_into(usize::MAX, out)
     }
 
-    /// Like [`BlockingQueue::take`] but gives up after `timeout`,
-    /// returning `Ok(None)` on end-of-stream and `Err(TimedOut)` on timeout.
-    ///
-    /// `Err(TimedOut)` is only returned when the queue is genuinely empty
-    /// and open when the wait ends: an element enqueued (or a close
-    /// recorded) at-or-before the deadline is returned even if the
-    /// condvar wait itself reports a timeout — a timed wake re-checks the
-    /// state before giving up, so a put that landed at the deadline is
-    /// never lost to a spurious `TimedOut`.
-    pub fn take_timeout(&self, timeout: Duration) -> Result<Option<T>, TimedOut> {
-        let deadline = std::time::Instant::now() + timeout;
+    /// Move up to `max` (≥ 1) buffered elements into `out` once any are
+    /// available; `0` is end-of-stream.
+    fn take_into(&self, max: usize, out: &mut Vec<T>) -> usize {
         let mut st = self.shared.state.lock();
-        obs_on!(let mut waited = false;);
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
-                obs_on!(crate::stats::queue().takes.inc(););
-                return Ok(Some(v));
-            }
-            if st.cause.is_some() {
-                return Ok(None);
-            }
-            obs_on!(if !waited {
-                waited = true;
-                crate::stats::queue().blocked_takes.inc();
-            });
-            st.take_waiters += 1;
-            let timed_out = self
-                .shared
-                .not_empty
-                .wait_until(&mut st, deadline)
-                .timed_out();
-            st.take_waiters -= 1;
-            if timed_out {
-                // Timed out *and* raced a put/close: the state re-check
-                // wins over the timeout report.
-                if let Some(v) = st.buf.pop_front() {
-                    drop(st);
-                    self.shared.not_full.notify_one();
-                    obs_on!(crate::stats::queue().takes.inc(););
-                    return Ok(Some(v));
-                }
-                if st.cause.is_some() {
-                    return Ok(None);
-                }
-                return Err(TimedOut);
-            }
+        self.wait_for_items(&mut st);
+        let n = st.buf.len().min(max);
+        if n == 0 {
+            return 0;
         }
+        out.reserve(n);
+        out.extend(st.buf.drain(..n));
+        drop(st);
+        self.shared.not_full.notify_all();
+        obs_on!(record_batch_take(n););
+        n
     }
 
     /// Close the queue: pending and future `put`s fail, consumers drain the
@@ -500,9 +295,9 @@ impl<T> BlockingQueue<T> {
 
     /// Close the queue recording `cause`. The first close wins: if a
     /// cause is already recorded, this is a no-op (so a producer's
-    /// close-on-exit guard running *after* a fault was recorded cannot
-    /// launder a `Failed` into a `Finished`, and vice versa a consumer
-    /// that already hung up keeps its `Finished`).
+    /// exit action running *after* a fault was recorded cannot launder a
+    /// `Failed` into a `Finished`, and vice versa a consumer that already
+    /// hung up keeps its `Finished`).
     pub fn close_with(&self, cause: CloseCause) {
         let mut st = self.shared.state.lock();
         if st.cause.is_some() {
@@ -553,9 +348,6 @@ fn record_batch_put(n: usize, depth: usize) {
 /// [`record_batch_put`].
 #[cfg(feature = "obs")]
 fn record_batch_take(n: usize) {
-    if n == 0 {
-        return;
-    }
     let stats = crate::stats::queue();
     stats.takes.add(n as u64);
     stats.batch_takes.inc();
@@ -590,7 +382,6 @@ mod tests {
     use super::*;
     use crate::testkit;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn fifo_order_single_thread() {
@@ -608,15 +399,12 @@ mod tests {
         let q = BlockingQueue::bounded(0);
         assert_eq!(q.capacity(), 1);
         q.put(1).unwrap();
-        assert!(matches!(q.try_put(2), Err(TryPutError::Full(2))));
-    }
-
-    #[test]
-    fn try_take_empty_and_closed() {
-        let q: BlockingQueue<i32> = BlockingQueue::bounded(2);
-        assert_eq!(q.try_take(), Err(TryTakeError::Empty));
-        q.close();
-        assert_eq!(q.try_take(), Err(TryTakeError::Closed));
+        let q2 = q.clone();
+        let h = thread::spawn(move || q2.put(2));
+        testkit::wait_until("second put parked", || q.blocked_producers() == 1);
+        assert_eq!(q.take(), Some(1));
+        h.join().unwrap().unwrap();
+        assert_eq!(q.take(), Some(2));
     }
 
     #[test]
@@ -673,16 +461,6 @@ mod tests {
         testkit::wait_until("taker parked", || q.blocked_consumers() == 1);
         q.close();
         assert_eq!(h.join().unwrap(), None);
-    }
-
-    #[test]
-    fn take_timeout_times_out_then_succeeds() {
-        let q: BlockingQueue<i32> = BlockingQueue::bounded(1);
-        assert_eq!(q.take_timeout(Duration::from_millis(10)), Err(TimedOut));
-        q.put(5).unwrap();
-        assert_eq!(q.take_timeout(Duration::from_millis(10)), Ok(Some(5)));
-        q.close();
-        assert_eq!(q.take_timeout(Duration::from_millis(10)), Ok(None));
     }
 
     #[test]
@@ -756,7 +534,6 @@ mod tests {
         let q: BlockingQueue<i32> = BlockingQueue::bounded(2);
         q.close();
         assert_eq!(q.put_all(vec![]), Ok(()));
-        assert_eq!(q.try_put_all(vec![]), Ok(()));
         assert_eq!(q.take_batch(0), Some(vec![]));
     }
 
@@ -797,25 +574,6 @@ mod tests {
         let mut all = drained;
         all.extend(refund);
         assert_eq!(all, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn try_put_all_partial_accept_reports_suffix() {
-        let q = BlockingQueue::bounded(3);
-        q.put(0).unwrap();
-        match q.try_put_all(vec![1, 2, 3, 4]) {
-            Err(TryPutError::Full(rest)) => assert_eq!(rest, vec![3, 4]),
-            other => panic!("expected Full suffix, got {other:?}"),
-        }
-        assert_eq!(q.take_batch(10), Some(vec![0, 1, 2]));
-        // At capacity: nothing accepted, whole batch refunded.
-        q.put_all(vec![9, 9, 9]).unwrap();
-        assert_eq!(q.try_put_all(vec![5]), Err(TryPutError::Full(vec![5])));
-        q.close();
-        assert_eq!(
-            q.try_put_all(vec![6, 7]),
-            Err(TryPutError::Closed(vec![6, 7]))
-        );
     }
 
     #[test]
@@ -878,19 +636,16 @@ mod tests {
         q.put_all(vec![1, 2]).unwrap();
         q.close_with(CloseCause::Failed(Fault::new("stage-x", "boom")));
         // The buffered prefix still drains...
-        assert_eq!(q.take_with_cause(), Ok(1));
-        assert_eq!(q.take_batch_with_cause(8), Ok(vec![2]));
-        // ...then every take shape reports the cause, repeatably.
-        let cause = q.take_with_cause().expect_err("ended");
-        assert!(cause.is_failed());
-        assert_eq!(cause.fault().unwrap().stage(), "stage-x");
-        assert_eq!(cause.fault().unwrap().message(), "boom");
-        assert_eq!(q.take_batch_with_cause(8).expect_err("ended"), cause);
-        assert_eq!(q.close_cause(), Some(cause));
-        // The legacy shapes still see a plain end-of-stream.
+        assert_eq!(q.take(), Some(1));
+        assert_eq!(q.take_batch(8), Some(vec![2]));
+        // ...then every take shape ends, repeatably, and the cause says why.
         assert_eq!(q.take(), None);
         assert_eq!(q.take_batch(8), None);
         assert_eq!(q.drain_into(&mut Vec::new()), 0);
+        let cause = q.close_cause().expect("closed");
+        assert!(cause.is_failed());
+        assert_eq!(cause.fault().unwrap().stage(), "stage-x");
+        assert_eq!(cause.fault().unwrap().message(), "boom");
     }
 
     #[test]
@@ -913,7 +668,7 @@ mod tests {
         let q: BlockingQueue<i32> = BlockingQueue::bounded(1);
         assert_eq!(q.close_cause(), None);
         q.close();
-        assert_eq!(q.take_with_cause(), Err(CloseCause::Finished));
+        assert_eq!(q.take(), None);
         assert_eq!(q.close_cause(), Some(CloseCause::Finished));
     }
 
@@ -922,23 +677,12 @@ mod tests {
         use crate::fault::{CloseCause, Fault};
         let q: BlockingQueue<i32> = BlockingQueue::bounded(1);
         let q2 = q.clone();
-        let h = thread::spawn(move || q2.take_with_cause());
+        let h = thread::spawn(move || q2.take());
         testkit::wait_until("taker parked", || q.blocked_consumers() == 1);
         q.close_with(CloseCause::Failed(Fault::new("producer", "died")));
-        let cause = h.join().unwrap().expect_err("ended");
+        assert_eq!(h.join().unwrap(), None);
+        let cause = q.close_cause().expect("closed");
         assert_eq!(cause.fault().unwrap().message(), "died");
-    }
-
-    #[test]
-    fn take_timeout_prefers_item_over_concurrent_deadline() {
-        // Deterministic corner: an element already buffered is returned
-        // even when the deadline has long passed (a zero-length timeout
-        // with data present must not report TimedOut).
-        let q = BlockingQueue::bounded(2);
-        q.put(7).unwrap();
-        assert_eq!(q.take_timeout(Duration::from_millis(0)), Ok(Some(7)));
-        q.close();
-        assert_eq!(q.take_timeout(Duration::from_millis(0)), Ok(None));
     }
 
     #[test]

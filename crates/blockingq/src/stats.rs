@@ -26,7 +26,7 @@ pub(crate) struct QueueStats {
     pub close_failed: Arc<obs::Counter>,
     /// High-water buffered depth across all queues.
     pub depth_highwater: Arc<obs::Gauge>,
-    /// Batch-put transactions (`put_all` / `try_put_all` moving ≥ 1
+    /// Batch-put transactions (`put_all` calls moving ≥ 1
     /// element under one lock acquisition). Items still count in `puts`.
     pub batch_puts: Arc<obs::Counter>,
     /// Batch-take transactions (`take_batch` / `drain_into` moving ≥ 1

@@ -1,5 +1,5 @@
-//! Property tests for the batch queue APIs (`put_all` / `try_put_all` /
-//! `take_batch` / `drain_into`).
+//! Property tests for the batch queue APIs (`put_all` / `take_batch` /
+//! `drain_into`).
 //!
 //! The single-threaded suite checks random operation sequences — with
 //! batch sizes deliberately spanning 0, 1, and well past the capacity —
@@ -9,18 +9,18 @@
 //! and resumes as space frees) and the refund accounting under mid-stream
 //! close: `taken ++ refunded == original`, always.
 
-use blockingq::{BlockingQueue, PutError, TryPutError, TryTakeError};
+use blockingq::{BlockingQueue, PutError};
 use std::collections::VecDeque;
 use tinyprop::prelude::*;
 
 /// One batch-flavored operation in a generated scenario.
 #[derive(Clone, Debug)]
 enum Op {
-    TryPutAll(Vec<i64>),
+    PutAll(Vec<i64>),
     TakeBatch(usize),
     DrainInto,
-    TryPut(i64),
-    TryTake,
+    Put(i64),
+    Take,
     Close,
     Len,
 }
@@ -29,11 +29,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         // Batch sizes 0..=12 against capacities 1..8: empty batches and
         // batches larger than the whole queue are both routine.
-        4 => prop::collection::vec(any::<i64>(), 0..13).prop_map(Op::TryPutAll),
+        4 => prop::collection::vec(any::<i64>(), 0..13).prop_map(Op::PutAll),
         3 => (0usize..13).prop_map(Op::TakeBatch),
         2 => Just(Op::DrainInto),
-        2 => any::<i64>().prop_map(Op::TryPut),
-        2 => Just(Op::TryTake),
+        2 => any::<i64>().prop_map(Op::Put),
+        2 => Just(Op::Take),
         1 => Just(Op::Close),
         1 => Just(Op::Len),
     ]
@@ -41,12 +41,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// The batch APIs behave exactly like a capacity-bounded `VecDeque`
-    /// with a closed flag: `try_put_all` accepts the fitting prefix and
-    /// refunds the remainder, `take_batch` drains up to `max` in FIFO
-    /// order, `drain_into` empties the buffer — under any interleaved
-    /// sequence of batch and single-element operations. (The takes block
-    /// on an empty open queue, so the single-threaded oracle only asks
-    /// them when an answer is ready.)
+    /// with a closed flag: a closed queue refunds a whole batch,
+    /// `take_batch` drains up to `max` in FIFO order, `drain_into`
+    /// empties the buffer — under any interleaved sequence of batch and
+    /// single-element operations. Single-threaded, so an op is only
+    /// issued when the model predicts it will not block (a put that does
+    /// not fit an open queue, a take from an empty open one); the rest
+    /// are skipped. The straddling put is the concurrent suite's job.
     #[test]
     fn batch_ops_match_reference_model(
         capacity in 1usize..8,
@@ -57,30 +58,18 @@ proptest! {
         let mut closed = false;
 
         for op in ops {
+            let room = capacity - model.len();
             match op {
-                Op::TryPutAll(items) => {
-                    let got = q.try_put_all(items.clone());
-                    if items.is_empty() {
-                        // The degenerate batch is a no-op even when closed.
-                        prop_assert_eq!(got, Ok(()));
-                    } else if closed {
-                        prop_assert_eq!(got, Err(TryPutError::Closed(items)));
-                    } else {
-                        let room = capacity - model.len();
-                        if room == 0 {
-                            prop_assert_eq!(got, Err(TryPutError::Full(items)));
-                        } else if items.len() <= room {
-                            prop_assert_eq!(got, Ok(()));
-                            model.extend(items);
-                        } else {
-                            // Fitting prefix accepted, suffix refunded.
-                            let suffix: Vec<i64> = items[room..].to_vec();
-                            prop_assert_eq!(got, Err(TryPutError::Full(suffix)));
-                            model.extend(items[..room].iter().copied());
-                        }
-                    }
+                // The degenerate batch is a no-op even when closed.
+                Op::PutAll(items) if items.is_empty() => prop_assert_eq!(q.put_all(items), Ok(())),
+                Op::PutAll(items) if closed => {
+                    prop_assert_eq!(q.put_all(items.clone()), Err(PutError(items)));
                 }
-                Op::TakeBatch(max) if max == 0 || closed || !q.is_empty() => {
+                Op::PutAll(items) if items.len() <= room => {
+                    prop_assert_eq!(q.put_all(items.clone()), Ok(()));
+                    model.extend(items);
+                }
+                Op::TakeBatch(max) if max == 0 || closed || !model.is_empty() => {
                     let got = q.take_batch(max);
                     if max == 0 {
                         prop_assert_eq!(got, Some(Vec::new()));
@@ -92,7 +81,7 @@ proptest! {
                         prop_assert_eq!(got, Some(want));
                     }
                 }
-                Op::DrainInto if closed || !q.is_empty() => {
+                Op::DrainInto if closed || !model.is_empty() => {
                     let mut out = vec![-1, -2]; // pre-existing content must survive
                     let got = q.drain_into(&mut out);
                     let mut want = vec![-1, -2];
@@ -100,26 +89,15 @@ proptest! {
                     prop_assert_eq!(got, want.len() - 2);
                     prop_assert_eq!(out, want);
                 }
-                Op::TakeBatch(_) | Op::DrainInto => {}
-                Op::TryPut(v) => {
-                    let got = q.try_put(v);
-                    if closed {
-                        prop_assert_eq!(got, Err(TryPutError::Closed(v)));
-                    } else if model.len() >= capacity {
-                        prop_assert_eq!(got, Err(TryPutError::Full(v)));
-                    } else {
-                        prop_assert_eq!(got, Ok(()));
-                        model.push_back(v);
-                    }
+                Op::Put(v) if closed => prop_assert_eq!(q.put(v), Err(PutError(v))),
+                Op::Put(v) if room > 0 => {
+                    prop_assert_eq!(q.put(v), Ok(()));
+                    model.push_back(v);
                 }
-                Op::TryTake => {
-                    let got = q.try_take();
-                    match model.pop_front() {
-                        Some(v) => prop_assert_eq!(got, Ok(v)),
-                        None if closed => prop_assert_eq!(got, Err(TryTakeError::Closed)),
-                        None => prop_assert_eq!(got, Err(TryTakeError::Empty)),
-                    }
+                Op::Take if closed || !model.is_empty() => {
+                    prop_assert_eq!(q.take(), model.pop_front());
                 }
+                Op::PutAll(_) | Op::TakeBatch(_) | Op::DrainInto | Op::Put(_) | Op::Take => {}
                 Op::Close => {
                     q.close();
                     closed = true;
@@ -127,7 +105,7 @@ proptest! {
                 Op::Len => {
                     prop_assert_eq!(q.len(), model.len());
                     prop_assert_eq!(q.is_empty(), model.is_empty());
-                    prop_assert_eq!(q.is_closed(), closed);
+                    prop_assert_eq!(q.close_cause().is_some(), closed);
                 }
             }
         }
@@ -189,13 +167,11 @@ proptest! {
             })
         };
         // Take a bounded number of elements, then slam the queue shut
-        // under the producer (who may be parked mid-straddle).
+        // under the producer (who may be parked mid-straddle). Every one
+        // of the first `len` takes is eventually satisfied, so they block.
         let mut taken: Vec<usize> = Vec::new();
-        for _ in 0..take_before_close {
-            match q.take_timeout(std::time::Duration::from_millis(50)) {
-                Ok(Some(v)) => taken.push(v),
-                _ => break,
-            }
+        for _ in 0..take_before_close.min(len) {
+            taken.push(q.take().expect("the producer is still sending"));
         }
         q.close();
         let refunded = producer.join().expect("producer ok");

@@ -11,11 +11,11 @@
 //!   source in turn (skipping exhausted ones), the ordered analogue of
 //!   alternately activating co-expressions with `@`.
 
+use crate::producer::{spawn_producer, Factory, Site};
 use blockingq::{BlockingQueue, CloseCause, Fault};
-#[cfg(test)]
-use gde::GenExt;
 use gde::{BoxGen, Gen, Step, Value};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use parking_lot::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Fairness cap on the per-source transport batch in [`merge`]: however
@@ -26,8 +26,8 @@ use std::sync::Arc;
 pub const MERGE_BATCH_FAIRNESS_CAP: usize = 8;
 
 /// What a [`merge`] fan-in does when one of its source producers faults
-/// (panics). Either way the panic is contained in the source's thread and
-/// the source's clean prefix is still delivered.
+/// (its factory or generator panics). Either way the panic is contained in
+/// the source's thread and the source's clean prefix is still delivered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FanPolicy {
     /// Default: the first fault cancels the whole fan-in — the shared
@@ -53,33 +53,33 @@ pub enum FanPolicy {
 /// chunked transport (capped by [`MERGE_BATCH_FAIRNESS_CAP`] per source).
 pub fn merge(sources: Vec<Box<dyn Fn() -> BoxGen + Send + Sync>>, capacity: usize) -> Merge {
     Merge {
-        sources,
-        capacity,
+        sources: sources.into_iter().map(Factory::from).collect(),
+        capacity: capacity.max(1),
         batch: 1,
         policy: FanPolicy::default(),
         state: None,
+        buf: VecDeque::new(),
         fault: None,
-        failed: false,
     }
 }
 
 pub struct Merge {
-    sources: Vec<Box<dyn Fn() -> BoxGen + Send + Sync>>,
+    sources: Vec<Factory>,
     capacity: usize,
     batch: usize,
     policy: FanPolicy,
     state: Option<MergeState>,
-    /// The fault that cancelled the fan-in (`FailFast` only).
+    /// Consumer-side local buffer, refilled by one `take_batch`.
+    buf: VecDeque<Value>,
+    /// The fault that cancelled the fan-in (`FailFast` only). Once set,
+    /// later resumes report end-of-stream instead of respawning.
     fault: Option<Fault>,
-    /// Set once a fault has been surfaced: later resumes report
-    /// end-of-stream instead of re-spawning the producers.
-    failed: bool,
 }
 
 struct MergeState {
     queue: BlockingQueue<Value>,
     /// Sources dropped by [`FanPolicy::Degrade`] in this run.
-    degraded: Arc<parking_lot::sync::atomic::AtomicUsize>,
+    degraded: Arc<AtomicUsize>,
 }
 
 impl Merge {
@@ -93,12 +93,8 @@ impl Merge {
     /// next `resume` respawns them with the new one (the stream restarts
     /// from the top, exactly like [`Gen::restart`]).
     pub fn with_batch(mut self, batch: usize) -> Merge {
-        self.batch = batch
-            .clamp(1, MERGE_BATCH_FAIRNESS_CAP)
-            .min(self.capacity.max(1));
-        if let Some(st) = self.state.take() {
-            st.queue.close();
-        }
+        self.batch = batch.clamp(1, MERGE_BATCH_FAIRNESS_CAP).min(self.capacity);
+        self.stop();
         self
     }
 
@@ -113,15 +109,8 @@ impl Merge {
     /// stream under the new policy.
     pub fn with_policy(mut self, policy: FanPolicy) -> Merge {
         self.policy = policy;
-        if let Some(st) = self.state.take() {
-            st.queue.close();
-        }
+        self.stop();
         self
-    }
-
-    /// The fault policy in effect.
-    pub fn policy(&self) -> FanPolicy {
-        self.policy
     }
 
     /// The fault that cancelled the fan-in, if any (`FailFast` only;
@@ -135,198 +124,101 @@ impl Merge {
     pub fn degraded_sources(&self) -> usize {
         self.state
             .as_ref()
-            .map(|st| {
-                st.degraded
-                    .load(parking_lot::sync::atomic::Ordering::Acquire)
-            })
-            .unwrap_or(0)
+            .map_or(0, |st| st.degraded.load(Ordering::Acquire))
     }
 
-    fn start(&mut self) -> &MergeState {
-        if self.state.is_none() {
-            let queue = BlockingQueue::bounded(self.capacity.max(1));
-            // Atomics and spawns go through the parking_lot shim so merge
-            // producers are virtual threads under --cfg schedtest.
-            let remaining = std::sync::Arc::new(parking_lot::sync::atomic::AtomicUsize::new(
-                self.sources.len(),
-            ));
-            let degraded = std::sync::Arc::new(parking_lot::sync::atomic::AtomicUsize::new(0));
+    /// Abandon the running producers, if any (closing their queue fails
+    /// their next put), and the values buffered from them.
+    fn stop(&mut self) {
+        if let Some(st) = self.state.take() {
+            st.queue.close();
+        }
+        self.buf.clear();
+    }
+
+    /// The shared queue, spawning one producer per source on first use.
+    fn queue(&mut self) -> &BlockingQueue<Value> {
+        let state = self.state.get_or_insert_with(|| {
+            let queue = BlockingQueue::bounded(self.capacity);
+            // Atomics go through the parking_lot shim so they are visible
+            // to the explorer under --cfg schedtest.
+            let remaining = Arc::new(AtomicUsize::new(self.sources.len()));
+            let degraded = Arc::new(AtomicUsize::new(0));
             if self.sources.is_empty() {
                 queue.close();
             }
-            let batch = self.batch.min(self.capacity.max(1)).max(1);
             for (idx, src) in self.sources.iter().enumerate() {
-                let mut g = src();
-                let q = queue.clone();
-                let remaining = remaining.clone();
-                let degraded = degraded.clone();
-                let policy = self.policy;
-                let label: Arc<str> = Arc::from(format!("merge-source-{idx}"));
-                obs_on!(crate::stats::fan().merge_sources.inc(););
-                parking_lot::thread::Builder::new()
-                    .name(format!("fan-merge-producer-{idx}"))
-                    .spawn(move || {
-                        // Departure guard: flushes the source's clean
-                        // prefix, then settles the close protocol — a
-                        // faulted source either cancels the whole fan-in
-                        // (`FailFast`: close `Failed`, first cause wins)
-                        // or just departs (`Degrade`: counted, and the
-                        // last producer out closes `Finished`). Runs even
-                        // on panic, so a crashed source can never leave
-                        // the consumer hanging or miscount `remaining`.
-                        // With obs on, each departing producer records
-                        // its forwarded-item count (the fairness
-                        // distribution).
-                        struct Depart {
-                            remaining: std::sync::Arc<parking_lot::sync::atomic::AtomicUsize>,
-                            queue: BlockingQueue<Value>,
-                            chunk: Vec<Value>,
-                            fault: Option<Fault>,
-                            policy: FanPolicy,
-                            degraded: std::sync::Arc<parking_lot::sync::atomic::AtomicUsize>,
-                            label: Arc<str>,
-                            #[cfg(feature = "obs")]
-                            forwarded: u64,
+                let (remaining, degraded, policy) =
+                    (Arc::clone(&remaining), Arc::clone(&degraded), self.policy);
+                // The departure protocol: a faulted source either cancels
+                // the whole fan-in (`FailFast`: close `Failed`, first
+                // cause wins, siblings' next put fails) or just departs
+                // (`Degrade`: counted); the last producer out closes
+                // `Finished`.
+                let depart = move |queue: &BlockingQueue<Value>, fault: Option<Fault>| match fault {
+                    Some(fault) if policy == FanPolicy::FailFast => {
+                        queue.close_with(CloseCause::Failed(fault));
+                        remaining.fetch_sub(1, Ordering::AcqRel);
+                    }
+                    departed => {
+                        if departed.is_some() {
+                            degraded.fetch_add(1, Ordering::AcqRel);
+                            obs_on!(crate::stats::fan().degraded_sources.inc(););
                         }
-                        impl Depart {
-                            /// Move the accumulated chunk across the
-                            /// queue. `false` means the fan-in hung up.
-                            fn flush(&mut self) -> bool {
-                                if self.chunk.is_empty() {
-                                    return true;
-                                }
-                                obs_on!(let n = self.chunk.len(););
-                                if self.queue.put_all(std::mem::take(&mut self.chunk)).is_err() {
-                                    return false;
-                                }
-                                obs_on!({
-                                    self.forwarded += n as u64;
-                                    crate::stats::fan().merge_items.add(n as u64);
-                                    crate::stats::fan().merge_flushes.inc();
-                                });
-                                true
-                            }
+                        if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            queue.close();
                         }
-                        impl Drop for Depart {
-                            fn drop(&mut self) {
-                                // Contain a transport fault in the final
-                                // flush too: the departure protocol below
-                                // must always run.
-                                if let Err(payload) =
-                                    catch_unwind(AssertUnwindSafe(|| self.flush()))
-                                {
-                                    if self.fault.is_none() {
-                                        self.fault =
-                                            Some(Fault::from_panic(&self.label, &*payload));
-                                    }
-                                }
-                                obs_on!(crate::stats::fan()
-                                    .items_per_source
-                                    .record(self.forwarded););
-                                use parking_lot::sync::atomic::Ordering;
-                                match self.fault.take() {
-                                    Some(fault) if self.policy == FanPolicy::FailFast => {
-                                        // First close wins: the Failed
-                                        // cause cancels the siblings
-                                        // (their next put fails) and is
-                                        // what the consumer observes.
-                                        self.queue.close_with(CloseCause::Failed(fault));
-                                        self.remaining.fetch_sub(1, Ordering::AcqRel);
-                                    }
-                                    departed => {
-                                        if departed.is_some() {
-                                            self.degraded.fetch_add(1, Ordering::AcqRel);
-                                            obs_on!(crate::stats::fan()
-                                                .degraded_sources
-                                                .inc(););
-                                        }
-                                        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                            self.queue.close();
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        let mut guard = Depart {
-                            remaining,
-                            queue: q,
-                            chunk: Vec::with_capacity(batch),
-                            fault: None,
-                            policy,
-                            degraded,
-                            label: Arc::clone(&label),
-                            #[cfg(feature = "obs")]
-                            forwarded: 0,
-                        };
-                        // Chunked transport, fairness-capped: at most
-                        // `batch` values per queue transaction per
-                        // source. The drive loop runs under catch_unwind
-                        // so a source panic becomes a Fault, not a
-                        // vanished producer.
-                        let run = catch_unwind(AssertUnwindSafe(|| loop {
-                            faultpoint!("pipes.merge.resume");
-                            match g.resume() {
-                                Step::Suspend(v) => {
-                                    guard.chunk.push(v.deep_copy());
-                                    if guard.chunk.len() >= batch && !guard.flush() {
-                                        return;
-                                    }
-                                }
-                                Step::Fail => return,
-                            }
-                        }));
-                        if let Err(payload) = run {
-                            guard.fault = Some(Fault::from_panic(&label, &*payload));
-                        }
-                        // guard drops here: flush + departure protocol.
-                    })
-                    .expect("spawn merge producer");
+                    }
+                };
+                let label = Arc::from(format!("merge-source-{idx}"));
+                spawn_producer(
+                    queue.clone(),
+                    Arc::clone(src),
+                    self.batch,
+                    label,
+                    Site::Merge,
+                    depart,
+                );
             }
-            self.state = Some(MergeState { queue, degraded });
-        }
-        self.state.as_ref().expect("just set")
+            MergeState { queue, degraded }
+        });
+        &state.queue
     }
 }
 
 impl Gen for Merge {
     fn resume(&mut self) -> Step {
-        if self.failed {
-            return Step::Fail;
-        }
-        self.start();
-        match self
-            .state
-            .as_ref()
-            .expect("started")
-            .queue
-            .take_with_cause()
-        {
-            Ok(v) => Step::Suspend(v),
-            Err(CloseCause::Finished) => Step::Fail,
-            Err(CloseCause::Failed(fault)) => {
-                obs_on!(crate::stats::pipe().faults_propagated.inc(););
-                // failed first: a caught propagation followed by another
-                // resume must observe end-of-stream, not a respawn.
-                self.failed = true;
-                self.fault = Some(fault.clone());
-                panic!("merge failed: {fault}");
+        if self.buf.is_empty() && self.fault.is_none() {
+            let capacity = self.capacity;
+            let queue = self.queue();
+            match queue.take_batch(capacity) {
+                Some(chunk) => self.buf = VecDeque::from(chunk),
+                None => {
+                    if let Some(CloseCause::Failed(fault)) = queue.close_cause() {
+                        obs_on!(crate::stats::pipe().faults_propagated.inc(););
+                        // Recorded first: a caught propagation followed by
+                        // another resume must observe end-of-stream, not a
+                        // respawn.
+                        self.fault = Some(fault.clone());
+                        panic!("merge failed: {fault}");
+                    }
+                }
             }
+        }
+        match self.buf.pop_front() {
+            Some(v) => Step::Suspend(v),
+            None => Step::Fail,
         }
     }
     fn restart(&mut self) {
-        if let Some(st) = self.state.take() {
-            st.queue.close();
-        }
+        self.stop();
         self.fault = None;
-        self.failed = false;
     }
 }
 
 impl Drop for Merge {
     fn drop(&mut self) {
-        if let Some(st) = self.state.take() {
-            st.queue.close();
-        }
+        self.stop();
     }
 }
 
@@ -369,13 +261,9 @@ impl Gen for RoundRobin {
                 Step::Fail => self.alive[i] = false,
             }
         }
-        if self.alive.iter().any(|a| *a) {
-            // All sources visited this round failed but some had failed
-            // earlier rounds only; loop once more.
-            self.resume()
-        } else {
-            Step::Fail
-        }
+        // The sweep visited every source once: each live one either
+        // yielded (returned above) or is now dead.
+        Step::Fail
     }
     fn restart(&mut self) {
         for s in &mut self.sources {
@@ -386,23 +274,22 @@ impl Gen for RoundRobin {
     }
 }
 
-/// Collect all values of a merged fan-in, sorted by integer value (test
-/// helper for order-insensitive assertions).
-#[cfg(test)]
-fn drain_sorted(mut g: impl Gen) -> Vec<i64> {
-    let mut out: Vec<i64> = g
-        .collect_values()
-        .iter()
-        .filter_map(|v| v.as_int())
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gde::comb::to_range;
+    use gde::GenExt;
+
+    /// All values of a merged fan-in, sorted for order-insensitive checks.
+    fn drain_sorted(mut g: impl Gen) -> Vec<i64> {
+        let mut out: Vec<i64> = g
+            .collect_values()
+            .iter()
+            .filter_map(|v| v.as_int())
+            .collect();
+        out.sort_unstable();
+        out
+    }
 
     #[test]
     fn merge_delivers_everything_once() {

@@ -50,6 +50,7 @@ macro_rules! faultpoint {
 
 mod fan;
 mod pipe;
+mod producer;
 #[cfg(feature = "obs")]
 mod stats;
 
@@ -66,6 +67,8 @@ pub use pipe::{
 pub fn obs_register() {
     #[cfg(feature = "obs")]
     {
+        stats::producers(producer::Site::Pipe);
+        stats::producers(producer::Site::Merge);
         stats::pipe();
         stats::fan();
     }

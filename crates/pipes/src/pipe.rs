@@ -1,5 +1,6 @@
 //! The pipe proxy itself.
 
+use crate::producer::{spawn_producer, Factory, Site};
 use blockingq::{BlockingQueue, CloseCause, Fault};
 use gde::{BoxGen, CoRef, Gen, GenExt, Step, Value};
 use std::collections::VecDeque;
@@ -10,25 +11,23 @@ use std::time::Duration;
 /// Default output-queue capacity for pipes.
 ///
 /// Finite so that an unconsumed pipe cannot buffer unboundedly, large
-/// enough that a well-matched producer/consumer pair rarely blocks; the
-/// throttling ablation bench sweeps this.
+/// enough that a well-matched producer/consumer pair rarely blocks;
+/// sweep A of `bench --bin ablations` varies it.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Default transport batch for pipes: the producer accumulates up to this
 /// many results locally and moves them across the queue in one
 /// `put_all`, and the consumer refills its local buffer with one
 /// `take_batch` — one lock/condvar transaction per *chunk* instead of per
-/// item. Sized from the `BENCH_baseline.json` contention counters
-/// (28 262 consumer blocking episodes against 378 288 takes pre-batching):
-/// when the consumer outruns the producer it parks once per *flush*, so
-/// the episode floor is ≈ items/batch — 128 keeps that floor more than 5×
-/// under the pre-batching episode count while staying an order of
-/// magnitude below [`DEFAULT_CAPACITY`]. The effective batch is always
-/// clamped to the queue capacity so a small capacity still throttles at
-/// its configured bound.
+/// item. When the consumer outruns the producer it parks at most once per
+/// flush, so its blocking episodes are bounded by items/batch: at 128 that
+/// bound is two orders of magnitude under item-at-a-time transport, while
+/// the batch stays an order of magnitude below [`DEFAULT_CAPACITY`] so a
+/// producer still runs several chunks ahead before it throttles. (On the
+/// benchmark's `pipe_light`, 20 000 words per pass, that is 157 flushes.)
+/// The effective batch is always clamped to the queue capacity so a small
+/// capacity still throttles at its configured bound.
 pub const DEFAULT_BATCH: usize = 128;
-
-type GenFactory = Arc<dyn Fn() -> BoxGen + Send + Sync>;
 
 /// What the consumer side of a pipe does when the producer *faults*
 /// (its generator — or the transport under fault injection — panics).
@@ -74,9 +73,9 @@ pub enum FaultPolicy {
 /// and the thread exits) and spawns a fresh one over a fresh queue, matching
 /// the restart-re-evaluates contract of [`Gen`].
 pub struct Pipe {
-    factory: GenFactory,
-    capacity: usize,
+    factory: Factory,
     batch: usize,
+    /// The output queue; its capacity is the pipe's.
     queue: BlockingQueue<Value>,
     /// Consumer-side local buffer: refilled by one `take_batch`, then
     /// handed out item by item without touching the queue lock.
@@ -124,24 +123,13 @@ impl Pipe {
         capacity: usize,
         batch: usize,
     ) -> Pipe {
-        let factory: GenFactory = Arc::new(make);
-        let batch = effective_batch(batch, capacity);
-        let label: Arc<str> = Arc::from("pipe");
-        let queue = spawn_producer(Arc::clone(&factory), capacity, batch, Arc::clone(&label));
-        Pipe {
-            factory,
+        Pipe::start(
+            Arc::new(make),
             capacity,
-            batch,
-            queue,
-            buf: VecDeque::new(),
-            done: false,
-            produced: 0,
-            label,
-            policy: FaultPolicy::default(),
-            fault: None,
-            retries: 0,
-            replay_skip: 0,
-        }
+            batch.clamp(1, capacity.max(1)),
+            Arc::from("pipe"),
+            FaultPolicy::default(),
+        )
     }
 
     /// `|> plan(e)`: a pipe whose producer runs a combinator
@@ -162,12 +150,48 @@ impl Pipe {
         Pipe::batched(move || fused.instantiate(make_source()), capacity, batch)
     }
 
+    /// The one place a `Pipe` is built: a producer for the recipe over a
+    /// fresh queue, and the consumer at the start of its stream.
+    fn start(
+        factory: Factory,
+        capacity: usize,
+        batch: usize,
+        label: Arc<str>,
+        policy: FaultPolicy,
+    ) -> Pipe {
+        Pipe {
+            queue: spawn_run(&factory, capacity, batch, &label),
+            factory,
+            batch,
+            buf: VecDeque::new(),
+            done: false,
+            produced: 0,
+            label,
+            policy,
+            fault: None,
+            retries: 0,
+            replay_skip: 0,
+        }
+    }
+
+    /// A fresh run of the same recipe (factory, capacity, batch, label,
+    /// policy): what restart and refresh both are.
+    fn rerun(&self) -> Pipe {
+        Pipe::start(
+            Arc::clone(&self.factory),
+            self.queue.capacity(),
+            self.batch,
+            Arc::clone(&self.label),
+            self.policy.clone(),
+        )
+    }
+
     /// Builder-style batch override: abandons the producer spawned by the
     /// constructor and respawns it with the new batch (exactly like a
     /// restart, so call it before consuming). `with_batch(1)` disables
     /// chunking.
     pub fn with_batch(mut self, batch: usize) -> Pipe {
-        let batch = effective_batch(batch, self.capacity);
+        let batch = batch.clamp(1, self.queue.capacity());
         if batch != self.batch {
             self.batch = batch;
             Gen::restart(&mut self);
@@ -197,16 +221,6 @@ impl Pipe {
         self.batch
     }
 
-    /// The fault policy in effect.
-    pub fn policy(&self) -> &FaultPolicy {
-        &self.policy
-    }
-
-    /// The stage label stamped into this pipe's faults.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// The last fault observed from the producer, if any: terminal under
     /// `Propagate`/`Truncate`, the most recently *recovered* one under
     /// `Retry`. Reset by [`Gen::restart`].
@@ -232,132 +246,7 @@ impl Pipe {
     pub fn boxed(self) -> BoxGen {
         Box::new(self)
     }
-}
 
-/// Clamp a requested batch to `[1, capacity]` (capacity is itself ≥ 1).
-fn effective_batch(batch: usize, capacity: usize) -> usize {
-    batch.clamp(1, capacity.max(1))
-}
-
-fn spawn_producer(
-    factory: GenFactory,
-    capacity: usize,
-    batch: usize,
-    label: Arc<str>,
-) -> BlockingQueue<Value> {
-    let queue = BlockingQueue::bounded(capacity);
-    let out = queue.clone();
-    let batch = effective_batch(batch, capacity);
-    obs_on!(crate::stats::pipe().spawned.inc(););
-    // Through the parking_lot shim so the producer is a virtual thread
-    // under --cfg schedtest (see DESIGN.md § "Schedule exploration").
-    parking_lot::thread::Builder::new()
-        .name(format!("pipe-producer:{label}"))
-        .spawn(move || {
-            // Close the queue no matter how the producer exits: a
-            // consumer blocked in take() must observe end-of-stream,
-            // never hang. The guard owns the in-flight chunk so the
-            // clean prefix accumulated before a panic is still flushed,
-            // and carries the close cause (`Finished` unless a caught
-            // panic upgraded it to `Failed`). With obs on, it also
-            // records the producer's lifetime and forwarded-item count.
-            struct CloseOnExit {
-                queue: BlockingQueue<Value>,
-                chunk: Vec<Value>,
-                cause: CloseCause,
-                label: Arc<str>,
-                #[cfg(feature = "obs")]
-                forwarded: u64,
-                #[cfg(feature = "obs")]
-                started: std::time::Instant,
-            }
-            impl CloseOnExit {
-                /// Move the accumulated chunk across the queue. `false`
-                /// means the consumer hung up (restart/drop) — stop.
-                fn flush(&mut self) -> bool {
-                    if self.chunk.is_empty() {
-                        return true;
-                    }
-                    obs_on!(let n = self.chunk.len(););
-                    if self.queue.put_all(std::mem::take(&mut self.chunk)).is_err() {
-                        return false;
-                    }
-                    obs_on!({
-                        self.forwarded += n as u64;
-                        crate::stats::pipe().items.add(n as u64);
-                        crate::stats::pipe().flushes.inc();
-                    });
-                    true
-                }
-            }
-            impl Drop for CloseOnExit {
-                fn drop(&mut self) {
-                    // The final flush can itself panic (fault injection
-                    // arms the transport sites too); contain it so the
-                    // close below *always* runs — an unclosed queue
-                    // would hang the consumer forever.
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.flush())) {
-                        if !self.cause.is_failed() {
-                            self.cause =
-                                CloseCause::Failed(Fault::from_panic(&*self.label, &*payload));
-                        }
-                    }
-                    self.queue
-                        .close_with(std::mem::replace(&mut self.cause, CloseCause::Finished));
-                    obs_on!({
-                        let stats = crate::stats::pipe();
-                        stats.producer_wall.observe(self.started.elapsed());
-                        stats.items_per_producer.record(self.forwarded);
-                    });
-                }
-            }
-            let mut guard = CloseOnExit {
-                queue: out,
-                chunk: Vec::with_capacity(batch),
-                cause: CloseCause::Finished,
-                label: Arc::clone(&label),
-                #[cfg(feature = "obs")]
-                forwarded: 0,
-                #[cfg(feature = "obs")]
-                started: std::time::Instant::now(),
-            };
-            // Chunked transport: accumulate up to `batch` results
-            // locally, flushing on size; the guard flushes the partial
-            // chunk and closes on every exit path. The whole drive loop
-            // runs under catch_unwind: a generator panic becomes a
-            // `Failed(Fault)` close cause instead of a silent truncation.
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut g = factory();
-                loop {
-                    faultpoint!("pipes.producer.resume");
-                    match g.resume() {
-                        Step::Suspend(v) => {
-                            // Deep-copy at the thread boundary.
-                            guard.chunk.push(v.deep_copy());
-                            if guard.chunk.len() >= batch {
-                                if !guard.flush() {
-                                    return;
-                                }
-                                if guard.chunk.capacity() < batch {
-                                    guard.chunk.reserve(batch);
-                                }
-                            }
-                        }
-                        Step::Fail => return,
-                    }
-                }
-            }));
-            if let Err(payload) = run {
-                guard.cause = CloseCause::Failed(Fault::from_panic(&*label, &*payload));
-            }
-            // guard drops here: flushes the clean prefix, closes with
-            // the recorded cause.
-        })
-        .expect("failed to spawn pipe producer");
-    queue
-}
-
-impl Pipe {
     /// Policy dispatch on a `Failed` close cause. `None` means the fault
     /// was recovered (`Retry` respawned the producer) and the consumer
     /// should take again; `Some(step)` ends the stream; `Propagate` (and
@@ -378,12 +267,8 @@ impl Pipe {
                 // `produced` results it has already handed out.
                 self.buf.clear();
                 self.replay_skip = self.produced;
-                self.queue = spawn_producer(
-                    Arc::clone(&self.factory),
-                    self.capacity,
-                    self.batch,
-                    Arc::clone(&self.label),
-                );
+                let capacity = self.queue.capacity();
+                self.queue = spawn_run(&self.factory, capacity, self.batch, &self.label);
                 None
             }
             FaultPolicy::Truncate => {
@@ -405,6 +290,27 @@ impl Pipe {
     }
 }
 
+/// Spawn a pipe producer over a fresh queue of `capacity` and return the
+/// queue. The producer's exit closes it with the run's cause: `Finished`,
+/// or `Failed` with the contained fault.
+fn spawn_run(
+    factory: &Factory,
+    capacity: usize,
+    batch: usize,
+    label: &Arc<str>,
+) -> BlockingQueue<Value> {
+    let queue = BlockingQueue::bounded(capacity);
+    spawn_producer(
+        queue.clone(),
+        Arc::clone(factory),
+        batch,
+        Arc::clone(label),
+        Site::Pipe,
+        |queue, fault| queue.close_with(fault.map_or(CloseCause::Finished, CloseCause::Failed)),
+    );
+    queue
+}
+
 impl Gen for Pipe {
     fn resume(&mut self) -> Step {
         if let Some(v) = self.buf.pop_front() {
@@ -418,52 +324,38 @@ impl Gen for Pipe {
         // transaction (blocking until the producer delivers a chunk). The
         // loop re-takes after a retry respawn or an all-replay chunk.
         loop {
-            match self.queue.take_batch_with_cause(self.batch) {
-                Ok(mut chunk) => {
-                    if self.replay_skip > 0 {
-                        let skip = (self.replay_skip as usize).min(chunk.len());
-                        chunk.drain(..skip);
-                        self.replay_skip -= skip as u64;
-                        if chunk.is_empty() {
-                            continue;
-                        }
+            let Some(mut chunk) = self.queue.take_batch(self.batch) else {
+                // End of stream: the (first, final) close cause says why.
+                if let Some(CloseCause::Failed(fault)) = self.queue.close_cause() {
+                    match self.handle_fault(fault) {
+                        Some(step) => return step,
+                        None => continue,
                     }
-                    self.buf = VecDeque::from(chunk);
-                    let v = self.buf.pop_front().expect("non-empty after replay skip");
-                    self.produced += 1;
-                    return Step::Suspend(v);
                 }
-                Err(CloseCause::Finished) => {
-                    self.done = true;
-                    return Step::Fail;
-                }
-                Err(CloseCause::Failed(fault)) => {
-                    if let Some(step) = self.handle_fault(fault) {
-                        return step;
-                    }
+                self.done = true;
+                return Step::Fail;
+            };
+            if self.replay_skip > 0 {
+                let skip = (self.replay_skip as usize).min(chunk.len());
+                chunk.drain(..skip);
+                self.replay_skip -= skip as u64;
+                if chunk.is_empty() {
+                    continue;
                 }
             }
+            self.buf = VecDeque::from(chunk);
+            let v = self.buf.pop_front().expect("non-empty after replay skip");
+            self.produced += 1;
+            return Step::Suspend(v);
         }
     }
 
     fn restart(&mut self) {
-        // Abandon the old producer (it exits on its next put) and start a
-        // fresh one: restart re-evaluates the piped expression. Locally
-        // buffered results belong to the abandoned run and are discarded,
-        // and the fault/retry state starts over with the fresh run.
-        self.queue.close();
-        self.queue = spawn_producer(
-            Arc::clone(&self.factory),
-            self.capacity,
-            self.batch,
-            Arc::clone(&self.label),
-        );
-        self.buf.clear();
-        self.done = false;
-        self.produced = 0;
-        self.fault = None;
-        self.retries = 0;
-        self.replay_skip = 0;
+        // Abandon the old producer (dropping the old pipe closes its
+        // queue, so the producer exits on its next put) and start a fresh
+        // run: restart re-evaluates the piped expression. Locally buffered
+        // results and the fault/retry state belong to the abandoned run.
+        *self = self.rerun();
     }
 }
 
@@ -479,25 +371,7 @@ impl gde::Coroutine for Pipe {
         Gen::restart(self)
     }
     fn refreshed(&self) -> Option<gde::CoRef> {
-        let factory = Arc::clone(&self.factory);
-        let capacity = self.capacity;
-        let batch = self.batch;
-        let label = Arc::clone(&self.label);
-        let queue = spawn_producer(Arc::clone(&factory), capacity, batch, Arc::clone(&label));
-        Some(std::sync::Arc::new(parking_lot::Mutex::new(Pipe {
-            factory,
-            capacity,
-            batch,
-            queue,
-            buf: VecDeque::new(),
-            done: false,
-            produced: 0,
-            label,
-            policy: self.policy.clone(),
-            fault: None,
-            retries: 0,
-            replay_skip: 0,
-        })))
+        Some(std::sync::Arc::new(parking_lot::Mutex::new(self.rerun())))
     }
     fn produced(&self) -> u64 {
         self.produced
@@ -642,7 +516,7 @@ mod tests {
     fn capacity_throttles_batched_producer() {
         // With chunking the producer may additionally hold one local chunk
         // (clamped to capacity), so the run-ahead bound is
-        // capacity + effective_batch + 1; the default batch (32) clamps to
+        // capacity + effective_batch + 1; the default batch (128) clamps to
         // the capacity (4) here.
         let progress = Var::new(Value::from(0));
         let p = Pipe::with_capacity(counting_src(progress.clone()), 4);

@@ -154,6 +154,51 @@ fn merge_capacity_1_abandoned_midstream_shuts_down_producers() {
     drop(m);
 }
 
+// --- a source factory that panics ---------------------------------------------
+
+/// A source whose factory itself panics (before any generator exists).
+fn panicking_factory() -> Box<dyn Fn() -> BoxGen + Send + Sync> {
+    Box::new(|| panic!("factory blew up"))
+}
+
+#[test]
+fn merge_degrade_contains_a_panicking_factory() {
+    // The factory runs on the producer thread, inside its catch_unwind:
+    // the fan-in drops that source and merges the survivor in full.
+    let mut m = merge(vec![range_src(1, 10), panicking_factory()], 4)
+        .with_policy(pipes::FanPolicy::Degrade);
+    let mut got = drain_ints(&mut m);
+    got.sort_unstable();
+    assert_eq!(got, (1..=10).collect::<Vec<_>>());
+    assert_eq!(m.degraded_sources(), 1);
+    assert!(m.fault().is_none(), "degrade never cancels the fan-in");
+}
+
+#[test]
+fn merge_fail_fast_reports_a_panicking_factory_and_cancels_siblings() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+    // Source 0 is endless: only the fan-in's Failed close can stop it.
+    let spawns = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&spawns);
+    let endless: Box<dyn Fn() -> BoxGen + Send + Sync> = Box::new(move || {
+        counted.fetch_add(1, SeqCst);
+        Box::new(to_range(1, i64::MAX, 1))
+    });
+    let mut m = merge(vec![endless, panicking_factory()], 4);
+    let err = catch_unwind(AssertUnwindSafe(|| m.collect_values())).unwrap_err();
+    let msg = err.downcast_ref::<String>().expect("string payload");
+    assert!(msg.contains("merge failed"), "{msg}");
+    assert!(msg.contains("merge-source-1"), "names the source: {msg}");
+    let fault = m.fault().expect("fault recorded");
+    assert_eq!(fault.stage(), "merge-source-1");
+    assert!(fault.message().contains("factory blew up"));
+    // The failure is sticky and respawns nothing.
+    assert_eq!(m.resume(), Step::Fail);
+    assert_eq!(spawns.load(SeqCst), 1);
+}
+
 #[test]
 fn merge_capacity_1_restart_midstream_replays() {
     // restart() closes the old queue (unblocking throttled producers)

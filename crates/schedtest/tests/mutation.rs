@@ -13,8 +13,8 @@
 //!   `taken ++ refunded == sent`.
 //! * **Mutation B** — the pipe producer closes its output queue *before*
 //!   flushing the trailing partial chunk (the real code flushes first,
-//!   then the `CloseOnExit` guard closes). The flush hits a closed queue
-//!   and the stream's tail is silently dropped.
+//!   then the producer's exit action closes). The flush hits a closed
+//!   queue and the stream's tail is silently dropped.
 //!
 //! For each: the DFS explorer must catch the bug within 10 000
 //! interleavings, the reported schedule must replay to the identical

@@ -8,8 +8,9 @@
 #                    the borrowed string representation (ISSUE 19);
 #                    neither back end, the lowering nor the resolver may
 #                    name a `gde::ops` primitive (ISSUE 21); neither
-#                    back end may name the source IR (ISSUE 22); and the
-#                    second measured surface stays deleted (ISSUE 23);
+#                    back end may name the source IR (ISSUE 22); the
+#                    second measured surface stays deleted (ISSUE 23); and
+#                    the transport keeps one path (ISSUE 25);
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -93,6 +94,23 @@ if hits="$(grep -rnE 'TINYBENCH[_]|figure6-v[2]' crates scripts .github)"; then
     exit 1
 fi
 echo "   ok: one measured surface (no bench targets, no criterion, no figure6 JSON)"
+
+# One transport path (DESIGN.md § Batched transport): the queue has one
+# wait per direction and no try/timed/with-cause variants (MVar's own
+# try_put/try_take stay), and one producer loop moves every pipe and
+# merge result across it.
+if hits="$(grep -rnE 'fn (try_put|try_put_all|try_take|take_timeout|is_closed|take_with_cause|take_batch_with_cause)\b|TryPutError|TryTakeError|TimedOut' \
+        crates/blockingq/src | grep -v '^crates/blockingq/src/mvar\.rs:')"; then
+    echo "$hits"
+    echo "FAIL: a deleted BlockingQueue variant is back; wait with put/take and read close_cause() after end of stream"
+    exit 1
+fi
+if hits="$(grep -rn 'put_all(' crates/pipes/src | grep -v '^crates/pipes/src/producer\.rs:')"; then
+    echo "$hits"
+    echo "FAIL: put_all outside crates/pipes/src/producer.rs; move results through spawn_producer"
+    exit 1
+fi
+echo "   ok: one transport path (16-fn queue, one producer loop)"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a
