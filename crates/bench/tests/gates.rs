@@ -8,7 +8,8 @@
 //! `faults` gates read other files and keep their fixtures.
 
 use bench::gates::{
-    drift_table, history_line, run_gates, Check, GateReport, GateStatus, Results, TABLE, WORKLOADS,
+    drift_table, history_line, run_gates, Check, GateReport, GateStatus, Results, Row, TABLE,
+    WORKLOADS,
 };
 use bench::json::Json;
 use std::collections::BTreeMap;
@@ -61,9 +62,18 @@ fn doc_of<'a>(results: &'a mut Results, workload: &'static str, trace: u8) -> &'
         .expect("document parsed")
 }
 
+/// The members a row reads its key from.
+fn read_by<'a>(results: &'a mut Results, row: &Row) -> &'a mut BTreeMap<String, Json> {
+    let place: &[&str] = match row.check {
+        Check::MetricAtMost(_) => &["result", "metrics"],
+        _ => &["notes"],
+    };
+    members(doc_of(results, row.workload, row.trace), place)
+}
+
 /// Ten minimal result documents on which every gate passes: an untraced
 /// one carries the end-to-end metrics, a traced one the per-layer metrics,
-/// and each table row's note holds a passing value.
+/// and each table row's key holds a passing value where the row reads it.
 fn passing() -> Results {
     let mut results = Results::new();
     for workload in WORKLOADS {
@@ -89,16 +99,15 @@ fn passing() -> Results {
         }
     }
     for row in TABLE {
-        let notes = members(doc_of(&mut results, row.workload, row.trace), &["notes"]);
         let passing = match row.check {
             Check::NonZero => 2.0,
-            Check::AtMost(cap) => cap * 0.9,
+            Check::AtMost(cap) | Check::MetricAtMost(cap) => cap * 0.9,
             Check::RatioAtMost(denominator, cap) => {
-                notes.insert(denominator.to_string(), value(20_000.0));
+                read_by(&mut results, &row).insert(denominator.to_string(), value(20_000.0));
                 20_000.0 * cap * 0.1
             }
         };
-        notes.insert(row.key.to_string(), value(passing));
+        read_by(&mut results, &row).insert(row.key.to_string(), value(passing));
     }
     results
 }
@@ -139,7 +148,8 @@ fn passing_results_pass_every_gate_under_its_name() {
             "concat-slices",
             "resolve",
             "contention",
-            "seq-lw-ratio"
+            "seq-lw-ratio",
+            "interp-freed"
         ]
     );
 }
@@ -148,10 +158,12 @@ fn passing_results_pass_every_gate_under_its_name() {
 fn every_row_trips_alone() {
     for row in TABLE {
         let mut results = passing();
-        let notes = members(doc_of(&mut results, row.workload, row.trace), &["notes"]);
+        let notes = read_by(&mut results, &row);
         let (tripping, shown) = match row.check {
             Check::NonZero => (0.0, "= 0".to_string()),
-            Check::AtMost(cap) => (cap * 1.3, format!("{:.3}", cap * 1.3)),
+            Check::AtMost(cap) | Check::MetricAtMost(cap) => {
+                (cap * 1.3, format!("{:.3}", cap * 1.3))
+            }
             Check::RatioAtMost(_, cap) => (20_000.0 * cap * 6.0, format!("{:.4}", cap * 6.0)),
         };
         notes.insert(row.key.to_string(), value(tripping));
@@ -169,11 +181,27 @@ fn every_row_trips_alone() {
 }
 
 #[test]
+fn interp_freed_trips_at_the_leaking_reading_only() {
+    // `compile_heavy` `peak_rss_mb` with nine leaked interpreters, then the
+    // largest reading with them freed.
+    for (peak_rss_mb, failing) in [(118.6, &["interp-freed"][..]), (54.99, &[])] {
+        let mut results = passing();
+        let metrics = members(
+            doc_of(&mut results, "compile_heavy", 0),
+            &["result", "metrics"],
+        );
+        metrics.insert("peak_rss_mb".into(), value(peak_rss_mb));
+        let reports = assert_only_fails(&results, failing);
+        let detail = &report(&reports, "interp-freed").detail;
+        assert!(detail.contains(&format!("{peak_rss_mb:.3}")), "{detail}");
+    }
+}
+
+#[test]
 fn renamed_note_key_fails_never_skips() {
     for row in TABLE {
         let mut results = passing();
-        let doc = doc_of(&mut results, row.workload, row.trace);
-        let notes = members(doc, &["notes"]);
+        let notes = read_by(&mut results, &row);
         let renamed = notes.remove(row.key).expect("passing() sets the note");
         notes.insert(format!("{}_v2", row.key), renamed);
         if let Check::RatioAtMost(..) = row.check {

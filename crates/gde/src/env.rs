@@ -265,6 +265,18 @@ impl Env {
         }
     }
 
+    /// Empty this frame: drop every overlay name and set every slot to
+    /// null. Code still holding one of its `Var`s keeps the cell; only
+    /// by-name lookups made afterwards find nothing. As in
+    /// [`Env::shadow`], no lock is held while the old values drop.
+    pub fn clear(&self) {
+        let overlay = std::mem::take(&mut *self.frame.overlay.lock());
+        drop(overlay);
+        for cell in self.frame.slots.iter() {
+            drop(cell.replace(Value::Null));
+        }
+    }
+
     /// Names declared in this frame (not the parents), sorted: overlay
     /// names plus the layout's slot names, deduplicated.
     pub fn local_names(&self) -> Vec<String> {
@@ -436,6 +448,22 @@ mod tests {
             env.local_names(),
             vec!["a".to_string(), "b".to_string(), "c".to_string()]
         );
+    }
+
+    #[test]
+    fn clear_empties_the_frame_but_not_held_cells() {
+        let root = Env::root();
+        root.declare("outer", Value::from(10));
+        let env = root.child_with_layout(layout(&["n"]));
+        env.slot_local(0).set(Value::from(7));
+        let held = env.declare("d", Value::from(1));
+        env.clear();
+        assert!(env.lookup_local("d").is_none());
+        assert!(env.slot_local(0).get().is_null());
+        // A cell taken before the clear keeps working; parents are untouched.
+        held.set(Value::from(2));
+        assert_eq!(held.get().as_int(), Some(2));
+        assert_eq!(env.get("outer").as_int(), Some(10));
     }
 
     #[test]

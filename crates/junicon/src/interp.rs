@@ -24,12 +24,12 @@ use crate::resolve::resolve_program;
 use crate::rt;
 use gde::comb;
 use gde::env::{Env, FrameLayout};
-use gde::{BoxGen, GenExt, ProcValue, Symbol, Value};
+use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Errors surfaced by the interpreter API.
 #[derive(Debug)]
@@ -65,13 +65,57 @@ pub(crate) struct Shared {
     pub pending: Mutex<String>,
     /// Also echo writes to stdout.
     pub echo: AtomicBool,
+    /// Every object the session made, for [`Session`]'s teardown.
+    objects: Mutex<Vec<Weak<ObjData>>>,
 }
 
 /// The Junicon interpreter: loads embedded programs, registers host
 /// procedures and native methods, evaluates expressions to generators.
+///
+/// Every handle (`Interp` is `Clone`) and every generator returned by
+/// [`Interp::gen`] shares one session. When the last of them is dropped
+/// the session ends and the interpreter is freed. Values taken out of an
+/// interpreter (procedures, objects, co-expressions) keep working while a
+/// handle to it, or a generator from it, is alive. Cycles a program builds
+/// out of lists or tables (`put(L, L)`) are not collected.
 #[derive(Clone)]
 pub struct Interp {
-    shared: Arc<Shared>,
+    session: Arc<Session>,
+}
+
+/// An interpreter's lifetime. Procedures capture `Arc<Shared>`, never the
+/// session (that would be a cycle), and the globals hold the procedures;
+/// objects hold themselves as `self`. Ending the session clears the
+/// globals and every object's field frame, which breaks both cycles.
+struct Session(Arc<Shared>);
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.0.globals.clear();
+        let objects = std::mem::take(&mut *self.0.objects.lock());
+        for obj in objects.iter().filter_map(Weak::upgrade) {
+            obj.fields.clear();
+        }
+    }
+}
+
+/// A generator from [`Interp::gen`] with a hold on its session. Fields
+/// drop in order, so the generator is gone before the session can end.
+struct SessionGen {
+    gen: BoxGen,
+    _session: Arc<Session>,
+}
+
+impl Gen for SessionGen {
+    fn resume(&mut self) -> Step {
+        self.gen.resume()
+    }
+    fn restart(&mut self) {
+        self.gen.restart()
+    }
+    fn rebind(&mut self, v: &Value) -> bool {
+        self.gen.rebind(v)
+    }
 }
 
 impl Default for Interp {
@@ -89,21 +133,24 @@ impl Interp {
             output: Mutex::new(Vec::new()),
             pending: Mutex::new(String::new()),
             echo: AtomicBool::new(false),
+            objects: Mutex::new(Vec::new()),
         });
-        let interp = Interp { shared };
+        let interp = Interp {
+            session: Arc::new(Session(shared)),
+        };
         builtins::install(&interp);
         interp
     }
 
     /// Echo `write` output to stdout as well as capturing it.
     pub fn with_echo(self, echo: bool) -> Interp {
-        self.shared.echo.store(echo, Ordering::Relaxed);
+        self.shared().echo.store(echo, Ordering::Relaxed);
         self
     }
 
     /// The global environment (host code may pre-set variables).
     pub fn globals(&self) -> &Env {
-        &self.shared.globals
+        &self.shared().globals
     }
 
     /// Register a host procedure callable as `name(args)` from embedded
@@ -111,7 +158,7 @@ impl Interp {
     /// passed to and from Unicon".
     pub fn register_proc(&self, p: ProcValue) {
         let name = p.name().to_string();
-        self.shared.globals.declare(&name, Value::Proc(p));
+        self.globals().declare(&name, Value::Proc(p));
     }
 
     /// Register a native `::` method (e.g. `this::wordToNumber(w)`).
@@ -120,7 +167,7 @@ impl Interp {
         name: &str,
         f: impl Fn(&Value, &[Value]) -> Option<Value> + Send + Sync + 'static,
     ) {
-        self.shared
+        self.shared()
             .natives
             .lock()
             .insert(name.to_string(), Arc::new(f));
@@ -129,8 +176,8 @@ impl Interp {
     /// Captured `write`/`writes` output so far (a trailing unterminated
     /// `writes` line is included as the final entry).
     pub fn output(&self) -> Vec<String> {
-        let mut lines = self.shared.output.lock().clone();
-        let pending = self.shared.pending.lock();
+        let mut lines = self.shared().output.lock().clone();
+        let pending = self.shared().pending.lock();
         if !pending.is_empty() {
             lines.push(pending.clone());
         }
@@ -139,12 +186,12 @@ impl Interp {
 
     /// Clear the captured output.
     pub fn clear_output(&self) {
-        self.shared.output.lock().clear();
-        self.shared.pending.lock().clear();
+        self.shared().output.lock().clear();
+        self.shared().pending.lock().clear();
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
+        &self.session.0
     }
 
     /// Load an embedded program: procedure declarations are registered as
@@ -181,7 +228,7 @@ impl Interp {
     /// surface.
     #[doc(hidden)]
     pub fn load_normalized(&self, nprog: &crate::normalize::NProgram) {
-        let (shared, globals) = (&self.shared, &self.shared.globals);
+        let (shared, globals) = (self.shared(), self.globals());
         for p in &nprog.procs {
             let proc = lowered(shared, p)(globals.clone());
             globals.declare(&p.name, Value::Proc(proc));
@@ -204,7 +251,10 @@ impl Interp {
         let expr = parse_expr(src)?;
         let (norm, tmp_count) = crate::normalize::normalize_expr(&expr);
         let plan = lower_expr(&norm, tmp_count);
-        Ok(plan.instantiate(&self.shared, self.shared.globals.clone()))
+        Ok(Box::new(SessionGen {
+            gen: plan.instantiate(self.shared(), self.globals().clone()),
+            _session: Arc::clone(&self.session),
+        }))
     }
 
     /// Evaluate an expression, returning *all* its results.
@@ -224,7 +274,7 @@ impl Interp {
     /// environment (the Sec. V.C class transformation: fields exist in
     /// plain and reified form; methods become variadic generator lambdas).
     fn make_class(&self, nclass: &NClass) -> ProcValue {
-        let shared = Arc::clone(&self.shared);
+        let shared = Arc::clone(self.shared());
         let class_name: Arc<str> = Arc::from(nclass.name.as_str());
         let method = |m: &NProc| (m.name.clone(), lowered(&shared, m));
         let methods: Vec<_> = nclass.methods.iter().map(method).collect();
@@ -239,17 +289,18 @@ impl Interp {
             let bound = methods
                 .iter()
                 .map(|(name, bind)| (name.clone(), bind(fields.clone())));
-            let obj = Arc::new(gde::ObjData {
+            let obj = Arc::new(ObjData {
                 class_name: Arc::clone(&class_name),
                 fields: fields.clone(),
                 methods: Arc::new(bound.collect()),
             });
-            // Make `self` visible to method bodies (a reference cycle the
-            // interpreter tolerates; objects live for the session). `self`
-            // occupies the last field-frame slot.
+            // Make `self` visible to method bodies: it occupies the last
+            // field-frame slot. The object therefore lives for the session,
+            // whose end clears the frame (see `Session`).
             fields
                 .slot_local(nfields)
                 .set(Value::Object(Arc::clone(&obj)));
+            shared.objects.lock().push(Arc::downgrade(&obj));
             Box::new(comb::unit(Value::Object(obj))) as BoxGen
         })
     }
