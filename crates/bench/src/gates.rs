@@ -136,7 +136,12 @@ pub const MAX_SEQ_LIGHT_EMBEDDED_OVER_NATIVE: f64 = 1.81;
 /// 2026-10-15 as above: max(54.99 54.82 54.90 54.94 54.92 54.94 54.89 54.93 54.82 54.91) × 1.15.
 pub const MAX_COMPILE_HEAVY_PEAK_RSS_MB: f64 = 63.3;
 
-pub const TABLE: [Row; 7] = [
+/// `interp_over_native` on untraced `seq_light` (9.78–10.28 while every call
+/// built its activation), derived 2026-10-15 as above: max(6.512 6.593 6.554
+/// 6.618 6.676 6.639 6.694 6.520 6.614 6.619) × 1.15 = 7.698.
+pub const MAX_SEQ_LIGHT_INTERP_OVER_NATIVE: f64 = 7.70;
+
+pub const TABLE: [Row; 8] = [
     Row {
         gate: "fusion",
         workload: "seq_light",
@@ -192,6 +197,14 @@ pub const TABLE: [Row; 7] = [
         key: "peak_rss_mb",
         check: Check::MetricAtMost(MAX_COMPILE_HEAVY_PEAK_RSS_MB),
         guards: "a dropped interpreter is no longer freed (DESIGN.md § 6, Interpreter lifetime)",
+    },
+    Row {
+        gate: "interp-recycled",
+        workload: "seq_light",
+        trace: 0,
+        key: "interp_over_native",
+        check: Check::AtMost(MAX_SEQ_LIGHT_INTERP_OVER_NATIVE),
+        guards: "calls build an activation each again, or bind natives per evaluation (DESIGN.md § One lowering)",
     },
 ];
 

@@ -149,7 +149,8 @@ fn passing_results_pass_every_gate_under_its_name() {
             "resolve",
             "contention",
             "seq-lw-ratio",
-            "interp-freed"
+            "interp-freed",
+            "interp-recycled"
         ]
     );
 }
@@ -194,6 +195,20 @@ fn interp_freed_trips_at_the_leaking_reading_only() {
         let reports = assert_only_fails(&results, failing);
         let detail = &report(&reports, "interp-freed").detail;
         assert!(detail.contains(&format!("{peak_rss_mb:.3}")), "{detail}");
+    }
+}
+
+#[test]
+fn interp_recycled_trips_at_the_per_call_reading_only() {
+    // `seq_light` interp/native while every call built its activation, then
+    // the largest reading with activations re-run.
+    for (ratio, failing) in [(10.3, &["interp-recycled"][..]), (6.694, &[])] {
+        let mut results = passing();
+        let notes = members(doc_of(&mut results, "seq_light", 0), &["notes"]);
+        notes.insert("interp_over_native".into(), value(ratio));
+        let reports = assert_only_fails(&results, failing);
+        let detail = &report(&reports, "interp-recycled").detail;
+        assert!(detail.contains(&format!("{ratio:.3}")), "{detail}");
     }
 }
 
@@ -274,7 +289,7 @@ fn the_gate_table_names_only_what_the_benchmark_reports() {
         .flat_map(|list| contract_names(list))
         .collect();
     // Notes the harness writes beside the per-path splits of a metric.
-    let harness_notes = ["input_words", "embedded_over_native"];
+    let harness_notes = ["input_words", "embedded_over_native", "interp_over_native"];
     let known = |key: &str| {
         let base = [".embedded", ".interp", ".native"]
             .iter()

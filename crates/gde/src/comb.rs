@@ -5,8 +5,8 @@
 //! composing suspendable iterators using functional forms such as product,
 //! concatenation, map, and reduce" (Sec. V.B). These are those forms. The
 //! names track the paper's `Icon*` classes: [`product`] is `IconProduct`,
-//! [`bind`] is `IconIn`, [`promote`] is `IconPromote`, [`invoke_iter`] is
-//! `IconInvokeIterator`, and so on.
+//! [`bind`] is `IconIn`, [`promote`] is `IconPromote`, and so on.
+//! (`IconInvokeIterator` is `junicon::rt::invoke`, which knows procedures.)
 
 use crate::gen::{BoxGen, Gen, Step};
 use crate::value::Value;
@@ -227,6 +227,7 @@ pub fn product(left: impl Gen + 'static, right: impl Gen + 'static) -> Product {
         left: Box::new(left),
         right: Box::new(right),
         have_left: false,
+        right_ran: false,
     }
 }
 
@@ -241,6 +242,7 @@ pub fn product_all(mut factors: Vec<BoxGen>) -> BoxGen {
                 left: first,
                 right: product_all(factors),
                 have_left: false,
+                right_ran: false,
             })
         }
     }
@@ -250,6 +252,8 @@ pub struct Product {
     left: BoxGen,
     right: BoxGen,
     have_left: bool,
+    /// `right` ran since the last restart.
+    right_ran: bool,
 }
 
 impl Gen for Product {
@@ -258,7 +262,7 @@ impl Gen for Product {
             if !self.have_left {
                 match self.left.resume() {
                     Step::Suspend(_) => {
-                        self.have_left = true;
+                        (self.have_left, self.right_ran) = (true, true);
                         self.right.restart();
                     }
                     Step::Fail => return Step::Fail,
@@ -271,7 +275,12 @@ impl Gen for Product {
         }
     }
     fn restart(&mut self) {
+        // `right` is restarted per left value anyway; restarting it here
+        // too, if it ran, lets a restart reach every running node of a tree.
         self.left.restart();
+        if std::mem::take(&mut self.right_ran) {
+            self.right.restart();
+        }
         self.have_left = false;
     }
 }
@@ -663,48 +672,6 @@ impl Gen for Promote {
     }
 }
 
-/// Deferred invocation — `IconInvokeIterator`.
-///
-/// The thunk re-resolves the callee and arguments (reading their bound
-/// [`Var`]s) each time the node is restarted, then delegates iteration to
-/// the generator the invocation returns. A thunk returning `None` (callee
-/// not invocable) fails.
-pub fn invoke_iter(thunk: impl Fn() -> Option<BoxGen> + Send + 'static) -> InvokeIter {
-    InvokeIter {
-        thunk: Box::new(thunk),
-        cur: None,
-        dead: false,
-    }
-}
-
-pub struct InvokeIter {
-    thunk: Box<dyn Fn() -> Option<BoxGen> + Send>,
-    cur: Option<BoxGen>,
-    dead: bool,
-}
-
-impl Gen for InvokeIter {
-    fn resume(&mut self) -> Step {
-        if self.dead {
-            return Step::Fail;
-        }
-        if self.cur.is_none() {
-            match (self.thunk)() {
-                Some(g) => self.cur = Some(g),
-                None => {
-                    self.dead = true;
-                    return Step::Fail;
-                }
-            }
-        }
-        self.cur.as_mut().expect("just set").resume()
-    }
-    fn restart(&mut self) {
-        self.cur = None;
-        self.dead = false;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Control constructs
 // ---------------------------------------------------------------------------
@@ -985,27 +952,6 @@ mod tests {
         v.set(Value::list(vec![Value::from(9), Value::from(8)]));
         g.restart();
         assert_eq!(ints(&mut g), vec![9, 8]);
-    }
-
-    #[test]
-    fn invoke_iter_redispatches_on_restart() {
-        let which = Var::new(Value::from(0));
-        let which2 = which.clone();
-        let mut g = invoke_iter(move || {
-            let n = which2.get().as_int()?;
-            Some(Box::new(to_range(n, n + 1, 1)) as BoxGen)
-        });
-        assert_eq!(ints(&mut g), vec![0, 1]);
-        which.set(Value::from(10));
-        g.restart();
-        assert_eq!(ints(&mut g), vec![10, 11]);
-    }
-
-    #[test]
-    fn invoke_iter_fails_on_bad_callee() {
-        let mut g = invoke_iter(|| None);
-        assert_eq!(g.resume(), Step::Fail);
-        assert_eq!(g.resume(), Step::Fail);
     }
 
     #[test]

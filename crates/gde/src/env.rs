@@ -277,6 +277,17 @@ impl Env {
         }
     }
 
+    /// Null every cell of this frame and keep its names: the values a fresh
+    /// frame starts with, for code that already holds its cells (an
+    /// activation re-run in place). As in [`Env::clear`], no lock is held
+    /// while the old values drop.
+    pub fn reset(&self) {
+        let overlay: Vec<Var> = self.frame.overlay.lock().values().cloned().collect();
+        for cell in overlay.iter().chain(self.frame.slots.iter()) {
+            drop(cell.replace(Value::Null));
+        }
+    }
+
     /// Names declared in this frame (not the parents), sorted: overlay
     /// names plus the layout's slot names, deduplicated.
     pub fn local_names(&self) -> Vec<String> {
@@ -463,6 +474,19 @@ mod tests {
         // A cell taken before the clear keeps working; parents are untouched.
         held.set(Value::from(2));
         assert_eq!(held.get().as_int(), Some(2));
+        assert_eq!(env.get("outer").as_int(), Some(10));
+    }
+
+    #[test]
+    fn reset_nulls_every_cell_and_keeps_the_names() {
+        let root = Env::root();
+        root.declare("outer", Value::from(10));
+        let env = root.child_with_layout(layout(&["n"]));
+        env.slot_local(0).set(Value::from(7));
+        let held = env.declare("d", Value::from(1));
+        env.reset();
+        assert!(env.slot_local(0).get().is_null() && held.get().is_null());
+        assert!(env.lookup_local("d").unwrap().same_cell(&held));
         assert_eq!(env.get("outer").as_int(), Some(10));
     }
 

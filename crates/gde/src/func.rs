@@ -10,9 +10,17 @@
 use crate::comb::{thunk, Thunk};
 use crate::gen::BoxGen;
 use crate::value::Value;
+use std::any::Any;
 use std::sync::Arc;
 
-type ProcFn = dyn Fn(Vec<Value>) -> BoxGen + Send + Sync;
+/// What the clones of a [`ProcValue`] share: what it was made from, if
+/// anything, and the closure that invokes it.
+struct Body<F: ?Sized> {
+    def: Option<Arc<dyn Any + Send + Sync>>,
+    f: F,
+}
+
+type ProcFn = Body<dyn Fn(Vec<Value>) -> BoxGen + Send + Sync>;
 
 /// A first-class procedure: invocation returns a suspendable generator.
 #[derive(Clone)]
@@ -28,10 +36,24 @@ impl ProcValue {
         name: impl AsRef<str>,
         f: impl Fn(Vec<Value>) -> BoxGen + Send + Sync + 'static,
     ) -> ProcValue {
-        ProcValue {
-            name: Arc::from(name.as_ref()),
-            f: Arc::new(f),
-        }
+        ProcValue::defined(name, None, f)
+    }
+
+    /// [`ProcValue::new`], made from a definition `def`: a caller that knows
+    /// its type may do more than invoke (`junicon`'s call sites re-run an
+    /// activation of one of its own procedures in place).
+    pub fn defined(
+        name: impl AsRef<str>,
+        def: Option<Arc<dyn Any + Send + Sync>>,
+        f: impl Fn(Vec<Value>) -> BoxGen + Send + Sync + 'static,
+    ) -> ProcValue {
+        let (name, f) = (Arc::from(name.as_ref()), Arc::new(Body { def, f }));
+        ProcValue { name, f }
+    }
+
+    /// The definition the procedure was made from, if it is a `T`.
+    pub fn def<T: Any>(&self) -> Option<&T> {
+        self.f.def.as_deref()?.downcast_ref()
     }
 
     /// Lift a plain (non-generator) native function: its result is promoted
@@ -55,7 +77,7 @@ impl ProcValue {
 
     /// Invoke: produce a fresh generator over this argument vector.
     pub fn invoke(&self, args: Vec<Value>) -> BoxGen {
-        (self.f)(args)
+        (self.f.f)(args)
     }
 
     /// Pointer identity (used by `===`).
@@ -74,16 +96,6 @@ impl std::fmt::Debug for ProcValue {
 /// (`params.length > i ? params[i] : null` in the paper's Fig. 5).
 pub fn arg(args: &[Value], i: usize) -> Value {
     args.get(i).cloned().unwrap_or(Value::Null)
-}
-
-/// Build the invocation thunk for a value that should be a procedure:
-/// used by `invoke_iter` nodes after normalization. Fails (`None`) when the
-/// callee is not invocable.
-pub fn invoke_value(callee: &Value, args: Vec<Value>) -> Option<BoxGen> {
-    match callee.deref() {
-        Value::Proc(p) => Some(p.invoke(args)),
-        _ => None,
-    }
 }
 
 /// Convenience: a singleton generator reading one value thunk (shorthand
@@ -172,12 +184,14 @@ mod tests {
     }
 
     #[test]
-    fn invoke_value_dispatch() {
-        let p = ProcValue::native("id", |args| Some(arg(args, 0)));
-        let as_value = Value::Proc(p);
-        assert!(invoke_value(&as_value, vec![Value::from(1)]).is_some());
-        assert!(invoke_value(&Value::from(3), vec![]).is_none());
-        assert!(invoke_value(&Value::str("f"), vec![]).is_none());
+    fn a_definition_is_shared_by_clones_and_read_at_its_type() {
+        let answer = Arc::new(42u32);
+        let p = ProcValue::defined("p", Some(answer), |_| Box::new(values(vec![])) as BoxGen);
+        let q = p.clone();
+        assert_eq!(q.def::<u32>(), Some(&42));
+        assert_eq!(q.def::<i64>(), None);
+        assert!(q.invoke(vec![]).next_value().is_none());
+        assert_eq!(ProcValue::native("n", |_| None).def::<u32>(), None);
     }
 
     #[test]

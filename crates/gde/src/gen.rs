@@ -54,7 +54,9 @@ pub trait Gen: Send {
     /// sub-generator per outer value — for a line/word pipeline that is
     /// one heap allocation per *line*. A factory-built generator that
     /// implements `rebind` lets the barrier recycle the previous
-    /// allocation across outer values instead.
+    /// allocation across outer values instead. (A procedure call site
+    /// re-runs an activation through [`crate::ProcValue::def`] instead: a
+    /// flat factory may wrap a call over other arguments.)
     fn rebind(&mut self, _v: &Value) -> bool {
         false
     }

@@ -2,9 +2,11 @@
 //!
 //! This is the interactive half of the paper's harness (the Groovy path of
 //! Sec. VI): embedded Junicon text is parsed, normalized, resolved and
-//! *lowered once per procedure* to a plan (`junicon::lower`); each call
-//! binds its parameters and instantiates the plan as a tree of [`gde::Gen`]
-//! combinators, which is then driven like any other generator. Because the
+//! *lowered once per procedure* to a plan (`junicon::lower`); a call binds
+//! its parameters and instantiates the plan as a tree of [`gde::Gen`]
+//! combinators, which is then driven like any other generator (a call site
+//! calling the same procedure again re-runs that tree in place when a fresh
+//! one would bind the same cells, `rt::invoke`). Because the
 //! whole combinator tree is suspendable, `suspend` works anywhere in a
 //! procedure body — including inside `while`/`every` loops (as Fig. 4's
 //! `chunk` requires) — without any threads, exactly the property the paper
@@ -17,7 +19,7 @@
 
 mod builtins;
 
-use crate::lower::{lower, lower_expr, lower_toplevel};
+use crate::lower::{lower, lower_expr, lower_toplevel, Proc};
 use crate::normalize::{normalize_program, NClass, NProc};
 use crate::parse::{parse_expr, parse_program, ParseError};
 use crate::resolve::resolve_program;
@@ -28,7 +30,7 @@ use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Errors surfaced by the interpreter API.
@@ -59,6 +61,9 @@ pub type NativeFn = Arc<dyn Fn(&Value, &[Value]) -> Option<Value> + Send + Sync>
 pub(crate) struct Shared {
     pub globals: Env,
     pub natives: Mutex<HashMap<String, NativeFn>>,
+    /// Bumped (`Release`) after [`Interp::register_native`]'s insert; read
+    /// (`Acquire`) before an activation binds its `::` calls, then to re-run it.
+    pub natives_gen: AtomicU64,
     /// Completed lines produced by `write`, captured for tests and REPLs.
     pub output: Mutex<Vec<String>>,
     /// Text written by `writes` awaiting its line terminator.
@@ -130,6 +135,7 @@ impl Interp {
         let shared = Arc::new(Shared {
             globals: Env::root(),
             natives: Mutex::new(HashMap::new()),
+            natives_gen: AtomicU64::new(0),
             output: Mutex::new(Vec::new()),
             pending: Mutex::new(String::new()),
             echo: AtomicBool::new(false),
@@ -162,15 +168,18 @@ impl Interp {
     }
 
     /// Register a native `::` method (e.g. `this::wordToNumber(w)`).
+    ///
+    /// A `::` call is bound to its native when the activation holding it is
+    /// built, so a native registered after a call started is seen from the
+    /// next call on (and by expressions compiled after it).
     pub fn register_native(
         &self,
         name: &str,
         f: impl Fn(&Value, &[Value]) -> Option<Value> + Send + Sync + 'static,
     ) {
-        self.shared()
-            .natives
-            .lock()
-            .insert(name.to_string(), Arc::new(f));
+        let shared = self.shared();
+        shared.natives.lock().insert(name.to_string(), Arc::new(f));
+        shared.natives_gen.fetch_add(1, Ordering::Release);
     }
 
     /// Captured `write`/`writes` output so far (a trailing unterminated
@@ -239,7 +248,7 @@ impl Interp {
         // Top-level statements: drive each once (bounded), like field
         // initializers / main in the paper's model.
         for stmt in lower_toplevel(nprog) {
-            rt::drive(stmt.instantiate(shared, globals.clone()));
+            rt::drive(stmt.instantiate(shared, globals.clone()).root);
         }
     }
 
@@ -252,7 +261,7 @@ impl Interp {
         let (norm, tmp_count) = crate::normalize::normalize_expr(&expr);
         let plan = lower_expr(&norm, tmp_count);
         Ok(Box::new(SessionGen {
-            gen: plan.instantiate(self.shared(), self.globals().clone()),
+            gen: plan.instantiate(self.shared(), self.globals().clone()).root,
             _session: Arc::clone(&self.session),
         }))
     }
@@ -307,17 +316,26 @@ impl Interp {
 }
 
 /// Lower a procedure once, at load. What comes back binds it under a scope
-/// (the globals for free procedures, an instance's field env for methods);
-/// each call of that binds the parameters in a fresh child frame and
-/// instantiates the plan. Nothing of the source IR is kept.
+/// (the globals for free procedures, an instance's field env for methods),
+/// as a [`ProcValue`] defined by a [`Proc`]: invoking it binds the
+/// parameters in a fresh child frame and instantiates the plan, and a call
+/// site may re-run an activation it built. Nothing of the source IR is kept.
 fn lowered(shared: &Arc<Shared>, p: &NProc) -> impl Fn(Env) -> ProcValue {
     let (shared, name, params) = (Arc::clone(shared), p.name.clone(), p.params.len());
     let layout = FrameLayout::of(p.slots.iter().map(|s| Symbol::new(s)));
     let plan = Arc::new(lower(p));
     move |scope| {
         let (shared, layout, plan) = (shared.clone(), layout.clone(), plan.clone());
-        ProcValue::new(&name, move |args: Vec<Value>| {
-            plan.instantiate(&shared, rt::frame(&scope, &layout, params, &args))
+        let def = Arc::new(Proc {
+            shared,
+            scope,
+            layout,
+            params,
+            plan,
+        });
+        let call = Arc::clone(&def);
+        ProcValue::defined(&name, Some(def), move |args: Vec<Value>| {
+            call.call(&args, false).root
         })
     }
 }

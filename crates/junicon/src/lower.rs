@@ -10,16 +10,18 @@
 //! tree: [`Plan::instantiate`] *makes* the calls (the interpreter, per
 //! activation) and [`Plan::print`] *writes* them (the emitter). A row gives
 //! both from one token; an argument kind is made in one place (its `kinds!`
-//! entry) and written in one place (its arm of [`Arg::print`]).
+//! entry) and written in one place (its arm of [`Arg::print`]). A call site
+//! re-runs a procedure's activation in place where it can ([`Proc::recall`]).
 
-use crate::interp::Shared;
-use crate::normalize::{Atom, CoKind, NProc, NProgram, Norm, VarRef};
+use crate::interp::{NativeFn, Shared};
+use crate::normalize::{Atom, CoKind, NProc, NProgram, Norm, Part, VarRef};
 use crate::prim::{path_str, vals, Prim};
 use crate::resolve::fusable_suffix;
 use crate::rt::{self, Flag, Slot};
-use gde::env::Env;
-use gde::{BoxGen, Value, Var};
+use gde::env::{Env, FrameLayout};
+use gde::{BoxGen, Gen, Value, Var};
 use std::fmt::Write;
+use std::sync::atomic::Ordering::{self, Relaxed};
 use std::sync::Arc;
 
 /// One lowered activation — a procedure body, a deferred body, a top-level
@@ -29,6 +31,9 @@ pub(crate) struct Plan {
     root: Node,
     tmps: u32,
     flags: u32,
+    /// A procedure's names bound by name, for [`Proc::recall`]; `None` for
+    /// other plans and for one that captures its environment.
+    rerun: Option<Vec<String>>,
 }
 
 /// A kernel constructor call.
@@ -181,37 +186,107 @@ fn call(ctor: &'static Ctor, args: Vec<Arg>) -> Node {
 // Back end 1: make the calls
 // ---------------------------------------------------------------------------
 
-/// What the nodes of one activation are built over.
-struct Activation<'a> {
-    shared: &'a Arc<Shared>,
+/// One activation: its generator tree and what its nodes are built over,
+/// which a call site keeps to re-run it ([`Proc::recall`]).
+pub(crate) struct Activation {
+    pub(crate) root: BoxGen,
+    shared: Arc<Shared>,
     env: Env,
     tmps: Arc<Vec<Var>>,
     flags: Vec<Flag>,
+    /// The generation of the host's natives its `::` calls were bound at.
+    natives: u64,
+    /// What each of [`Plan::rerun`]'s names resolved to in the scope, if a
+    /// call site may re-run it.
+    outer: Option<Vec<Option<Var>>>,
 }
 
 /// A constructor's arguments, made one by one as the call asks for them.
 struct Args<'a> {
     rest: std::slice::Iter<'a, Arg>,
-    act: &'a Activation<'a>,
+    act: &'a Activation,
 }
 
 impl Plan {
-    /// A fresh activation over `env`: its generator tree.
-    pub(crate) fn instantiate(&self, shared: &Arc<Shared>, env: Env) -> BoxGen {
-        let (tmps, flags) = (rt::tmps(self.tmps), rt::flags(self.flags));
-        self.root.instantiate(&Activation {
-            shared,
+    /// A fresh activation over `env`, its tree built last.
+    pub(crate) fn instantiate(&self, shared: &Arc<Shared>, env: Env) -> Activation {
+        let mut act = Activation {
+            root: Box::new(gde::comb::fail()),
+            shared: Arc::clone(shared),
+            natives: shared.natives_gen.load(Ordering::Acquire),
             env,
-            tmps,
-            flags,
-        })
+            tmps: rt::tmps(self.tmps),
+            flags: rt::flags(self.flags),
+            outer: None,
+        };
+        act.root = self.root.instantiate(&act);
+        act
     }
 }
 
 impl Node {
-    fn instantiate(&self, act: &Activation<'_>) -> BoxGen {
+    fn instantiate(&self, act: &Activation) -> BoxGen {
         let rest = self.args.iter();
         (self.ctor.make)(&mut Args { rest, act })
+    }
+}
+
+impl Activation {
+    /// Keep the activation for a re-run: restart its tree and null its
+    /// cells, so it holds no value across the restart. `None` (drop it) for
+    /// an activation that is never re-run.
+    pub(crate) fn park(mut self) -> Option<Activation> {
+        self.outer.as_ref()?;
+        self.root.restart();
+        self.env.reset();
+        self.tmps.iter().for_each(|t| drop(t.replace(Value::Null)));
+        self.flags.iter().for_each(|f| f.store(false, Relaxed));
+        Some(self)
+    }
+}
+
+/// A procedure as the interpreter loads it: its plan, bound under a scope
+/// (the globals, or an object's field frame for a method).
+pub(crate) struct Proc {
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) scope: Env,
+    pub(crate) layout: Arc<FrameLayout>,
+    pub(crate) params: usize,
+    pub(crate) plan: Arc<Plan>,
+}
+
+impl Proc {
+    /// A call: the parameters bound in a fresh frame, the plan instantiated.
+    /// A call site that may re-run it (`keep`) also records what the plan's
+    /// by-name names resolve to, looked up first: a name redefined while
+    /// the tree is built makes `recall` refuse, never re-run a stale binding.
+    pub(crate) fn call(&self, args: &[Value], keep: bool) -> Activation {
+        #[cfg(test)]
+        tests::BUILT.with(|n| n.set(n.get() + 1));
+        let lookup = |names: &Vec<String>| names.iter().map(|n| self.scope.lookup(n)).collect();
+        let outer = self.plan.rerun.as_ref().filter(|_| keep).map(lookup);
+        let env = rt::frame(&self.scope, &self.layout, self.params, args);
+        let mut act = self.plan.instantiate(&self.shared, env);
+        act.outer = outer;
+        act
+    }
+
+    /// Re-run a parked `act` over `args`, as if [`Proc::call`] had just
+    /// built it — unless a fresh one could bind differently: a `::` native
+    /// was registered since, or one of the plan's by-name names resolves to
+    /// another cell in the scope (where a fresh, empty frame looks).
+    pub(crate) fn recall(&self, act: &mut Activation, args: &[Value]) -> bool {
+        let same = |(name, was): (&String, &Option<Var>)| match (self.scope.lookup(name), was) {
+            (Some(now), Some(was)) => now.same_cell(was),
+            (now, was) => now.is_none() && was.is_none(),
+        };
+        let (names, outer) = (self.plan.rerun.iter().flatten(), act.outer.iter().flatten());
+        let natives = self.shared.natives_gen.load(Ordering::Acquire) == act.natives;
+        let fresh = act.outer.is_some() && natives && names.zip(outer).all(same);
+        if fresh {
+            rt::set_params(&act.env, self.params, args);
+        }
+        fresh
     }
 }
 
@@ -252,8 +327,8 @@ kinds! {
     fn gens(act: Arg::Children(ns)) -> Vec<BoxGen> { ns.iter().map(|n| n.instantiate(act)).collect() }
     fn optgen(act: Arg::Opt(n)) -> Option<BoxGen> { n.as_ref().map(|n| n.instantiate(act)) }
     fn body(act: Arg::Body(plan)) -> impl Fn(Env) -> BoxGen + Send + Sync + 'static {
-        let (plan, shared) = (Arc::clone(plan), Arc::clone(act.shared));
-        move |env| plan.instantiate(&shared, env)
+        let (plan, shared) = (Arc::clone(plan), Arc::clone(&act.shared));
+        move |env| plan.instantiate(&shared, env).root
     }
     fn mono(act: Arg::Mono(m)) -> impl Fn() -> Option<Value> + Send + Sync + 'static {
         let eval = act.eval(m);
@@ -280,10 +355,11 @@ kinds! {
 enum Eval {
     Read(Slot),
     Set(Var, Slot),
-    /// The row's function, the operand slots, the primitive's name, and —
-    /// for a `::` call, which reaches the host's registered natives first —
-    /// where those are.
-    Prim(PrimFn, Vec<Slot>, String, Option<Arc<Shared>>),
+    /// The row's function, the operand slots and the primitive (its name).
+    Prim(PrimFn, Vec<Slot>, Prim),
+    /// A `::` call, bound when the activation was built to the native the
+    /// host registered under its name (to the row, when there was none).
+    Native(NativeFn, Vec<Slot>),
 }
 
 type PrimFn = fn(&[Slot], &str) -> Option<Value>;
@@ -293,25 +369,20 @@ impl Eval {
         match self {
             Eval::Read(s) => Some(s.get()),
             Eval::Set(cell, from) => Some(rt::assign(cell, from)),
-            Eval::Prim(eval, slots, name, host) => {
-                let host = host.as_ref();
-                match host.and_then(|s| s.natives.lock().get(name).cloned()) {
-                    Some(native) => native(&slots[0].get(), &vals(&slots[1..])),
-                    None => eval(slots, name),
-                }
-            }
+            Eval::Prim(eval, slots, op) => eval(slots, op.name()),
+            Eval::Native(native, slots) => native(&slots[0].get(), &vals(&slots[1..])),
         }
     }
 }
 
-impl Activation<'_> {
+impl Activation {
     fn slot(&self, a: &Atom) -> Slot {
         match a {
             Atom::Null => Slot::Const(Value::Null),
             Atom::Int(v) => Slot::Const(Value::Int(*v)),
-            Atom::Big(digits) => rt::slot_big(digits),
+            Atom::Big(lit) => Slot::Const(lit.1.clone()),
             Atom::Real(v) => Slot::Const(Value::Real(*v)),
-            Atom::Str(s) => Slot::Const(Value::str(s)),
+            Atom::Str(s) => Slot::Const(Value::Str(Arc::clone(s))),
             Atom::Var(name) if name == "&subject" => Slot::ScanSubject,
             Atom::Var(name) if name == "&pos" => Slot::ScanPos,
             Atom::Var(name) => Slot::Cell(self.env.lookup_or_declare(name)),
@@ -334,8 +405,11 @@ impl Activation<'_> {
             Mono::Set(t, a) => Eval::Set(self.cell(t), self.slot(a)),
             Mono::Prim(op, args) => {
                 let slots = args.iter().map(|a| self.slot(a)).collect();
-                let host = op.is_host_call().then(|| Arc::clone(self.shared));
-                Eval::Prim(op.row().eval, slots, op.name().to_string(), host)
+                let native = || self.shared.natives.lock().get(op.name()).cloned();
+                match op.is_host_call().then(native).flatten() {
+                    Some(native) => Eval::Native(native, slots),
+                    None => Eval::Prim(op.row().eval, slots, op.clone()),
+                }
             }
         }
     }
@@ -401,7 +475,7 @@ fn print_slot(out: &mut String, a: &Atom) {
     match a {
         Atom::Null => out.push_str("rt::Slot::Const(Value::Null)"),
         Atom::Int(v) => w!(out, "rt::Slot::Const(Value::from({v}i64))"),
-        Atom::Big(digits) => w!(out, "rt::slot_big({digits:?})"),
+        Atom::Big(lit) => w!(out, "rt::slot_big({:?})", lit.0),
         Atom::Real(v) => w!(out, "rt::Slot::Const(Value::from({v:?}f64))"),
         Atom::Str(s) => w!(out, "rt::Slot::Const(Value::str({s:?}))"),
         Atom::Var(name) if name == "&subject" => out.push_str("rt::Slot::ScanSubject"),
@@ -546,7 +620,12 @@ impl Lowering {
         let mut l = Lowering { tmps, flags: 1 };
         let root = root(&mut l);
         let flags = l.flags;
-        Plan { root, tmps, flags }
+        Plan {
+            root,
+            tmps,
+            flags,
+            rerun: None,
+        }
     }
 
     /// A statement: statement forms keep their control semantics; any other
@@ -740,10 +819,28 @@ pub(crate) fn lower_toplevel(p: &NProgram) -> Vec<Plan> {
 pub(crate) fn lower(p: &NProc) -> Plan {
     #[cfg(test)]
     tests::LOWERED.with(|n| n.set(n.get() + 1));
-    Lowering::activation(p.tmp_count, |l| {
+    let mut plan = Lowering::activation(p.tmp_count, |l| {
         let stmts = p.body.iter().map(|s| l.stmt(s, None)).collect();
         call(&BODY_ROOT, vec![Arg::Children(stmts), Arg::Flag(RETURNED)])
-    })
+    });
+    plan.rerun = Some(Vec::new());
+    p.body.iter().for_each(|s| by_name(s, &mut plan.rerun));
+    plan
+}
+
+/// Add the names `n` binds by name to `names`, each once; `None` once a
+/// deferred body (`<>`, `|<>`, `|>`) captures the environment.
+fn by_name(n: &Norm, names: &mut Option<Vec<String>>) {
+    n.parts(|part| match part {
+        Part::Read(Atom::Var(name)) | Part::Target(VarRef::Named(name)) => {
+            if let Some(names) = names.as_mut().filter(|ns| !ns.contains(name)) {
+                names.push(name.clone());
+            }
+        }
+        Part::Child(c) => by_name(c, names),
+        Part::Deferred(_) => *names = None,
+        Part::Read(_) | Part::Target(_) | Part::Decl(_) => {}
+    });
 }
 
 #[cfg(test)]
@@ -755,6 +852,34 @@ mod tests {
     thread_local! {
         /// Procedures lowered on this thread.
         pub(super) static LOWERED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Procedure activations built on this thread.
+        pub(super) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn a_call_site_re_runs_its_activation_instead_of_building_one_per_call() {
+        // Fig. 3's sequential pipeline over 2 000 one-word lines: one
+        // activation of each procedure, not one of `hashWords` and one of
+        // `splitWords` per line.
+        let i = Interp::new();
+        i.globals().declare("this", Value::Null);
+        i.register_native("wordToNumber", |_, args| args[0].size().map(Value::from));
+        i.register_native("hashNumber", |_, args| args.first().cloned());
+        let lines = (0..2000).map(|k| Value::str(format!("w{k}"))).collect();
+        i.globals().declare("lines", Value::list(lines));
+        i.load(
+            r#"def readLines() { suspend !lines; }
+               def splitWords(line) { suspend ! line::split("\\s+"); }
+               def hashWords(line) {
+                   suspend this::hashNumber(this::wordToNumber(splitWords(line)));
+               }"#,
+        )
+        .unwrap();
+        let before = BUILT.get();
+        let sizes = i.eval("hashWords(readLines())").unwrap();
+        assert_eq!(sizes.len(), 2000);
+        assert_eq!(sizes[1999].as_int(), Some(5));
+        assert!(BUILT.get() - before <= 3, "{} built", BUILT.get() - before);
     }
 
     #[test]
@@ -785,6 +910,7 @@ mod tests {
             2,
             "calls instantiate the plan; they lower nothing"
         );
+        assert!(BUILT.get() >= 2000, "each `invoke` builds an activation");
     }
 
     #[test]

@@ -16,17 +16,20 @@
 
 use crate::ast::{BinOp, ClassDecl, Expr, ProcDecl, Program, UnOp};
 use crate::prim::Prim;
-use gde::Symbol;
+use crate::rt;
+use gde::{Symbol, Value};
+use std::sync::Arc;
 
 /// An atomic operand after flattening.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Atom {
     Null,
     Int(i64),
-    /// Big integer literal (decimal digits).
-    Big(String),
+    /// Big integer literal: its decimal digits, and its value made once.
+    Big(Box<(String, Value)>),
     Real(f64),
-    Str(String),
+    /// String literal, shared by every value made of it.
+    Str(Arc<str>),
     /// Named variable, resolved in the environment at run time (the
     /// by-name fallback; the resolve pass rewrites statically-scoped
     /// references into [`Atom::Slot`]).
@@ -412,9 +415,9 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
     match e {
         Expr::Null => Norm::Atom(Atom::Null),
         Expr::Int(v) => Norm::Atom(Atom::Int(*v)),
-        Expr::BigLit(s) => Norm::Atom(Atom::Big(s.clone())),
+        Expr::BigLit(s) => Norm::Atom(Atom::Big(Box::new((s.clone(), rt::big(s))))),
         Expr::Real(v) => Norm::Atom(Atom::Real(*v)),
-        Expr::Str(s) => Norm::Atom(Atom::Str(s.clone())),
+        Expr::Str(s) => Norm::Atom(Atom::Str(s.as_str().into())),
         Expr::Var(name) => Norm::Atom(Atom::Var(name.clone())),
         Expr::KeywordAmp(name) => match name.as_str() {
             "null" => Norm::Atom(Atom::Null),
@@ -512,9 +515,11 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
                 )
             }
             Expr::Index(base, idx) => prim(Prim::IndexAssign, [&**base, &**idx, &**value], tmps),
-            Expr::Field(base, field) => {
-                prim(Prim::FieldSet(field.clone()), [&**base, &**value], tmps)
-            }
+            Expr::Field(base, field) => prim(
+                Prim::FieldSet(field.as_str().into()),
+                [&**base, &**value],
+                tmps,
+            ),
             other => {
                 // Unsupported assignment target: normalize both sides and
                 // fail at runtime (goal-directed error behaviour).
@@ -538,10 +543,10 @@ fn normalize(e: &Expr, tmps: &mut Tmps) -> Norm {
         }
         Expr::NativeCall(target, method, args) => {
             let operands = std::iter::once(&**target).chain(args);
-            prim(Prim::Native(method.clone()), operands, tmps)
+            prim(Prim::Native(method.as_str().into()), operands, tmps)
         }
         Expr::Index(base, idx) => prim(Prim::Index, [&**base, &**idx], tmps),
-        Expr::Field(base, field) => prim(Prim::FieldGet(field.clone()), [&**base], tmps),
+        Expr::Field(base, field) => prim(Prim::FieldGet(field.as_str().into()), [&**base], tmps),
         Expr::List(items) => prim(Prim::List, items, tmps),
         Expr::Scan(subject, body) => Norm::Scan {
             subject: Box::new(normalize(subject, tmps)),
@@ -625,9 +630,9 @@ fn flatten(e: &Expr, binds: &mut Vec<Norm>, tmps: &mut Tmps) -> Atom {
     match e {
         Expr::Null => Atom::Null,
         Expr::Int(v) => Atom::Int(*v),
-        Expr::BigLit(s) => Atom::Big(s.clone()),
+        Expr::BigLit(s) => Atom::Big(Box::new((s.clone(), rt::big(s)))),
         Expr::Real(v) => Atom::Real(*v),
-        Expr::Str(s) => Atom::Str(s.clone()),
+        Expr::Str(s) => Atom::Str(s.as_str().into()),
         Expr::Var(name) => Atom::Var(name.clone()),
         Expr::KeywordAmp(name) if name == "null" => Atom::Null,
         other => {

@@ -13,6 +13,7 @@ use crate::ast::BinOp;
 use crate::rt::{self, Slot};
 use gde::Value;
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// A primitive: yields at most one value per evaluation of its operands.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,12 +33,12 @@ pub enum Prim {
     /// `base[index] := value`
     IndexAssign,
     /// `base.field`
-    FieldGet(String),
+    FieldGet(Arc<str>),
     /// `base.field := value`
-    FieldSet(String),
+    FieldSet(Arc<str>),
     /// Host-native invocation `target::method(args…)` — promoted to a
     /// singleton result ("plain Java methods" treatment).
-    Native(String),
+    Native(Arc<str>),
     /// `[items…]`
     List,
 }
@@ -203,7 +204,7 @@ mod tests {
         macro_rules! binop_prims {
             ($($op:ident => $f:ident,)*) => { vec![$(Prim::Op(BinOp::$op)),*] };
         }
-        let named = |f: fn(String) -> Prim| f("n".to_string());
+        let named = |f: fn(Arc<str>) -> Prim| f("n".into());
         let mut all: Vec<Prim> = binops!(binop_prims);
         all.extend([Prim::Neg, Prim::Size, Prim::Activate, Prim::Refresh]);
         all.extend([Prim::Index, Prim::IndexAssign, Prim::List]);

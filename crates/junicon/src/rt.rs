@@ -8,10 +8,11 @@
 //! and the [`crate::emit`] transpiler prints, so a node's meaning is
 //! written once, as code, and interpreted and emitted programs share it.
 
-use gde::comb::{self, IfThenElse, InvokeIter, Promote, Thunk, ToRangeDyn};
+use crate::lower::{Activation, Proc};
+use gde::comb::{self, IfThenElse, Promote, Thunk, ToRangeDyn};
 use gde::env::{Env, FrameLayout};
 use gde::ops;
-use gde::{BoxGen, Gen, GenExt, Step, Value, Var};
+use gde::{BoxGen, Gen, GenExt, ProcValue, Step, Value, Var};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,10 +41,15 @@ pub fn tmps(count: u32) -> Arc<Vec<Var>> {
 /// the variadic convention).
 pub fn frame(scope: &Env, layout: &Arc<FrameLayout>, params: usize, args: &[Value]) -> Env {
     let env = scope.child_with_layout(layout.clone());
+    set_params(&env, params, args);
+    env
+}
+
+/// Set the first `params` slots of `env` from `args`, as [`frame`] does.
+pub(crate) fn set_params(env: &Env, params: usize, args: &[Value]) {
     for i in 0..params {
         env.slot_local(i).set(gde::func::arg(args, i));
     }
-    env
 }
 
 /// Run a top-level statement: drive it to failure so that a suspension
@@ -102,8 +108,13 @@ impl Slot {
 
 /// Slot over a big-integer literal (decimal digits; null if malformed).
 pub fn slot_big(digits: &str) -> Slot {
+    Slot::Const(big(digits))
+}
+
+/// A big-integer literal's value (decimal digits; null if malformed).
+pub(crate) fn big(digits: &str) -> Value {
     let parsed = bigint::BigInt::from_str_radix(digits, 10);
-    Slot::Const(parsed.map(Value::big).unwrap_or(Value::Null))
+    parsed.map(Value::big).unwrap_or(Value::Null)
 }
 
 /// `*v`: the size as a value; fails for sizeless values.
@@ -152,13 +163,70 @@ pub fn promote(s: Slot) -> Promote {
     comb::promote(move || s.get())
 }
 
-/// Generator-function invocation `callee(args…)`: callee and arguments are
-/// re-read at each restart.
-pub fn invoke(callee: Slot, args: Vec<Slot>) -> InvokeIter {
-    comb::invoke_iter(move || {
-        let argv: Vec<Value> = args.iter().map(Slot::get).collect();
-        gde::func::invoke_value(&callee.get().deref(), argv)
-    })
+/// Generator-function invocation `callee(args…)` (`IconInvokeIterator`):
+/// callee and arguments are read at the first resume after each restart.
+/// Called again on the procedure it ran last, the node re-runs that
+/// activation in place where a fresh one would bind the same cells
+/// (`lower::Proc::recall`); any other call builds a fresh generator. A
+/// callee that is not a procedure fails until the next restart.
+pub fn invoke(callee: Slot, args: Vec<Slot>) -> Invoke {
+    let call = Call::Next(None);
+    Invoke { callee, args, call }
+}
+
+/// The node [`invoke`] builds.
+pub struct Invoke {
+    callee: Slot,
+    args: Vec<Slot>,
+    call: Call,
+}
+
+enum Call {
+    /// Call at the next resume; the last activation, parked, if it is kept.
+    Next(Option<(ProcValue, Activation)>),
+    /// An activation of an interpreted procedure.
+    Interp(ProcValue, Activation),
+    /// Any other callee's generator (failure, when it is not a procedure).
+    Other(BoxGen),
+}
+
+impl Invoke {
+    fn dispatch(&self, kept: Option<(ProcValue, Activation)>) -> Call {
+        let argv: Vec<Value> = self.args.iter().map(Slot::get).collect();
+        let Value::Proc(p) = self.callee.get().deref() else {
+            return Call::Other(Box::new(comb::fail()));
+        };
+        let Some(def) = p.def::<Proc>() else {
+            return Call::Other(p.invoke(argv));
+        };
+        if let Some((last, mut act)) = kept.filter(|(last, _)| last.same(&p)) {
+            if def.recall(&mut act, &argv) {
+                return Call::Interp(last, act);
+            }
+        }
+        Call::Interp(p.clone(), def.call(&argv, true))
+    }
+}
+
+impl Gen for Invoke {
+    fn resume(&mut self) -> Step {
+        if let Call::Next(kept) = &mut self.call {
+            let kept = kept.take();
+            self.call = self.dispatch(kept);
+        }
+        match &mut self.call {
+            Call::Interp(_, act) => act.root.resume(),
+            Call::Other(g) => g.resume(),
+            Call::Next(_) => unreachable!("dispatched above"),
+        }
+    }
+    fn restart(&mut self) {
+        self.call = match std::mem::replace(&mut self.call, Call::Next(None)) {
+            Call::Interp(p, act) => Call::Next(act.park().map(|act| (p, act))),
+            Call::Next(kept) => Call::Next(kept),
+            Call::Other(_) => Call::Next(None),
+        };
+    }
 }
 
 /// The assignment itself: store `from`'s value in `cell` and hand it back.
@@ -436,11 +504,14 @@ impl Gen for LoopGen {
 
 /// Bounded evaluation of an owned child from an `Fn`. The child leaves its
 /// cell for the call; no lock, since one thread drives a generator tree.
+/// It is restarted as soon as its value is taken, so it holds nothing (a
+/// call's activation, say) until the next evaluation.
 fn bounded(child: BoxGen) -> impl Fn() -> Option<Value> + Send {
     let cell = Cell::new(Some(child));
     move || {
         let mut child = cell.take()?;
-        let v = first(&mut child);
+        let v = child.next_value();
+        child.restart();
         cell.set(Some(child));
         v
     }
@@ -973,6 +1044,26 @@ mod tests {
         n.set(Value::from(4));
         l.restart();
         assert_eq!(l.collect_values().len(), 4);
+    }
+
+    #[test]
+    fn invoke_fails_on_a_non_procedure_until_restarted_on_a_procedure() {
+        let (callee, arg) = (Var::new(Value::Null), Var::new(Value::from(1)));
+        let mut g = invoke(Slot::Cell(callee.clone()), vec![Slot::Cell(arg.clone())]);
+        for not_a_procedure in [Value::from(3), Value::str("f"), Value::Null] {
+            callee.set(not_a_procedure);
+            g.restart();
+            assert_eq!(g.resume(), Step::Fail);
+            assert_eq!(g.resume(), Step::Fail, "fails again until a restart");
+        }
+        let id = ProcValue::native("id", |args| Some(gde::func::arg(args, 0)));
+        callee.set(Value::Proc(id));
+        assert_eq!(g.resume(), Step::Fail, "the callee is read after a restart");
+        g.restart();
+        assert_eq!(g.collect_values(), [Value::from(1)]);
+        arg.set(Value::from(7));
+        g.restart();
+        assert_eq!(g.collect_values(), [Value::from(7)], "arguments re-read");
     }
 
     #[test]

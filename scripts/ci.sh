@@ -148,8 +148,9 @@ RUST_BACKTRACE=0 cargo run --offline -q -p bench --release --features faultinj \
 # caps and their derivations). One PASS/FAIL line per gate: `results`
 # (ten result files, each a correct run with no failed operation), the
 # table rows `fusion`, `compact-values`, `concat-slices`, `resolve`,
-# `contention`, `seq-lw-ratio`, `interp-freed`, then `schedtest` (step 6 explored
-# schedules, none failing) and `faults` (every fault counter non-zero).
+# `contention`, `seq-lw-ratio`, `interp-freed`, `interp-recycled`, then
+# `schedtest` (step 6 explored schedules, none failing) and `faults`
+# (every fault counter non-zero).
 # After them: this run as one bench-history-v1 line, and the report-only
 # drift table; CI writes to no tracked file.
 GATE_FLAGS=(--results benchmark/out

@@ -11,6 +11,8 @@
 #                    back end may name the source IR (ISSUE 22); the
 #                    second measured surface stays deleted (ISSUE 23); and
 #                    the transport keeps one path (ISSUE 25);
+#                    calls have one invocation node, whose `::` natives
+#                    are bound per activation, not per evaluation;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -77,6 +79,21 @@ if hits="$(grep -n 'Norm::' crates/junicon/src/{emit,interp}.rs)"; then
     exit 1
 fi
 echo "   ok: the back ends consume Plan, not Norm"
+
+# A call site re-runs its activation (DESIGN.md § One lowering): `rt::invoke`
+# is the one invocation node, and a `::` call is bound to its native when
+# the activation is built, so evaluating it never takes the natives' lock.
+if hits="$(grep -rnE '\b(invoke_iter|InvokeIter)\b' crates/*/src)"; then
+    echo "$hits"
+    echo "FAIL: a second invocation node is back beside rt::invoke"
+    exit 1
+fi
+eval_impl="$(sed -n '/^impl Eval {/,/^}/p' crates/junicon/src/lower.rs)"
+if [ -z "$eval_impl" ] || grep -n 'natives' <<< "$eval_impl"; then
+    echo "FAIL: Eval::run reads the natives (or impl Eval moved); bind a :: call when its activation is built"
+    exit 1
+fi
+echo "   ok: one invocation node; :: natives bound per activation"
 
 # One measured surface (DESIGN.md § CI): claims are judged by
 # benchmark/run.sh, so no criterion-style target, shim knob or figure6
