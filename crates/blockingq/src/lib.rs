@@ -7,14 +7,12 @@
 //! size can also be used to throttle a threaded co-expression". This crate
 //! provides that substrate:
 //!
-//! * [`BlockingQueue`] — a bounded (or unbounded) MPMC FIFO with blocking
-//!   `put`/`take`, their batch forms, and close semantics used to signal
-//!   generator failure across threads;
-//! * [`MVar`] — a single-slot mutable variable whose `put` waits until empty
-//!   and whose `take` waits until full, the classic building block the paper
-//!   cites from Id's M-structures, Concurrent Haskell's MVars and CML;
-//! * [`Future`] — a write-once MVar: "a singleton piped iterator that
-//!   produces one result forms a future" (Sec. III.B).
+//! [`BlockingQueue`], a bounded (or unbounded) MPMC FIFO with blocking
+//! `put`/`take`, their batch forms, and close semantics used to signal
+//! generator failure across threads. It is the only blocking primitive.
+//! A future needs no type of its own: "a singleton piped iterator that
+//! produces one result forms a future" (Sec. III.B), which is a pipe over
+//! a `bounded(1)` queue, and `exec`'s task handles wait on exactly that.
 
 /// Expands its body only when the `obs` feature is on, so instrumentation
 /// call sites vanish from the compilation entirely (not even a no-op call)
@@ -45,14 +43,12 @@ macro_rules! faultpoint {
 }
 
 pub mod fault;
-mod mvar;
 mod queue;
 #[cfg(feature = "obs")]
 mod stats;
 pub mod testkit;
 
 pub use fault::{CloseCause, Fault};
-pub use mvar::{Future, MVar};
 pub use queue::{BlockingQueue, PutError};
 
 /// Force-register this crate's obs metrics so snapshots carry explicit
@@ -60,8 +56,5 @@ pub use queue::{BlockingQueue, PutError};
 /// fires. No-op without the `obs` feature.
 pub fn obs_register() {
     #[cfg(feature = "obs")]
-    {
-        stats::queue();
-        stats::mvar();
-    }
+    stats::queue();
 }

@@ -53,23 +53,3 @@ pub(crate) fn queue() -> &'static QueueStats {
         batch_fill: obs::histogram("blockingq.queue.batch_fill"),
     })
 }
-
-/// Metrics for [`crate::MVar`] (and therefore [`crate::Future`]).
-pub(crate) struct MVarStats {
-    pub puts: Arc<obs::Counter>,
-    pub takes: Arc<obs::Counter>,
-    /// `put` wait episodes (slot was full).
-    pub blocked_puts: Arc<obs::Counter>,
-    /// `take`/`read` wait episodes (slot was empty).
-    pub blocked_takes: Arc<obs::Counter>,
-}
-
-pub(crate) fn mvar() -> &'static MVarStats {
-    static STATS: OnceLock<MVarStats> = OnceLock::new();
-    STATS.get_or_init(|| MVarStats {
-        puts: obs::counter("blockingq.mvar.puts"),
-        takes: obs::counter("blockingq.mvar.takes"),
-        blocked_puts: obs::counter("blockingq.mvar.blocked_puts"),
-        blocked_takes: obs::counter("blockingq.mvar.blocked_takes"),
-    })
-}

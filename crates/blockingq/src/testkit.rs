@@ -6,8 +6,7 @@
 //! a 20 ms window past any bound). These helpers replace that pattern
 //! with *conditions*: poll an observable predicate
 //! ([`BlockingQueue::blocked_producers`](crate::BlockingQueue::blocked_producers),
-//! [`MVar::waiters`](crate::MVar::waiters), a queue length, an epoch
-//! count) and fail loudly if it never comes true.
+//! a queue length, an epoch count) and fail loudly if it never comes true.
 //!
 //! Under `--cfg schedtest` none of this is needed — the virtual scheduler
 //! *proves* wake-ups instead of waiting for them — so the model suites in

@@ -4,7 +4,7 @@
 //! and support for multi-core execution" (Sec. V.D). This crate is that
 //! facility for the Rust reproduction: a small fixed-size pool fed from a
 //! shared [`blockingq::BlockingQueue`] of jobs, plus a [`Task`] handle that
-//! resolves a write-once [`blockingq::Future`] with the job's result.
+//! waits for the job's result on a `bounded(1)` queue of its own.
 
 /// Expands its body only when the `obs` feature is on (see the identical
 /// shim in `blockingq`): instrumentation sites vanish entirely when

@@ -1,6 +1,6 @@
 //! A fixed-size worker pool over a shared blocking job queue.
 
-use blockingq::{BlockingQueue, MVar};
+use blockingq::BlockingQueue;
 // Worker threads spawn through the parking_lot shim so the whole pool is
 // virtualized under --cfg schedtest (see DESIGN.md § "Schedule
 // exploration").
@@ -149,11 +149,12 @@ impl ThreadPool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let slot: MVar<std::thread::Result<T>> = MVar::empty();
+        let slot = BlockingQueue::bounded(1);
         let slot2 = slot.clone();
         let wrapped: Job = Box::new(move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            slot2.put(result);
+            // The slot is never closed and this is its only put: no refund.
+            let _ = slot2.put(result);
         });
         match self.queue.put(wrapped) {
             Ok(()) => {
@@ -186,9 +187,10 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Handle to a submitted job's eventual result.
+/// Handle to a submitted job's eventual result: a `bounded(1)` queue the
+/// job puts its outcome into once, the paper's singleton pipe as a future.
 pub struct Task<T> {
-    slot: MVar<std::thread::Result<T>>,
+    slot: BlockingQueue<std::thread::Result<T>>,
 }
 
 impl<T> std::fmt::Debug for Task<T> {
@@ -205,7 +207,7 @@ impl<T> Task<T> {
     /// # Panics
     /// Re-raises the job's panic, like `JoinHandle::join().unwrap()`.
     pub fn join(self) -> T {
-        match self.slot.take() {
+        match self.slot.take().expect("a task slot is never closed") {
             Ok(v) => v,
             Err(payload) => std::panic::resume_unwind(payload),
         }
@@ -213,7 +215,7 @@ impl<T> Task<T> {
 
     /// True iff the job has completed (successfully or by panicking).
     pub fn is_done(&self) -> bool {
-        self.slot.is_full()
+        self.slot.len() == 1
     }
 }
 
@@ -288,8 +290,10 @@ mod tests {
     fn panicking_job_propagates_on_join() {
         let pool = ThreadPool::new(1);
         let t: Task<()> = pool.submit(|| panic!("boom"));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.join()));
-        assert!(err.is_err());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.join()))
+            .expect_err("join re-raises the job's panic");
+        // The joiner sees the job's own payload, not a wrapper.
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"boom"));
         // Pool survives the panic and keeps executing jobs.
         assert_eq!(pool.submit(|| 5).join(), 5);
     }
@@ -382,7 +386,10 @@ mod tests {
             .expect_err("rejected")
             .run_inline();
         // The panic is deferred to join, exactly like a worker run.
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.join())).is_err());
+        assert!(task.is_done());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.join()))
+            .expect_err("join re-raises the inline panic");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"inline boom"));
     }
 
     #[test]
@@ -405,6 +412,24 @@ mod tests {
         pool.execute(|| panic!("fire-and-forget boom"));
         assert_eq!(pool.submit(|| 5).join(), 5, "worker still alive");
         assert_eq!(pool.contained_panics(), 1);
+    }
+
+    #[test]
+    fn is_done_stays_false_while_the_job_is_blocked() {
+        let pool = ThreadPool::new(1);
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let release = Arc::new(std::sync::Barrier::new(2));
+        let (s, r) = (started.clone(), release.clone());
+        let t = pool.submit(move || {
+            s.wait();
+            r.wait();
+            7
+        });
+        started.wait();
+        // The job is running but parked on `release`: no result yet.
+        assert!(!t.is_done());
+        release.wait();
+        assert_eq!(t.join(), 7);
     }
 
     #[test]

@@ -56,10 +56,7 @@ mod stats;
 
 pub use blockingq::{CloseCause, Fault};
 pub use fan::{merge, round_robin, FanPolicy, Merge, RoundRobin, MERGE_BATCH_FAIRNESS_CAP};
-pub use pipe::{
-    drain, pipe, pipe_coexpr, pipe_value, spawn_future, FaultPolicy, Pipe, DEFAULT_BATCH,
-    DEFAULT_CAPACITY,
-};
+pub use pipe::{drain, pipe, pipe_value, FaultPolicy, Pipe, DEFAULT_BATCH, DEFAULT_CAPACITY};
 
 /// Force-create this crate's metric families (and the queue substrate's)
 /// so snapshots carry explicit zeros before any pipe runs. No-op without

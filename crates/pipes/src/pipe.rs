@@ -2,9 +2,8 @@
 
 use crate::producer::{spawn_producer, Factory, Site};
 use blockingq::{BlockingQueue, CloseCause, Fault};
-use gde::{BoxGen, CoRef, Gen, GenExt, Step, Value};
+use gde::{BoxGen, Gen, GenExt, Step, Value};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -398,52 +397,6 @@ pub fn pipe(make: impl Fn() -> BoxGen + Send + Sync + 'static) -> Pipe {
     Pipe::new(make)
 }
 
-/// `|>` applied to an existing co-expression: the producer thread repeatedly
-/// activates `c` until failure — literally
-/// `while (!fail) { out.put(@c); }`.
-pub fn pipe_coexpr(c: CoRef, capacity: usize) -> Pipe {
-    // The factory wraps the co-expression as a generator; restart restarts
-    // the coroutine itself.
-    Pipe::with_capacity(
-        move || {
-            let c = Arc::clone(&c);
-            Box::new(gde::comb::promote_value(Value::Co(c)))
-        },
-        capacity,
-    )
-}
-
-/// The singleton pipe: spawn `f` and return a future for its one result
-/// ("a singleton piped iterator that produces one result forms a future").
-///
-/// A panic in `f` is contained and *fails* the future — a blocked
-/// [`get`](blockingq::Future::get) wakes up and re-raises the producer's
-/// fault instead of waiting forever.
-pub fn spawn_future(
-    f: impl FnOnce() -> Option<Value> + Send + 'static,
-) -> blockingq::Future<Value> {
-    let fut: blockingq::Future<Value> = blockingq::Future::new();
-    let fut2 = fut.clone();
-    parking_lot::thread::Builder::new()
-        .name("pipe-future".into())
-        .spawn(move || {
-            match catch_unwind(AssertUnwindSafe(|| {
-                faultpoint!("pipes.future.run");
-                f()
-            })) {
-                Ok(Some(v)) => {
-                    let _ = fut2.set(v.deep_copy());
-                }
-                Ok(None) => {}
-                Err(payload) => {
-                    let _ = fut2.fail(Fault::from_panic("pipe-future", &*payload));
-                }
-            }
-        })
-        .expect("failed to spawn future");
-    fut
-}
-
 /// Drain a pipe into a vector (drives it to failure).
 pub fn drain(mut p: Pipe) -> Vec<Value> {
     p.collect_values()
@@ -615,28 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn pipe_of_coexpression() {
-        let co = coexpr::CoExpr::first_class(|| Box::new(to_range(10, 13, 1))).into_ref();
-        let p = pipe_coexpr(co, 8);
-        assert_eq!(ints(&drain(p)), vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn partially_consumed_coexpr_pipe_continues() {
-        let co = coexpr::CoExpr::first_class(|| Box::new(to_range(1, 5, 1))).into_ref();
-        co.lock().step(); // consume 1 before piping
-        let p = pipe_coexpr(co, 8);
-        assert_eq!(ints(&drain(p)), vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn spawn_future_resolves() {
-        let f = spawn_future(|| Some(Value::from(42)));
-        assert_eq!(f.get().as_int(), Some(42));
-        assert!(f.is_set());
-    }
-
-    #[test]
     fn dropping_unconsumed_pipe_does_not_hang() {
         // An infinite producer must be reaped when the pipe is dropped.
         let p = Pipe::with_capacity(
@@ -774,18 +705,6 @@ mod tests {
         assert!(p.fault().is_none());
         // The source is clean from run 1 on; the restarted stream is too.
         assert_eq!(ints(&p.collect_values()), (0..=5).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn spawn_future_contains_panics_as_faults() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let f = spawn_future(|| panic!("future producer died"));
-        // fail() resolves the future, so this does not hang…
-        blockingq::testkit::wait_until("future failed", || f.is_set());
-        let fault = f.fault().expect("failed future carries the fault");
-        assert!(fault.message().contains("future producer died"));
-        // …and get surfaces the fault loudly instead of blocking.
-        assert!(catch_unwind(AssertUnwindSafe(|| f.get())).is_err());
     }
 
     #[test]

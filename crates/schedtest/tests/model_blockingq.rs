@@ -175,24 +175,6 @@ fn close_refunds_blocked_putter() {
     assert!(report.complete, "{report:?}");
 }
 
-/// MVar handoff (the cell exec's Task results ride on): a put and a take
-/// rendezvous correctly from any interleaving.
-#[test]
-fn mvar_handoff_all_interleavings() {
-    let report = check("blockingq_mvar_handoff", &Config::default(), || {
-        let m: blockingq::MVar<i64> = blockingq::MVar::empty();
-        let m2 = m.clone();
-        let h = thread::spawn(move || {
-            m2.put(41);
-            m2.put(42) // blocks until the first value is taken
-        });
-        assert_eq!(m.take(), 41);
-        assert_eq!(m.take(), 42);
-        h.join().unwrap();
-    });
-    assert!(report.complete, "{report:?}");
-}
-
 /// The explorer's enabled-set accounting must agree with a shared-counter
 /// workload guarded by the real queue mutex path (sanity anchor that the
 /// cfg wiring actually virtualizes blockingq's parking_lot import).

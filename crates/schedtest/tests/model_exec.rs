@@ -36,7 +36,7 @@ fn pool_shutdown_drains_all_queued_jobs() {
     assert!(report.failure.is_none(), "{report:?}");
 }
 
-/// submit/Task::join round-trip: the MVar result handoff resolves under
+/// submit/Task::join round-trip: the one-slot result queue resolves under
 /// every interleaving of worker and joiner, including a panicking job
 /// whose payload must re-raise in `join` without poisoning the pool.
 #[test]

@@ -119,14 +119,17 @@ fn merge_conserves_and_keeps_per_source_fifo() {
     assert!(report.failure.is_none(), "{report:?}");
 }
 
-/// The singleton pipe forms a future: its one result arrives exactly once
-/// under every interleaving of producer and reader.
+/// The singleton pipe forms a future ("a singleton piped iterator that
+/// produces one result forms a future", Sec. III.B): over a one-slot
+/// queue its one result arrives exactly once under every interleaving of
+/// producer and reader, and the stream then ends cleanly.
 #[test]
-fn spawn_future_delivers_once() {
-    let report = check("pipes_spawn_future", &Config::default(), || {
-        let fut = pipes::spawn_future(|| Some(Value::Int(99)));
-        assert_eq!(fut.get().as_int(), Some(99));
-        assert!(fut.is_set());
+fn singleton_pipe_delivers_once() {
+    let report = check("pipes_singleton", &Config::default(), || {
+        let mut p = Pipe::with_capacity(ints(1), 1);
+        assert_eq!(drain(&mut p), vec![1], "one result, exactly once");
+        assert!(p.fault().is_none(), "a clean end, not a fault");
+        assert_eq!(p.queue().close_cause(), Some(pipes::CloseCause::Finished));
     });
     assert!(report.complete, "{report:?}");
 }

@@ -113,11 +113,10 @@ fi
 echo "   ok: one measured surface (no bench targets, no criterion, no figure6 JSON)"
 
 # One transport path (DESIGN.md § Batched transport): the queue has one
-# wait per direction and no try/timed/with-cause variants (MVar's own
-# try_put/try_take stay), and one producer loop moves every pipe and
-# merge result across it.
+# wait per direction and no try/timed/with-cause variants, and one
+# producer loop moves every pipe and merge result across it.
 if hits="$(grep -rnE 'fn (try_put|try_put_all|try_take|take_timeout|is_closed|take_with_cause|take_batch_with_cause)\b|TryPutError|TryTakeError|TimedOut' \
-        crates/blockingq/src | grep -v '^crates/blockingq/src/mvar\.rs:')"; then
+        crates/blockingq/src)"; then
     echo "$hits"
     echo "FAIL: a deleted BlockingQueue variant is back; wait with put/take and read close_cause() after end of stream"
     exit 1
@@ -128,6 +127,16 @@ if hits="$(grep -rn 'put_all(' crates/pipes/src | grep -v '^crates/pipes/src/pro
     exit 1
 fi
 echo "   ok: one transport path (16-fn queue, one producer loop)"
+
+# One blocking primitive (DESIGN.md § crate map): the queue. A future is
+# a singleton pipe and a pool task waits on a bounded(1) queue, so no
+# second slot type or future API may come back beside it.
+if hits="$(grep -rnE 'MVar|mvar|blockingq::Future|spawn_future\(|pipe_coexpr\(' crates examples src)"; then
+    echo "$hits"
+    echo "FAIL: a second blocking primitive is back; wait on a BlockingQueue (bounded(1) for one result)"
+    exit 1
+fi
+echo "   ok: one blocking primitive (no MVar, Future, spawn_future or pipe_coexpr)"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a

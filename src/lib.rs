@@ -17,7 +17,7 @@
 //! | [`mapreduce`] | chunking, DataParallel map-reduce, pipelines | Sec. IV, Fig. 4 |
 //! | [`junicon`] | scoped annotations, normalization, interpreter, transpiler | Secs. IV–VI |
 //! | [`bigint`] | arbitrary-precision arithmetic substrate | Sec. VII |
-//! | [`blockingq`] | blocking queues, MVars, futures | Sec. III.B |
+//! | [`blockingq`] | blocking queues (the one blocking primitive) | Sec. III.B |
 //! | [`exec`] | thread pool substrate | Sec. V.D |
 //! | [`wordcount`] | the Fig. 3 / Fig. 6 evaluation workload | Sec. VII |
 //!
