@@ -31,9 +31,10 @@
 //!
 //! With the `obs` feature on, fusion is visible at runtime:
 //! `gde.comb.fused_stages` counts the dispatch seams eliminated by each
-//! `fuse()` (and by emitted-code fusion, via [`emitted_fused`]), and
-//! `gde.comb.fusion_barriers` counts the flat barriers that cut runs
-//! short.
+//! `fuse()`, and `gde.comb.fusion_barriers` counts the flat barriers that
+//! cut runs short. Its consumers are `pipes::Pipe::staged` and the
+//! hand-built `wordcount::embedded` trees; transpiled Junicon lowers a
+//! product to the paper's product of bound iterators and fuses nothing.
 
 use super::{filter_map, flat};
 use crate::gen::{BoxGen, Gen, Step};
@@ -294,7 +295,7 @@ impl FusedPlan {
 
 /// A fused monogenic run over an inner generator: semantically
 /// [`super::FilterMap`], but holding the shareable composed closure.
-pub struct Apply {
+struct Apply {
     inner: BoxGen,
     f: FusedFn,
 }
@@ -367,65 +368,6 @@ impl Gen for FlatFused {
         self.left.restart();
         self.live = false;
     }
-}
-
-/// Entry point for transpiled code (`junicon::emit`): wrap `inner` in a
-/// single fused node for a run of `stages` monogenic stages the emitter
-/// collapsed at emit time. Bumps `gde.comb.fused_stages` by `stages` at
-/// construction so emitted-code fusion shows up in the same runtime
-/// counters as plan fusion.
-pub fn emitted_fused(
-    inner: BoxGen,
-    stages: u64,
-    f: impl Fn(&Value) -> Option<Value> + Send + Sync + 'static,
-) -> Apply {
-    #[cfg(not(feature = "obs"))]
-    let _ = stages;
-    obs_on!(crate::obs_hot::fused_stages().add(stages););
-    Apply {
-        inner,
-        f: Arc::new(f),
-    }
-}
-
-/// Test-only mutation hook for the differential suite: fuse the plan
-/// like [`StagePlan::fuse`], but inject the classic off-by-one into the
-/// fused closure's *skip path* — after a stage skips a value, the next
-/// value bypasses the composed transform entirely (it is passed through
-/// raw). `gde/tests/fusion_diff.rs` proves the differential oracle
-/// catches this mutant; production code must never call it.
-#[doc(hidden)]
-pub fn fuse_with_skip_mutation(plan: &StagePlan) -> FusedPlan {
-    let honest = plan.fuse();
-    let segments: Vec<Segment> = honest
-        .segments
-        .iter()
-        .map(|seg| match seg {
-            Segment::Apply(f) => Segment::Apply(mutate_skip(Arc::clone(f))),
-            Segment::FlatApply(factory, f) => {
-                Segment::FlatApply(Arc::clone(factory), mutate_skip(Arc::clone(f)))
-            }
-            bare => bare.clone(),
-        })
-        .collect();
-    FusedPlan {
-        segments: Arc::new(segments),
-    }
-}
-
-fn mutate_skip(f: FusedFn) -> FusedFn {
-    let skipped = std::sync::atomic::AtomicBool::new(false);
-    Arc::new(move |v| {
-        if skipped.swap(false, std::sync::atomic::Ordering::Relaxed) {
-            // Off-by-one: the value after a skip leaks through unfused.
-            return Some(v.clone());
-        }
-        let out = f(v);
-        if out.is_none() {
-            skipped.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        out
-    })
 }
 
 #[cfg(test)]
@@ -503,34 +445,5 @@ mod tests {
         let mut u = plan.instantiate_unfused(src());
         assert_eq!(ints(&mut f), vec![2, 4, 6]);
         assert_eq!(ints(&mut u), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn emitted_fused_behaves_like_filter_map() {
-        let mut g = emitted_fused(Box::new(to_range(1, 6, 1)), 2, |v| {
-            let n = v.as_int()?;
-            (n % 2 == 0).then(|| Value::from(n * 10))
-        });
-        assert_eq!(ints(&mut g), vec![20, 40, 60]);
-        g.restart();
-        assert_eq!(ints(&mut g), vec![20, 40, 60]);
-    }
-
-    #[test]
-    fn skip_mutant_diverges_from_unfused() {
-        // Sanity for the mutation hook itself: the mutant leaks the value
-        // after each skip *bypassing the composed transform*, so any
-        // pipeline where a skip precedes a transformed value diverges.
-        // (A pure filter can't see it — leaked values are unchanged —
-        // which is exactly why the differential suite pairs skips with
-        // maps in its mutation check.)
-        let plan = StagePlan::new()
-            .filter(|v| v.as_int().unwrap() % 2 == 0)
-            .map(|v| Value::from(v.as_int().unwrap() * 10));
-        let src = || Box::new(to_range(1, 6, 1)) as BoxGen;
-        let honest = plan.instantiate(src());
-        let mutant = fuse_with_skip_mutation(&plan).instantiate(src());
-        let (mut honest, mut mutant) = (honest, mutant);
-        assert_ne!(ints(&mut honest), ints(&mut mutant));
     }
 }

@@ -20,12 +20,13 @@
 //!   its flat-stage count — so fusion silently not happening is itself a
 //!   failure.
 //!
-//! A mutation sanity check at the bottom proves the oracle has teeth: an
-//! off-by-one injected into the fused closure's skip path (the classic
-//! "value after a rejection leaks through raw" bug, available to tests as
-//! `fuse::fuse_with_skip_mutation`) is caught as a divergence.
+//! A mutation sanity check at the bottom proves the oracle has teeth: a
+//! test-local mutant of a composed closure with an off-by-one in its skip
+//! path (the classic "value after a rejection leaks through raw" bug),
+//! run through the same [`StagePlan`] as a filter-map stage, is caught as a
+//! divergence.
 
-use gde::comb::fuse::{fuse_with_skip_mutation, StagePlan};
+use gde::comb::fuse::StagePlan;
 use gde::comb::{fail, to_range, values};
 use gde::{BoxGen, GenExt, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -235,30 +236,42 @@ proptest! {
     }
 
     /// Mutation sanity check: the suite's oracle catches the classic
-    /// fused-skip off-by-one. `fuse_with_skip_mutation` composes the same
-    /// plan but leaks the value following every rejection through the
-    /// closure raw; any pipeline that rejects a value and then transforms
-    /// the next one must diverge in outputs or stage counts.
+    /// fused-skip off-by-one. The mutant composes the same filter and map
+    /// but leaks the value following every rejection through the closure
+    /// raw; any pipeline that rejects a value and then transforms the next
+    /// one must diverge.
     #[test]
     fn skip_path_mutation_is_caught(
         reject_mod in 2i64..5,
         scale in 2i64..6,
     ) {
         let _obs_guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let c = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&c);
-        let plan = StagePlan::new()
-            .filter(move |v| v.as_int().unwrap_or(0).rem_euclid(reject_mod) != 0)
-            .map(move |v| {
-                c2.fetch_add(1, Ordering::Relaxed);
-                Value::from(v.as_int().unwrap_or(0).wrapping_mul(scale))
-            });
+        let keep = move |v: &Value| v.as_int().unwrap_or(0).rem_euclid(reject_mod) != 0;
+        let times = move |v: &Value| Value::from(v.as_int().unwrap_or(0).wrapping_mul(scale));
+        let plan = StagePlan::new().filter(keep).map(times);
+        let mutant = StagePlan::new().filter_map(skip_leaks(move |v| keep(v).then(|| times(v))));
         let mut honest = plan.instantiate(Box::new(to_range(0, 16, 1)));
-        let mut mutant = fuse_with_skip_mutation(&plan).instantiate(Box::new(to_range(0, 16, 1)));
+        let mut mutant = mutant.instantiate(Box::new(to_range(0, 16, 1)));
         let out_honest = ints(&mut *honest);
         let out_mutant = ints(&mut *mutant);
         // (If this ever passes, the oracle failed to catch the mutant.)
         prop_assert_ne!(out_honest, out_mutant);
+    }
+}
+
+/// The mutant: `composed` with an off-by-one in its skip path — after it
+/// skips a value, the next value bypasses it and passes through raw.
+fn skip_leaks(
+    composed: impl Fn(&Value) -> Option<Value> + Send + Sync + 'static,
+) -> impl Fn(&Value) -> Option<Value> + Send + Sync + 'static {
+    let skipped = std::sync::atomic::AtomicBool::new(false);
+    move |v| {
+        if skipped.swap(false, Ordering::Relaxed) {
+            return Some(v.clone());
+        }
+        let out = composed(v);
+        skipped.store(out.is_none(), Ordering::Relaxed);
+        out
     }
 }
 

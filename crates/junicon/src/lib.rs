@@ -35,8 +35,9 @@
 //! * `lower` (crate-private) — the one lowering both back ends share:
 //!   `Norm → Plan`, once per procedure. A plan node is a call to one kernel
 //!   constructor of [`rt`] / `gde::comb` with classified arguments;
-//!   statement-vs-value position, loop flags, deferred-body activations
-//!   and stage fusion are decided there.
+//!   statement-vs-value position, loop flags and deferred-body activations
+//!   are decided there, and a product stays a product of bound iterators
+//!   (no stage is fused in lowered code).
 //! * [`resolve`] — the slot-resolution pass: assigns declared variables
 //!   static `(depth, slot)` frame coordinates so the executors address
 //!   frames by index instead of hashing names, with a conservative

@@ -5,9 +5,10 @@
 //! a first-order tree whose every node is a call to one kernel constructor
 //! (a [`Ctor`] row naming a `junicon::rt` / `gde::comb` function) with its
 //! arguments already classified ([`Arg`]). Statement-vs-value position, loop
-//! flags, the activations of deferred bodies and stage fusion are decided
-//! here, once per procedure. The two back ends are the two readings of that
-//! tree: [`Plan::instantiate`] *makes* the calls (the interpreter, per
+//! flags and the activations of deferred bodies are decided here, once per
+//! procedure; a product is the paper's product of bound iterators (Sec. V),
+//! one `PRODUCT` over its links. The two back ends are the two readings of
+//! that tree: [`Plan::instantiate`] *makes* the calls (the interpreter, per
 //! activation) and [`Plan::print`] *writes* them (the emitter). A row gives
 //! both from one token; an argument kind is made in one place (its `kinds!`
 //! entry) and written in one place (its arm of [`Arg::print`]). A call site
@@ -16,7 +17,6 @@
 use crate::interp::{NativeFn, Shared};
 use crate::normalize::{Atom, CoKind, NProc, NProgram, Norm, Part, VarRef};
 use crate::prim::{path_str, vals, Prim};
-use crate::resolve::fusable_suffix;
 use crate::rt::{self, Flag, Slot};
 use gde::env::{Env, FrameLayout};
 use gde::{BoxGen, Gen, Value, Var};
@@ -69,25 +69,11 @@ enum Arg {
     Body(Arc<Plan>),
     /// A monogenic evaluation, as a closure.
     Mono(Mono),
-    /// A fused run of monogenic product factors, each with the temporaries
-    /// bound to its value, as one closure: evaluated in product order per
-    /// value of the preceding factor, a factor that fails prunes the
-    /// binding without touching the later ones, the last factor's value is
-    /// the product's.
-    Steps(Vec<(Mono, Vec<u32>)>),
-    /// How many steps a fused run has.
-    Count(u64),
 }
 
-/// A monogenic evaluation over operand slots: at most one value, no state.
-enum Mono {
-    /// The operand's value.
-    Read(Atom),
-    /// Assignment; its value is the value assigned.
-    Set(VarRef, Atom),
-    /// A row of `junicon::prim`.
-    Prim(Prim, Vec<Atom>),
-}
+/// A monogenic evaluation over operand slots, the `PRIM` thunk's: a row of
+/// `junicon::prim` and its operands. At most one value, no state.
+struct Mono(Prim, Vec<Atom>);
 
 /// The break/next flag indices of the innermost enclosing loop.
 type Loop = Option<(u32, u32)>;
@@ -116,7 +102,6 @@ macro_rules! table {
         $with! {
             ATOM: rt::atom(slot);
             PRODUCT: gde::comb::product_all(gens) -> BoxGen;
-            FUSED: gde::comb::fuse::emitted_fused(gen, count, steps);
             BIND: gde::comb::bind(tmp, gen);
             ALT: gde::comb::alt_all(gens);
             PRIM: gde::comb::thunk(mono);
@@ -334,27 +319,10 @@ kinds! {
         let eval = act.eval(m);
         move || eval.run()
     }
-    fn steps(act: Arg::Steps(steps)) -> impl Fn(&Value) -> Option<Value> + Send + Sync + 'static {
-        let tmp = |t: &u32| act.tmps[*t as usize].clone();
-        let step = |(m, binds): &(Mono, Vec<u32>)| (act.eval(m), binds.iter().map(tmp).collect());
-        let steps: Vec<(Eval, Vec<Var>)> = steps.iter().map(step).collect();
-        move |_: &Value| {
-            let mut last = None;
-            for (eval, binds) in &steps {
-                let v = eval.run()?;
-                binds.iter().for_each(|b| b.set(v.clone()));
-                last = Some(v);
-            }
-            last
-        }
-    }
-    fn count(_: Arg::Count(n)) -> u64 { *n }
 }
 
 /// A [`Mono`] over its cells.
 enum Eval {
-    Read(Slot),
-    Set(Var, Slot),
     /// The row's function, the operand slots and the primitive (its name).
     Prim(PrimFn, Vec<Slot>, Prim),
     /// A `::` call, bound when the activation was built to the native the
@@ -367,8 +335,6 @@ type PrimFn = fn(&[Slot], &str) -> Option<Value>;
 impl Eval {
     fn run(&self) -> Option<Value> {
         match self {
-            Eval::Read(s) => Some(s.get()),
-            Eval::Set(cell, from) => Some(rt::assign(cell, from)),
             Eval::Prim(eval, slots, op) => eval(slots, op.name()),
             Eval::Native(native, slots) => native(&slots[0].get(), &vals(&slots[1..])),
         }
@@ -399,18 +365,12 @@ impl Activation {
         }
     }
 
-    fn eval(&self, m: &Mono) -> Eval {
-        match m {
-            Mono::Read(a) => Eval::Read(self.slot(a)),
-            Mono::Set(t, a) => Eval::Set(self.cell(t), self.slot(a)),
-            Mono::Prim(op, args) => {
-                let slots = args.iter().map(|a| self.slot(a)).collect();
-                let native = || self.shared.natives.lock().get(op.name()).cloned();
-                match op.is_host_call().then(native).flatten() {
-                    Some(native) => Eval::Native(native, slots),
-                    None => Eval::Prim(op.row().eval, slots, op.clone()),
-                }
-            }
+    fn eval(&self, Mono(op, args): &Mono) -> Eval {
+        let slots = args.iter().map(|a| self.slot(a)).collect();
+        let native = || self.shared.natives.lock().get(op.name()).cloned();
+        match op.is_host_call().then(native).flatten() {
+            Some(native) => Eval::Native(native, slots),
+            None => Eval::Prim(op.row().eval, slots, op.clone()),
         }
     }
 }
@@ -453,7 +413,7 @@ impl Node {
             false => ("Box::new(", ") as BoxGen"),
         };
         // A call over several subtrees gets a line per argument.
-        let tree = |a: &&Arg| matches!(a, Arg::Child(_) | Arg::Opt(Some(_)) | Arg::Steps(_));
+        let tree = |a: &&Arg| matches!(a, Arg::Child(_) | Arg::Opt(Some(_)));
         let tall = self.args.iter().filter(tree).count() > 1;
         let (i0, i1) = (ind(lvl), ind(lvl + 1));
         w!(out, "{open}{}(", self.ctor.path);
@@ -493,41 +453,9 @@ fn print_cell(out: &mut String, t: &VarRef) {
     }
 }
 
-impl Mono {
-    /// ` let {p}{k} = <slot>;` per operand (and ` let {p}c = <cell>;`),
-    /// evaluated where the node is constructed, for the closure to read.
-    fn print_captures(&self, out: &mut String, p: &str) {
-        let reads = match self {
-            Mono::Read(a) => std::slice::from_ref(a),
-            Mono::Set(t, a) => {
-                w!(out, " let {p}c = ");
-                print_cell(out, t);
-                out.push(';');
-                std::slice::from_ref(a)
-            }
-            Mono::Prim(_, args) => args,
-        };
-        for (k, a) in reads.iter().enumerate() {
-            w!(out, " let {p}{k} = ");
-            print_slot(out, a);
-            out.push(';');
-        }
-    }
-
-    /// The evaluation over those captures, an `Option<Value>` expression:
-    /// what [`Eval::run`] does.
-    fn print_run(&self, out: &mut String, p: &str) {
-        match self {
-            Mono::Read(_) => w!(out, "Some({p}0.get())"),
-            Mono::Set(..) => w!(out, "Some(rt::assign(&{p}c, &{p}0))"),
-            Mono::Prim(op, args) => out.push_str(&(op.row().spell)(p, args.len(), op.name())),
-        }
-    }
-}
-
 impl Arg {
     fn print(&self, out: &mut String, lvl: usize) {
-        let (i0, i1, i2) = (ind(lvl), ind(lvl + 1), ind(lvl + 2));
+        let (i0, i1) = (ind(lvl), ind(lvl + 1));
         match self {
             Arg::Read(a) => print_slot(out, a),
             Arg::Reads(atoms) => {
@@ -572,34 +500,18 @@ impl Arg {
                 plan.print(out, lvl + 1);
                 w!(out, "{i0}}}");
             }
-            Arg::Mono(m) => {
+            // Operand `k` is captured as `s{k}` where the node is
+            // constructed; the closure over them is what [`Eval::run`] does.
+            Arg::Mono(Mono(op, args)) => {
                 out.push('{');
-                m.print_captures(out, "s");
-                out.push_str(" move || ");
-                m.print_run(out, "s");
-                out.push_str(" }");
-            }
-            Arg::Steps(steps) => {
-                out.push('{');
-                for (j, (m, binds)) in steps.iter().enumerate() {
-                    m.print_captures(out, &format!("f{j}_"));
-                    for (i, t) in binds.iter().enumerate() {
-                        w!(out, " let f{j}_b{i} = tmps[{t}].clone();");
-                    }
+                for (k, a) in args.iter().enumerate() {
+                    w!(out, " let s{k} = ");
+                    print_slot(out, a);
+                    out.push(';');
                 }
-                w!(out, "\n{i1}move |_| {{\n");
-                for (j, (m, binds)) in steps.iter().enumerate() {
-                    w!(out, "{i2}let v{j} = ");
-                    m.print_run(out, &format!("f{j}_"));
-                    out.push_str("?;");
-                    for i in 0..binds.len() {
-                        w!(out, " f{j}_b{i}.set(v{j}.clone());");
-                    }
-                    out.push('\n');
-                }
-                w!(out, "{i2}Some(v{})\n{i1}}} }}", steps.len() - 1);
+                let run = (op.row().spell)(args.len(), op.name());
+                w!(out, " move || {run} }}");
             }
-            Arg::Count(n) => w!(out, "{n}u64"),
         }
     }
 }
@@ -667,32 +579,19 @@ impl Lowering {
     fn node(&mut self, n: &Norm, lp: Loop, stmt: bool) -> Node {
         match n {
             Norm::Atom(a) => call(&ATOM, vec![Arg::Read(a.clone())]),
-            Norm::Product(factors) => {
-                // Stage fusion: a trailing run of monogenic, statically
-                // resolved factors (`fusable_suffix` finds it) becomes one
-                // composed closure over the preceding factor — one `resume`
-                // per binding instead of one per stage.
-                let split = factors.len() - fusable_suffix(factors);
-                let base = match &factors[..split] {
-                    [only] => self.node(only, lp, false),
-                    many => {
-                        let links = many.iter().map(|f| self.node(f, lp, false)).collect();
-                        call(&PRODUCT, vec![Arg::Children(links)])
-                    }
-                };
-                if split == factors.len() {
-                    return base;
+            Norm::Product(factors) => match &factors[..] {
+                [only] => self.node(only, lp, false),
+                links => {
+                    let links = links.iter().map(|f| self.node(f, lp, false)).collect();
+                    call(&PRODUCT, vec![Arg::Children(links)])
                 }
-                let steps: Vec<_> = factors[split..].iter().map(step).collect();
-                let count = Arg::Count(steps.len() as u64);
-                call(&FUSED, vec![Arg::Child(base), count, Arg::Steps(steps)])
-            }
+            },
             Norm::Bind(t, inner) => call(&BIND, vec![Arg::Tmp(*t), self.value(inner, lp)]),
             Norm::Alt(items) => {
                 let items = items.iter().map(|i| self.node(i, lp, stmt)).collect();
                 call(&ALT, vec![Arg::Children(items)])
             }
-            Norm::Prim { .. } => call(&PRIM, vec![Arg::Mono(mono(n))]),
+            Norm::Prim { op, args } => call(&PRIM, vec![Arg::Mono(Mono(op.clone(), args.clone()))]),
             Norm::Promote(a) => call(&PROMOTE, vec![Arg::Read(a.clone())]),
             Norm::Invoke { callee, args } => {
                 let args = Arg::Reads(args.clone());
@@ -778,26 +677,6 @@ impl Lowering {
                 call(&SCAN, vec![self.value(subject, lp), body])
             }
         }
-    }
-}
-
-/// A monogenic factor with the temporaries bound to its value.
-fn step(n: &Norm) -> (Mono, Vec<u32>) {
-    let (mut binds, mut n) = (Vec::new(), n);
-    while let Norm::Bind(t, inner) = n {
-        binds.push(*t);
-        n = inner;
-    }
-    (mono(n), binds)
-}
-
-/// The monogenic shapes: the ones `resolve::fusable_suffix` admits.
-fn mono(n: &Norm) -> Mono {
-    match n {
-        Norm::Atom(a) => Mono::Read(a.clone()),
-        Norm::SetVar { target, from } => Mono::Set(target.clone(), from.clone()),
-        Norm::Prim { op, args } => Mono::Prim(op.clone(), args.clone()),
-        other => unreachable!("not a monogenic thunk factor: {other:?}"),
     }
 }
 
@@ -928,7 +807,7 @@ mod tests {
                 [$(&$name),*]
             };
         }
-        let rows: [&Ctor; 29] = table!(rows);
+        let rows: [&Ctor; 28] = table!(rows);
         for row in rows {
             let call = format!("{}(", row.path);
             assert!(fixtures.iter().any(|f| f.contains(&call)), "{call}");

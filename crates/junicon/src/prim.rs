@@ -4,7 +4,7 @@
 //! A [`Norm::Prim`](crate::normalize::Norm::Prim) node names a [`Prim`];
 //! its [`Row`] holds the runtime meaning (`eval`, what the interpreter's
 //! thunk runs) and the Rust spelling (`spell`, what the emitter prints into
-//! a thunk or a fused closure). A row is one function token under one
+//! the thunk). A row is one function token under one
 //! calling convention, and each convention writes its call and its text
 //! side by side, so the two columns cannot drift. The paths are spelled as
 //! emitted modules see them (`use gde::Value; use junicon::rt;`).
@@ -50,9 +50,9 @@ pub struct Row {
     /// Apply to the operand slots and the primitive's [`Prim::name`].
     pub eval: fn(&[Slot], &str) -> Option<Value>,
     /// The same application as Rust text — an `Option<Value>` expression
-    /// over the identifiers `{prefix}0 … {prefix}{n-1}` that hold the `n`
-    /// captured operand slots: `spell(prefix, n, name)`.
-    pub spell: fn(&str, usize, &str) -> String,
+    /// over the identifiers `s0 … s{n-1}` that hold the `n` captured
+    /// operand slots: `spell(n, name)`.
+    pub spell: fn(usize, &str) -> String,
 }
 
 /// The current values of a run of operand slots.
@@ -60,13 +60,13 @@ pub fn vals(slots: &[Slot]) -> Vec<Value> {
     slots.iter().map(Slot::get).collect()
 }
 
-/// `[p1.get(), p2.get()]`: the values of operands `ks`, as text.
-pub fn gets(prefix: &str, ks: std::ops::Range<usize>) -> String {
+/// `[s1.get(), s2.get()]`: the values of operands `ks`, as text.
+pub fn gets(ks: std::ops::Range<usize>) -> String {
     let mut text = String::with_capacity(2 + 16 * ks.len());
     text.push('[');
     for k in ks {
         let sep = if text.len() > 1 { ", " } else { "" };
-        write!(text, "{sep}{prefix}{k}.get()").expect("writing to a String");
+        write!(text, "{sep}s{k}.get()").expect("writing to a String");
     }
     text + "]"
 }
@@ -79,41 +79,39 @@ pub(crate) use path_str;
 /// A row from a calling convention and the function it applies to. Each
 /// convention gives the operand count, the arguments as the interpreter
 /// passes them (over slots `s`), and the same arguments as text (over the
-/// identifier prefix `p` and operand count `n`).
+/// operand count `n`).
 macro_rules! row {
     (@ $($f:ident)::+, $arity:expr, |$s:ident, $name:pat_param| ($($arg:expr),+),
-        |$p:ident, $n:pat_param| $text:literal, $($t:expr),+) => {
+        |$n:pat_param| $text:literal $(, $t:expr)*) => {
         Row {
             arity: $arity,
             eval: |$s, $name| $($f)::+($($arg),+),
-            spell: |$p, $n, $name| format!(concat!(path_str!($($f)::+), $text), $($t),+),
+            spell: |$n, $name| format!(concat!(path_str!($($f)::+), $text) $(, $t)*),
         }
     };
     (ref1 $($f:ident)::+) => {
-        row!(@ $($f)::+, Some(1), |s, _| (&s[0].get()), |p, _| "(&{0}0.get())", p)
+        row!(@ $($f)::+, Some(1), |s, _| (&s[0].get()), |_| "(&s0.get())")
     };
     (ref2 $($f:ident)::+) => {
-        row!(@ $($f)::+, Some(2), |s, _| (&s[0].get(), &s[1].get()),
-            |p, _| "(&{0}0.get(), &{0}1.get())", p)
+        row!(@ $($f)::+, Some(2), |s, _| (&s[0].get(), &s[1].get()), |_| "(&s0.get(), &s1.get())")
     };
     (ref2_val $($f:ident)::+) => {
         row!(@ $($f)::+, Some(3), |s, _| (&s[0].get(), &s[1].get(), s[2].get()),
-            |p, _| "(&{0}0.get(), &{0}1.get(), {0}2.get())", p)
+            |_| "(&s0.get(), &s1.get(), s2.get())")
     };
     (named $($f:ident)::+) => {
-        row!(@ $($f)::+, Some(1), |s, name| (&s[0].get(), name),
-            |p, _| "(&{0}0.get(), {1:?})", p, name)
+        row!(@ $($f)::+, Some(1), |s, name| (&s[0].get(), name), |_| "(&s0.get(), {:?})", name)
     };
     (named_val $($f:ident)::+) => {
         row!(@ $($f)::+, Some(2), |s, name| (&s[0].get(), name, s[1].get()),
-            |p, _| "(&{0}0.get(), {1:?}, {0}1.get())", p, name)
+            |_| "(&s0.get(), {:?}, s1.get())", name)
     };
     (named_rest $($f:ident)::+) => {
         row!(@ $($f)::+, None, |s, name| (&s[0].get(), name, &vals(&s[1..])),
-            |p, n| "(&{0}0.get(), {1:?}, &{2})", p, name, gets(p, 1..n))
+            |n| "(&s0.get(), {:?}, &{})", name, gets(1..n))
     };
     (all $($f:ident)::+) => {
-        row!(@ $($f)::+, None, |s, _| (vals(s)), |p, n| "(vec!{})", gets(p, 0..n))
+        row!(@ $($f)::+, None, |s, _| (vals(s)), |n| "(vec!{})", gets(0..n))
     };
 }
 
@@ -187,12 +185,6 @@ impl Prim {
     pub fn is_host_call(&self) -> bool {
         matches!(self, Prim::Native(_))
     }
-
-    /// Fusion barrier: stepping a co-expression must stay its own product
-    /// link rather than run inside a fused closure.
-    pub fn is_barrier(&self) -> bool {
-        matches!(self, Prim::Activate | Prim::Refresh)
-    }
 }
 
 #[cfg(test)]
@@ -218,11 +210,11 @@ mod tests {
             let row = p.row();
             // Variadic rows are probed with no optional operand and with two.
             for n in row.arity.map_or(vec![1, 3], |n| vec![n]) {
-                let text = (row.spell)("op", n, p.name());
+                let text = (row.spell)(n, p.name());
                 assert!(text.contains("::") && text.ends_with(')'), "{p:?}: {text}");
                 for k in 0..4 {
                     assert_eq!(
-                        text.contains(&format!("op{k}.get()")),
+                        text.contains(&format!("s{k}.get()")),
                         k < n,
                         "{p:?}: {text}"
                     );

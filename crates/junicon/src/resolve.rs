@@ -60,65 +60,6 @@ use crate::normalize::{Atom, NClass, NProc, NProgram, Norm, Part, VarRef};
 use gde::Symbol;
 use std::collections::{HashMap, HashSet};
 
-// ---------------------------------------------------------------------------
-// Fusable-run annotation (consumed by `lower`)
-// ---------------------------------------------------------------------------
-
-/// The length of the maximal *fusable* suffix of a product's factors: the
-/// trailing run of monogenic factors (at most one value per activation —
-/// the flattened thunk shapes) whose operands are all statically resolved.
-/// `lower` makes such a run one composed closure over the preceding factor,
-/// so a factor joins only when that closure provably evaluates it with the
-/// by-node tree's exact semantics:
-///
-/// * **generator factors** (invocation, promotion, ranges, alternation,
-///   nested products, …) can yield many values per binding, so
-///   backtracking must be able to re-enter them — they end every run;
-/// * **dynamic-name operands** ([`Atom::Var`]) are barriers: a by-name
-///   lookup can spring an implicit local mid-product, and the `&`-keywords
-///   read the scanning stack, whose innermost frame can change between the
-///   product's construction and the closure's evaluation — only
-///   slot-resolved cells, temporaries and literals are known to read the
-///   same cell either way (see DESIGN.md § One lowering);
-/// * **by-name assignment targets** ([`VarRef::Named`]) likewise.
-///
-/// The suffix never includes *every* factor: at least one leading factor
-/// stays as the generator the fused closure hangs off.
-pub fn fusable_suffix(factors: &[Norm]) -> usize {
-    let run = factors
-        .iter()
-        .rev()
-        .take_while(|f| fusable_monogenic(f))
-        .count();
-    run.min(factors.len().saturating_sub(1))
-}
-
-/// Is this factor a monogenic thunk shape over static operands: literals,
-/// frame slots and temporaries read, slots assigned? Dynamic names and
-/// `&`-keywords make the factor unfusable.
-fn fusable_monogenic(n: &Norm) -> bool {
-    let monogenic = match n {
-        // Binding a temporary to a monogenic factor is itself monogenic
-        // (the set runs as the factor produces its one value).
-        Norm::Atom(_) | Norm::SetVar { .. } | Norm::Bind(..) => true,
-        Norm::Prim { op, .. } => !op.is_barrier(),
-        _ => false,
-    };
-    if !monogenic {
-        return false;
-    }
-    let mut operands_static = true;
-    n.parts(|part| {
-        operands_static &= match part {
-            Part::Read(a) => !matches!(a, Atom::Var(_)),
-            Part::Target(t) => matches!(t, VarRef::Slot(..)),
-            Part::Child(inner) => fusable_monogenic(inner),
-            Part::Decl(_) | Part::Deferred(_) => false,
-        }
-    });
-    operands_static
-}
-
 /// Resolve every procedure and class method in the program. Top-level
 /// statements run directly in the global frame (the REPL frame) and are
 /// left fully dynamic.
@@ -442,47 +383,6 @@ mod tests {
             slot_refs(s, &mut refs);
             assert!(refs.is_empty(), "top level must stay dynamic: {refs:?}");
         }
-    }
-
-    #[test]
-    fn fusable_suffix_marks_trailing_monogenic_runs_only() {
-        use crate::ast::BinOp;
-        use crate::prim::Prim;
-        let times2 = |a: Atom| Norm::Prim {
-            op: Prim::Op(BinOp::Mul),
-            args: vec![a, Atom::Int(2)],
-        };
-        let gen = Norm::ToRange {
-            from: Atom::Int(1),
-            to: Atom::Int(3),
-            by: None,
-        };
-        let op = times2(Atom::Tmp(0));
-        // generator | op → the op fuses onto the generator.
-        assert_eq!(fusable_suffix(&[gen.clone(), op.clone()]), 1);
-        // generator | bind(op) | op → the whole trailing run fuses.
-        assert_eq!(
-            fusable_suffix(&[gen.clone(), Norm::Bind(0, Box::new(op.clone())), op.clone()]),
-            2
-        );
-        // Dynamic-name operands are fusion barriers.
-        assert_eq!(
-            fusable_suffix(&[gen.clone(), times2(Atom::Var("x".into()))]),
-            0
-        );
-        // &-keywords read the scanning stack: barrier.
-        let keyword = times2(Atom::Var("&pos".into()));
-        assert_eq!(fusable_suffix(&[gen.clone(), keyword]), 0);
-        // Stepping a co-expression stays its own product link.
-        let step = Norm::Prim {
-            op: Prim::Activate,
-            args: vec![Atom::Tmp(0)],
-        };
-        assert_eq!(fusable_suffix(&[gen.clone(), step]), 0);
-        // An all-monogenic product keeps one leading factor as the base.
-        assert_eq!(fusable_suffix(&[op.clone(), op.clone()]), 1);
-        // A generator in last position ends the (empty) run.
-        assert_eq!(fusable_suffix(&[op, gen]), 0);
     }
 
     #[test]

@@ -229,16 +229,13 @@ impl Gen for Invoke {
     }
 }
 
-/// The assignment itself: store `from`'s value in `cell` and hand it back.
-pub fn assign(cell: &Var, from: &Slot) -> Value {
-    let v = from.get();
-    cell.set(v.clone());
-    v
-}
-
 /// Assignment `x := a`; yields the assigned value.
 pub fn set_var(cell: Var, from: Slot) -> Thunk {
-    comb::thunk(move || Some(assign(&cell, &from)))
+    comb::thunk(move || {
+        let v = from.get();
+        cell.set(v.clone());
+        Some(v)
+    })
 }
 
 /// `from to to by by` with the bounds re-read at each restart.

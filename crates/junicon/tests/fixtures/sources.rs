@@ -21,7 +21,8 @@ write("t=", t, " i=", i);
 "#;
 
 /// Every row of `junicon::prim`, standing alone (its own thunk) and as the
-/// tail of a product over a generator operand (a fused closure); the three
+/// last link of a product over a generator operand (a thunk bound after the
+/// generator's link); the three
 /// zero-operand forms `g()`, `s::m()` and `[]`; deferred bodies that loop
 /// and `break` inside an enclosing loop; and (`control`) the kernel
 /// constructors the other fixtures do not reach.

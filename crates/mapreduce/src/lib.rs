@@ -19,9 +19,10 @@
 //!
 //! This crate provides that construction ([`DataParallel::map_reduce`]),
 //! the map-only variant that "splits out the reduction and effects
-//! serialization" ([`DataParallel::map_flat`]), the [`chunks`] combinator,
-//! and a [`Pipeline`] builder for the fixed-code model (`f(!|>s)`) that
-//! Fig. 2 contrasts with the fixed-data model.
+//! serialization" ([`DataParallel::map_flat`]) and the [`chunks`]
+//! combinator. Fig. 2's fixed-code model (`f(!|>s)`), which it contrasts
+//! with the fixed-data model, needs no builder: it is one `pipes::Pipe`
+//! per stage (`Pipe::staged` runs a stage plan on the producer thread).
 
 /// Expands its body only when the `obs` feature is on (see the identical
 /// shim in `blockingq`): instrumentation sites vanish entirely when
@@ -37,10 +38,8 @@ macro_rules! obs_on {
 
 mod chunk;
 mod data_parallel;
-mod pipeline;
 #[cfg(feature = "obs")]
 mod stats;
 
 pub use chunk::{chunks, Chunks};
 pub use data_parallel::DataParallel;
-pub use pipeline::Pipeline;

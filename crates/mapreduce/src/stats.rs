@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-/// Metrics for [`crate::DataParallel`] / [`crate::Pipeline`].
+/// Metrics for [`crate::DataParallel`].
 pub(crate) struct MapReduceStats {
     /// Chunks submitted to the pool by map-reduce launches.
     pub chunks: Arc<obs::Counter>,
@@ -14,8 +14,6 @@ pub(crate) struct MapReduceStats {
     pub launch: Arc<obs::Timer>,
     /// Per-chunk map(+reduce) work on pool workers.
     pub chunk_run: Arc<obs::Timer>,
-    /// Threaded pipeline stages constructed.
-    pub pipeline_stages: Arc<obs::Counter>,
 }
 
 pub(crate) fn mr() -> &'static MapReduceStats {
@@ -24,6 +22,5 @@ pub(crate) fn mr() -> &'static MapReduceStats {
         chunks: obs::counter("mapreduce.chunks"),
         launch: obs::timer("mapreduce.launch"),
         chunk_run: obs::timer("mapreduce.chunk_run"),
-        pipeline_stages: obs::counter("mapreduce.pipeline.stages"),
     })
 }

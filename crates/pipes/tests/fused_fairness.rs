@@ -1,8 +1,9 @@
 //! Fusion × fan-in fairness regressions.
 //!
 //! Stage fusion collapses a multi-node combinator chain into a single
-//! [`gde::comb::fuse::Apply`] node, so a fan-in source that used to be a
-//! deep tree is now one hot generator. That must not change the fairness
+//! fused node ([`gde::comb::fuse::StagePlan::fuse`]), so a fan-in source
+//! that used to be a deep tree is now one hot generator. That must not
+//! change the fairness
 //! story:
 //!
 //! * the [`pipes::MERGE_BATCH_FAIRNESS_CAP`] clamp still applies — a fused

@@ -1,11 +1,13 @@
 //! The embedded suite — the paper's "Junicon" programs as concurrent
 //! generators over the dynamic runtime.
 //!
-//! These four functions build exactly the combinator trees that transpiled
-//! Junicon builds (values are boxed [`gde::Value`]s, words flow through
-//! reified stages, coordination uses pipes and the Fig. 4 `DataParallel`),
-//! so measuring them against [`crate::native`] reproduces Fig. 6's
-//! embedded-vs-native comparison.
+//! These four functions build, by hand, the combinator trees of the Junicon
+//! program (values are boxed [`gde::Value`]s, words flow through reified
+//! stages, coordination uses pipes and the Fig. 4 `DataParallel`), so
+//! measuring them against [`crate::native`] reproduces Fig. 6's
+//! embedded-vs-native comparison. Unlike transpiled Junicon, whose
+//! products stay products of bound iterators, they fuse their stage chains
+//! ([`StagePlan`]).
 //!
 //! The program is Fig. 3's: `readLines` → `splitWords` → `wordToNumber` →
 //! `hashNumber` → sum. The sequential variant evaluates all stages inline;

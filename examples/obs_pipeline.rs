@@ -1,27 +1,30 @@
 //! Observability demo: instrument a threaded pipeline and a fan-in merge.
 //!
-//! Builds the Fig. 2-style `Pipeline` (each stage a producer thread over a
-//! blocking queue) plus a `pipes::merge` fan-in, drains both, then prints
+//! Builds a Fig. 2-style pipeline — one `Pipe` per stage, each stage a
+//! producer thread over a blocking queue — plus a `pipes::merge` fan-in,
+//! drains both, then prints
 //! the process-wide `obs` registry snapshot. Every queue put/take, pipe
 //! item, and merge arrival seen below happened on the real runtime hot
 //! paths — the demo only *reads* the counters at the end.
 //!
 //! Run with: `cargo run --example obs_pipeline`
 
+use concurrent_generators::gde::comb::fuse::StagePlan;
 use concurrent_generators::gde::comb::to_range;
 use concurrent_generators::gde::{ops, BoxGen, GenExt, Value};
-use concurrent_generators::mapreduce::Pipeline;
 use concurrent_generators::obs;
-use concurrent_generators::pipes::merge;
+use concurrent_generators::pipes::{merge, Pipe, DEFAULT_BATCH};
 
 fn main() {
-    // Stage 1: a three-hop threaded pipeline: 1..=64, squared, +1.
-    let mut g = Pipeline::from(|| Box::new(to_range(1, 64, 1)) as BoxGen)
-        .with_capacity(8)
-        .stage(|v| ops::mul(v, v))
-        .stage(|v| ops::add(v, &Value::from(1)))
-        .build();
-    let piped = g.collect_values();
+    // Stage 1: a two-pipe threaded pipeline: 1..=64 squared on one
+    // producer thread, +1 on the next; each pipe carries all 64 values.
+    let square = StagePlan::new().filter_map(|v| ops::mul(v, v));
+    let inc = StagePlan::new().filter_map(|v| ops::add(v, &Value::from(1)));
+    let squares = move || {
+        let source = || Box::new(to_range(1, 64, 1)) as BoxGen;
+        Pipe::staged(source, &square, 8, DEFAULT_BATCH).boxed()
+    };
+    let piped = Pipe::staged(squares, &inc, 8, DEFAULT_BATCH).collect_values();
     println!(
         "pipeline produced {} values (last = {:?})",
         piped.len(),

@@ -12,7 +12,8 @@
 #                    second measured surface stays deleted (ISSUE 23); and
 #                    the transport keeps one path (ISSUE 25);
 #                    calls have one invocation node, whose `::` natives
-#                    are bound per activation, not per evaluation;
+#                    are bound per activation, not per evaluation; one
+#                    blocking primitive; and one fuser (`StagePlan`'s);
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -137,6 +138,22 @@ if hits="$(grep -rnE 'MVar|mvar|blockingq::Future|spawn_future\(|pipe_coexpr\(' 
     exit 1
 fi
 echo "   ok: one blocking primitive (no MVar, Future, spawn_future or pipe_coexpr)"
+
+# One fuser (DESIGN.md § Stage fusion): lowering emits the paper's product
+# of bound iterators, so no fused lowering form may come back; the
+# fixed-code pipeline is one `Pipe` per stage, and the skip-path mutant
+# lives in the test that catches it.
+if hits="$(grep -rnE 'emitted_fused|fusable_suffix|is_barrier|Arg::Steps|Arg::Count' crates/*/src)"; then
+    echo "$hits"
+    echo "FAIL: a lowering fuser is back; lower a product to PRODUCT over its links"
+    exit 1
+fi
+if hits="$(grep -rnE 'mapreduce::Pipeline|fuse_with_skip_mutation' crates examples src tests)"; then
+    echo "$hits"
+    echo "FAIL: mapreduce::Pipeline or the production mutation hook is back; use Pipe::staged, mutate in the test"
+    exit 1
+fi
+echo "   ok: one fuser (StagePlan's); no Pipeline builder, no mutation hook in production"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a

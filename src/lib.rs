@@ -14,7 +14,7 @@
 //! | [`gde`] | goal-directed evaluation runtime | Sec. II, V.B |
 //! | [`coexpr`] | co-expressions (`|<>e`, `@`, `^`, `!`) | Sec. III.A |
 //! | [`pipes`] | generator proxies (`|>e`) over blocking queues | Sec. III.B |
-//! | [`mapreduce`] | chunking, DataParallel map-reduce, pipelines | Sec. IV, Fig. 4 |
+//! | [`mapreduce`] | chunking, DataParallel map-reduce | Sec. IV, Fig. 4 |
 //! | [`junicon`] | scoped annotations, normalization, interpreter, transpiler | Secs. IV–VI |
 //! | [`bigint`] | arbitrary-precision arithmetic substrate | Sec. VII |
 //! | [`blockingq`] | blocking queues (the one blocking primitive) | Sec. III.B |

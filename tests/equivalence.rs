@@ -313,20 +313,25 @@ fn staged_pipe_close_under_fire_replays_exactly() {
     }
 }
 
-/// The generic `mapreduce::Pipeline` builder must likewise be
-/// batch-invariant: identical value sequences at every transport batch.
+/// Fig. 2's fixed-code pipeline, one `Pipe::staged` per stage, must
+/// likewise be batch-invariant: identical value sequences at every
+/// transport batch.
 #[test]
 fn generic_pipeline_stage_is_batch_invariant() {
+    use concurrent_generators::gde::comb::fuse::StagePlan;
     use concurrent_generators::gde::comb::to_range;
     use concurrent_generators::gde::{ops, BoxGen};
-    use concurrent_generators::mapreduce::Pipeline;
+    use concurrent_generators::pipes::{Pipe, DEFAULT_CAPACITY};
     let expect: Vec<i64> = (1..=50).map(|i| i * i + 1).collect();
+    let square = StagePlan::new().filter_map(|v| ops::mul(v, v));
+    let inc = StagePlan::new().filter_map(|v| ops::add(v, &Value::from(1)));
     for batch in [1, 2, 7, 64] {
-        let mut g = Pipeline::from(|| Box::new(to_range(1, 50, 1)) as BoxGen)
-            .with_batch(batch)
-            .stage(|v| ops::mul(v, v))
-            .stage(|v| ops::add(v, &Value::from(1)))
-            .build();
+        let square = square.clone();
+        let squares = move || {
+            let source = || Box::new(to_range(1, 50, 1)) as BoxGen;
+            Pipe::staged(source, &square, DEFAULT_CAPACITY, batch).boxed()
+        };
+        let mut g = Pipe::staged(squares, &inc, DEFAULT_CAPACITY, batch);
         let got: Vec<i64> = g
             .collect_values()
             .iter()
