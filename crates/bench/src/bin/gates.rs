@@ -1,13 +1,13 @@
 //! CI gate runner: evaluates the regression gates (`bench::gates`) against
-//! the result files of one `benchmark/run.sh` run and prints one
-//! PASS/FAIL/SKIP line per gate, then one `bench-history-v1` JSON line
-//! built from the same files (what `BENCH_history.jsonl` keeps, one line
-//! per PR) and, with `--history`, a report-only drift table against that
-//! file's last line.
+//! the result files of one `benchmark/run.sh` run and the last line of the
+//! history file, and prints one PASS/FAIL/SKIP line per gate, then one
+//! `bench-history-v1` JSON line built from the same files (what
+//! `BENCH_history.jsonl` keeps, one line per PR) and a report-only drift
+//! table against that file's last line.
 //!
 //!     cargo run -p bench --release --bin gates -- \
 //!         --results benchmark/out --commit "$(git rev-parse --short HEAD)" \
-//!         [--history BENCH_history.jsonl] [--strict] \
+//!         --history BENCH_history.jsonl [--strict] \
 //!         [--schedtest-json SCHEDTEST_ci.json] [--faults-json FAULTS_ci.json]
 //!
 //! Exit code 1 on any FAIL, or on any SKIP under `--strict`. The caps are
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gates --results DIR --commit ID [--history PATH] [--strict] \
+        "usage: gates --results DIR --commit ID --history PATH [--strict] \
          [--schedtest-json PATH] [--faults-json PATH]"
     );
     std::process::exit(2);
@@ -75,13 +75,18 @@ fn main() -> ExitCode {
             usage()
         }));
     }
-    let [Some(results_dir), Some(commit), history, schedtest, faults] = paths else {
+    let [Some(results_dir), Some(commit), Some(history), schedtest, faults] = paths else {
         usage();
     };
 
     let results = gates::load_results(Path::new(&results_dir));
-    let mut reports = gates::run_gates(&results);
+    let lines = read(&history);
+    let last = lines.lines().rfind(|l| !l.trim().is_empty()).unwrap_or("");
+    let last = parse(&history, last);
     let schedtest = schedtest.map(|path| read(&path));
+    let suites = schedtest.as_deref().map(gates::schedtest_suites);
+    let suites = suites.and_then(Result::ok).unwrap_or_default();
+    let mut reports = gates::run_gates(&results, &suites, &last);
     reports.push(match &schedtest {
         None => skipped("schedtest", "--schedtest-json"),
         Some(text) => gates::schedtest_gate(text),
@@ -102,21 +107,14 @@ fn main() -> ExitCode {
     // The record and the drift table read the documents the `results`
     // gate vouched for; without it there is nothing worth recording.
     if reports[0].status == GateStatus::Pass {
-        let explored = schedtest
-            .and_then(|text| gates::schedtest_totals(&text).ok())
-            .map(|(_explorations, schedules)| schedules);
-        match gates::history_line(&results, &commit, explored) {
+        match gates::history_line(&results, &commit, &suites) {
             Ok(line) => println!("{line}"),
             Err(e) => println!("[history] not available: {e}"),
         }
-        if let Some(path) = history {
-            let text = read(&path);
-            let last = text.lines().rfind(|l| !l.trim().is_empty()).unwrap_or("");
-            println!("\n[drift] end-to-end cells vs the last line of {path} (report-only):");
-            match gates::drift_table(&results, &parse(&path, last)) {
-                Ok(table) => print!("{table}"),
-                Err(e) => println!("[drift] not available: {e}"),
-            }
+        println!("\n[drift] end-to-end cells vs the last line of {history} (report-only):");
+        match gates::drift_table(&results, &last) {
+            Ok(table) => print!("{table}"),
+            Err(e) => println!("[drift] not available: {e}"),
         }
     }
 

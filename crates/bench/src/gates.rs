@@ -5,9 +5,10 @@
 //! each untraced and traced; `BENCHMARK.json` is the contract).
 //! [`run_gates`] first checks that every file is there and reports a
 //! correct, non-empty run with no failed operation (`results`), then
-//! evaluates [`TABLE`], one row per gate. Nothing here skips: the harness
-//! omits a note whose value is 0, so for a `NonZero` row a renamed key and
-//! a dead mechanism are the same loud FAIL.
+//! evaluates [`TABLE`], one row per cap, and `counts`: every
+//! deterministic count of the run equals the one the last line of
+//! `BENCH_history.jsonl` recorded. Nothing here skips: a renamed, dead or
+//! new count is a moved key, a loud FAIL.
 //!
 //! The two gates over other files ([`schedtest_gate`], [`faults_gate`])
 //! keep their own readers. [`history_line`] and [`drift_table`] turn the
@@ -15,7 +16,7 @@
 //! keeps and a report-only comparison with its last line.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +96,6 @@ pub fn load_results(dir: &Path) -> Results {
 /// What a table row asks of `notes.<key>.value`.
 #[derive(Debug, Clone, Copy)]
 pub enum Check {
-    /// Present and > 0: the mechanism is still on the measured path.
-    NonZero,
     /// Present and at most the cap (`MetricAtMost`: `result.metrics.<key>`).
     AtMost(f64),
     MetricAtMost(f64),
@@ -141,39 +140,7 @@ pub const MAX_COMPILE_HEAVY_PEAK_RSS_MB: f64 = 63.3;
 /// 6.618 6.676 6.639 6.694 6.520 6.614 6.619) × 1.15 = 7.698.
 pub const MAX_SEQ_LIGHT_INTERP_OVER_NATIVE: f64 = 7.70;
 
-pub const TABLE: [Row; 8] = [
-    Row {
-        gate: "fusion",
-        workload: "seq_light",
-        trace: 1,
-        key: "gde.fused_stages.embedded",
-        check: Check::NonZero,
-        guards: "the embedded lane no longer reaches stage fusion (DESIGN.md § Stage fusion)",
-    },
-    Row {
-        gate: "compact-values",
-        workload: "seq_light",
-        trace: 1,
-        key: "gde.inline_hits_per_word.embedded",
-        check: Check::NonZero,
-        guards: "no value took an inline (Sym/window/scalar) form (DESIGN.md § String plane)",
-    },
-    Row {
-        gate: "concat-slices",
-        workload: "strings_report",
-        trace: 1,
-        key: "gde.concat_slices.embedded",
-        check: Check::NonZero,
-        guards: "no concat reached the string builder's zero-copy regimes (DESIGN.md § String plane)",
-    },
-    Row {
-        gate: "resolve",
-        workload: "seq_light",
-        trace: 1,
-        key: "gde.slot_hits_per_word.interp",
-        check: Check::NonZero,
-        guards: "interpreted source reads no variable through a resolved slot (DESIGN.md § Slot-resolved environments)",
-    },
+pub const TABLE: [Row; 4] = [
     Row {
         gate: "contention",
         workload: "pipe_light",
@@ -220,17 +187,13 @@ fn metric(doc: &Json, name: &str) -> Option<f64> {
 /// The `results` gate on one document: `Err` says what is wrong with it.
 fn check_result(doc: &Json) -> Result<(), String> {
     let field = |name: &str| doc.path(&["result", name]);
-    match field("correct") {
-        Some(Json::Bool(true)) => {}
-        other => return Err(format!("result.correct is {other:?}, expected true")),
-    }
-    match field("failed").and_then(Json::as_u64) {
-        Some(0) => {}
-        other => return Err(format!("result.failed is {other:?}, expected 0")),
-    }
-    match field("attempted").and_then(Json::as_u64) {
-        Some(n) if n > 0 => Ok(()),
-        other => Err(format!("result.attempted is {other:?}, expected > 0")),
+    let count = |name| field(name).and_then(Json::as_u64);
+    match (field("correct"), count("failed"), count("attempted")) {
+        (Some(Json::Bool(true)), Some(0), Some(n)) if n > 0 => Ok(()),
+        (correct, failed, attempted) => Err(format!(
+            "result.correct is {correct:?}, result.failed {failed:?} and result.attempted \
+             {attempted:?}; expected true, 0 and > 0"
+        )),
     }
 }
 
@@ -241,17 +204,11 @@ impl Row {
         let read = if metric_row { metric } else { note };
         let place = if metric_row { "metrics" } else { "notes" };
         let at = format!("{} trace{} {place}.\"{key}\"", self.workload, self.trace);
-        match self.check {
-            Check::NonZero => match note(doc, key) {
-                Some(v) if v > 0.0 => Ok(format!("{at} = {v} > 0")),
-                Some(v) => Err(format!("{at} = {v}")),
-                None => Err(format!("{at} is absent (0, or a renamed key)")),
-            },
-            Check::AtMost(cap) | Check::MetricAtMost(cap) => match read(doc, key) {
-                Some(v) if v <= cap => Ok(format!("{at} = {v:.3} (cap {cap})")),
-                Some(v) => Err(format!("{at} = {v:.3} (cap {cap})")),
-                None => Err(format!("{at} is absent (renamed key?)")),
-            },
+        let (detail, holds) = match self.check {
+            Check::AtMost(cap) | Check::MetricAtMost(cap) => {
+                let v = read(doc, key).ok_or_else(|| format!("{at} is absent (renamed key?)"))?;
+                (format!("{at} = {v:.3} (cap {cap})"), v <= cap)
+            }
             Check::RatioAtMost(den_key, cap) => {
                 let den = match note(doc, den_key) {
                     Some(d) if d > 0.0 => d,
@@ -261,28 +218,26 @@ impl Row {
                 let num = match note(doc, key) {
                     Some(n) => n,
                     None if metric(doc, base).is_some() => 0.0,
-                    None => {
-                        return Err(format!(
-                            "{at} and result.metrics.\"{base}\" are both absent (renamed key?)"
-                        ))
-                    }
+                    None => return Err(format!("{at} and metrics.\"{base}\" are absent")),
                 };
                 let ratio = num / den;
                 let detail = format!("{at} / {den_key} = {num}/{den} = {ratio:.4} (cap {cap})");
-                if ratio <= cap {
-                    Ok(detail)
-                } else {
-                    Err(detail)
-                }
+                (detail, ratio <= cap)
             }
+        };
+        if holds {
+            Ok(detail)
+        } else {
+            Err(detail)
         }
     }
 }
 
-/// Run the `results` gate and every [`TABLE`] row. When a result file is
+/// Run the `results` gate, every [`TABLE`] row and `counts` against
+/// `history`, the last `BENCH_history.jsonl` line. When a result file is
 /// missing, unreadable or reports a wrong or failed run, the numbers in
 /// the rest are not trustworthy: the rows FAIL as "not evaluated".
-pub fn run_gates(results: &Results) -> Vec<GateReport> {
+pub fn run_gates(results: &Results, suites: &Suites, history: &Json) -> Vec<GateReport> {
     let mut problems = Vec::new();
     for workload in WORKLOADS {
         for trace in [0, 1] {
@@ -304,18 +259,102 @@ pub fn run_gates(results: &Results) -> Vec<GateReport> {
     } else {
         Err(problems.join("; "))
     };
+    let untrusted = || Err("not evaluated: results gate failed".into());
     let rows = TABLE.iter().map(|row| {
         let outcome = match results.get(&(row.workload, row.trace)) {
             Some(Ok(doc)) if trusted => row
                 .evaluate(doc)
                 .map_err(|detail| format!("{detail} — {}", row.guards)),
-            _ => Err("not evaluated: results gate failed".into()),
+            _ => untrusted(),
         };
         GateReport::of(row.gate, outcome)
     });
+    let counts = trusted.then(|| compare_counts(results, suites, history));
     std::iter::once(GateReport::of("results", results_gate))
         .chain(rows)
+        .chain([GateReport::of("counts", counts.unwrap_or_else(untrusted))])
         .collect()
+}
+
+/// Per-path count notes that depend on the thread schedule even when the
+/// iterations of one run agree. They join the contract once a lane runs
+/// the concurrent workloads under a fixed, seeded schedule.
+const SCHEDULE_DEPENDENT: [&str; 2] = ["blockingq.blocked_puts", "blockingq.blocked_takes"];
+
+/// Counts as JSON literals under flat keys: `<workload>.<metric>.<path>`
+/// for the per-path count notes of a traced run, `<workload>.emitted_bytes`
+/// and `schedtest.<suite>.explored_schedules` / `.complete`.
+type Counts = BTreeMap<String, String>;
+
+/// A count as the history line spells it.
+fn literal(value: Option<&Json>) -> String {
+    match value {
+        Some(Json::Num(n)) => n.to_string(),
+        Some(Json::Bool(b)) => b.to_string(),
+        _ => "null".into(),
+    }
+}
+
+/// The run's [`Counts`], and the `<workload>.<metric>.` prefixes of the
+/// notes left out: metrics the traced run tagged, and [`SCHEDULE_DEPENDENT`].
+fn run_counts(results: &Results, suites: &Suites) -> (Counts, Vec<String>) {
+    let mut counts = Counts::new();
+    let mut skipped = Vec::new();
+    for w in WORKLOADS {
+        let doc = |trace| results.get(&(w, trace)).and_then(|doc| doc.as_ref().ok());
+        let bytes = doc(0).and_then(|d| d.path(&["result", "metrics", "emitted_bytes", "value"]));
+        counts.insert(format!("{w}.emitted_bytes"), literal(bytes));
+        let traced = doc(1).unwrap_or(&Json::Null);
+        let members = |name| traced.get(name).into_iter().flat_map(Json::members);
+        let tagged = members("tags").map(|(metric, _)| metric.as_str());
+        for metric in tagged.chain(SCHEDULE_DEPENDENT) {
+            skipped.push(format!("{w}.{metric}."));
+        }
+        for (key, note) in members("notes") {
+            let (_, path) = key.rsplit_once('.').unwrap_or_default();
+            if ["native", "embedded", "interp"].contains(&path) {
+                counts.insert(format!("{w}.{key}"), literal(note.get("value")));
+            }
+        }
+    }
+    for (suite, (explored, complete)) in suites {
+        let suite = format!("schedtest.{suite}");
+        counts.insert(format!("{suite}.explored_schedules"), explored.to_string());
+        counts.insert(format!("{suite}.complete"), complete.to_string());
+    }
+    counts.retain(|key, _| !skipped.iter().any(|prefix| key.starts_with(prefix)));
+    (counts, skipped)
+}
+
+/// The `counts` gate: the run's [`Counts`] against the ones the history
+/// line recorded, key for key and exactly. A FAIL lists each moved key as
+/// `history → current`: a change that moves a count on purpose pastes
+/// those lines into CHANGES.md and commits a new history line.
+fn compare_counts(results: &Results, suites: &Suites, history: &Json) -> Result<String, String> {
+    let Some(recorded) = history.get("counts") else {
+        return Err("the history line records no counts".into());
+    };
+    let (current, skipped) = run_counts(results, suites);
+    let was = recorded
+        .members()
+        .map(|(key, v)| (key.clone(), literal(Some(v))));
+    let mut was: Counts = was.collect();
+    was.retain(|key, _| !skipped.iter().any(|prefix| key.starts_with(prefix)));
+    let mut moved = Vec::new();
+    for key in current.keys().chain(was.keys()).collect::<BTreeSet<_>>() {
+        let [from, to] = [&was, &current].map(|c| c.get(key).map_or("absent", String::as_str));
+        if from != to {
+            moved.push(format!("{key}: {from} → {to}"));
+        }
+    }
+    if !moved.is_empty() {
+        return Err(format!("history → current:\n  {}", moved.join("\n  ")));
+    }
+    let (cells, suites) = (WORKLOADS.len(), suites.len());
+    let notes = current.len() - cells - 2 * suites;
+    Ok(format!(
+        "{notes} count notes, {cells} emitted_bytes cells and {suites} suites equal"
+    ))
 }
 
 /// The end-to-end cells: every metric of every untraced run (7 × 5) and
@@ -342,13 +381,9 @@ fn end_to_end(results: &Results) -> Result<Vec<(&'static str, &str, f64)>, Strin
 }
 
 /// One `bench-history-v1` line for `BENCH_history.jsonl`: the commit, the
-/// host's cores, the end-to-end cells, the `seq_light` ladder and the
-/// schedules the model suites explored (`null` when no summary was read).
-pub fn history_line(
-    results: &Results,
-    commit: &str,
-    explored_schedules: Option<u64>,
-) -> Result<String, String> {
+/// host's cores, the end-to-end cells, the `seq_light` ladder and every
+/// count the `counts` gate compares.
+pub fn history_line(results: &Results, commit: &str, suites: &Suites) -> Result<String, String> {
     let Some(Ok(traced)) = results.get(&("seq_light", 1)) else {
         return Err("no traced result for seq_light".into());
     };
@@ -356,28 +391,27 @@ pub fn history_line(
         metric(traced, name).ok_or_else(|| format!("seq_light trace1: no metric \"{name}\""))
     };
     let cells = end_to_end(results)?;
-    let workloads: Vec<String> = WORKLOADS
-        .iter()
-        .map(|w| {
-            let metrics: Vec<String> = cells
-                .iter()
-                .filter(|(workload, _, _)| workload == w)
-                .map(|(_, name, value)| format!("\"{name}\":{value}"))
-                .collect();
-            format!("\"{w}\":{{{}}}", metrics.join(","))
-        })
-        .collect();
+    let mut workloads = Vec::new();
+    for w in WORKLOADS {
+        let mut metrics = Vec::new();
+        for (_, name, value) in cells.iter().filter(|cell| cell.0 == w) {
+            metrics.push(format!("\"{name}\":{value}"));
+        }
+        workloads.push(format!("\"{w}\":{{{}}}", metrics.join(",")));
+    }
     let mut ladder = Vec::new();
     for rung in LADDER {
         ladder.push(format!("\"{rung}\":{}", traced_metric(rung)?));
     }
+    let counts = run_counts(results, suites).0;
+    let counts: Vec<String> = counts.iter().map(|(k, v)| format!("{k:?}:{v}")).collect();
     Ok(format!(
         "{{\"schema\":\"bench-history-v1\",\"commit\":{commit:?},\"host.cores\":{cores},\
-         \"explored_schedules\":{explored},\"end_to_end\":{{{workloads}}},\"ladder\":{{{ladder}}}}}",
+         \"end_to_end\":{{{workloads}}},\"ladder\":{{{ladder}}},\"counts\":{{{counts}}}}}",
         cores = traced_metric("host.cores")?,
-        explored = explored_schedules.map_or("null".to_string(), |n| n.to_string()),
         workloads = workloads.join(","),
         ladder = ladder.join(","),
+        counts = counts.join(","),
     ))
 }
 
@@ -394,109 +428,72 @@ pub fn drift_table(results: &Results, history: &Json) -> Result<String, String> 
         "workload", "metric", "current", "history", "delta"
     );
     for (workload, name, cur) in end_to_end(results)? {
-        let line = match history
-            .path(&["end_to_end", workload, name])
-            .and_then(Json::as_f64)
-        {
-            Some(base) if base != 0.0 => format!(
-                "{workload:<16} {name:<22} {cur:>14.4} {base:>14.4} {:>+7.1}%\n",
-                (cur / base - 1.0) * 100.0
+        let base = history.path(&["end_to_end", workload, name]);
+        let (base, delta) = match base.and_then(Json::as_f64) {
+            Some(b) if b != 0.0 => (
+                format!("{b:.4}"),
+                format!("{:+.1}%", (cur / b - 1.0) * 100.0),
             ),
-            _ => format!(
-                "{workload:<16} {name:<22} {cur:>14.4} {:>14} {:>8}\n",
-                "-", "new"
-            ),
+            _ => ("-".into(), "new".into()),
         };
-        out.push_str(&line);
+        out += &format!("{workload:<16} {name:<22} {cur:>14.4} {base:>14} {delta:>8}\n");
     }
     Ok(out)
 }
 
-/// Sum the JSON-lines summary the schedtest model suites append under
+/// Each schedtest suite's (explored schedules, complete), by test name.
+pub type Suites = BTreeMap<String, (u64, bool)>;
+
+/// Read the JSON-lines summary the schedtest model suites append under
 /// `SCHEDTEST_JSON` (one `schedtest-v1` object per `explore()` call — see
-/// `crates/schedtest/src/lib.rs`) to (explorations, explored schedules).
-/// `Err` is a malformed line or an exploration that found a failing
-/// schedule.
-pub fn schedtest_totals(text: &str) -> Result<(u64, u64), String> {
-    let mut explorations = 0u64;
-    let mut schedules = 0u64;
+/// `crates/schedtest/src/lib.rs`). `Err` is a malformed line, a suite
+/// summarized twice or an exploration that found a failing schedule.
+pub fn schedtest_suites(text: &str) -> Result<Suites, String> {
+    let mut suites = Suites::new();
     for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        let lineno = i + 1;
-        let doc = Json::parse(line).map_err(|e| format!("summary line {lineno}: bad JSON: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some("schedtest-v1") => {}
-            other => {
-                return Err(format!(
-                    "summary line {lineno}: schema {other:?}, expected \"schedtest-v1\""
-                ))
-            }
+        let at = format!("summary line {}", i + 1);
+        let doc = Json::parse(line).map_err(|e| format!("{at}: bad JSON: {e}"))?;
+        if doc.get("schema").and_then(Json::as_str) != Some("schedtest-v1") {
+            return Err(format!("{at}: schema is not \"schedtest-v1\""));
         }
-        let explored = doc
-            .get("explored_schedules")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("summary line {lineno}: no integer \"explored_schedules\""))?;
-        if let Some(Json::Bool(true)) = doc.get("failed") {
-            let test = doc
-                .get("test")
-                .and_then(Json::as_str)
-                .unwrap_or("<unnamed>");
+        let test = doc
+            .get("test")
+            .and_then(Json::as_str)
+            .unwrap_or("<unnamed>");
+        let explored = doc.get("explored_schedules").and_then(Json::as_u64);
+        let (Some(explored), Some(Json::Bool(complete))) = (explored, doc.get("complete")) else {
             return Err(format!(
-                "exploration \"{test}\" found a failing schedule (line {lineno})"
+                "{at}: no integer \"explored_schedules\" or no \"complete\""
+            ));
+        };
+        if let Some(Json::Bool(true)) = doc.get("failed") {
+            return Err(format!(
+                "exploration \"{test}\" found a failing schedule ({at})"
             ));
         }
-        explorations += 1;
-        schedules += explored;
+        if suites.insert(test.into(), (explored, *complete)).is_some() {
+            return Err(format!("suite \"{test}\" is summarized twice"));
+        }
     }
-    Ok((explorations, schedules))
+    Ok(suites)
 }
 
-/// The schedule-exploration smoke gate over [`schedtest_totals`]. It holds
-/// when the smoke actually ran: at least one summary line, every line
-/// well-formed, no exploration failed, and `explored_schedules` sums to
-/// more than zero. A summary that parses but explored nothing is exactly
-/// what a mis-wired cfg flag looks like (the model tests compiled out), so
-/// it FAILs rather than skips; the only skip is the caller not passing a
-/// summary at all.
+/// The schedule-exploration smoke gate over [`schedtest_suites`]: every
+/// line well-formed and no exploration failed. What each suite explored
+/// is `counts`' to compare, so a suite that compiled out is a moved key
+/// there; the only skip is the caller not passing a summary at all.
 pub fn schedtest_gate(text: &str) -> GateReport {
-    let outcome = schedtest_totals(text).and_then(|totals| match totals {
-        (0, _) => Err("summary has no schedtest-v1 lines — the smoke ran zero explorations".into()),
-        (explorations, 0) => Err(format!(
-            "{explorations} explorations but explored_schedules sums to 0 — \
-             the model tests compiled out (cfg flag mis-wired?)"
-        )),
-        (explorations, schedules) => Ok(format!(
-            "{explorations} explorations, {schedules} schedules explored"
-        )),
+    let outcome = schedtest_suites(text).map(|suites| {
+        let schedules: u64 = suites.values().map(|(explored, _)| explored).sum();
+        format!(
+            "{} explorations, {schedules} schedules explored",
+            suites.len()
+        )
     });
     GateReport::of("schedtest", outcome)
-}
-
-/// Read a counter out of a `fault-smoke-v1` obs snapshot. `Ok(None)`
-/// means the snapshot itself is absent (`"obs": null`); a *present*
-/// snapshot with a missing or non-counter metric is an error, because that
-/// is exactly what a silent rename looks like.
-fn counter(doc: &Json, metric: &str) -> Result<Option<u64>, String> {
-    let obs = doc
-        .get("obs")
-        .ok_or_else(|| "snapshot has no \"obs\" member".to_string())?;
-    if obs.is_null() {
-        return Ok(None);
-    }
-    let entry = obs
-        .get(metric)
-        .ok_or_else(|| format!("obs snapshot has no \"{metric}\" (renamed or unregistered?)"))?;
-    if entry.get("kind").and_then(Json::as_str) != Some("counter") {
-        return Err(format!("\"{metric}\" is not a counter"));
-    }
-    entry
-        .get("value")
-        .and_then(Json::as_u64)
-        .map(Some)
-        .ok_or_else(|| format!("\"{metric}\" has no integer value"))
 }
 
 /// Evaluate the fault-plane wiring gate on the `fault-smoke-v1` snapshot
@@ -512,23 +509,20 @@ pub fn faults_gate(doc: &Json) -> GateReport {
 }
 
 fn check_faults(doc: &Json) -> Result<String, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("fault-smoke-v1") => {}
-        other => return Err(format!("schema {other:?}, expected \"fault-smoke-v1\"")),
+    if doc.get("schema").and_then(Json::as_str) != Some("fault-smoke-v1") {
+        return Err("schema is not \"fault-smoke-v1\"".into());
     }
-    match doc.get("injected").and_then(Json::as_u64) {
-        Some(0) => {
-            return Err(
-                "injected = 0 — the smoke armed no faults (FAULTS mis-parsed \
-                        or the faultinj feature compiled out)"
-                    .into(),
-            )
-        }
-        Some(_) => {}
-        None => return Err("no integer \"injected\" total".into()),
+    if !matches!(doc.get("injected").and_then(Json::as_u64), Some(n) if n > 0) {
+        return Err(
+            "injected is 0 or absent — the smoke armed no faults (FAULTS \
+                    mis-parsed or the faultinj feature compiled out)"
+                .into(),
+        );
     }
+    let Some(Json::Obj(obs)) = doc.get("obs") else {
+        return Err("no obs snapshot (fault_smoke built without the obs feature)".into());
+    };
     // Every surface of the fault plane, by its committed counter key.
-    // All must be present AND non-zero after the smoke scenarios.
     let mut details = Vec::new();
     for metric in [
         "faults.injected",
@@ -537,9 +531,17 @@ fn check_faults(doc: &Json) -> Result<String, String> {
         "pipes.faults.degraded_sources",
         "blockingq.close.failed",
     ] {
-        match counter(doc, metric)? {
+        let counter = obs
+            .get(metric)
+            .filter(|entry| entry.get("kind").and_then(Json::as_str) == Some("counter"));
+        match counter
+            .and_then(|entry| entry.get("value"))
+            .and_then(Json::as_u64)
+        {
             None => {
-                return Err("no obs snapshot (fault_smoke built without the obs feature)".into())
+                return Err(format!(
+                    "obs snapshot has no counter \"{metric}\" (renamed?)"
+                ))
             }
             Some(0) => {
                 return Err(format!(

@@ -82,8 +82,14 @@ impl Json {
         }
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
+    /// An object's members in key order; nothing for any other value.
+    pub fn members(&self) -> impl Iterator<Item = (&String, &Json)> {
+        match self {
+            Json::Obj(m) => Some(m.iter()),
+            _ => None,
+        }
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -284,7 +290,11 @@ mod tests {
             doc.get("workload").and_then(Json::as_str),
             Some("seq_light")
         );
-        assert!(doc.get("tags").unwrap().is_null());
+        assert_eq!(doc.get("tags"), Some(&Json::Null));
+        assert_eq!(
+            doc.path(&["result", "metrics"]).unwrap().members().count(),
+            1
+        );
         let samples = doc.get("samples").and_then(Json::as_arr).unwrap();
         assert_eq!(samples[0].as_u64(), Some(123));
         let setup = doc.path(&["result", "metrics", "setup_s", "value"]);

@@ -1,15 +1,17 @@
 //! Tests for the CI gate library.
 //!
 //! The benchmark's ten result documents are built in code by `passing()`
-//! — from the metric names of `BENCHMARK.json` and the keys of the gate
-//! table — and each test doctors one field: every table row trips alone,
-//! every way a run can be wrong fails `results` and leaves the rows "not
-//! evaluated", and a renamed key FAILs, never skips. The `schedtest` and
-//! `faults` gates read other files and keep their fixtures.
+//! — from the metric names of `BENCHMARK.json`, the keys of the gate
+//! table and a few per-path counts — and each test doctors one field:
+//! every table row trips alone, every moved count trips `counts` alone
+//! against the history line `passing()` makes, every way a run can be
+//! wrong fails `results` and leaves the rest "not evaluated", and a
+//! renamed key FAILs, never skips. The `schedtest` and `faults` gates read
+//! other files and keep their fixtures.
 
 use bench::gates::{
-    drift_table, history_line, run_gates, Check, GateReport, GateStatus, Results, Row, TABLE,
-    WORKLOADS,
+    drift_table, history_line, run_gates, schedtest_suites, Check, GateReport, GateStatus, Results,
+    Row, Suites, TABLE, WORKLOADS,
 };
 use bench::json::Json;
 use std::collections::BTreeMap;
@@ -72,8 +74,9 @@ fn read_by<'a>(results: &'a mut Results, row: &Row) -> &'a mut BTreeMap<String, 
 }
 
 /// Ten minimal result documents on which every gate passes: an untraced
-/// one carries the end-to-end metrics, a traced one the per-layer metrics,
-/// and each table row's key holds a passing value where the row reads it.
+/// one carries the end-to-end metrics, a traced one the per-layer metrics
+/// and per-path count notes, and each table row's key holds a passing
+/// value where the row reads it.
 fn passing() -> Results {
     let mut results = Results::new();
     for workload in WORKLOADS {
@@ -98,9 +101,16 @@ fn passing() -> Results {
             results.insert((workload, trace), Ok(doc));
         }
     }
+    for (workload, key, count) in [
+        ("seq_light", "gde.fused_stages.embedded", 2.0),
+        ("seq_light", "gde.slot_hits_per_word.interp", 0.2001),
+        ("pipe_light", "pipes.batch_flushes.embedded", 157.0),
+        ("pipe_light", "blockingq.blocked_puts.native", 1.0),
+    ] {
+        notes_of(&mut results, workload).insert(key.into(), value(count));
+    }
     for row in TABLE {
         let passing = match row.check {
-            Check::NonZero => 2.0,
             Check::AtMost(cap) | Check::MetricAtMost(cap) => cap * 0.9,
             Check::RatioAtMost(denominator, cap) => {
                 read_by(&mut results, &row).insert(denominator.to_string(), value(20_000.0));
@@ -110,6 +120,27 @@ fn passing() -> Results {
         read_by(&mut results, &row).insert(row.key.to_string(), value(passing));
     }
     results
+}
+
+/// The notes of `workload`'s traced run.
+fn notes_of<'a>(
+    results: &'a mut Results,
+    workload: &'static str,
+) -> &'a mut BTreeMap<String, Json> {
+    members(doc_of(results, workload, 1), &["notes"])
+}
+
+/// The schedtest summary every test runs with: three suites, one of them
+/// budget-bounded.
+fn suites() -> Suites {
+    schedtest_suites(include_str!("fixtures/schedtest_passing.jsonl")).expect("fixture parses")
+}
+
+/// The history line of `passing()` and `suites()`, which `counts` compares
+/// with.
+fn recorded() -> Json {
+    let line = history_line(&passing(), "abc1234", &suites()).expect("history line");
+    Json::parse(&line).expect("the line is JSON")
 }
 
 fn report<'a>(reports: &'a [GateReport], name: &str) -> &'a GateReport {
@@ -122,8 +153,17 @@ fn report<'a>(reports: &'a [GateReport], name: &str) -> &'a GateReport {
 /// Exactly the gates in `failing` FAIL; every other gate PASSes. Hands
 /// back the reports for a look at their details.
 fn assert_only_fails(results: &Results, failing: &[&str]) -> Vec<GateReport> {
-    let reports = run_gates(results);
-    assert_eq!(reports.len(), 1 + TABLE.len());
+    assert_only_fails_with(results, &suites(), &recorded(), failing)
+}
+
+fn assert_only_fails_with(
+    results: &Results,
+    suites: &Suites,
+    history: &Json,
+    failing: &[&str],
+) -> Vec<GateReport> {
+    let reports = run_gates(results, suites, history);
+    assert_eq!(reports.len(), 2 + TABLE.len());
     for r in &reports {
         let want = if failing.contains(&r.name) {
             GateStatus::Fail
@@ -143,15 +183,17 @@ fn passing_results_pass_every_gate_under_its_name() {
         names,
         [
             "results",
-            "fusion",
-            "compact-values",
-            "concat-slices",
-            "resolve",
             "contention",
             "seq-lw-ratio",
             "interp-freed",
-            "interp-recycled"
+            "interp-recycled",
+            "counts"
         ]
+    );
+    let counts = &report(&reports, "counts").detail;
+    assert!(
+        counts.contains("3 count notes, 5 emitted_bytes cells and 3 suites"),
+        "{counts}"
     );
 }
 
@@ -161,7 +203,6 @@ fn every_row_trips_alone() {
         let mut results = passing();
         let notes = read_by(&mut results, &row);
         let (tripping, shown) = match row.check {
-            Check::NonZero => (0.0, "= 0".to_string()),
             Check::AtMost(cap) | Check::MetricAtMost(cap) => {
                 (cap * 1.3, format!("{:.3}", cap * 1.3))
             }
@@ -266,7 +307,7 @@ fn a_wrong_or_missing_run_fails_results_and_nothing_else_is_evaluated() {
     for (names, doctor) in doctored {
         let mut results = passing();
         doctor(&mut results);
-        let reports = run_gates(&results);
+        let reports = run_gates(&results, &suites(), &recorded());
         let results_gate = report(&reports, "results");
         assert_eq!(results_gate.status, GateStatus::Fail);
         assert!(
@@ -274,8 +315,8 @@ fn a_wrong_or_missing_run_fails_results_and_nothing_else_is_evaluated() {
             "{}",
             results_gate.detail
         );
-        for row in TABLE {
-            let r = report(&reports, row.gate);
+        for gate in TABLE.iter().map(|row| row.gate).chain(["counts"]) {
+            let r = report(&reports, gate);
             assert_eq!(r.status, GateStatus::Fail, "{}: {}", r.name, r.detail);
             assert!(r.detail.contains("not evaluated"), "{}", r.detail);
         }
@@ -314,17 +355,14 @@ fn the_gate_table_names_only_what_the_benchmark_reports() {
 #[test]
 fn history_line_records_the_run_and_drift_compares_with_it() {
     let mut results = passing();
-    let line = history_line(&results, "abc1234", Some(6863)).expect("history line");
+    let line = history_line(&results, "abc1234", &suites()).expect("history line");
     assert!(!line.contains('\n'), "one line: {line}");
     let history = Json::parse(&line).expect("the line is JSON");
+    assert_eq!(history, recorded());
     let text = |key| history.get(key).and_then(Json::as_str);
     assert_eq!(text("schema"), Some("bench-history-v1"));
     assert_eq!(text("commit"), Some("abc1234"));
     assert_eq!(history.get("host.cores").and_then(Json::as_u64), Some(1));
-    assert_eq!(
-        history.get("explored_schedules").and_then(Json::as_u64),
-        Some(6863)
-    );
     let cells = |doc: &Json, path: &[&str]| match doc.path(path) {
         Some(Json::Obj(map)) => map.len(),
         other => panic!("{path:?}: {other:?}"),
@@ -333,9 +371,19 @@ fn history_line_records_the_run_and_drift_compares_with_it() {
         assert_eq!(cells(&history, &["end_to_end", workload]), 8, "{workload}");
     }
     assert_eq!(cells(&history, &["ladder"]), 10);
-    assert!(history_line(&results, "abc1234", None)
-        .expect("history line")
-        .contains("\"explored_schedules\":null"));
+    // 3 count notes, 5 `emitted_bytes` and 3 suites × 2; no schedule-dependent note.
+    assert_eq!(cells(&history, &["counts"]), 3 + 5 + 6);
+    let count = |key| history.get("counts").and_then(|c| c.get(key));
+    assert_eq!(
+        count("seq_light.gde.slot_hits_per_word.interp"),
+        Some(&Json::Num(0.2001))
+    );
+    assert_eq!(count("pool_shutdown"), None);
+    assert_eq!(
+        count("schedtest.pool_shutdown.complete"),
+        Some(&Json::Bool(false))
+    );
+    assert!(!line.contains("blockingq.blocked_"), "{line}");
 
     // Against its own record nothing moved; then one cell doubles and one
     // is missing from the record.
@@ -349,6 +397,123 @@ fn history_line_records_the_run_and_drift_compares_with_it() {
     assert!(table.contains("+100.0%"), "table:\n{table}");
     assert!(table.contains("new"), "table:\n{table}");
     assert!(drift_table(&results, &Json::parse("{}").unwrap()).is_err());
+}
+
+// --- the counts contract ----------------------------------------------------
+//
+// `counts` compares every deterministic count of the run with the history
+// line `recorded()`, which `passing()` and `suites()` make: each way a
+// count can move FAILs `counts` alone and names the key with both values.
+
+/// `doctor` moves counts; exactly `counts` FAILs, and its detail lists
+/// `moved` (each `key: history → current`).
+fn assert_counts_move(doctor: impl FnOnce(&mut Results, &mut Suites, &mut Json), moved: &[&str]) {
+    let (mut results, mut suites, mut history) = (passing(), suites(), recorded());
+    doctor(&mut results, &mut suites, &mut history);
+    let reports = assert_only_fails_with(&results, &suites, &history, &["counts"]);
+    let detail = &report(&reports, "counts").detail;
+    for line in moved {
+        assert!(detail.contains(line), "{line:?} in {detail}");
+    }
+    assert_eq!(detail.lines().count(), 1 + moved.len(), "{detail}");
+}
+
+#[test]
+fn a_moved_count_note_fails_counts_alone() {
+    assert_counts_move(
+        |r, _, _| {
+            let notes = notes_of(r, "seq_light");
+            notes.insert("gde.fused_stages.embedded".into(), value(3.0));
+        },
+        &["seq_light.gde.fused_stages.embedded: 2 → 3"],
+    );
+}
+
+#[test]
+fn a_removed_count_note_fails_counts_alone() {
+    assert_counts_move(
+        |r, _, _| {
+            notes_of(r, "seq_light").remove("gde.slot_hits_per_word.interp");
+        },
+        &["seq_light.gde.slot_hits_per_word.interp: 0.2001 → absent"],
+    );
+}
+
+#[test]
+fn an_added_count_note_fails_counts_alone() {
+    assert_counts_move(
+        |r, _, _| {
+            let notes = notes_of(r, "strings_report");
+            notes.insert("gde.name_fallbacks.interp".into(), value(13.0));
+        },
+        &["strings_report.gde.name_fallbacks.interp: absent → 13"],
+    );
+}
+
+#[test]
+fn moved_emitted_bytes_fail_counts_alone() {
+    assert_counts_move(
+        |r, _, _| {
+            let metrics = members(doc_of(r, "compile_heavy", 0), &["result", "metrics"]);
+            metrics.insert("emitted_bytes".into(), value(2.0));
+        },
+        &["compile_heavy.emitted_bytes: 1 → 2"],
+    );
+}
+
+#[test]
+fn a_moved_suite_fails_counts_alone() {
+    assert_counts_move(
+        |_, s, _| {
+            s.get_mut("pipe_close_under_fire").expect("suite").0 += 1;
+        },
+        &["schedtest.pipe_close_under_fire.explored_schedules: 4647 → 4648"],
+    );
+    assert_counts_move(
+        |_, s, _| {
+            s.get_mut("pool_shutdown").expect("suite").1 = true;
+        },
+        &["schedtest.pool_shutdown.complete: false → true"],
+    );
+    assert_counts_move(
+        |_, s, _| {
+            s.remove("put_take_roundtrip");
+        },
+        &[
+            "schedtest.put_take_roundtrip.explored_schedules: 251 → absent",
+            "schedtest.put_take_roundtrip.complete: true → absent",
+        ],
+    );
+}
+
+#[test]
+fn a_history_line_without_counts_fails_counts_alone() {
+    let mut history = recorded();
+    let Json::Obj(line) = &mut history else {
+        panic!("the history line is an object")
+    };
+    line.remove("counts");
+    let reports = assert_only_fails_with(&passing(), &suites(), &history, &["counts"]);
+    let detail = &report(&reports, "counts").detail;
+    assert!(detail.contains("records no counts"), "{detail}");
+}
+
+#[test]
+fn schedule_dependent_and_tagged_counts_may_differ() {
+    let mut results = passing();
+    // A metric the traced run tagged is left out on both sides…
+    let doc = doc_of(&mut results, "pipe_light", 1);
+    let tags = obj([("pipes.batch_flushes", Json::Str("nondeterministic".into()))]);
+    members(doc, &[]).insert("tags".into(), tags);
+    let notes = notes_of(&mut results, "pipe_light");
+    notes.insert("pipes.batch_flushes.embedded".into(), value(158.0));
+    // …and blocking episodes are, tagged or not (`contention` caps them).
+    notes.insert("blockingq.blocked_takes.embedded".into(), value(100.0));
+    notes.insert("blockingq.blocked_takes.native".into(), value(4.0));
+    notes.remove("blockingq.blocked_puts.native");
+    let reports = assert_only_fails(&results, &[]);
+    let detail = &report(&reports, "counts").detail;
+    assert!(detail.contains("2 count notes"), "{detail}");
 }
 
 #[test]
@@ -376,26 +541,34 @@ fn schedtest_summary_with_explored_schedules_passes() {
 }
 
 #[test]
-fn schedtest_empty_summary_fails() {
-    // An empty (or whitespace-only) file means the smoke ran no model
-    // tests at all — FAIL, not skip: the file existing proves the step
-    // was attempted.
-    for text in ["", "\n\n"] {
-        let r = schedtest_gate(text);
-        assert_eq!(r.status, GateStatus::Fail, "{}", r.detail);
-        assert!(r.detail.contains("zero explorations"), "{}", r.detail);
+fn schedtest_summary_that_explored_nothing_fails_counts() {
+    // An empty summary (the smoke ran no model test) or a suite that
+    // explored nothing (the cfg flag mis-wired, the model compiled out) is
+    // well-formed, so `schedtest` PASSes; the schedules moved, so `counts`
+    // FAILs.
+    let zero = "{\"schema\":\"schedtest-v1\",\"test\":\"pool_shutdown\",\"mode\":\"dfs\",\
+                \"explored_schedules\":0,\"complete\":false,\"failed\":false}\n";
+    for (text, moved) in [
+        (
+            "\n\n",
+            "schedtest.pool_shutdown.explored_schedules: 1965 → absent",
+        ),
+        (zero, "schedtest.pool_shutdown.explored_schedules: 1965 → 0"),
+    ] {
+        assert_eq!(schedtest_gate(text).status, GateStatus::Pass);
+        let suites = schedtest_suites(text).expect("well-formed");
+        let reports = assert_only_fails_with(&passing(), &suites, &recorded(), &["counts"]);
+        let detail = &report(&reports, "counts").detail;
+        assert!(detail.contains(moved), "{detail}");
     }
 }
 
 #[test]
-fn schedtest_zero_schedules_fails() {
-    // Lines parse but nothing was explored: the cfg flag was mis-wired
-    // and the model tests compiled out.
-    let text = "{\"schema\":\"schedtest-v1\",\"test\":\"t\",\"mode\":\"dfs\",\
-                \"explored_schedules\":0,\"complete\":true,\"failed\":false}\n";
-    let r = schedtest_gate(text);
+fn schedtest_suite_summarized_twice_fails() {
+    let fixture = include_str!("fixtures/schedtest_passing.jsonl");
+    let r = schedtest_gate(&format!("{fixture}{fixture}"));
     assert_eq!(r.status, GateStatus::Fail, "{}", r.detail);
-    assert!(r.detail.contains("sums to 0"), "{}", r.detail);
+    assert!(r.detail.contains("summarized twice"), "{}", r.detail);
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //! inside a quoted literal is not a region start) and scans for the
 //! annotation markers themselves.
 
+use crate::parse::MAX_DEPTH;
 use std::fmt;
 
 /// One attribute of a scoped annotation, e.g. `lang="junicon"`.
@@ -89,6 +90,9 @@ pub enum AnnotError {
     UnclosedRegion { tag: String, opened_at: usize },
     /// Malformed annotation syntax at the given byte offset.
     Malformed { at: usize, what: &'static str },
+    /// A region opened inside [`MAX_DEPTH`] open regions. The nested tree
+    /// is dropped recursively, so deeper input would overflow the stack.
+    TooDeep { at: usize },
 }
 
 impl fmt::Display for AnnotError {
@@ -107,6 +111,9 @@ impl fmt::Display for AnnotError {
             }
             AnnotError::Malformed { at, what } => {
                 write!(f, "malformed annotation at byte {at}: {what}")
+            }
+            AnnotError::TooDeep { at } => {
+                write!(f, "region at byte {at} nests past {MAX_DEPTH} levels")
             }
         }
     }
@@ -195,6 +202,8 @@ pub fn parse_annotated(src: &str) -> Result<Vec<Segment>, AnnotError> {
                         } else {
                             root.push(seg);
                         }
+                    } else if stack.len() == MAX_DEPTH {
+                        return Err(AnnotError::TooDeep { at: i });
                     } else {
                         stack.push((region, i));
                     }
@@ -440,6 +449,26 @@ mod tests {
     fn error_on_missing_tag_name() {
         let err = parse_annotated("@<>").unwrap_err();
         assert!(matches!(err, AnnotError::Malformed { .. }));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}x{}", "@<a>".repeat(n), "@</a>".repeat(n));
+        // Built and dropped on a 2 MiB thread, where the unbounded tree of
+        // 100 000 regions overflowed the stack.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_annotated(&nested(100_000)))
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        let at = MAX_DEPTH * "@<a>".len();
+        assert_eq!(deep, Err(AnnotError::TooDeep { at }));
+        for n in [MAX_DEPTH - 1, MAX_DEPTH] {
+            let segs = parse_annotated(&nested(n)).unwrap();
+            assert_eq!(embedded(&segs)[0].tag, "a");
+        }
+        assert!(parse_annotated(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

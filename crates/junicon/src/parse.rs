@@ -48,8 +48,9 @@ impl From<LexError> for ParseError {
 /// and bodies, and links of one operator chain, all count. The parser and
 /// every later pass recurse over that tree, so this is what keeps hostile
 /// input from overflowing the stack (in a debug build a 2 MiB thread
-/// survives about 80 levels of parenthesis).
-const MAX_DEPTH: usize = 64;
+/// survives about 80 levels of parenthesis). The metaparser bounds the
+/// nesting of scoped annotations by the same number.
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// Parse a whole embedded region: procedure declarations and top-level
 /// statements.

@@ -24,9 +24,10 @@
 #                                 FAULTS_ci.json, then the regression
 #                                 gates (`bench --bin gates`, tested in
 #                                 crates/bench/tests/gates.rs) over
-#                                 benchmark/out/result-*.json, plus a
-#                                 report-only drift table against the
-#                                 last line of BENCH_history.jsonl.
+#                                 benchmark/out/result-*.json and the
+#                                 last line of BENCH_history.jsonl (the
+#                                 exact counts), plus a report-only drift
+#                                 table against that line.
 #
 # Strictness: under CI=1 (or CI=true — what GitHub Actions exports) any
 # "loud skip" becomes a hard failure: a runner without rustfmt/clippy, or
@@ -111,8 +112,8 @@ step "[6/7] schedtest smoke -> SCHEDTEST_ci.json (schedule-exploration model tes
 # a backstop well above the largest committed exhaustive test (~25k
 # schedules): a test that suddenly needs more fails its own `complete`
 # assertion loudly instead of burning CI minutes. Each explore() call
-# appends one summary line to SCHEDTEST_ci.json; the schedtest gate below
-# checks the smoke actually explored schedules.
+# appends one summary line to SCHEDTEST_ci.json; the counts gate below
+# checks every suite explored exactly what the history line recorded.
 rm -f SCHEDTEST_ci.json
 RUSTFLAGS="--cfg schedtest" CARGO_TARGET_DIR=target/schedtest \
     SCHEDTEST_BUDGET=50000 SCHEDTEST_JSON="$PWD/SCHEDTEST_ci.json" \
@@ -147,10 +148,14 @@ RUST_BACKTRACE=0 cargo run --offline -q -p bench --release --features faultinj \
 # The regression gates (crates/bench/src/gates.rs holds the table, the
 # caps and their derivations). One PASS/FAIL line per gate: `results`
 # (ten result files, each a correct run with no failed operation), the
-# table rows `fusion`, `compact-values`, `concat-slices`, `resolve`,
-# `contention`, `seq-lw-ratio`, `interp-freed`, `interp-recycled`, then
-# `schedtest` (step 6 explored schedules, none failing) and `faults`
-# (every fault counter non-zero).
+# table rows `contention`, `seq-lw-ratio`, `interp-freed`,
+# `interp-recycled`, then `counts` (every deterministic count of this run
+# — per-path count notes, emitted_bytes, each step-6 suite's schedules and
+# completeness — equals the last line of BENCH_history.jsonl), then
+# `schedtest` (step 6 summary well-formed, no exploration failing) and
+# `faults` (every fault counter non-zero). A change that moves a count on
+# purpose pastes the `counts` FAIL lines (`key: history → current`) into
+# CHANGES.md and commits a new full-size history line.
 # After them: this run as one bench-history-v1 line, and the report-only
 # drift table; CI writes to no tracked file.
 GATE_FLAGS=(--results benchmark/out

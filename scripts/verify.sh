@@ -13,7 +13,9 @@
 #                    the transport keeps one path (ISSUE 25);
 #                    calls have one invocation node, whose `::` natives
 #                    are bound per activation, not per evaluation; one
-#                    blocking primitive; and one fuser (`StagePlan`'s);
+#                    blocking primitive; one fuser (`StagePlan`'s); one
+#                    counts contract; and every backticked repo path in
+#                    the docs exists;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -154,6 +156,31 @@ if hits="$(grep -rnE 'mapreduce::Pipeline|fuse_with_skip_mutation' crates exampl
     exit 1
 fi
 echo "   ok: one fuser (StagePlan's); no Pipeline builder, no mutation hook in production"
+
+# One counts contract (DESIGN.md § CI): the `counts` gate compares every
+# deterministic count with the last history line, so no `> 0` wiring row
+# may come back beside it.
+if hits="$(grep -rnE '\bNonZero\b|"(fusion|compact-values|concat-slices|resolve)"' crates/bench/src)"; then
+    echo "$hits"
+    echo "FAIL: a non-zero wiring gate is back; the counts gate already holds every count equal"
+    exit 1
+fi
+echo "   ok: one counts contract (no NonZero rows)"
+
+# The docs name files that exist: every backticked repo path in README.md,
+# DESIGN.md and EXPERIMENTS.md (a token starting with one of the top-level
+# directories below; globs, placeholders and the gitignored benchmark/out/
+# excepted; a trailing `:line` or punctuation dropped).
+missing="$(grep -ohE '`[^`]+`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | tr ' ' '\n' \
+    | grep -E '^(crates|benchmark|scripts|tests|examples|src|\.github)/' \
+    | grep -vE '[*<{…]|^benchmark/out/' | sed -E 's/[:,;.)]+[0-9]*$//' | sort -u \
+    | while IFS= read -r path; do [ -e "$path" ] || echo "$path"; done)"
+if [ -n "$missing" ]; then
+    echo "$missing"
+    echo "FAIL: README.md, DESIGN.md or EXPERIMENTS.md names a repo path that does not exist"
+    exit 1
+fi
+echo "   ok: every backticked repo path in the docs exists"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a
