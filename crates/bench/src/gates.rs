@@ -140,7 +140,14 @@ pub const MAX_COMPILE_HEAVY_PEAK_RSS_MB: f64 = 63.3;
 /// 6.618 6.676 6.639 6.694 6.520 6.614 6.619) × 1.15 = 7.698.
 pub const MAX_SEQ_LIGHT_INTERP_OVER_NATIVE: f64 = 7.70;
 
-pub const TABLE: [Row; 4] = [
+/// `embedded_over_native` on untraced `strings_report` (3.31–3.48 while table
+/// reads promoted and the map ran SipHash), derived 2026-10-15 as above:
+/// max(2.474 2.462 2.475 2.438 2.462 2.458 2.540 2.716 2.496 2.515) × 1.15 =
+/// 3.123. SipHash alone put back read 3.058–3.151 (six readings), so this
+/// cap catches it only on its slower runs; `scripts/verify.sh` pins the hasher.
+pub const MAX_STRINGS_REPORT_EMBEDDED_OVER_NATIVE: f64 = 3.12;
+
+pub const TABLE: [Row; 5] = [
     Row {
         gate: "contention",
         workload: "pipe_light",
@@ -172,6 +179,14 @@ pub const TABLE: [Row; 4] = [
         key: "interp_over_native",
         check: Check::AtMost(MAX_SEQ_LIGHT_INTERP_OVER_NATIVE),
         guards: "calls build an activation each again, or bind natives per evaluation (DESIGN.md § One lowering)",
+    },
+    Row {
+        gate: "strings-keyed",
+        workload: "strings_report",
+        trace: 0,
+        key: "embedded_over_native",
+        check: Check::AtMost(MAX_STRINGS_REPORT_EMBEDDED_OVER_NATIVE),
+        guards: "table reads promote their key again, or the table map hashes with SipHash (DESIGN.md § String plane)",
     },
 ];
 

@@ -187,6 +187,7 @@ fn passing_results_pass_every_gate_under_its_name() {
             "seq-lw-ratio",
             "interp-freed",
             "interp-recycled",
+            "strings-keyed",
             "counts"
         ]
     );
@@ -249,6 +250,20 @@ fn interp_recycled_trips_at_the_per_call_reading_only() {
         notes.insert("interp_over_native".into(), value(ratio));
         let reports = assert_only_fails(&results, failing);
         let detail = &report(&reports, "interp-recycled").detail;
+        assert!(detail.contains(&format!("{ratio:.3}")), "{detail}");
+    }
+}
+
+#[test]
+fn strings_keyed_trips_at_the_promoting_reading_only() {
+    // `strings_report` embedded/native while reads promoted and the map ran
+    // SipHash, then the largest reading with reads probing in place.
+    for (ratio, failing) in [(3.339, &["strings-keyed"][..]), (2.716, &[])] {
+        let mut results = passing();
+        let notes = members(doc_of(&mut results, "strings_report", 0), &["notes"]);
+        notes.insert("embedded_over_native".into(), value(ratio));
+        let reports = assert_only_fails(&results, failing);
+        let detail = &report(&reports, "strings-keyed").detail;
         assert!(detail.contains(&format!("{ratio:.3}")), "{detail}");
     }
 }

@@ -638,9 +638,9 @@ impl Gen for Promote {
                     let v = (self.src)().deref();
                     self.state = match v {
                         Value::List(l) => PromoteState::Items(values(l.lock().clone())),
-                        Value::Table(t) => PromoteState::Items(values(
-                            t.lock().entries.values().cloned().collect(),
-                        )),
+                        Value::Table(t) => {
+                            PromoteState::Items(values(t.lock().values().cloned().collect()))
+                        }
                         Value::Co(c) => PromoteState::Co(c, false),
                         other => match other.as_str() {
                             Some(text) => PromoteState::Items(values(

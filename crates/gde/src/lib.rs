@@ -117,5 +117,5 @@ pub use func::ProcValue;
 pub use gen::{BoxGen, Gen, GenExt, GenIter, Step};
 pub use strbuf::{StrBuf, StrBuilder};
 pub use sym::Symbol;
-pub use value::{CoRef, Coroutine, Key, ObjData, ObjRef, StrWin, Value};
+pub use value::{CoRef, Coroutine, Key, KeyRef, ObjData, ObjRef, StrWin, TableData, Value};
 pub use var::Var;

@@ -479,7 +479,9 @@ pub fn equiv(a: &Value, b: &Value) -> Option<Value> {
 }
 
 /// Subscript `x[i]` with Icon's 1-based, negative-from-end indexing for
-/// strings and lists, and key lookup (with default) for tables.
+/// strings and lists, and key lookup (with default) for tables, which
+/// probes with `i` in place ([`crate::TableData::lookup`]: a read never
+/// promotes a borrowed word).
 ///
 /// String subscripts are byte-indexed: the old per-call `Vec<char>`
 /// collect is gone. ASCII text (the hot case) resolves the character in
@@ -497,14 +499,9 @@ pub fn index(x: &Value, i: &Value) -> Option<Value> {
             Some(l[idx].clone())
         }
         Value::Table(t) => {
-            let key = i.as_key()?;
             let t = t.lock();
-            Some(
-                t.entries
-                    .get(&key)
-                    .cloned()
-                    .unwrap_or_else(|| t.default.clone()),
-            )
+            let hit = t.lookup(i)?;
+            Some(hit.unwrap_or(&t.default).clone())
         }
         sv => {
             let text = sv.as_str()?;
@@ -525,7 +522,8 @@ pub fn index(x: &Value, i: &Value) -> Option<Value> {
 }
 
 /// Assign `x[i] := v` for lists and tables; fails on other types or
-/// out-of-range indices.
+/// out-of-range indices. A table promotes `i` only when it inserts it
+/// ([`crate::TableData::store`]).
 pub fn index_assign(x: &Value, i: &Value, v: Value) -> Option<Value> {
     match x.deref() {
         Value::List(l) => {
@@ -536,8 +534,7 @@ pub fn index_assign(x: &Value, i: &Value, v: Value) -> Option<Value> {
             Some(v)
         }
         Value::Table(t) => {
-            let key = i.as_key()?;
-            t.lock().entries.insert(key, v.clone());
+            t.lock().store(i, v.clone())?;
             Some(v)
         }
         _ => None,

@@ -7,10 +7,13 @@ use crate::sym::Symbol;
 use crate::var::Var;
 use bigint::BigInt;
 use parking_lot::Mutex;
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A coroutine as seen by the runtime: something that can be stepped (`@`),
 /// restarted, and refreshed (`^`).
@@ -69,13 +72,14 @@ impl ObjData {
     }
 }
 
-/// Hashable key for table subscripts (scalar values only).
+/// The owned key a table stores (scalar values only).
 ///
 /// String-like keys come in two forms — an owned [`Key::Str`] and a
 /// compact interned [`Key::Sym`] — which must be interchangeable in a
-/// table: `Eq` and `Hash` are hand-written so that both forms compare by
-/// text and hash to the same digest (FNV-1a; [`Key::Sym`] replays its
-/// cached copy instead of re-hashing the bytes).
+/// table. `Eq` and `Hash` go through [`Key::view`], so both forms, and
+/// the borrowed [`KeyRef`] a lookup probes with, compare by text and
+/// hash to the same FNV-1a digest ([`Key::Sym`] replays its cached
+/// copy instead of re-hashing the bytes).
 #[derive(Clone, Debug)]
 pub enum Key {
     Null,
@@ -87,58 +91,191 @@ pub enum Key {
     Sym(Symbol),
 }
 
+/// A table key as seen by hashing and equality: borrowed text with its
+/// FNV-1a digest, or a scalar. [`Key`] hashes and compares through this
+/// view, and a table read probes with one built from the subscript in
+/// place ([`Value::key_view`]), so a read never owns, interns or
+/// promotes its key.
+#[derive(Clone, Copy, Debug)]
+pub enum KeyRef<'a> {
+    Null,
+    Int(i64),
+    RealBits(u64),
+    Text(&'a str, u64),
+}
+
+impl PartialEq for KeyRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (KeyRef::Null, KeyRef::Null) => true,
+            (KeyRef::Int(a), KeyRef::Int(b)) => a == b,
+            (KeyRef::RealBits(a), KeyRef::RealBits(b)) => a == b,
+            // Two handles of one symbol share their text: the pointer
+            // check settles them without touching the bytes.
+            (KeyRef::Text(a, x), KeyRef::Text(b, y)) => x == y && (std::ptr::eq(a, b) || a == b),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for KeyRef<'_> {}
+
+impl Hash for KeyRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            KeyRef::Null => state.write_u8(0),
+            KeyRef::Int(i) => {
+                state.write_u8(1);
+                state.write_i64(i);
+            }
+            KeyRef::RealBits(b) => {
+                state.write_u8(2);
+                state.write_u64(b);
+            }
+            KeyRef::Text(_, digest) => {
+                state.write_u8(3);
+                state.write_u64(digest);
+            }
+        }
+    }
+}
+
 impl Key {
-    /// The text of a string-like key, if it is one.
-    fn text(&self) -> Option<&str> {
+    /// The borrowed view this key hashes and compares through.
+    pub fn view(&self) -> KeyRef<'_> {
         match self {
-            Key::Str(s) => Some(s),
-            Key::Sym(s) => Some(s.as_str()),
-            _ => None,
+            Key::Null => KeyRef::Null,
+            Key::Int(i) => KeyRef::Int(*i),
+            Key::RealBits(b) => KeyRef::RealBits(*b),
+            Key::Str(s) => KeyRef::Text(s, crate::sym::fnv1a(s)),
+            Key::Sym(s) => KeyRef::Text(s.as_str(), s.hash_code()),
+        }
+    }
+
+    /// The value a key reads back as (`key(T)`).
+    fn value(&self) -> Value {
+        match self {
+            Key::Null => Value::Null,
+            Key::Int(i) => Value::Int(*i),
+            Key::RealBits(b) => Value::Real(f64::from_bits(*b)),
+            Key::Str(s) => Value::Str(s.clone()),
+            Key::Sym(s) => Value::Sym(*s),
         }
     }
 }
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Key::Null, Key::Null) => true,
-            (Key::Int(a), Key::Int(b)) => a == b,
-            (Key::RealBits(a), Key::RealBits(b)) => a == b,
-            // Sym/Sym hits the pointer fast path inside Symbol::eq.
-            (Key::Sym(a), Key::Sym(b)) => a == b,
-            (a, b) => match (a.text(), b.text()) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            },
-        }
+        self.view() == other.view()
     }
 }
 
 impl Eq for Key {}
 
-impl std::hash::Hash for Key {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match self {
-            Key::Null => state.write_u8(0),
-            Key::Int(i) => {
-                state.write_u8(1);
-                state.write_i64(*i);
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state)
+    }
+}
+
+/// What a table's map can be probed with: a stored [`Key`] or a borrowed
+/// [`KeyRef`]. `Key: Borrow<dyn AsKeyRef>` is what lets `HashMap::get`
+/// take a view on stable Rust; hashing and equality of the trait object
+/// are the view's, so they agree with [`Key`]'s by construction.
+trait AsKeyRef {
+    fn key_ref(&self) -> KeyRef<'_>;
+}
+
+impl AsKeyRef for Key {
+    fn key_ref(&self) -> KeyRef<'_> {
+        self.view()
+    }
+}
+
+impl AsKeyRef for KeyRef<'_> {
+    fn key_ref(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AsKeyRef + 'a> for Key {
+    fn borrow(&self) -> &(dyn AsKeyRef + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn AsKeyRef + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_ref() == other.key_ref()
+    }
+}
+
+impl Eq for dyn AsKeyRef + '_ {}
+
+impl Hash for dyn AsKeyRef + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key_ref().hash(state)
+    }
+}
+
+/// The tables' hasher. A key writes a tag and one 64-bit word (its
+/// FNV-1a digest for text), and each write is folded in with one
+/// 64×64→128-bit multiply whose halves are xored. Both the starting
+/// state and the multiplier are drawn from [`RandomState`] once per
+/// process, so which bucket a key lands in is not predictable from
+/// outside (DESIGN.md § String plane).
+#[derive(Clone, Copy)]
+struct KeyHash {
+    seed: u64,
+    mul: u64,
+}
+
+impl Default for KeyHash {
+    fn default() -> KeyHash {
+        static KEY: OnceLock<KeyHash> = OnceLock::new();
+        *KEY.get_or_init(|| {
+            let random = RandomState::new();
+            KeyHash {
+                seed: random.hash_one(0u8),
+                mul: random.hash_one(1u8) | 1,
             }
-            Key::RealBits(b) => {
-                state.write_u8(2);
-                state.write_u64(*b);
-            }
-            // Both string forms hash to the same digest so a table keyed
-            // by Key::Str("x") finds Key::Sym("x") and vice versa.
-            Key::Str(s) => {
-                state.write_u8(3);
-                state.write_u64(crate::sym::fnv1a(s));
-            }
-            Key::Sym(s) => {
-                state.write_u8(3);
-                state.write_u64(s.hash_code());
-            }
+        })
+    }
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher {
+            state: self.seed,
+            mul: self.mul,
         }
+    }
+}
+
+struct KeyHasher {
+    state: u64,
+    mul: u64,
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u8(&mut self, tag: u8) {
+        self.write_u64(tag.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let full = u128::from(self.state ^ word) * u128::from(self.mul);
+        self.state = full as u64 ^ (full >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -367,10 +504,62 @@ impl Clone for Value {
     }
 }
 
-/// Backing storage for [`Value::Table`].
+/// Backing storage for [`Value::Table`]. The map is private: a read
+/// goes through [`TableData::lookup`], a write through
+/// [`TableData::store`], which is the one place a key is promoted.
 pub struct TableData {
-    pub entries: HashMap<Key, Value>,
+    entries: HashMap<Key, Value, KeyHash>,
     pub default: Value,
+}
+
+impl TableData {
+    /// The value stored under subscript `k` (through a `Ref`): `Some(None)`
+    /// when `k` is a key the table does not hold, `None` when `k` is not a
+    /// scalar and so can never be one. A borrowed window is hashed and
+    /// compared in place, never promoted.
+    pub fn lookup(&self, k: &Value) -> Option<Option<&Value>> {
+        if let Value::Ref(var) = k {
+            return self.lookup(&var.get());
+        }
+        let view = k.key_view()?;
+        Some(self.entries.get(&view as &dyn AsKeyRef))
+    }
+
+    /// `T[k] := v`: overwrite the value of a key the table holds, or
+    /// promote `k` ([`Value::as_key`]) and insert it. `None` when `k` is
+    /// not a scalar.
+    pub fn store(&mut self, k: &Value, v: Value) -> Option<()> {
+        if let Value::Ref(var) = k {
+            return self.store(&var.get(), v);
+        }
+        match self.entries.get_mut(&k.key_view()? as &dyn AsKeyRef) {
+            Some(slot) => *slot = v,
+            None => {
+                self.entries.insert(k.as_key()?, v);
+            }
+        }
+        Some(())
+    }
+
+    /// Number of keys (`*T`).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the table holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The keys, as the values they were stored under (`key(T)`).
+    pub fn keys(&self) -> impl Iterator<Item = Value> + '_ {
+        self.entries.keys().map(Key::value)
+    }
+
+    /// The stored values (`!T`).
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.entries.values()
+    }
 }
 
 impl Value {
@@ -560,7 +749,7 @@ impl Value {
     /// Build an empty table with default `Null`.
     pub fn table() -> Value {
         Value::Table(Arc::new(Mutex::new(TableData {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             default: Value::Null,
         })))
     }
@@ -622,11 +811,12 @@ impl Value {
         }
     }
 
-    /// The table key for this value, if it is a scalar.
+    /// The owned table key for this value, if it is a scalar.
     ///
     /// A key escapes into the table's own storage, so borrowed slices are
     /// [promoted](Value::promote) here rather than pinning a line buffer
-    /// from inside a table.
+    /// from inside a table. [`TableData::store`] calls this only when it
+    /// inserts a new key; reads probe with [`Value::key_view`].
     pub fn as_key(&self) -> Option<Key> {
         match self.deref() {
             Value::Null => Some(Key::Null),
@@ -643,6 +833,24 @@ impl Value {
         }
     }
 
+    /// The borrowed key view of a scalar, hashed from its bytes in place
+    /// (a symbol replays its cached digest); it equals the view of the
+    /// [`Value::as_key`] of the same value. `None` for non-scalars and for
+    /// a `Ref`, whose view would borrow from a value read out of its cell.
+    pub fn key_view(&self) -> Option<KeyRef<'_>> {
+        match self {
+            Value::Null => Some(KeyRef::Null),
+            Value::Int(i) => Some(KeyRef::Int(*i)),
+            Value::Real(r) => Some(KeyRef::RealBits(r.to_bits())),
+            Value::Sym(s) => Some(KeyRef::Text(s.as_str(), s.hash_code())),
+            Value::Str(_) | Value::Win(_) => {
+                let text = self.as_str()?;
+                Some(KeyRef::Text(text, crate::sym::fnv1a(text)))
+            }
+            _ => None,
+        }
+    }
+
     /// Icon's `*x`: size of a string, list, table, or results count of a
     /// co-expression. `None` for sizeless values.
     pub fn size(&self) -> Option<i64> {
@@ -650,7 +858,7 @@ impl Value {
         match &v {
             Value::Str(_) | Value::Sym(_) | Value::Win(_) => v.char_len().map(|n| n as i64),
             Value::List(l) => Some(l.lock().len() as i64),
-            Value::Table(t) => Some(t.lock().entries.len() as i64),
+            Value::Table(t) => Some(t.lock().len() as i64),
             Value::Co(c) => Some(c.lock().produced() as i64),
             _ => None,
         }
@@ -800,7 +1008,7 @@ impl fmt::Debug for Value {
                 }
                 write!(f, "]")
             }
-            Value::Table(t) => write!(f, "table#{}", t.lock().entries.len()),
+            Value::Table(t) => write!(f, "table#{}", t.lock().len()),
             Value::Proc(p) => write!(f, "procedure {}", p.name()),
             Value::Co(_) => write!(f, "co-expression"),
             Value::Ref(v) => write!(f, "ref({:?})", v.get()),
@@ -1030,27 +1238,37 @@ mod tests {
     #[test]
     fn string_key_forms_collide_in_tables() {
         // A table keyed through one string form must be found through the
-        // others: Key::Str and Key::Sym hash to the same digest and
-        // compare by text.
-        let t = Value::table();
-        if let Value::Table(h) = &t {
-            let k = Value::str("shared").as_key().unwrap();
-            h.lock().entries.insert(k, Value::from(1));
-        }
+        // others: every form's view hashes to the same digest and
+        // compares by text.
+        let Value::Table(t) = Value::table() else {
+            unreachable!()
+        };
+        let mut t = t.lock();
+        t.store(&Value::str("shared"), Value::from(1));
         for probe in [
             Value::interned("shared"),
             slice_of("shared", 0, 6),
             Value::str("shared"),
+            Value::Ref(Var::new(Value::interned("shared"))),
         ] {
-            let k = probe.as_key().unwrap();
-            if let Value::Table(h) = &t {
-                assert_eq!(
-                    h.lock().entries.get(&k).and_then(Value::as_int),
-                    Some(1),
-                    "probe {probe:?} missed"
-                );
-            }
+            let hit = t.lookup(&probe).flatten().and_then(Value::as_int);
+            assert_eq!(hit, Some(1), "probe {probe:?} missed");
         }
+        t.store(&slice_of("a shared b", 2, 8), Value::from(2));
+        assert_eq!(t.len(), 1, "a hit is updated in place");
+        assert_eq!(t.values().filter_map(Value::as_int).sum::<i64>(), 2);
+    }
+
+    #[test]
+    fn tables_share_one_process_key() {
+        // Drawn once from RandomState; every table hashes with it.
+        let (a, b) = (KeyHash::default(), KeyHash::default());
+        assert_eq!((a.seed, a.mul), (b.seed, b.mul));
+        assert_eq!(a.mul & 1, 1, "an even multiplier drops a bit per fold");
+        // The tag keeps kinds that write the same word apart.
+        assert_ne!(a.hash_one(Key::Int(5)), a.hash_one(Key::RealBits(5)));
+        let text = Key::Sym(Symbol::new("five"));
+        assert_eq!(a.hash_one(&text), a.hash_one(Key::Str(Arc::from("five"))));
     }
 
     #[test]

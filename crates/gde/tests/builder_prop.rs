@@ -7,7 +7,7 @@
 //! promote them to an owned form first —
 //!
 //! * storing into a [`Var`] cell (env slots, assignment, in-place update);
-//! * being used as a table key ([`Value::as_key`]);
+//! * being inserted as a table key ([`gde::TableData::store`]);
 //! * crossing a thread boundary ([`Value::deep_copy`]);
 //!
 //! The suite drives random schedules of concat results through random
@@ -102,9 +102,7 @@ proptest! {
                 }
                 // Table key: the key escapes into the table's storage.
                 3 => {
-                    if let (Some(key), Value::Table(t)) = (v.as_key(), &table) {
-                        t.lock().entries.insert(key, Value::from(i as i64));
-                    }
+                    gde::ops::index_assign(&table, &v, Value::from(i as i64));
                     let got = gde::ops::index(&table, &Value::str(&text));
                     prop_assert!(got.is_some(), "table lost key {}", text);
                 }

@@ -7,7 +7,8 @@
 //!
 //! * storing into a [`Var`] cell (and therefore any `Env` slot,
 //!   declaration, assignment, or in-place update);
-//! * being used as a table key ([`Value::as_key`]);
+//! * being inserted as a table key ([`gde::TableData::store`]; a read
+//!   probes with the window in place and stores nothing);
 //! * crossing a thread boundary ([`Value::deep_copy`], the pipe
 //!   producer's isolation step);
 //! * deferred bodies capture environments, not raw values, so a deferred
@@ -98,9 +99,7 @@ proptest! {
                 }
                 // Table key: the key escapes into the table's storage.
                 3 => {
-                    if let (Some(key), Value::Table(t)) = (v.as_key(), &table) {
-                        t.lock().entries.insert(key, Value::from(i as i64));
-                    }
+                    gde::ops::index_assign(&table, &v, Value::from(i as i64));
                     // Probe through an owned key; the entry must exist.
                     let got = gde::ops::index(&table, &Value::str(&text));
                     prop_assert!(got.is_some(), "table lost key {text}");
@@ -146,6 +145,56 @@ proptest! {
             assert_promoted(&got, w, "deferred env read");
         }
     }
+
+    /// A table filled through `store` with windows of a line, each word
+    /// stored and then updated through a second window, keeps owned keys
+    /// only and does not keep the line alive.
+    #[test]
+    fn stored_windows_do_not_pin_their_line(
+        word_recipe in prop::collection::vec(any::<u16>(), 1..12),
+    ) {
+        let words: Vec<String> = word_recipe.iter().map(|&n| word(n)).collect();
+        let (slices, weak) = build_line(&words);
+        let (again, weak_again) = build_line(&words);
+        let Value::Table(t) = Value::table() else { unreachable!() };
+        let mut t = t.lock();
+        for (i, (v, w)) in slices.into_iter().zip(again).enumerate() {
+            prop_assert!(t.store(&v, Value::from(i as i64)).is_some());
+            prop_assert!(t.store(&w, Value::from(-(i as i64))).is_some());
+        }
+        prop_assert!(t.keys().all(|k| !k.is_borrowed()), "a window was stored as a key");
+        prop_assert!(weak.upgrade().is_none(), "the table pins its keys' line (words {:?})", words);
+        prop_assert!(weak_again.upgrade().is_none(), "an update pinned its window's line");
+        for w in &words {
+            prop_assert!(t.lookup(&Value::str(w)).flatten().is_some(), "table lost key {}", w);
+        }
+    }
+}
+
+/// Reads probe with the window in place: a hit, a miss and an indexed
+/// read each leave the table's keys as they were, and the probed line is
+/// freed with the probe.
+#[test]
+fn a_lookup_leaves_no_window_in_the_table() {
+    let table = Value::table();
+    gde::ops::index_assign(&table, &Value::str("hit"), Value::from(1)).expect("a key");
+    let (probes, weak) = build_line(&["hit".to_string(), "miss".to_string()]);
+    let Value::Table(t) = &table else {
+        unreachable!()
+    };
+    assert_eq!(t.lock().lookup(&probes[0]), Some(Some(&Value::from(1))));
+    assert_eq!(t.lock().lookup(&probes[1]), Some(None));
+    for probe in &probes {
+        gde::ops::index(&table, probe).expect("a read with default");
+    }
+    drop(probes);
+    assert!(
+        weak.upgrade().is_none(),
+        "a read kept its probe's line alive"
+    );
+    let t = t.lock();
+    assert_eq!(t.len(), 1);
+    assert!(t.keys().all(|k| !k.is_borrowed()));
 }
 
 /// Restart-replay: a generator that re-slices its line on every restart

@@ -112,11 +112,10 @@ fn build_plan(ops: &[StageOp], cat: ConcatFn) -> (StagePlan, Counters) {
                 let table = Value::table();
                 plan.filter_map(move |v| {
                     c.fetch_add(1, Ordering::Relaxed);
-                    let key = v.as_key()?;
                     let Value::Table(t) = &table else { return None };
                     let mut t = t.lock();
-                    let n = t.entries.get(&key).and_then(Value::as_int).unwrap_or(0) + 1;
-                    t.entries.insert(key, Value::from(n));
+                    let n = t.lookup(v)?.and_then(Value::as_int).unwrap_or(0) + 1;
+                    t.store(v, Value::from(n))?;
                     Some(Value::from(n))
                 })
             }

@@ -113,12 +113,8 @@ pub(super) fn install(interp: &Interp) {
         let k = arg(args, 1);
         match t.deref() {
             Value::Table(h) => {
-                let key = k.as_key()?;
-                if h.lock().entries.contains_key(&key) {
-                    Some(k)
-                } else {
-                    None
-                }
+                h.lock().lookup(&k).flatten()?;
+                Some(k)
             }
             _ => None,
         }
@@ -516,18 +512,7 @@ fn install_sequences(interp: &Interp) {
     // key(T): generate the keys of a table.
     interp.register_proc(ProcValue::new("key", |args| {
         let keys: Vec<Value> = match arg(&args, 0).deref() {
-            Value::Table(t) => t
-                .lock()
-                .entries
-                .keys()
-                .map(|k| match k {
-                    gde::Key::Null => Value::Null,
-                    gde::Key::Int(i) => Value::from(*i),
-                    gde::Key::RealBits(b) => Value::Real(f64::from_bits(*b)),
-                    gde::Key::Str(s) => Value::Str(s.clone()),
-                    gde::Key::Sym(s) => Value::Sym(*s),
-                })
-                .collect(),
+            Value::Table(t) => t.lock().keys().collect(),
             _ => Vec::new(),
         };
         Box::new(gde::comb::values(keys))

@@ -365,14 +365,17 @@ pub fn data_parallel_sized(corpus: &Corpus, weight: Weight, chunk_size: usize) -
 /// [`crate::native::frequency_report`].
 ///
 /// This is the concat-heavy embedded program: counts accumulate in a
-/// dynamic table keyed by *borrowed* word handles (promoted to owned
-/// keys by [`Value::as_key`]), and each report line is built with the
-/// goal-directed `||` ([`gde::ops::concat`]) — `word || "=" || count` —
-/// so the first hop lands in the builder arena and the second extends
-/// that window in place (the `gde.value.concat_slices` tail-extension
-/// path), while the count image comes from the small-int coercion
-/// cache. Figure 6 runs it once, untimed, so the obs snapshot proves
-/// the arena is actually on the measured runtime's hot path.
+/// dynamic table subscripted by *borrowed* word handles. Every read and
+/// every update of a key already there hashes the window's bytes in
+/// place; only a word's first insert promotes it to an owned key
+/// (`TableData::store`), so promotions per word are distinct words over
+/// words. Each report line is built with the goal-directed `||`
+/// ([`gde::ops::concat`]) — `word || "=" || count` — so the first hop
+/// lands in the builder arena and the second extends that window in
+/// place (the `gde.value.concat_slices` tail-extension path), while the
+/// count image comes from the small-int coercion cache. Figure 6 runs
+/// it once, untimed, so the obs snapshot proves the arena is actually
+/// on the measured runtime's hot path.
 pub fn frequency_report(corpus: &Corpus) -> Vec<String> {
     let counts = Value::table();
     let Value::Table(table) = &counts else {
@@ -380,10 +383,9 @@ pub fn frequency_report(corpus: &Corpus) -> Vec<String> {
     };
     let mut words = word_stream(corpus.as_value());
     while let Some(w) = words.next_value() {
-        let Some(key) = w.as_key() else { continue };
         let mut t = table.lock();
-        let n = t.entries.get(&key).and_then(|v| v.as_int()).unwrap_or(0);
-        t.entries.insert(key, Value::from(n + 1));
+        let n = t.lookup(&w).flatten().and_then(Value::as_int).unwrap_or(0);
+        t.store(&w, Value::from(n + 1));
     }
     // Second pass replays the stream in first-appearance order; writing
     // a zero count back marks a word as already reported.
@@ -391,12 +393,11 @@ pub fn frequency_report(corpus: &Corpus) -> Vec<String> {
     let mut report = Vec::new();
     let mut words = word_stream(corpus.as_value());
     while let Some(w) = words.next_value() {
-        let Some(key) = w.as_key() else { continue };
         let n = {
             let mut t = table.lock();
-            let n = t.entries.get(&key).and_then(|v| v.as_int()).unwrap_or(0);
+            let n = t.lookup(&w).flatten().and_then(Value::as_int).unwrap_or(0);
             if n > 0 {
-                t.entries.insert(key, Value::from(0));
+                t.store(&w, Value::from(0));
             }
             n
         };

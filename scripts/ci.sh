@@ -149,7 +149,7 @@ RUST_BACKTRACE=0 cargo run --offline -q -p bench --release --features faultinj \
 # caps and their derivations). One PASS/FAIL line per gate: `results`
 # (ten result files, each a correct run with no failed operation), the
 # table rows `contention`, `seq-lw-ratio`, `interp-freed`,
-# `interp-recycled`, then `counts` (every deterministic count of this run
+# `interp-recycled`, `strings-keyed`, then `counts` (every deterministic count of this run
 # — per-path count notes, emitted_bytes, each step-6 suite's schedules and
 # completeness — equals the last line of BENCH_history.jsonl), then
 # `schedtest` (step 6 summary well-formed, no exploration failing) and

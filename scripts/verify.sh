@@ -14,8 +14,9 @@
 #                    calls have one invocation node, whose `::` natives
 #                    are bound per activation, not per evaluation; one
 #                    blocking primitive; one fuser (`StagePlan`'s); one
-#                    counts contract; and every backticked repo path in
-#                    the docs exists;
+#                    counts contract; every backticked repo path in the
+#                    docs exists and every backticked crate path names a
+#                    definition; and tables probe without promoting;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -181,6 +182,53 @@ if [ -n "$missing" ]; then
     exit 1
 fi
 echo "   ok: every backticked repo path in the docs exists"
+
+# …and name items that exist: every backticked path that starts with a
+# workspace crate (`gde::ops::index`, `wordcount::{native,embedded}`) ends
+# in an item that crate defines — a fn, type, trait, const, static or
+# module, a `pub use` re-export, or a fn a macro row defines. Paper names
+# (`IconIterator`, `spawnMap`) are not crate paths, so they need no list.
+unresolved="$(grep -ohE '`[^`]+`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' \
+    | grep -oE '\b[a-z_]+::[A-Za-z0-9_:{}, ]*[A-Za-z0-9_}]' | sort -u \
+    | while IFS= read -r path; do
+        src="crates/${path%%::*}/src"
+        [ -d "$src" ] || src="crates/shims/${path%%::*}/src"
+        [ -d "$src" ] || continue
+        for item in $(tr -d '{} ' <<< "${path##*::}" | tr ',' ' '); do
+            grep -rqE "\b(fn|struct|enum|trait|type|const|static|mod|macro_rules!) $item\b|pub use [^;]*\b$item\b|^ *[a-z_]+!\($item\b" "$src" \
+                || [ -n "$(find "$src" -name "$item.rs" -o -type d -name "$item")" ] \
+                || echo "$path ($item)"
+        done
+    done)"
+if [ -n "$unresolved" ]; then
+    echo "$unresolved"
+    echo "FAIL: README.md, DESIGN.md or EXPERIMENTS.md names a crate item that crates/*/src does not define"
+    exit 1
+fi
+echo "   ok: every backticked crate path in the docs names a definition"
+
+# Tables probe without promoting (DESIGN.md § String plane): the map is
+# private to gde::value, reads go through `TableData::lookup` and only
+# `TableData::store` promotes, on insert — so no caller may reach the map
+# or build an owned key to read with.
+if hits="$(grep -rnE '\.entries\b' crates/*/src crates/*/tests src tests examples \
+        | grep -vE '^crates/(gde/src/value|obs/src/registry)\.rs:')"; then
+    echo "$hits"
+    echo "FAIL: a table's map is reached outside crates/gde/src/value.rs; use TableData::{lookup,store,keys,values}"
+    exit 1
+fi
+if hits="$(grep -rn 'as_key(' crates/gde/src/ops.rs crates/junicon/src crates/wordcount/src)"; then
+    echo "$hits"
+    echo "FAIL: a table subscript is promoted to an owned key; read with TableData::lookup, write with TableData::store"
+    exit 1
+fi
+# A return to SipHash moves no count, and the `strings-keyed` cap sees it
+# only on slow runs, so the map's hasher is pinned here.
+if ! grep -q 'entries: HashMap<Key, Value, KeyHash>,' crates/gde/src/value.rs; then
+    echo "FAIL: TableData's map no longer hashes with KeyHash (DESIGN.md § String plane, the table hasher)"
+    exit 1
+fi
+echo "   ok: table reads probe in place; only TableData::store promotes a key; KeyHash hashes"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a
