@@ -141,11 +141,13 @@ pub const MAX_COMPILE_HEAVY_PEAK_RSS_MB: f64 = 63.3;
 pub const MAX_SEQ_LIGHT_INTERP_OVER_NATIVE: f64 = 7.70;
 
 /// `embedded_over_native` on untraced `strings_report` (3.31–3.48 while table
-/// reads promoted and the map ran SipHash), derived 2026-10-15 as above:
-/// max(2.474 2.462 2.475 2.438 2.462 2.458 2.540 2.716 2.496 2.515) × 1.15 =
-/// 3.123. SipHash alone put back read 3.058–3.151 (six readings), so this
-/// cap catches it only on its slower runs; `scripts/verify.sh` pins the hasher.
-pub const MAX_STRINGS_REPORT_EMBEDDED_OVER_NATIVE: f64 = 3.12;
+/// reads promoted and the map ran SipHash), derived 2026-10-16 as above once
+/// `||` made an owned string per call: max(1.835 2.190 2.298 2.302 2.922
+/// 2.731 2.332 2.296 2.276 2.166) × 1.15 = 3.360 (it was 3.12 over the
+/// builder arena's readings, 2.438–2.716). SipHash alone put back read
+/// 3.058–3.151 over the arena, so this cap does not catch it;
+/// `scripts/verify.sh` pins the hasher.
+pub const MAX_STRINGS_REPORT_EMBEDDED_OVER_NATIVE: f64 = 3.36;
 
 pub const TABLE: [Row; 5] = [
     Row {

@@ -256,9 +256,10 @@ fn interp_recycled_trips_at_the_per_call_reading_only() {
 
 #[test]
 fn strings_keyed_trips_at_the_promoting_reading_only() {
-    // `strings_report` embedded/native while reads promoted and the map ran
-    // SipHash, then the largest reading with reads probing in place.
-    for (ratio, failing) in [(3.339, &["strings-keyed"][..]), (2.716, &[])] {
+    // The largest `strings_report` embedded/native while reads promoted and
+    // the map ran SipHash, then the largest reading with reads probing in
+    // place and `||` making an owned string.
+    for (ratio, failing) in [(3.48, &["strings-keyed"][..]), (2.922, &[])] {
         let mut results = passing();
         let notes = members(doc_of(&mut results, "strings_report", 0), &["notes"]);
         notes.insert("embedded_over_native".into(), value(ratio));

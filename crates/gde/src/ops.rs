@@ -12,7 +12,6 @@
 //!   producing 5*, `5 < 4` fails. This is what lets comparisons chain and
 //!   filter inside generator products, e.g. `1 <= x <= 10`.
 
-use crate::strbuf;
 use crate::sym::Symbol;
 use crate::value::Value;
 use bigint::BigInt;
@@ -227,7 +226,7 @@ pub fn num_ne(a: &Value, b: &Value) -> Option<Value> {
 /// image genuinely overflows (full decimal expansions of huge reals,
 /// big integers). This is what lets [`to_text`], the lexical
 /// comparisons, and [`concat`] coerce numbers without allocating on the
-/// hot path.
+/// hot path, and where [`concat`] joins its two texts.
 pub struct NumBuf {
     bytes: [u8; 40],
     len: usize,
@@ -380,54 +379,23 @@ fn format_real_into(r: f64, buf: &mut NumBuf) {
     }
 }
 
-/// String concatenation (`||`) with coercion, backed by the builder
-/// arena ([`crate::strbuf`]). Three regimes, cheapest first:
-///
-/// * both operands are windows of the same owner and textually adjacent
-///   → the result is a *wider window*, nothing copied (`concat_slices`);
-/// * the left operand is the last published window of this thread's
-///   builder chunk → only the right operand's bytes are appended and the
-///   window widens over both (`concat_slices`) — this is what makes
-///   left-leaning concat chains (`((a || b) || c) || …`) linear instead
-///   of quadratic;
-/// * otherwise both coerced texts are appended into the arena and the
-///   result windows over the pair (`concat_copies`).
-///
-/// The result is a borrowed window ([`Value::is_borrowed`]): it pins its
-/// owner and promotes at every escape route, exactly like the line-arena
-/// slices. For an owned result (the pre-arena behaviour) use
-/// [`concat_owned`].
+/// String concatenation (`||`) with coercion: a fresh immutable owned
+/// string, as concatenating host strings gives in the paper's runtime.
+/// Both operands are dereferenced and coerced with [`to_text`], and the
+/// two texts are joined in a stack [`NumBuf`], so a result that fits it
+/// (every `word=count` line) costs one heap allocation, its `Arc<str>`.
+/// An owned result needs no promotion when it is stored.
 pub fn concat(a: &Value, b: &Value) -> Option<Value> {
     let (mut da, mut db) = (None, None);
     let a = deref_into(a, &mut da);
     let b = deref_into(b, &mut db);
-    if let Some(widened) = Value::try_join(a, b) {
-        obs_on!(crate::obs_hot::concat_slices().inc());
-        return Some(widened);
-    }
     let (mut abuf, mut bbuf) = (NumBuf::new(), NumBuf::new());
     let x = to_text(a, &mut abuf)?;
     let y = to_text(b, &mut bbuf)?;
-    strbuf::with_builder(|bl| {
-        if let Some(extended) = bl.try_extend(a, y) {
-            obs_on!(crate::obs_hot::concat_slices().inc());
-            return Some(extended);
-        }
-        obs_on!(crate::obs_hot::concat_copies().inc());
-        Some(bl.push_concat(x, y))
-    })
-}
-
-/// String concatenation into a fresh owned `String` — the pre-arena
-/// implementation, kept as the reference ("builder off") side of the
-/// boxed-vs-builder differential suite and for callers that genuinely
-/// want an owned result.
-pub fn concat_owned(a: &Value, b: &Value) -> Option<Value> {
-    let (x, y) = (to_str(a)?, to_str(b)?);
-    let mut s = String::with_capacity(x.len() + y.len());
-    s.push_str(&x);
-    s.push_str(&y);
-    Some(Value::from(s))
+    let mut joined = NumBuf::new();
+    joined.write_str(x).ok()?;
+    joined.write_str(y).ok()?;
+    Some(Value::str(joined.as_str()))
 }
 
 /// Lexical three-way comparison over coerced texts, allocation-free for
@@ -489,7 +457,7 @@ pub fn equiv(a: &Value, b: &Value) -> Option<Value> {
 /// at the target. Negative and zero indices need the character count —
 /// replayed from a borrowed window's cache or counted with the ASCII
 /// fast path. The result is a *window into the subscripted value's own
-/// owner* (its line buffer, arena chunk, or interner node) — no
+/// allocation* (its line buffer, owned text or interner node) — no
 /// allocation on any string path.
 pub fn index(x: &Value, i: &Value) -> Option<Value> {
     match x.deref() {
@@ -675,72 +643,72 @@ mod tests {
 
     #[test]
     fn string_ops() {
-        assert_eq!(concat(&s("ab"), &s("cd")), Some(s("abcd")));
-        assert_eq!(concat(&s("n="), &i(5)), Some(s("n=5")));
         assert_eq!(str_lt(&s("abc"), &s("abd")), Some(s("abd")));
         assert_eq!(str_eq(&s("x"), &s("x")), Some(s("x")));
         assert_eq!(str_ne(&s("x"), &s("x")), None);
         // Numeric strings compare lexically under string ops.
         assert_eq!(str_gt(&s("9"), &s("10")), Some(s("10")));
-    }
 
-    #[test]
-    fn concat_yields_arena_windows() {
-        let v = concat(&s("ab"), &s("cd")).unwrap();
-        let (chunk, start, _) = v.chunk_span().expect("fresh concat lands in the arena");
-        assert_eq!(v.as_str(), Some("abcd"));
-        // A left-leaning chain tail-extends: every link shares one chunk
-        // window with the previous result.
-        let chain = concat(&concat(&v, &s("-")).unwrap(), &i(7)).unwrap();
-        assert_eq!(chain.as_str(), Some("abcd-7"));
-        let (chain_chunk, chain_start, _) = chain.chunk_span().expect("chain result is built");
-        assert!(
-            Arc::ptr_eq(chunk, chain_chunk) && start == chain_start,
-            "chain must extend in place"
-        );
-    }
-
-    #[test]
-    fn concat_widens_adjacent_slices_without_copying() {
-        let line: Arc<str> = Arc::from("hello world");
-        let a = Value::slice(line.clone(), 0, 5);
-        let b = Value::slice(line.clone(), 5, 11);
-        let pins = Arc::strong_count(&line);
-        let joined = concat(&a, &b).unwrap();
-        assert_eq!(joined.as_str(), Some("hello world"));
-        assert!(
-            joined.is_borrowed() && Arc::strong_count(&line) == pins + 1,
-            "widening must reuse the owner"
-        );
-        // Non-adjacent windows of the same owner fall back to a copy.
-        let c = Value::slice(line.clone(), 0, 5);
-        let d = Value::slice(line.clone(), 6, 11);
-        let copied = concat(&c, &d).unwrap();
-        assert!(copied.chunk_span().is_some());
-        assert_eq!(copied.as_str(), Some("helloworld"));
-    }
-
-    #[test]
-    fn concat_owned_matches_builder_concat() {
-        let line: Arc<str> = Arc::from("one two three");
-        let cases = [
-            (s("a"), s("b")),
-            (s(""), s("xy")),
-            (
-                Value::slice(line.clone(), 0, 3),
-                Value::slice(line.clone(), 3, 7),
-            ),
-            (Value::interned("k"), i(255)),
-            (i(-4), Value::from(2.5)),
-            (s("r="), Value::from(3.0)),
+        // `||` over every operand shape: each result is one owned string.
+        use crate::var::Var;
+        let line: Arc<str> = Arc::from("héllo wörld");
+        let (hello, world) = (Value::slice(line.clone(), 0, 6), Value::slice(line, 7, 13));
+        let second = |v: &Value| index(v, &i(2)).unwrap();
+        let big = pow(&i(2), &i(70)).unwrap();
+        let rows = [
+            (s("ab"), s("cd"), "abcd"),
+            (s(""), s("xy"), "xy"),
+            (s("n="), i(5), "n=5"),
+            (Value::interned("k"), i(255), "k255"),
+            // Multi-byte windows, and subscripts of them (`v[1] || v[2]`).
+            (hello.clone(), world.clone(), "héllowörld"),
+            (index(&hello, &i(1)).unwrap(), second(&hello), "hé"),
+            (second(&hello), second(&world), "éö"),
+            (Value::Ref(Var::new(s("ref"))), s("!"), "ref!"),
+            (s("x"), Value::Ref(Var::new(i(7))), "x7"),
+            (i(-4), Value::from(2.5), "-42.5"),
+            (s("r="), Value::from(3.0), "r=3.0"),
+            (big, s("!"), "1180591620717411303424!"),
         ];
-        for (a, b) in cases {
-            let owned = concat_owned(&a, &b);
-            let built = concat(&a, &b);
-            assert_eq!(owned, built, "{a:?} || {b:?} diverged");
+        for (a, b, want) in rows {
+            let got = concat(&a, &b).unwrap();
+            assert!(matches!(got, Value::Str(_)), "{a:?} || {b:?} is {got:?}");
+            assert_eq!(got.as_str(), Some(want), "{a:?} || {b:?}");
         }
+        // A self-concat reads its one operand twice.
+        assert_eq!(concat(&hello, &hello).unwrap().as_str(), Some("héllohéllo"));
+        // Ints across and past the small-int range, and the extremes.
+        for n in (0..=300).chain([-1, i64::MAX, i64::MIN]) {
+            let got = concat(&s("k="), &i(n)).unwrap();
+            assert_eq!(got.as_str(), Some(format!("k={n}").as_str()));
+        }
+        // A list has no string image.
         assert_eq!(concat(&Value::list(vec![]), &s("x")), None);
         assert_eq!(concat(&s("x"), &Value::list(vec![])), None);
+        // A concatenation keys a table like the literal it spells.
+        let table = Value::table();
+        let Value::Table(t) = &table else {
+            unreachable!()
+        };
+        let mut t = t.lock();
+        t.store(&concat(&hello, &s("=")).unwrap(), i(1)).unwrap();
+        t.store(&s("héllo="), i(2)).unwrap();
+        assert_eq!(t.len(), 1, "the literal updates the stored concatenation");
+        let probe = concat(&index(&hello, &i(1)).unwrap(), &s("éllo=")).unwrap();
+        assert_eq!(t.lookup(&probe).flatten().and_then(Value::as_int), Some(2));
+    }
+
+    #[test]
+    fn a_stored_concatenation_stays_owned() {
+        // `w || "="` bound to a variable needs no promotion: it reads back
+        // as the owned string it is, so the interner is not fed.
+        use crate::var::Var;
+        let w = Value::slice(Arc::from("word here"), 0, 4);
+        let var = Var::new(concat(&w, &s("=")).unwrap());
+        assert!(matches!(var.get(), Value::Str(_)), "{:?}", var.get());
+        var.set(concat(&w, &i(3)).unwrap());
+        assert!(matches!(var.get(), Value::Str(_)), "{:?}", var.get());
+        assert_eq!(var.get().as_str(), Some("word3"));
     }
 
     #[test]
@@ -800,11 +768,9 @@ mod tests {
             c.is_borrowed() && Arc::strong_count(&line) == pins + 1,
             "subscript must window the owner"
         );
-        // Concat-result subscripts window the chunk.
+        // Concat-result subscripts window the owned result.
         let built = concat(&s("wi"), &s("de")).unwrap();
-        let d = index(&built, &i(4)).unwrap();
-        assert!(d.chunk_span().is_some());
-        assert_eq!(d.as_str(), Some("e"));
+        assert_eq!(index(&built, &i(4)).unwrap().as_str(), Some("e"));
         // Sym subscripts window the canonical interner allocation.
         let sym = Value::interned("symbolic");
         assert_eq!(index(&sym, &i(3)).unwrap().as_str(), Some("m"));

@@ -2,7 +2,6 @@
 
 use crate::env::Env;
 use crate::func::ProcValue;
-use crate::strbuf::StrBuf;
 use crate::sym::Symbol;
 use crate::var::Var;
 use bigint::BigInt;
@@ -279,43 +278,17 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// What a [`StrWin`] borrows from: a line buffer (what hot generators
-/// such as `WordSplit` window, and what subscripting an owned or interned
-/// string windows) or a builder-arena chunk (what `ops::concat` appends
-/// into). The niche in `Arc<str>`'s pointer packs the tag: 16 bytes.
-#[derive(Clone)]
-enum Owner {
-    Line(Arc<str>),
-    Chunk(Arc<StrBuf>),
-}
-
-impl Owner {
-    fn same(&self, other: &Owner) -> bool {
-        match (self, other) {
-            (Owner::Line(a), Owner::Line(b)) => Arc::ptr_eq(a, b),
-            (Owner::Chunk(a), Owner::Chunk(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
-    /// Bytes `[start, end)` of the owner's text.
-    fn text(&self, start: usize, end: usize) -> &str {
-        match self {
-            Owner::Line(line) => &line[start..end],
-            Owner::Chunk(chunk) => chunk.window(start, end),
-        }
-    }
-}
-
 /// The borrowed string form: a `(start, len)` byte window into a shared
-/// owner. Minting one costs no hashing, no interner walk and no
-/// allocation — just a refcount on the owner.
+/// line buffer (what hot generators such as `WordSplit` window, and what
+/// subscripting an owned or interned string windows). Minting one costs
+/// no hashing, no interner walk and no allocation — just a refcount on
+/// the line.
 ///
 /// Windows are *borrowed handles* in the ownership sense: they pin their
-/// owner alive, so any value that outlives its stage must be promoted to
+/// line alive, so any value that outlives its stage must be promoted to
 /// an owned form ([`Value::promote`]) to let the arena drop.
 pub struct StrWin {
-    owner: Owner,
+    line: Arc<str>,
     start: u32,
     len: u32,
     /// Cached char count; `u32::MAX` = not yet computed. Filled lazily on
@@ -326,7 +299,7 @@ pub struct StrWin {
 impl Clone for StrWin {
     fn clone(&self) -> StrWin {
         StrWin {
-            owner: self.owner.clone(),
+            line: self.line.clone(),
             start: self.start,
             len: self.len,
             chars: AtomicU32::new(self.chars.load(Ordering::Relaxed)),
@@ -335,27 +308,27 @@ impl Clone for StrWin {
 }
 
 impl StrWin {
-    /// Window coordinates are `u32`: an owner of 4 GiB or more cannot be
+    /// Window coordinates are `u32`: a line of 4 GiB or more cannot be
     /// windowed past that offset.
     fn fits(end: usize) -> bool {
         end <= u32::MAX as usize
     }
 
-    /// The one place a window is built: bytes `[start, end)` of `owner`,
-    /// which the caller has placed on char boundaries of the owner's
-    /// (published) text. Coordinates that do not fit are re-owned.
+    /// The one place a window is built: bytes `[start, end)` of `line`,
+    /// which the caller has placed on char boundaries of the line's text.
+    /// Coordinates that do not fit are re-owned.
     ///
     /// `#[inline]` here and on [`Value::slice_at_ascii_delims`]: the word
     /// splitter mints one window per word from another crate, and without
     /// the hint the pair stops being inlined there (≈ 5 % of the embedded
     /// `seq_light` lane); the re-own path stays out of line.
     #[inline]
-    fn mint(owner: Owner, start: usize, end: usize) -> Value {
+    fn mint(line: Arc<str>, start: usize, end: usize) -> Value {
         if !Self::fits(end) {
-            return Self::reown(&owner, start, end);
+            return Self::reown(&line, start, end);
         }
         Value::Win(StrWin {
-            owner,
+            line,
             start: start as u32,
             len: (end - start) as u32,
             chars: AtomicU32::new(u32::MAX),
@@ -363,13 +336,13 @@ impl StrWin {
     }
 
     #[cold]
-    fn reown(owner: &Owner, start: usize, end: usize) -> Value {
-        Value::Str(Arc::from(owner.text(start, end)))
+    fn reown(line: &str, start: usize, end: usize) -> Value {
+        Value::Str(Arc::from(&line[start..end]))
     }
 
     fn as_str(&self) -> &str {
         let start = self.start as usize;
-        self.owner.text(start, start + self.len as usize)
+        &self.line[start..start + self.len as usize]
     }
 
     /// Character count, computed once and cached.
@@ -404,7 +377,7 @@ pub(crate) fn str_char_len(s: &str) -> usize {
 ///
 /// Strings come in three forms — owned [`Value::Str`], interned
 /// [`Value::Sym`] (copyable handle with a cached hash) and borrowed
-/// [`Value::Win`] (a window into a shared owner) — which are
+/// [`Value::Win`] (a window into a shared line buffer) — which are
 /// representations, not types: every operation reads them through
 /// [`Value::as_str`] and the window operations of this module, which is
 /// the only one that knows how a borrowed string is stored. `Clone` is
@@ -425,9 +398,9 @@ pub enum Value {
     Str(Arc<str>),
     /// Interned string: a copyable handle into the immortal symbol table.
     Sym(Symbol),
-    /// Borrowed string: a window into a shared line buffer or
-    /// builder-arena chunk (see [`StrWin`]). Must be
-    /// [promoted](Value::promote) before escaping its pipeline.
+    /// Borrowed string: a window into a shared line buffer (see
+    /// [`StrWin`]). Must be [promoted](Value::promote) before escaping
+    /// its pipeline.
     Win(StrWin),
     /// Mutable shared list.
     List(Arc<Mutex<Vec<Value>>>),
@@ -588,7 +561,7 @@ impl Value {
             .get(start..end)
             .expect("Value::slice window must be in-bounds on char boundaries");
         obs_on!(crate::obs_hot::value_inline_hits().inc());
-        StrWin::mint(Owner::Line(owner), start, end)
+        StrWin::mint(owner, start, end)
     }
 
     /// [`Value::slice`] for producers whose windows are char-boundary
@@ -610,7 +583,7 @@ impl Value {
             owner.get(start..end).is_some(),
             "slice_at_ascii_delims window must be in-bounds on char boundaries"
         );
-        StrWin::mint(Owner::Line(owner), start, end)
+        StrWin::mint(owner, start, end)
     }
 
     /// Batched `gde.value.inline_hits` accounting for
@@ -625,27 +598,6 @@ impl Value {
         obs_on!(if n > 0 {
             crate::obs_hot::value_inline_hits().add(n);
         });
-    }
-
-    /// A borrowed window over bytes `[start, end)` of a builder-arena
-    /// chunk, which must be a published `&str` write (see
-    /// [`crate::strbuf`]).
-    pub(crate) fn chunk_window(chunk: &Arc<StrBuf>, start: usize, end: usize) -> Value {
-        StrWin::mint(Owner::Chunk(chunk.clone()), start, end)
-    }
-
-    /// The chunk and byte span `(chunk, start, end)` of a builder-arena
-    /// window; `None` for every other value.
-    pub(crate) fn chunk_span(&self) -> Option<(&Arc<StrBuf>, usize, usize)> {
-        match self {
-            Value::Win(StrWin {
-                owner: Owner::Chunk(chunk),
-                start,
-                len,
-                ..
-            }) => Some((chunk, *start as usize, *start as usize + *len as usize)),
-            _ => None,
-        }
     }
 
     /// True for the borrowed string form ([`Value::Win`]), which pins an
@@ -681,35 +633,17 @@ impl Value {
     /// the immortal interner; longer text gets a private owned allocation.
     const PROMOTE_INTERN_MAX: usize = 64;
 
-    /// Adjacency widening: two windows of the same owner where `a` ends
-    /// exactly where `b` starts merge into one wider window of that
-    /// owner — zero bytes copied. `None` for anything else.
-    pub(crate) fn try_join(a: &Value, b: &Value) -> Option<Value> {
-        let (Value::Win(x), Value::Win(y)) = (a, b) else {
-            return None;
-        };
-        if !x.owner.same(&y.owner) || x.start + x.len != y.start {
-            return None;
-        }
-        let start = x.start as usize;
-        Some(StrWin::mint(
-            x.owner.clone(),
-            start,
-            start + x.len as usize + y.len as usize,
-        ))
-    }
-
     /// A window over bytes `[bs, be)` of this string's text that shares
-    /// the string's own owner (its line buffer, arena chunk, or interner
-    /// node): narrows a borrowed window, windows an owned or interned
-    /// string. `None` for non-strings and for spans that are out of
-    /// bounds or split a char.
+    /// the string's own allocation (its line buffer, owned text or
+    /// interner node): narrows a borrowed window, windows an owned or
+    /// interned string. `None` for non-strings and for spans that are out
+    /// of bounds or split a char.
     pub(crate) fn subwindow(&self, bs: usize, be: usize) -> Option<Value> {
         self.as_str()?.get(bs..be)?;
         match self {
             Value::Win(w) => {
                 let start = w.start as usize;
-                Some(StrWin::mint(w.owner.clone(), start + bs, start + be))
+                Some(StrWin::mint(w.line.clone(), start + bs, start + be))
             }
             Value::Str(s) => Some(Value::slice(s.clone(), bs, be)),
             // A symbol's text is a canonical immortal allocation:
@@ -1037,11 +971,10 @@ mod tests {
         // Step moves a Value per suspension on the hot path. The ceiling
         // is set by `ProcValue` (a fat `Arc<str>` name plus a fat
         // `Arc<dyn Fn>` — 32 bytes), so the enum is 40 bytes with the
-        // tag. `StrWin` must stay at or under that 32-byte line: its
-        // owner tag rides in the niche of `Arc<str>`'s pointer (16 bytes
-        // for either owner), leaving room for the coordinates and the
-        // cached char count. Adding a field that pushes it past 32 grows
-        // *every* Value.
+        // tag. `StrWin` must stay at or under that 32-byte line: its line
+        // is a fat `Arc<str>` (16 bytes), leaving room for the
+        // coordinates and the cached char count. Adding a field that
+        // pushes it past 32 grows *every* Value.
         assert!(
             std::mem::size_of::<StrWin>() <= 32 && std::mem::size_of::<Value>() <= 40,
             "Value is {} bytes (StrWin {})",
@@ -1060,74 +993,6 @@ mod tests {
         assert!(StrWin::fits(u32::MAX as usize));
         assert!(!StrWin::fits(u32::MAX as usize + 1));
         assert!(!StrWin::fits(usize::MAX));
-    }
-
-    #[test]
-    fn built_values_behave_like_strings() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let v = b.push_str("héllo");
-        assert_eq!(v.as_str(), Some("héllo"));
-        assert_eq!(v.type_name(), "string");
-        assert_eq!(v.size(), Some(5)); // chars, not bytes
-        assert_eq!(v.size(), Some(5)); // cached replay
-        assert_eq!(v.to_string(), "héllo");
-        assert_eq!(format!("{v:?}"), "\"héllo\"");
-        assert!(v.is_borrowed());
-        assert!(v.equiv(&Value::str("héllo")));
-        assert!(v.clone().equiv(&v));
-    }
-
-    #[test]
-    fn windows_join_only_within_one_owner() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let (chunk_ab, chunk_cd) = (b.push_str("ab"), b.push_str("cd"));
-        let line: Arc<str> = Arc::from("abcd");
-        let line_ab = Value::slice(line.clone(), 0, 2);
-        let line_cd = Value::slice(line, 2, 4);
-        for (l, r) in [(&chunk_ab, &chunk_cd), (&line_ab, &line_cd)] {
-            let joined = Value::try_join(l, r).expect("adjacent windows of one owner");
-            assert_eq!(joined.as_str(), Some("abcd"));
-            assert!(Value::try_join(r, l).is_none(), "not adjacent");
-        }
-        // The coordinates line up, the owners do not.
-        assert!(Value::try_join(&line_ab, &chunk_cd).is_none());
-        assert!(Value::try_join(&chunk_ab, &line_cd).is_none());
-        assert!(Value::try_join(&Value::str("ab"), &line_cd).is_none());
-    }
-
-    #[test]
-    fn built_promotes_and_unpins_its_chunk() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let v = b.push_str("escape");
-        let weak = Arc::downgrade(b.chunk());
-        drop(b);
-        let promoted = v.clone().promote();
-        assert!(matches!(promoted, Value::Sym(_)));
-        assert!(!promoted.is_borrowed());
-        // Key and deep_copy take the same hatch.
-        assert_eq!(v.as_key(), Value::str("escape").as_key());
-        assert!(!v.deep_copy().is_borrowed());
-        drop(v);
-        assert!(
-            weak.upgrade().is_none(),
-            "promoted values must not pin the arena chunk"
-        );
-    }
-
-    #[test]
-    fn var_store_promotes_built() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let var = Var::new(b.push_str("stored"));
-        assert!(!var.get().is_borrowed());
-        var.set(b.push_str("again"));
-        assert!(!var.get().is_borrowed());
-        var.update(|v| *v = b.push_str("updated"));
-        assert!(!var.get().is_borrowed());
-        assert_eq!(var.get().as_str(), Some("updated"));
     }
 
     #[test]

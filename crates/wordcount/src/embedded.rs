@@ -370,12 +370,9 @@ pub fn data_parallel_sized(corpus: &Corpus, weight: Weight, chunk_size: usize) -
 /// place; only a word's first insert promotes it to an owned key
 /// (`TableData::store`), so promotions per word are distinct words over
 /// words. Each report line is built with the goal-directed `||`
-/// ([`gde::ops::concat`]) — `word || "=" || count` — so the first hop
-/// lands in the builder arena and the second extends that window in
-/// place (the `gde.value.concat_slices` tail-extension path), while the
-/// count image comes from the small-int coercion cache. Figure 6 runs
-/// it once, untimed, so the obs snapshot proves the arena is actually
-/// on the measured runtime's hot path.
+/// ([`gde::ops::concat`]) — `word || "=" || count` — each hop one owned
+/// string, while the count image comes from the small-int coercion
+/// cache. It is the embedded lane of the benchmark's `strings_report`.
 pub fn frequency_report(corpus: &Corpus) -> Vec<String> {
     let counts = Value::table();
     let Value::Table(table) = &counts else {

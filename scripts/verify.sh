@@ -16,7 +16,9 @@
 #                    blocking primitive; one fuser (`StagePlan`'s); one
 #                    counts contract; every backticked repo path in the
 #                    docs exists and every backticked crate path names a
-#                    definition; and tables probe without promoting;
+#                    definition; tables probe without promoting; and
+#                    `||` has one concatenation, with `unsafe` left
+#                    only in the interner;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -229,6 +231,24 @@ if ! grep -q 'entries: HashMap<Key, Value, KeyHash>,' crates/gde/src/value.rs; t
     exit 1
 fi
 echo "   ok: table reads probe in place; only TableData::store promotes a key; KeyHash hashes"
+
+# One concatenation (DESIGN.md § String plane): `||` makes one owned
+# string, so no builder arena, second window owner, adjacency widening or
+# reference concatenation may come back beside it.
+if hits="$(grep -rnE '\b(strbuf|StrBuf|StrBuilder|concat_owned|try_join|chunk_window|chunk_span|concat_slices|concat_copies)\b|\bOwner::' \
+        crates/*/src crates/*/tests examples src tests)"; then
+    echo "$hits"
+    echo "FAIL: a second concatenation mechanism is back; ops::concat makes an owned string"
+    exit 1
+fi
+# With the arena gone, the interner's lock-free table is the one unsafe
+# code in the workspace.
+if hits="$(grep -rn 'unsafe' crates/*/src | grep -v '^crates/gde/src/sym\.rs:')"; then
+    echo "$hits"
+    echo "FAIL: unsafe outside crates/gde/src/sym.rs"
+    exit 1
+fi
+echo "   ok: one concatenation; unsafe only in gde::sym"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a
