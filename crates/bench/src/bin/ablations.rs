@@ -8,6 +8,8 @@
 //! `--quick` (tiny corpus, one iteration) is what this file's test runs so
 //! the sweeps cannot rot; its times mean nothing.
 
+#![forbid(unsafe_code)]
+
 use bench::median_of;
 use gde::comb::{limit, to_range};
 use gde::{BoxGen, GenExt};

@@ -13,6 +13,8 @@
 //! recovery semantics inline: a failed assertion here means the fault
 //! plane regressed *before* the counter gate even runs.
 
+#![forbid(unsafe_code)]
+
 use gde::comb::to_range;
 use gde::{Gen, Step, Value};
 use pipes::{FanPolicy, FaultPolicy, Pipe};

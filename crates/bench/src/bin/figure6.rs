@@ -6,6 +6,8 @@
 //! cargo run -p bench --release --bin figure6 [-- --lines N --heavy-lines N --iters N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bench::{render_table, run_figure6, shape_findings, Figure6Config};
 
 fn main() {

@@ -15,6 +15,8 @@
 //! can SKIP — when their file is not passed — and CI sets `--strict` so it
 //! cannot quietly drop either smoke.
 
+#![forbid(unsafe_code)]
+
 use bench::gates::{self, GateReport, GateStatus};
 use bench::json::Json;
 use std::path::Path;

@@ -12,6 +12,8 @@
 //! `--bin ablations` runs the parameter sweeps over the same
 //! [`median_of`] timer.
 
+#![forbid(unsafe_code)]
+
 pub mod gates;
 pub mod json;
 

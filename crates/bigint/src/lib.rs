@@ -23,6 +23,8 @@
 //! Algorithm D, which is more than adequate for the word-hash workloads the
 //! paper benchmarks (numbers of a few machine words).
 
+#![forbid(unsafe_code)]
+
 mod bigint;
 mod biguint;
 mod prime;

@@ -14,6 +14,8 @@
 //! produces one result forms a future" (Sec. III.B), which is a pipe over
 //! a `bounded(1)` queue, and `exec`'s task handles wait on exactly that.
 
+#![forbid(unsafe_code)]
+
 /// Expands its body only when the `obs` feature is on, so instrumentation
 /// call sites vanish from the compilation entirely (not even a no-op call)
 /// when observability is disabled. Textual macro scoping makes this

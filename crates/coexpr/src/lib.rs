@@ -25,6 +25,8 @@
 //! strategy the paper uses when translating to Java ("implement it without
 //! multithreading", Sec. VIII).
 
+#![forbid(unsafe_code)]
+
 use gde::env::Env;
 use gde::{BoxGen, CoRef, Coroutine, Gen, Step, Value};
 use parking_lot::Mutex;

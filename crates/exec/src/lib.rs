@@ -6,6 +6,8 @@
 //! shared [`blockingq::BlockingQueue`] of jobs, plus a [`Task`] handle that
 //! waits for the job's result on a `bounded(1)` queue of its own.
 
+#![forbid(unsafe_code)]
+
 /// Expands its body only when the `obs` feature is on (see the identical
 /// shim in `blockingq`): instrumentation sites vanish entirely when
 /// observability is disabled.

@@ -46,6 +46,8 @@
 //! registry accesses are already serialized by the schedule and must not
 //! add scheduling points of their own.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};

@@ -31,7 +31,6 @@
 //! accesses and `gde.env.name_fallbacks` counts by-name lookups, so a
 //! benchmark snapshot shows when code is falling off the fast path.
 
-use crate::sym::Symbol;
 use crate::value::Value;
 use crate::var::Var;
 use parking_lot::Mutex;
@@ -47,18 +46,38 @@ use std::sync::{Arc, OnceLock};
 /// as a re-`declare` used to create a fresh cell — and the index maps the
 /// name to the last one, which is the cell by-name code must see.
 pub struct FrameLayout {
-    names: Box<[Symbol]>,
+    names: Box<[Arc<str>]>,
     index: HashMap<Arc<str>, usize>,
+}
+
+/// Slot names in slot order, as [`FrameLayout::of`] takes them: the
+/// literal array emitted code prints (`of(["n", "acc"])`, or `of([])`),
+/// or the names the resolve pass shares with its slot references, which
+/// the layout keeps without copying their text.
+pub trait SlotNames {
+    fn into_names(self) -> Box<[Arc<str>]>;
+}
+
+impl<const N: usize> SlotNames for [&str; N] {
+    fn into_names(self) -> Box<[Arc<str>]> {
+        self.map(Arc::from).into()
+    }
+}
+
+impl SlotNames for &[Arc<str>] {
+    fn into_names(self) -> Box<[Arc<str>]> {
+        self.into()
+    }
 }
 
 impl FrameLayout {
     /// Build a layout from slot names in slot order. Duplicate names are
     /// allowed; the by-name index keeps the *last* occurrence.
-    pub fn of(names: impl IntoIterator<Item = Symbol>) -> Arc<FrameLayout> {
-        let names: Box<[Symbol]> = names.into_iter().collect();
+    pub fn of(names: impl SlotNames) -> Arc<FrameLayout> {
+        let names = names.into_names();
         let mut index = HashMap::with_capacity(names.len());
-        for (i, sym) in names.iter().enumerate() {
-            index.insert(sym.arc(), i); // later slots overwrite: latest wins
+        for (i, name) in names.iter().enumerate() {
+            index.insert(name.clone(), i); // later slots overwrite: latest wins
         }
         Arc::new(FrameLayout { names, index })
     }
@@ -85,7 +104,7 @@ impl FrameLayout {
     }
 
     /// The name occupying slot `idx`.
-    pub fn name(&self, idx: usize) -> &Symbol {
+    pub fn name(&self, idx: usize) -> &str {
         &self.names[idx]
     }
 }
@@ -294,7 +313,7 @@ impl Env {
         let mut names: std::collections::BTreeSet<String> =
             self.frame.overlay.lock().keys().cloned().collect();
         for i in 0..self.frame.layout.len() {
-            names.insert(self.frame.layout.name(i).as_str().to_string());
+            names.insert(self.frame.layout.name(i).to_string());
         }
         names.into_iter().collect()
     }
@@ -373,14 +392,10 @@ mod tests {
 
     // ---- slot-frame semantics -------------------------------------------
 
-    fn layout(names: &[&str]) -> Arc<FrameLayout> {
-        FrameLayout::of(names.iter().map(|n| Symbol::new(n)))
-    }
-
     #[test]
     fn slots_start_null_and_are_addressable() {
         let root = Env::root();
-        let env = root.child_with_layout(layout(&["a", "b"]));
+        let env = root.child_with_layout(FrameLayout::of(["a", "b"]));
         assert!(env.slot(0, 0).get().is_null());
         env.slot_local(1).set(Value::from(9));
         assert_eq!(env.slot(0, 1).get().as_int(), Some(9));
@@ -389,9 +404,9 @@ mod tests {
     #[test]
     fn slot_depth_walks_the_chain() {
         let root = Env::root();
-        let outer = root.child_with_layout(layout(&["x"]));
+        let outer = root.child_with_layout(FrameLayout::of(["x"]));
         outer.slot_local(0).set(Value::from(1));
-        let inner = outer.child_with_layout(layout(&["y"]));
+        let inner = outer.child_with_layout(FrameLayout::of(["y"]));
         assert_eq!(inner.slot(1, 0).get().as_int(), Some(1));
         inner.slot(1, 0).set(Value::from(2));
         assert_eq!(outer.slot_local(0).get().as_int(), Some(2));
@@ -400,7 +415,7 @@ mod tests {
     #[test]
     fn by_name_lookup_sees_slots() {
         let root = Env::root();
-        let env = root.child_with_layout(layout(&["x"]));
+        let env = root.child_with_layout(FrameLayout::of(["x"]));
         env.slot_local(0).set(Value::from(5));
         // The by-name fallback resolves to the same cell.
         assert_eq!(env.get("x").as_int(), Some(5));
@@ -411,7 +426,7 @@ mod tests {
     #[test]
     fn overlay_declare_shadows_slot() {
         let root = Env::root();
-        let env = root.child_with_layout(layout(&["x"]));
+        let env = root.child_with_layout(FrameLayout::of(["x"]));
         env.slot_local(0).set(Value::from(1));
         // A dynamic re-declaration must hide the slot for by-name code...
         env.declare("x", Value::from(2));
@@ -424,7 +439,7 @@ mod tests {
     fn duplicate_slot_names_index_latest() {
         // Two slots for "x" (a re-declaration): by-name sees the latest.
         let root = Env::root();
-        let env = root.child_with_layout(layout(&["x", "x"]));
+        let env = root.child_with_layout(FrameLayout::of(["x", "x"]));
         env.slot_local(0).set(Value::from(1));
         env.slot_local(1).set(Value::from(2));
         assert_eq!(env.get("x").as_int(), Some(2));
@@ -435,7 +450,7 @@ mod tests {
     fn shadow_copies_slots_with_same_coordinates() {
         let root = Env::root();
         root.declare("outer", Value::from(10));
-        let env = root.child_with_layout(layout(&["n"]));
+        let env = root.child_with_layout(FrameLayout::of(["n"]));
         env.slot_local(0).set(Value::from(7));
 
         let shadowed = env.shadow();
@@ -452,7 +467,7 @@ mod tests {
     #[test]
     fn local_names_merges_overlay_and_slots() {
         let root = Env::root();
-        let env = root.child_with_layout(layout(&["b", "a"]));
+        let env = root.child_with_layout(FrameLayout::of(["b", "a"]));
         env.declare("c", Value::Null);
         env.declare("a", Value::Null); // overlay shadowing a slot: one name
         assert_eq!(
@@ -465,7 +480,7 @@ mod tests {
     fn clear_empties_the_frame_but_not_held_cells() {
         let root = Env::root();
         root.declare("outer", Value::from(10));
-        let env = root.child_with_layout(layout(&["n"]));
+        let env = root.child_with_layout(FrameLayout::of(["n"]));
         env.slot_local(0).set(Value::from(7));
         let held = env.declare("d", Value::from(1));
         env.clear();
@@ -481,7 +496,7 @@ mod tests {
     fn reset_nulls_every_cell_and_keeps_the_names() {
         let root = Env::root();
         root.declare("outer", Value::from(10));
-        let env = root.child_with_layout(layout(&["n"]));
+        let env = root.child_with_layout(FrameLayout::of(["n"]));
         env.slot_local(0).set(Value::from(7));
         let held = env.declare("d", Value::from(1));
         env.reset();
@@ -499,7 +514,7 @@ mod tests {
         // shadowed cell holds *some* value the writer actually wrote).
         use std::sync::atomic::{AtomicBool, Ordering};
         let stop = Arc::new(AtomicBool::new(false));
-        let env = Env::root().child_with_layout(layout(&["n"]));
+        let env = Env::root().child_with_layout(FrameLayout::of(["n"]));
         env.slot_local(0).set(Value::from(0));
         for i in 0..8 {
             env.declare(&format!("d{i}"), Value::from(0));

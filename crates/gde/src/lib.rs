@@ -38,6 +38,8 @@
 //! re-evaluates in the *current* environment. This is what makes the
 //! backtracking product work: `e & e'` restarts `e'` for every value of `e`.
 
+#![forbid(unsafe_code)]
+
 /// Expands its body only when the `obs` feature is on (the same shim as
 /// in `blockingq`/`wordcount`): instrumentation sites vanish entirely
 /// when observability is disabled.
@@ -52,7 +54,7 @@ macro_rules! obs_on {
 
 /// Cached handles to this crate's hot-path counters. `obs::counter(name)`
 /// takes the registry lock on every call; these sites run per variable
-/// reference / per interned word, so each counter's `Arc` is resolved once
+/// reference / per word, so each counter's `Arc` is resolved once
 /// and parked in a `OnceLock`.
 #[cfg(feature = "obs")]
 pub(crate) mod obs_hot {
@@ -69,7 +71,6 @@ pub(crate) mod obs_hot {
 
     cached_counter!(slot_hits, "gde.env.slot_hits");
     cached_counter!(name_fallbacks, "gde.env.name_fallbacks");
-    cached_counter!(interned, "gde.sym.interned");
     cached_counter!(fused_stages, "gde.comb.fused_stages");
     cached_counter!(fusion_barriers, "gde.comb.fusion_barriers");
     cached_counter!(value_inline_hits, "gde.value.inline_hits");
@@ -89,7 +90,6 @@ pub(crate) mod obs_hot {
 pub fn obs_register() {
     let _ = obs_hot::slot_hits();
     let _ = obs_hot::name_fallbacks();
-    let _ = obs_hot::interned();
     let _ = obs_hot::fused_stages();
     let _ = obs_hot::fusion_barriers();
     let _ = obs_hot::value_inline_hits();
@@ -103,13 +103,11 @@ pub mod env;
 pub mod func;
 mod gen;
 pub mod ops;
-pub mod sym;
 mod value;
 mod var;
 
 pub use env::{Env, FrameLayout};
 pub use func::ProcValue;
 pub use gen::{BoxGen, Gen, GenExt, GenIter, Step};
-pub use sym::Symbol;
 pub use value::{CoRef, Coroutine, Key, KeyRef, ObjData, ObjRef, StrWin, TableData, Value};
 pub use var::Var;

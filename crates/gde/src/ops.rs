@@ -12,7 +12,6 @@
 //!   producing 5*, `5 < 4` fails. This is what lets comparisons chain and
 //!   filter inside generator products, e.g. `1 <= x <= 10`.
 
-use crate::sym::Symbol;
 use crate::value::Value;
 use bigint::BigInt;
 use std::cmp::Ordering;
@@ -314,27 +313,14 @@ fn deref_into<'a>(v: &'a Value, slot: &'a mut Option<Value>) -> &'a Value {
     }
 }
 
-/// Interned handles for the small-integer images (`"0"`..`"255"`):
-/// table-key coercions and `word=count` formatting hit these constantly,
-/// so they resolve to canonical immortal symbols instead of fresh
-/// allocations.
-fn small_int_sym(i: i64) -> Option<Symbol> {
+/// The small-integer images (`"0"`..`"255"`), made once: table-key
+/// coercions and `word=count` formatting hit these constantly, so they
+/// share one allocation each instead of making a fresh one.
+fn small_int_image(i: i64) -> Option<&'static Arc<str>> {
     use std::sync::OnceLock;
-    static SMALL: OnceLock<Vec<Symbol>> = OnceLock::new();
-    if !(0..=255).contains(&i) {
-        return None;
-    }
-    let table = SMALL.get_or_init(|| {
-        let mut buf = NumBuf::new();
-        (0..=255i64)
-            .map(|n| {
-                buf.len = 0;
-                let _ = write!(buf, "{n}");
-                Symbol::new(buf.as_str())
-            })
-            .collect()
-    });
-    Some(table[i as usize])
+    static SMALL: OnceLock<Vec<Arc<str>>> = OnceLock::new();
+    let table = SMALL.get_or_init(|| (0..=255).map(|n: i64| Arc::from(n.to_string())).collect());
+    table.get(usize::try_from(i).ok()?)
 }
 
 /// Coerce to a string (Icon's implicit string conversion).
@@ -356,13 +342,13 @@ pub fn to_str(v: &Value) -> Option<Arc<str>> {
 }
 
 /// An integer's string image as a shared allocation: small ints replay
-/// the canonical interned symbol (zero allocation), larger ones format
+/// their cached image (zero allocation), larger ones format
 /// on the stack and take a single `Arc` copy (down from the old
 /// `String` + `Arc` pair).
 fn int_arc(i: i64) -> Arc<str> {
-    if let Some(sym) = small_int_sym(i) {
+    if let Some(image) = small_int_image(i) {
         obs_on!(crate::obs_hot::coerce_cached().inc());
-        return sym.arc();
+        return image.clone();
     }
     let mut buf = NumBuf::new();
     let _ = write!(buf, "{i}");
@@ -457,7 +443,7 @@ pub fn equiv(a: &Value, b: &Value) -> Option<Value> {
 /// at the target. Negative and zero indices need the character count —
 /// replayed from a borrowed window's cache or counted with the ASCII
 /// fast path. The result is a *window into the subscripted value's own
-/// allocation* (its line buffer, owned text or interner node) — no
+/// allocation* (its line buffer or owned text) — no
 /// allocation on any string path.
 pub fn index(x: &Value, i: &Value) -> Option<Value> {
     match x.deref() {
@@ -659,7 +645,7 @@ mod tests {
             (s("ab"), s("cd"), "abcd"),
             (s(""), s("xy"), "xy"),
             (s("n="), i(5), "n=5"),
-            (Value::interned("k"), i(255), "k255"),
+            (Value::slice(Arc::from("k"), 0, 1).promote(), i(255), "k255"),
             // Multi-byte windows, and subscripts of them (`v[1] || v[2]`).
             (hello.clone(), world.clone(), "héllowörld"),
             (index(&hello, &i(1)).unwrap(), second(&hello), "hé"),
@@ -701,7 +687,7 @@ mod tests {
     #[test]
     fn a_stored_concatenation_stays_owned() {
         // `w || "="` bound to a variable needs no promotion: it reads back
-        // as the owned string it is, so the interner is not fed.
+        // as the owned string it is.
         use crate::var::Var;
         let w = Value::slice(Arc::from("word here"), 0, 4);
         let var = Var::new(concat(&w, &s("=")).unwrap());
@@ -712,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn small_int_images_are_interned() {
+    fn small_int_images_share_one_allocation() {
         let a = to_str(&i(42)).unwrap();
         let b = to_str(&i(42)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "small-int images must share the cache");
@@ -771,9 +757,10 @@ mod tests {
         // Concat-result subscripts window the owned result.
         let built = concat(&s("wi"), &s("de")).unwrap();
         assert_eq!(index(&built, &i(4)).unwrap().as_str(), Some("e"));
-        // Sym subscripts window the canonical interner allocation.
-        let sym = Value::interned("symbolic");
-        assert_eq!(index(&sym, &i(3)).unwrap().as_str(), Some("m"));
+        // A promoted word's subscripts window its own allocation.
+        let promoted = Value::slice(line, 6, 10).promote();
+        let c = index(&promoted, &i(3)).unwrap();
+        assert!(c.is_borrowed() && c.as_str() == Some("t"), "{c:?}");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::env::Env;
 use crate::func::ProcValue;
-use crate::sym::Symbol;
 use crate::var::Var;
 use bigint::BigInt;
 use parking_lot::Mutex;
@@ -73,28 +72,37 @@ impl ObjData {
 
 /// The owned key a table stores (scalar values only).
 ///
-/// String-like keys come in two forms — an owned [`Key::Str`] and a
-/// compact interned [`Key::Sym`] — which must be interchangeable in a
-/// table. `Eq` and `Hash` go through [`Key::view`], so both forms, and
-/// the borrowed [`KeyRef`] a lookup probes with, compare by text and
-/// hash to the same FNV-1a digest ([`Key::Sym`] replays its cached
-/// copy instead of re-hashing the bytes).
+/// `Eq` and `Hash` go through [`Key::view`], so a stored key and the
+/// borrowed [`KeyRef`] a lookup probes with compare by text and hash to
+/// the same FNV-1a digest. A [`Key::Str`] carries its digest, computed
+/// once when the key is made ([`Key::text`]), so a probe that meets it
+/// does not re-hash its bytes.
 #[derive(Clone, Debug)]
 pub enum Key {
     Null,
     Int(i64),
     /// Reals are keyed by bit pattern, as Icon tables key on value identity.
     RealBits(u64),
-    Str(Arc<str>),
-    /// Interned string key: copyable handle, cached hash.
-    Sym(Symbol),
+    /// The text and its FNV-1a digest, as [`Key::text`] computes it.
+    Str(Arc<str>, u64),
+}
+
+/// FNV-1a, the classic short-string hash: the digest a text key hashes
+/// through, whichever string form it comes in.
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// A table key as seen by hashing and equality: borrowed text with its
 /// FNV-1a digest, or a scalar. [`Key`] hashes and compares through this
 /// view, and a table read probes with one built from the subscript in
-/// place ([`Value::key_view`]), so a read never owns, interns or
-/// promotes its key.
+/// place ([`Value::key_view`]), so a read never owns or promotes
+/// its key.
 #[derive(Clone, Copy, Debug)]
 pub enum KeyRef<'a> {
     Null,
@@ -109,8 +117,8 @@ impl PartialEq for KeyRef<'_> {
             (KeyRef::Null, KeyRef::Null) => true,
             (KeyRef::Int(a), KeyRef::Int(b)) => a == b,
             (KeyRef::RealBits(a), KeyRef::RealBits(b)) => a == b,
-            // Two handles of one symbol share their text: the pointer
-            // check settles them without touching the bytes.
+            // A key met through its own text (a clone of the stored
+            // `Arc`): the pointer check settles it without the bytes.
             (KeyRef::Text(a, x), KeyRef::Text(b, y)) => x == y && (std::ptr::eq(a, b) || a == b),
             _ => false,
         }
@@ -140,14 +148,19 @@ impl Hash for KeyRef<'_> {
 }
 
 impl Key {
+    /// A text key, hashed once here.
+    pub fn text(s: Arc<str>) -> Key {
+        let digest = fnv1a(&s);
+        Key::Str(s, digest)
+    }
+
     /// The borrowed view this key hashes and compares through.
     pub fn view(&self) -> KeyRef<'_> {
         match self {
             Key::Null => KeyRef::Null,
             Key::Int(i) => KeyRef::Int(*i),
             Key::RealBits(b) => KeyRef::RealBits(*b),
-            Key::Str(s) => KeyRef::Text(s, crate::sym::fnv1a(s)),
-            Key::Sym(s) => KeyRef::Text(s.as_str(), s.hash_code()),
+            Key::Str(s, digest) => KeyRef::Text(s, *digest),
         }
     }
 
@@ -157,8 +170,7 @@ impl Key {
             Key::Null => Value::Null,
             Key::Int(i) => Value::Int(*i),
             Key::RealBits(b) => Value::Real(f64::from_bits(*b)),
-            Key::Str(s) => Value::Str(s.clone()),
-            Key::Sym(s) => Value::Sym(*s),
+            Key::Str(s, _) => Value::Str(s.clone()),
         }
     }
 }
@@ -280,13 +292,12 @@ impl Hasher for KeyHasher {
 
 /// The borrowed string form: a `(start, len)` byte window into a shared
 /// line buffer (what hot generators such as `WordSplit` window, and what
-/// subscripting an owned or interned string windows). Minting one costs
-/// no hashing, no interner walk and no allocation — just a refcount on
-/// the line.
+/// subscripting an owned string windows). Minting one costs no hashing
+/// and no allocation — just a refcount on the line.
 ///
 /// Windows are *borrowed handles* in the ownership sense: they pin their
 /// line alive, so any value that outlives its stage must be promoted to
-/// an owned form ([`Value::promote`]) to let the arena drop.
+/// an owned form ([`Value::promote`]) to let the line drop.
 pub struct StrWin {
     line: Arc<str>,
     start: u32,
@@ -375,8 +386,7 @@ pub(crate) fn str_char_len(s: &str) -> usize {
 /// structures. All variants are `Send + Sync`, which is what lets pipes move
 /// generated values between threads.
 ///
-/// Strings come in three forms — owned [`Value::Str`], interned
-/// [`Value::Sym`] (copyable handle with a cached hash) and borrowed
+/// Strings come in two forms — owned [`Value::Str`] and borrowed
 /// [`Value::Win`] (a window into a shared line buffer) — which are
 /// representations, not types: every operation reads them through
 /// [`Value::as_str`] and the window operations of this module, which is
@@ -396,8 +406,6 @@ pub enum Value {
     Real(f64),
     /// Immutable string.
     Str(Arc<str>),
-    /// Interned string: a copyable handle into the immortal symbol table.
-    Sym(Symbol),
     /// Borrowed string: a window into a shared line buffer (see
     /// [`StrWin`]). Must be [promoted](Value::promote) before escaping
     /// its pipeline.
@@ -431,10 +439,6 @@ impl Clone for Value {
             Value::Real(r) => {
                 obs_on!(crate::obs_hot::value_inline_hits().inc());
                 Value::Real(*r)
-            }
-            Value::Sym(s) => {
-                obs_on!(crate::obs_hot::value_inline_hits().inc());
-                Value::Sym(*s)
             }
             // Shared regime: an Arc refcount per clone.
             Value::Big(b) => {
@@ -541,14 +545,9 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    /// Build a string value through the process-wide interner
-    /// ([`crate::sym`]): repeated texts share one allocation, and the
-    /// resulting [`Value::Sym`] is a copyable handle with a cached hash,
-    /// so table keys and comparisons on hot paths hit interned pointers
-    /// and clones stay off the refcount.
+    /// The same as [`Value::str`].
     pub fn interned(s: &str) -> Value {
-        obs_on!(crate::obs_hot::value_inline_hits().inc());
-        Value::Sym(Symbol::new(s))
+        Value::str(s)
     }
 
     /// Build a borrowed string value: a `[start, end)` window into a
@@ -600,8 +599,8 @@ impl Value {
         });
     }
 
-    /// True for the borrowed string form ([`Value::Win`]), which pins an
-    /// arena and must be [promoted](Value::promote) before escaping its
+    /// True for the borrowed string form ([`Value::Win`]), which pins a
+    /// line and must be [promoted](Value::promote) before escaping its
     /// stage.
     pub fn is_borrowed(&self) -> bool {
         matches!(self, Value::Win(_))
@@ -612,32 +611,19 @@ impl Value {
     /// captured by a deferred body, used as a table key, or crossing a
     /// pipe to another thread).
     ///
-    /// Small windows promote to interned [`Value::Sym`] handles (matching
-    /// what the pre-compact runtime stored for escaped words, and keeping
-    /// later comparisons on the pointer fast path); larger ones become
-    /// plain owned strings so the immortal interner is never fed bulk
-    /// text. Either way the promoted value no longer pins its owner, so
-    /// the arena can drop as soon as the pipeline does.
+    /// The window's text becomes an owned [`Value::Str`] of its own, so
+    /// the promoted value no longer pins its owner and the line can drop
+    /// as soon as the pipeline does.
     pub fn promote(self) -> Value {
         let Value::Win(w) = &self else { return self };
-        let text = w.as_str();
         obs_on!(crate::obs_hot::value_promotions().inc());
-        if text.len() <= Self::PROMOTE_INTERN_MAX {
-            Value::Sym(Symbol::new(text))
-        } else {
-            Value::Str(Arc::from(text))
-        }
+        Value::Str(Arc::from(w.as_str()))
     }
 
-    /// Longest window (in bytes) that [`Value::promote`] routes through
-    /// the immortal interner; longer text gets a private owned allocation.
-    const PROMOTE_INTERN_MAX: usize = 64;
-
     /// A window over bytes `[bs, be)` of this string's text that shares
-    /// the string's own allocation (its line buffer, owned text or
-    /// interner node): narrows a borrowed window, windows an owned or
-    /// interned string. `None` for non-strings and for spans that are out
-    /// of bounds or split a char.
+    /// the string's own allocation (its line buffer or owned text):
+    /// narrows a borrowed window, windows an owned string. `None` for
+    /// non-strings and for spans that are out of bounds or split a char.
     pub(crate) fn subwindow(&self, bs: usize, be: usize) -> Option<Value> {
         self.as_str()?.get(bs..be)?;
         match self {
@@ -646,21 +632,17 @@ impl Value {
                 Some(StrWin::mint(w.line.clone(), start + bs, start + be))
             }
             Value::Str(s) => Some(Value::slice(s.clone(), bs, be)),
-            // A symbol's text is a canonical immortal allocation:
-            // windowing it costs one refcount, no interner walk.
-            Value::Sym(s) => Some(Value::slice(s.arc(), bs, be)),
             _ => None,
         }
     }
 
-    /// The text of any string form as a shared allocation: owned and
-    /// interned strings hand out their own `Arc`, a borrowed window
+    /// The text of any string form as a shared allocation: an owned
+    /// string hands out its own `Arc`, a borrowed window
     /// re-owns its bytes (a window into a window's owner would need
     /// nested offsets at every consumer).
     pub fn shared_text(&self) -> Option<Arc<str>> {
         match self {
             Value::Str(s) => Some(s.clone()),
-            Value::Sym(s) => Some(s.arc()),
             Value::Win(w) => Some(Arc::from(w.as_str())),
             _ => None,
         }
@@ -717,12 +699,11 @@ impl Value {
         }
     }
 
-    /// The text, if this is a string (owned, interned, or borrowed
-    /// form); reified variables are not dereferenced.
+    /// The text, if this is a string (owned or borrowed form); reified
+    /// variables are not dereferenced.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            Value::Sym(s) => Some(s.as_str()),
             Value::Win(w) => Some(w.as_str()),
             _ => None,
         }
@@ -756,30 +737,28 @@ impl Value {
             Value::Null => Some(Key::Null),
             Value::Int(i) => Some(Key::Int(i)),
             Value::Real(r) => Some(Key::RealBits(r.to_bits())),
-            Value::Str(s) => Some(Key::Str(s)),
-            Value::Sym(s) => Some(Key::Sym(s)),
-            v @ Value::Win(_) => match v.promote() {
-                Value::Sym(s) => Some(Key::Sym(s)),
-                Value::Str(s) => Some(Key::Str(s)),
-                _ => unreachable!("promoting a borrowed handle yields a string form"),
-            },
+            v @ (Value::Str(_) | Value::Win(_)) => {
+                let Value::Str(s) = v.promote() else {
+                    unreachable!("promoting a string yields an owned string")
+                };
+                Some(Key::text(s))
+            }
             _ => None,
         }
     }
 
-    /// The borrowed key view of a scalar, hashed from its bytes in place
-    /// (a symbol replays its cached digest); it equals the view of the
-    /// [`Value::as_key`] of the same value. `None` for non-scalars and for
-    /// a `Ref`, whose view would borrow from a value read out of its cell.
+    /// The borrowed key view of a scalar, hashed from its bytes in place;
+    /// it equals the view of the [`Value::as_key`] of the same value.
+    /// `None` for non-scalars and for a `Ref`, whose view would borrow
+    /// from a value read out of its cell.
     pub fn key_view(&self) -> Option<KeyRef<'_>> {
         match self {
             Value::Null => Some(KeyRef::Null),
             Value::Int(i) => Some(KeyRef::Int(*i)),
             Value::Real(r) => Some(KeyRef::RealBits(r.to_bits())),
-            Value::Sym(s) => Some(KeyRef::Text(s.as_str(), s.hash_code())),
             Value::Str(_) | Value::Win(_) => {
                 let text = self.as_str()?;
-                Some(KeyRef::Text(text, crate::sym::fnv1a(text)))
+                Some(KeyRef::Text(text, fnv1a(text)))
             }
             _ => None,
         }
@@ -790,7 +769,7 @@ impl Value {
     pub fn size(&self) -> Option<i64> {
         let v = self.deref();
         match &v {
-            Value::Str(_) | Value::Sym(_) | Value::Win(_) => v.char_len().map(|n| n as i64),
+            Value::Str(_) | Value::Win(_) => v.char_len().map(|n| n as i64),
             Value::List(l) => Some(l.lock().len() as i64),
             Value::Table(t) => Some(t.lock().len() as i64),
             Value::Co(c) => Some(c.lock().produced() as i64),
@@ -804,7 +783,7 @@ impl Value {
             Value::Null => "null",
             Value::Int(_) | Value::Big(_) => "integer",
             Value::Real(_) => "real",
-            Value::Str(_) | Value::Sym(_) | Value::Win(_) => "string",
+            Value::Str(_) | Value::Win(_) => "string",
             Value::List(_) => "list",
             Value::Table(_) => "table",
             Value::Proc(_) => "procedure",
@@ -825,14 +804,12 @@ impl Value {
                 b.to_i64() == Some(*a)
             }
             (Value::Real(a), Value::Real(b)) => a == b,
-            // Interned strings ([`Value::interned`]) share one allocation,
-            // so the pointer check settles the common case without
-            // touching the bytes.
+            // Clones of one string share its allocation, so the pointer
+            // check settles them without touching the bytes.
             (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || a == b,
-            (Value::Sym(a), Value::Sym(b)) => a == b,
-            // Mixed string forms (owned / interned / borrowed) compare by
-            // text: the representation is an optimization, not a type.
-            (a @ (Value::Str(_) | Value::Sym(_) | Value::Win(_)), b) if b.as_str().is_some() => {
+            // Mixed string forms (owned / borrowed) compare by text: the
+            // representation is an optimization, not a type.
+            (a @ (Value::Str(_) | Value::Win(_)), b) if b.as_str().is_some() => {
                 a.as_str() == b.as_str()
             }
             (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b),
@@ -929,7 +906,6 @@ impl fmt::Debug for Value {
             Value::Big(b) => write!(f, "{b}"),
             Value::Real(r) => write!(f, "{r:?}"),
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::Sym(s) => write!(f, "{:?}", s.as_str()),
             Value::Win(w) => write!(f, "{:?}", w.as_str()),
             Value::List(l) => {
                 let l = l.lock();
@@ -1070,7 +1046,7 @@ mod tests {
     #[test]
     fn keys_for_scalars_only() {
         assert_eq!(Value::from(1).as_key(), Some(Key::Int(1)));
-        assert_eq!(Value::str("k").as_key(), Some(Key::Str(Arc::from("k"))));
+        assert_eq!(Value::str("k").as_key(), Some(Key::text(Arc::from("k"))));
         assert_eq!(Value::Null.as_key(), Some(Key::Null));
         assert_eq!(Value::list(vec![]).as_key(), None);
     }
@@ -1082,21 +1058,21 @@ mod tests {
     #[test]
     fn string_forms_are_interchangeable() {
         let owned = Value::str("word");
-        let interned = Value::interned("word");
+        let promoted = slice_of("the word", 4, 8).promote();
         let sliced = slice_of("a word b", 2, 6);
-        assert!(matches!(interned, Value::Sym(_)));
+        assert!(matches!(promoted, Value::Str(_)));
         assert!(sliced.is_borrowed());
-        for v in [&owned, &interned, &sliced] {
+        for v in [&owned, &promoted, &sliced] {
             assert_eq!(v.as_str(), Some("word"));
             assert_eq!(v.type_name(), "string");
             assert_eq!(v.size(), Some(4));
             assert_eq!(v.to_string(), "word");
             assert_eq!(format!("{v:?}"), "\"word\"");
         }
-        assert!(owned.equiv(&interned));
+        assert!(owned.equiv(&promoted));
         assert!(owned.equiv(&sliced));
-        assert!(interned.equiv(&sliced));
-        assert!(!interned.equiv(&Value::interned("other")));
+        assert!(promoted.equiv(&sliced));
+        assert!(!promoted.equiv(&Value::str("other")));
         assert!(!sliced.equiv(&slice_of("words", 0, 5)));
     }
 
@@ -1111,10 +1087,10 @@ mod tests {
         let mut t = t.lock();
         t.store(&Value::str("shared"), Value::from(1));
         for probe in [
-            Value::interned("shared"),
             slice_of("shared", 0, 6),
             Value::str("shared"),
-            Value::Ref(Var::new(Value::interned("shared"))),
+            Value::Ref(Var::new(Value::str("shared"))),
+            Value::Ref(Var::new(slice_of("a shared b", 2, 8))),
         ] {
             let hit = t.lookup(&probe).flatten().and_then(Value::as_int);
             assert_eq!(hit, Some(1), "probe {probe:?} missed");
@@ -1132,8 +1108,11 @@ mod tests {
         assert_eq!(a.mul & 1, 1, "an even multiplier drops a bit per fold");
         // The tag keeps kinds that write the same word apart.
         assert_ne!(a.hash_one(Key::Int(5)), a.hash_one(Key::RealBits(5)));
-        let text = Key::Sym(Symbol::new("five"));
-        assert_eq!(a.hash_one(&text), a.hash_one(Key::Str(Arc::from("five"))));
+        // A stored text key hashes as every view of the same text.
+        let text = Key::text(Arc::from("five"));
+        for v in [Value::str("five"), slice_of("a five b", 2, 6)] {
+            assert_eq!(a.hash_one(&text), a.hash_one(v.key_view().unwrap()));
+        }
     }
 
     #[test]
@@ -1152,22 +1131,22 @@ mod tests {
     }
 
     #[test]
-    fn promote_releases_the_arena() {
+    fn promote_releases_the_line() {
         // The promoted value no longer pins the line buffer: once the
-        // pipeline's handle drops, the arena is freed even though the
+        // pipeline's handle drops, the line is freed even though the
         // promoted word lives on.
         let line: Arc<str> = Arc::from("pinned line");
         let weak = Arc::downgrade(&line);
         let word = Value::slice(line, 0, 6);
         let promoted = word.promote();
-        assert!(matches!(promoted, Value::Sym(_)));
-        assert!(weak.upgrade().is_none(), "promotion must unpin the arena");
+        assert!(matches!(promoted, Value::Str(_)));
+        assert!(weak.upgrade().is_none(), "promotion must unpin the line");
         assert_eq!(promoted.as_str(), Some("pinned"));
     }
 
     #[test]
     fn promote_large_text_stays_private() {
-        // Bulk text must not be fed to the immortal interner.
+        // Long text promotes like short text: to an owned string.
         let big = "x".repeat(200);
         let line: Arc<str> = Arc::from(big.as_str());
         let v = Value::slice(line, 0, 200).promote();
@@ -1181,7 +1160,6 @@ mod tests {
             Value::Null,
             Value::from(3),
             Value::str("owned"),
-            Value::interned("sym"),
             Value::list(vec![]),
         ] {
             let before = format!("{v:?}");
@@ -1196,16 +1174,16 @@ mod tests {
         let word = Value::slice(line, 0, 4);
         let crossed = word.deep_copy();
         drop(word);
-        assert!(weak.upgrade().is_none(), "deep_copy must unpin the arena");
+        assert!(weak.upgrade().is_none(), "deep_copy must unpin the line");
         assert_eq!(crossed.as_str(), Some("over"));
     }
 
     #[test]
     fn coercions_cover_compact_forms() {
         use crate::ops;
-        let sym = Value::interned("42");
+        let owned = Value::str("42");
         let sli = slice_of("xx 42 yy", 3, 5);
-        for v in [&sym, &sli] {
+        for v in [&owned, &sli] {
             assert!(matches!(ops::to_num(v), Some(ops::Num::Int(42))));
             assert_eq!(ops::to_str(v).as_deref(), Some("42"));
             assert_eq!(

@@ -3,7 +3,7 @@
 //! A table reads through `TableData::lookup`, which hashes a subscript in
 //! place, and writes through `TableData::store`, which promotes a key only
 //! when it inserts it. Whatever form a subscript arrives in (owned `Str`,
-//! interned `Sym`, a window into a line, a `Ref` to any of them, `Int`,
+//! a promoted window, a window into a line, a `Ref` to any of them, `Int`,
 //! `Real`, `Null`), the table must behave like a plain `HashMap` keyed by
 //! what the subscript *means*; the owned `Key` and the borrowed `KeyRef`
 //! must hash and compare alike; and a subscript that is not a scalar must
@@ -28,8 +28,8 @@ enum Meaning {
 }
 
 /// A text from a small vocabulary, so that forms collide: short words,
-/// multi-byte words, numerals (which must not meet `Int` keys) and text
-/// longer than the interner takes on promotion.
+/// multi-byte words, numerals (which must not meet `Int` keys) and long
+/// text.
 fn text(n: u16) -> String {
     match n % 4 {
         0 => format!("w{}", n % 7),
@@ -50,7 +50,7 @@ fn subscript(form: u8, n: u16) -> (Value, Meaning) {
     let t = text(n);
     match form % 7 {
         0 => (Value::str(&t), Meaning::Text(t)),
-        1 => (Value::interned(&t), Meaning::Text(t)),
+        1 => (window(&t).promote(), Meaning::Text(t)),
         2 => (window(&t), Meaning::Text(t)),
         3 => {
             let (inner, meaning) = subscript(n as u8 % 7, n / 7);
@@ -158,7 +158,7 @@ fn non_scalar_subscripts_fail_index_and_index_assign() {
     }
     assert_eq!(table.size(), Some(1));
     assert_eq!(
-        index(&table, &Value::interned("k")).and_then(|v| v.as_int()),
+        index(&table, &window("k")).and_then(|v| v.as_int()),
         Some(1)
     );
 }

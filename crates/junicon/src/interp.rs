@@ -26,7 +26,7 @@ use crate::resolve::resolve_program;
 use crate::rt;
 use gde::comb;
 use gde::env::{Env, FrameLayout};
-use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Symbol, Value};
+use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -291,7 +291,8 @@ impl Interp {
         // same coordinates the resolve pass hands to method bodies as
         // depth-1 slots.
         let field_names = nclass.fields.iter().map(String::as_str).chain(["self"]);
-        let field_layout = FrameLayout::of(field_names.map(Symbol::new));
+        let field_names: Vec<Arc<str>> = field_names.map(Arc::from).collect();
+        let field_layout = FrameLayout::of(&field_names[..]);
         let nfields = nclass.fields.len();
         ProcValue::new(&nclass.name, move |args: Vec<Value>| {
             let fields = rt::frame(&shared.globals, &field_layout, nfields, &args);
@@ -322,7 +323,7 @@ impl Interp {
 /// site may re-run an activation it built. Nothing of the source IR is kept.
 fn lowered(shared: &Arc<Shared>, p: &NProc) -> impl Fn(Env) -> ProcValue {
     let (shared, name, params) = (Arc::clone(shared), p.name.clone(), p.params.len());
-    let layout = FrameLayout::of(p.slots.iter().map(|s| Symbol::new(s)));
+    let layout = FrameLayout::of(&p.slots[..]);
     let plan = Arc::new(lower(p));
     move |scope| {
         let (shared, layout, plan) = (shared.clone(), layout.clone(), plan.clone());

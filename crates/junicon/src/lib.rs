@@ -53,6 +53,8 @@
 //! * [`mixed`] — the driver tying it together for whole mixed-language
 //!   files: extract, transform, interpret or splice.
 
+#![forbid(unsafe_code)]
+
 pub mod annot;
 pub mod ast;
 pub mod emit;

@@ -17,7 +17,7 @@
 use crate::ast::{BinOp, ClassDecl, Expr, ProcDecl, Program, UnOp};
 use crate::prim::Prim;
 use crate::rt;
-use gde::{Symbol, Value};
+use gde::Value;
 use std::sync::Arc;
 
 /// An atomic operand after flattening.
@@ -35,9 +35,9 @@ pub enum Atom {
     /// references into [`Atom::Slot`]).
     Var(String),
     /// Statically resolved variable: `(depth, slot)` into the activation
-    /// frame chain, produced by the resolve pass. The [`Symbol`] is the
-    /// interned name, kept for diagnostics and emitted-code comments.
-    Slot(u16, u16, Symbol),
+    /// frame chain, produced by the resolve pass. The name is the slot's
+    /// one shared copy, kept for diagnostics and emitted-code comments.
+    Slot(u16, u16, Arc<str>),
     /// Compiler temporary, bound by a `(t in e)` factor.
     Tmp(u32),
 }
@@ -47,7 +47,7 @@ pub enum Atom {
 #[derive(Clone, Debug, PartialEq)]
 pub enum VarRef {
     Named(String),
-    Slot(u16, u16, Symbol),
+    Slot(u16, u16, Arc<str>),
 }
 
 impl VarRef {
@@ -55,7 +55,7 @@ impl VarRef {
     pub fn name(&self) -> &str {
         match self {
             VarRef::Named(n) => n,
-            VarRef::Slot(_, _, sym) => sym.as_str(),
+            VarRef::Slot(_, _, name) => name,
         }
     }
 }
@@ -309,8 +309,8 @@ pub struct NProc {
     /// Activation-frame slot names: the parameters (they exist from frame
     /// birth, so they always lead the list), then what the resolve pass
     /// appends — one slot per statically-scoped `local` declaration, in
-    /// pre-order.
-    pub slots: Vec<String>,
+    /// pre-order. Each name is shared with the slot's references.
+    pub slots: Vec<Arc<str>>,
 }
 
 /// A normalized class.
@@ -378,7 +378,7 @@ pub fn normalize_proc(p: &ProcDecl) -> NProc {
         params: p.params.clone(),
         body,
         tmp_count: tmps.next,
-        slots: p.params.clone(),
+        slots: p.params.iter().map(|n| Arc::from(n.as_str())).collect(),
     }
 }
 

@@ -57,8 +57,8 @@
 //! copies, which preserve the layout.
 
 use crate::normalize::{Atom, NClass, NProc, NProgram, Norm, Part, VarRef};
-use gde::Symbol;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Resolve every procedure and class method in the program. Top-level
 /// statements run directly in the global frame (the REPL frame) and are
@@ -77,19 +77,16 @@ pub fn resolve_program(p: &mut NProgram) {
 
 /// Field-frame coordinates for a class: name → depth-1 slot index, laid
 /// out `[fields..., "self"]` (duplicates resolve to the last occurrence,
-/// matching [`gde::env::FrameLayout`]'s latest-wins index).
-fn field_coords(class: &NClass) -> HashMap<String, u16> {
-    let mut map = HashMap::new();
-    for (i, f) in class.fields.iter().enumerate() {
-        map.insert(f.clone(), i as u16);
-    }
-    map.insert("self".to_string(), class.fields.len() as u16);
-    map
+/// matching [`gde::env::FrameLayout`]'s latest-wins index). Each key is
+/// the one name every reference to that field shares.
+fn field_coords(class: &NClass) -> HashMap<Arc<str>, u16> {
+    let names = class.fields.iter().map(String::as_str).chain(["self"]);
+    names.zip(0..).map(|(f, i)| (Arc::from(f), i)).collect()
 }
 
 /// Resolve one procedure (or method, when `fields` carries the enclosing
 /// field frame's coordinates).
-pub fn resolve_proc(proc: &mut NProc, fields: Option<&HashMap<String, u16>>) {
+pub fn resolve_proc(proc: &mut NProc, fields: Option<&HashMap<Arc<str>, u16>>) {
     let empty = HashMap::new();
     let fields = fields.unwrap_or(&empty);
 
@@ -106,13 +103,8 @@ pub fn resolve_proc(proc: &mut NProc, fields: Option<&HashMap<String, u16>>) {
 
     // Pass 2: rewrite references in pre-order, assigning slots.
     let mut rs = Resolver {
-        slots: proc.params.clone(),
-        current: proc
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), (0u16, i as u16)))
-            .collect(),
+        slots: proc.slots[..proc.params.len()].to_vec(),
+        current: proc.params.iter().cloned().zip(0..).collect(),
         fields,
         poisoned: &poisoned,
     };
@@ -130,7 +122,7 @@ struct PoisonScan<'a> {
     /// Names known to be bound in the frame at the current pre-order
     /// point: parameters, plus main-stream declarations seen so far.
     declared: HashSet<String>,
-    fields: &'a HashMap<String, u16>,
+    fields: &'a HashMap<Arc<str>, u16>,
     poisoned: HashSet<String>,
 }
 
@@ -176,38 +168,40 @@ impl PoisonScan<'_> {
 
 struct Resolver<'a> {
     /// Frame layout under construction: slot index → name.
-    slots: Vec<String>,
-    /// Name → coordinate it binds at the current pre-order point.
-    current: HashMap<String, (u16, u16)>,
-    fields: &'a HashMap<String, u16>,
+    slots: Vec<Arc<str>>,
+    /// Name → depth-0 slot it binds at the current pre-order point.
+    current: HashMap<String, u16>,
+    fields: &'a HashMap<Arc<str>, u16>,
     poisoned: &'a HashSet<String>,
 }
 
 impl Resolver<'_> {
-    /// The coordinate a main-stream use of `name` binds, if static.
-    fn coord_of(&self, name: &str) -> Option<(u16, u16)> {
+    /// The coordinate a main-stream use of `name` binds, if static, with
+    /// the slot's shared name.
+    fn coord_of(&self, name: &str) -> Option<(u16, u16, Arc<str>)> {
         if name.starts_with('&') || self.poisoned.contains(name) {
             return None;
         }
-        if let Some(&c) = self.current.get(name) {
-            return Some(c);
+        if let Some(&idx) = self.current.get(name) {
+            return Some((0, idx, self.slots[idx as usize].clone()));
         }
         // Not (yet) a frame local: an unshadowed field reference.
-        self.fields.get(name).map(|&i| (1, i))
+        let (field, &idx) = self.fields.get_key_value(name)?;
+        Some((1, idx, field.clone()))
     }
 
     fn atom(&mut self, a: &mut Atom) {
         if let Atom::Var(name) = a {
-            if let Some((depth, idx)) = self.coord_of(name) {
-                *a = Atom::Slot(depth, idx, Symbol::new(name));
+            if let Some((depth, idx, name)) = self.coord_of(name) {
+                *a = Atom::Slot(depth, idx, name);
             }
         }
     }
 
     fn target(&mut self, t: &mut VarRef) {
         if let VarRef::Named(name) = t {
-            if let Some((depth, idx)) = self.coord_of(name) {
-                *t = VarRef::Slot(depth, idx, Symbol::new(name));
+            if let Some((depth, idx, name)) = self.coord_of(name) {
+                *t = VarRef::Slot(depth, idx, name);
             }
         }
     }
@@ -216,14 +210,15 @@ impl Resolver<'_> {
     /// shadow earlier slots of the same name, as re-`declare` used to
     /// replace the cell).
     fn declare(&mut self, t: &mut VarRef) {
-        let name = t.name().to_string();
-        if self.poisoned.contains(&name) {
+        let name = t.name();
+        if self.poisoned.contains(name) {
             return; // stays VarRef::Named → dynamic overlay cell
         }
         let idx = self.slots.len() as u16;
+        self.current.insert(name.to_string(), idx);
+        let name: Arc<str> = Arc::from(name);
         self.slots.push(name.clone());
-        self.current.insert(name.clone(), (0, idx));
-        *t = VarRef::Slot(0, idx, Symbol::new(&name));
+        *t = VarRef::Slot(0, idx, name);
     }
 
     fn walk(&mut self, n: &mut Norm) {
@@ -257,10 +252,14 @@ mod tests {
         n.parts(|part| match part {
             Part::Read(Atom::Slot(d, i, s))
             | Part::Target(VarRef::Slot(d, i, s))
-            | Part::Decl(VarRef::Slot(d, i, s)) => out.push((*d, *i, s.as_str().to_string())),
+            | Part::Decl(VarRef::Slot(d, i, s)) => out.push((*d, *i, s.to_string())),
             Part::Read(_) | Part::Target(_) | Part::Decl(_) => {}
             Part::Child(c) | Part::Deferred(c) => slot_refs(c, out),
         })
+    }
+
+    fn slot_names(p: &NProc) -> Vec<&str> {
+        p.slots.iter().map(|s| &**s).collect()
     }
 
     fn proc_slot_refs(p: &NProc) -> Vec<(u16, u16, String)> {
@@ -273,7 +272,7 @@ mod tests {
     fn params_become_depth0_slots() {
         let np = resolved("def f(a, b) { return a + b; }");
         let p = &np.procs[0];
-        assert_eq!(p.slots, vec!["a", "b"]);
+        assert_eq!(slot_names(p), ["a", "b"]);
         let refs = proc_slot_refs(p);
         assert!(refs.contains(&(0, 0, "a".into())));
         assert!(refs.contains(&(0, 1, "b".into())));
@@ -286,7 +285,7 @@ mod tests {
         );
         let p = &np.procs[0];
         // n = slot 0, acc = slot 1; `i` is an implicit local (dynamic).
-        assert_eq!(p.slots, vec!["n", "acc"]);
+        assert_eq!(slot_names(p), ["n", "acc"]);
         let refs = proc_slot_refs(p);
         assert!(refs.contains(&(0, 1, "acc".into())));
         assert!(!refs.iter().any(|(_, _, s)| s == "i"));
@@ -296,7 +295,7 @@ mod tests {
     fn redeclaration_gets_a_fresh_slot() {
         let np = resolved("def f(x) { suspend x; local x := 2; suspend x; }");
         let p = &np.procs[0];
-        assert_eq!(p.slots, vec!["x", "x"]);
+        assert_eq!(slot_names(p), ["x", "x"]);
         let refs = proc_slot_refs(p);
         // First suspend reads the parameter slot, second the local slot.
         assert!(refs.contains(&(0, 0, "x".into())));
@@ -308,7 +307,7 @@ mod tests {
         // `y` is used before its declaration: must stay fully dynamic.
         let np = resolved("def f() { suspend y; local y := 1; suspend y; }");
         let p = &np.procs[0];
-        assert_eq!(p.slots, Vec::<String>::new());
+        assert!(p.slots.is_empty());
         assert!(proc_slot_refs(p).is_empty());
     }
 
@@ -326,7 +325,7 @@ mod tests {
         let p = &np.procs[0];
         // `x` inside the co-expression body is untouched; the outer
         // `return c` resolves.
-        assert_eq!(p.slots, vec!["x", "c"]);
+        assert_eq!(slot_names(p), ["x", "c"]);
         let refs = proc_slot_refs(p);
         assert!(refs.contains(&(0, 1, "c".into())));
         assert!(
@@ -340,7 +339,7 @@ mod tests {
         let np = resolved("def f() { local y := 1; local c := <> { local y := 2; y }; return y; }");
         let p = &np.procs[0];
         assert!(
-            !p.slots.contains(&"y".to_string()),
+            !slot_names(p).contains(&"y"),
             "y is declared in a deferred body and must stay dynamic, slots: {:?}",
             p.slots
         );

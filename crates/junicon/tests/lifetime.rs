@@ -162,3 +162,22 @@ fn dropping_everything_while_a_pipe_producer_is_blocked() {
         Arc::strong_count(&producing) == 1
     });
 }
+
+/// (e) A table key minted from a subscript window is an owned string of
+/// the program's: it is freed with the session, not kept for the process.
+#[test]
+fn a_promoted_table_key_is_freed_with_the_session() {
+    let interp = Interp::new();
+    interp
+        .load("s := \"alphabet\"; t := table(0); t[s[3]] := 1;")
+        .unwrap();
+    let read_back = interp.eval("key(t)").unwrap();
+    let key = match read_back.as_slice() {
+        [Value::Str(text)] if &**text == "p" => Arc::downgrade(text),
+        other => panic!("key(t) is {other:?}"),
+    };
+    drop(read_back);
+    assert!(key.upgrade().is_some(), "the table holds its key");
+    drop(interp);
+    assert!(key.upgrade().is_none(), "the key is freed with the session");
+}

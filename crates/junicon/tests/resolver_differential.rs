@@ -282,7 +282,8 @@ mod mutation {
         let src = "def f(a, b) { return (a - b); }";
         let mut np = normalize_program(&parse_program(src).unwrap());
         resolve_program(&mut np);
-        assert_eq!(np.procs[0].slots, vec!["a", "b"], "precondition");
+        let slots: Vec<&str> = np.procs[0].slots.iter().map(|s| &**s).collect();
+        assert_eq!(slots, ["a", "b"], "precondition");
 
         // Control: the honestly resolved program agrees with by-name.
         let honest = Interp::new();

@@ -24,6 +24,8 @@
 //! with the fixed-data model, needs no builder: it is one `pipes::Pipe`
 //! per stage (`Pipe::staged` runs a stage plan on the producer thread).
 
+#![forbid(unsafe_code)]
+
 /// Expands its body only when the `obs` feature is on (see the identical
 /// shim in `blockingq`): instrumentation sites vanish entirely when
 /// observability is disabled.

@@ -33,6 +33,8 @@
 //! the runtime do", not "what did queue #17 do" — which keeps the hot
 //! path to a single relaxed atomic op.
 
+#![forbid(unsafe_code)]
+
 mod metrics;
 mod registry;
 

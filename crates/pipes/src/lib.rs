@@ -21,6 +21,8 @@
 //! buffer size can also be used to throttle a threaded co-expression" — via
 //! [`Pipe::with_capacity`].
 
+#![forbid(unsafe_code)]
+
 /// Expands its body only when the `obs` feature is on (see the identical
 /// shim in `blockingq`): instrumentation sites vanish entirely when
 /// observability is disabled.

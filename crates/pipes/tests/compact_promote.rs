@@ -162,13 +162,14 @@ fn close_under_fire_never_leaks_borrowed_handles() {
 
 #[test]
 fn mixed_compact_forms_cross_intact() {
-    // Sym, window and Str all cross the boundary with their text (and
-    // owned forms keep their representation — only the window rewrites).
+    // A window, a promoted window and a Str all cross the boundary with
+    // their text (and owned forms keep their representation — only the
+    // window rewrites).
     let line: Arc<str> = Arc::from("alpha beta gamma");
     let mk = move || {
         Box::new(values(vec![
             Value::slice(line.clone(), 0, 5),
-            Value::interned("beta"),
+            Value::slice(line.clone(), 6, 10).promote(),
             Value::str("gamma"),
         ])) as BoxGen
     };
@@ -176,7 +177,10 @@ fn mixed_compact_forms_cross_intact() {
     assert_eq!(got.len(), 3);
     assert_eq!(got[0].as_str(), Some("alpha"));
     assert!(!got[0].is_borrowed());
-    assert!(matches!(got[1], Value::Sym(_)), "Sym crosses as Sym");
+    assert!(
+        matches!(got[1], Value::Str(_)),
+        "a promoted window crosses as Str"
+    );
     assert!(matches!(got[2], Value::Str(_)), "Str crosses as Str");
     assert_eq!(got[1].as_str(), Some("beta"));
     assert_eq!(got[2].as_str(), Some("gamma"));

@@ -49,6 +49,8 @@
 //! `exec` run unmodified under the explorer. See DESIGN.md § "Schedule
 //! exploration".
 
+#![forbid(unsafe_code)]
+
 mod explore;
 mod rt;
 pub mod sync;

@@ -17,6 +17,8 @@
 //! through here (instead of `std::thread`/`std::sync::atomic`) for the
 //! same reason.
 
+#![forbid(unsafe_code)]
+
 #[cfg(not(schedtest))]
 mod std_impl;
 

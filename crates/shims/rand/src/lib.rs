@@ -18,6 +18,8 @@
 //! determinism only requires that the same seed yields the same stream
 //! across runs of *this* code, which xoshiro256\*\* guarantees.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::ops::{Range, RangeInclusive};
 

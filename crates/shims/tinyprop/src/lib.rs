@@ -23,6 +23,8 @@
 //! `TINYPROP_SEED` to change the base seed and `TINYPROP_CASES` to
 //! override the default case count (256).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

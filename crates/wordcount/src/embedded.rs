@@ -32,7 +32,7 @@ pub const CHUNK_SIZE: usize = 1000;
 /// Words are borrowed [`Value::slice`] handles into the shared line
 /// buffers — the corpus's per-line `Arc<str>` allocations act as the
 /// pipeline's arena. Yielding a word costs a refcount on its line: no
-/// interner hash, no bucket walk, no allocation. A word that outlives its
+/// hash, no allocation. A word that outlives its
 /// stage (env slot, table key, pipe crossing) is promoted to an owned
 /// form by the runtime's escape hatches ([`Value::promote`]).
 fn word_stream(lines: Value) -> BoxGen {
@@ -386,7 +386,7 @@ pub fn frequency_report(corpus: &Corpus) -> Vec<String> {
     }
     // Second pass replays the stream in first-appearance order; writing
     // a zero count back marks a word as already reported.
-    let eq = Value::interned("=");
+    let eq = Value::str("=");
     let mut report = Vec::new();
     let mut words = word_stream(corpus.as_value());
     while let Some(w) = words.next_value() {

@@ -21,6 +21,8 @@
 //! hash inflates the per-word work "by a factor of roughly 80, achieved
 //! using trigonometry and prime number functions" ([`hash`]).
 
+#![forbid(unsafe_code)]
+
 /// Expands its body only when the `obs` feature is on (see the identical
 /// shim in `blockingq`): instrumentation sites vanish entirely when
 /// observability is disabled.

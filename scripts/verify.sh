@@ -17,8 +17,8 @@
 #                    counts contract; every backticked repo path in the
 #                    docs exists and every backticked crate path names a
 #                    definition; tables probe without promoting; and
-#                    `||` has one concatenation, with `unsafe` left
-#                    only in the interner;
+#                    `||` has one concatenation; every crate root
+#                    forbids `unsafe` and no interner comes back;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -241,14 +241,37 @@ if hits="$(grep -rnE '\b(strbuf|StrBuf|StrBuilder|concat_owned|try_join|chunk_wi
     echo "FAIL: a second concatenation mechanism is back; ops::concat makes an owned string"
     exit 1
 fi
-# With the arena gone, the interner's lock-free table is the one unsafe
-# code in the workspace.
-if hits="$(grep -rn 'unsafe' crates/*/src | grep -v '^crates/gde/src/sym\.rs:')"; then
+echo "   ok: one concatenation"
+
+# No unsafe code (DESIGN.md § String plane): every library root, and every
+# binary of the bench crate, forbids it, so the compiler rejects any that
+# comes back; the grep covers the tests and examples those roots do not.
+for root in crates/*/src/lib.rs crates/shims/*/src/lib.rs src/lib.rs crates/*/src/bin/*.rs; do
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "FAIL: $root does not forbid unsafe_code"
+        exit 1
+    fi
+done
+if hits="$(grep -rnw 'unsafe' crates/*/src crates/*/tests src tests examples)"; then
     echo "$hits"
-    echo "FAIL: unsafe outside crates/gde/src/sym.rs"
+    echo "FAIL: unsafe code is back; the workspace forbids it"
     exit 1
 fi
-echo "   ok: one concatenation; unsafe only in gde::sym"
+# Strings have two forms, owned and borrowed: the interner, its handle and
+# its string and key forms stay deleted, and `Value::interned` is a plain
+# alias of `Value::str` that only the benchmark's probes still call.
+if hits="$(grep -rnE '\b(Symbol|Value::Sym|Key::Sym|gde::sym|intern_node|intern_arc|small_int_sym|PROMOTE_INTERN_MAX)\b' \
+        crates/*/src crates/*/tests src tests examples)"; then
+    echo "$hits"
+    echo "FAIL: the interner is back; a promoted window is an owned Value::Str"
+    exit 1
+fi
+if hits="$(grep -rn 'Value::interned(' crates src tests examples)"; then
+    echo "$hits"
+    echo "FAIL: Value::interned is called outside benchmark/; call Value::str"
+    exit 1
+fi
+echo "   ok: no unsafe (every root forbids it); no interner; two string forms"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a

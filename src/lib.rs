@@ -47,6 +47,8 @@
 //! assert_eq!(results, vec![5, 7, 10, 14]); // 1*5, 1*7, 2*5, 2*7
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bigint;
 pub use blockingq;
 pub use coexpr;
