@@ -545,7 +545,6 @@ fn check_faults(doc: &Json) -> Result<String, String> {
         "faults.injected",
         "pipes.faults.propagated",
         "pipes.faults.retries",
-        "pipes.faults.degraded_sources",
         "blockingq.close.failed",
     ] {
         let counter = obs

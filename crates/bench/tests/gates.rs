@@ -628,7 +628,6 @@ fn faults_smoke_snapshot_passes_and_lists_counters() {
         "faults.injected",
         "pipes.faults.propagated",
         "pipes.faults.retries",
-        "pipes.faults.degraded_sources",
         "blockingq.close.failed",
     ] {
         assert!(r.detail.contains(key), "detail lists {key}: {}", r.detail);
@@ -651,13 +650,13 @@ fn faults_dead_surface_fails() {
     // A counter stuck at zero means that recovery surface no longer
     // reaches the fault plane under the smoke scenarios.
     let fixture = include_str!("fixtures/faults_passing.json").replace(
-        "\"pipes.faults.degraded_sources\": {\"kind\": \"counter\", \"value\": 1}",
-        "\"pipes.faults.degraded_sources\": {\"kind\": \"counter\", \"value\": 0}",
+        "\"pipes.faults.propagated\": {\"kind\": \"counter\", \"value\": 1}",
+        "\"pipes.faults.propagated\": {\"kind\": \"counter\", \"value\": 0}",
     );
     let r = faults_on(&fixture);
     assert_eq!(r.status, GateStatus::Fail, "{}", r.detail);
     assert!(
-        r.detail.contains("pipes.faults.degraded_sources = 0"),
+        r.detail.contains("pipes.faults.propagated = 0"),
         "{}",
         r.detail
     );
@@ -666,7 +665,7 @@ fn faults_dead_surface_fails() {
 #[test]
 fn faults_zero_injected_fails() {
     let fixture =
-        include_str!("fixtures/faults_passing.json").replace("\"injected\": 4", "\"injected\": 0");
+        include_str!("fixtures/faults_passing.json").replace("\"injected\": 3", "\"injected\": 0");
     let r = faults_on(&fixture);
     assert_eq!(r.status, GateStatus::Fail, "{}", r.detail);
     assert!(r.detail.contains("armed no faults"), "{}", r.detail);
@@ -682,7 +681,7 @@ fn faults_wrong_schema_or_missing_obs_fails() {
 
     // An obs-less fault_smoke build is a wiring failure, not a skip: the
     // binary's whole point is producing the counters.
-    let r = faults_on(r#"{"schema": "fault-smoke-v1", "injected": 4, "obs": null}"#);
+    let r = faults_on(r#"{"schema": "fault-smoke-v1", "injected": 3, "obs": null}"#);
     assert_eq!(r.status, GateStatus::Fail, "{}", r.detail);
     assert!(r.detail.contains("obs"), "{}", r.detail);
 }

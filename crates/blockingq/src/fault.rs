@@ -45,7 +45,7 @@ impl Fault {
         Fault::new(stage, panic_message(payload))
     }
 
-    /// The stage label (e.g. a pipe's label, a fan-in source name).
+    /// The stage label (e.g. `"pipe"` for a pipe's producer).
     pub fn stage(&self) -> &str {
         &self.stage
     }

@@ -9,17 +9,22 @@
 //!    c=|<>e; while (!fail) { out.put(@c); }}}.start() }}
 //! ```
 //!
-//! A [`Pipe`] spawns its producer thread on creation; the consuming side is
-//! an ordinary [`gde::Gen`], so pipes compose with every other combinator —
-//! `x * !(|> factorial(!(|> sqrt(y))))` really is a two-stage parallel
-//! pipeline. Values are [deep-copied](gde::Value::deep_copy) as they enter
-//! the channel, so the consumer can never alias the producer's structures
-//! (the isolation the paper otherwise gets from environment shadowing).
+//! A [`Pipe`] spawns one producer thread per run, the first on creation;
+//! the consuming side is an ordinary [`gde::Gen`], so pipes compose with
+//! every other combinator — `x * !(|> factorial(!(|> sqrt(y))))` really is
+//! a two-stage parallel pipeline. Values are
+//! [deep-copied](gde::Value::deep_copy) as they enter the channel, so the
+//! consumer can never alias the producer's structures (the isolation the
+//! paper otherwise gets from environment shadowing).
 //!
 //! The output queue "is exposed as a public field to permit further
 //! manipulation" — here via [`Pipe::queue`] — and "bounding the output queue
 //! buffer size can also be used to throttle a threaded co-expression" — via
 //! [`Pipe::with_capacity`].
+//!
+//! `|>e` is the crate's only concurrent construct: the paper builds
+//! pipelining and map-reduce (Fig. 4) from it alone, and a fan-in over
+//! several pipes is written the same way, `suspend ! (! tasks)`.
 
 #![forbid(unsafe_code)]
 
@@ -50,14 +55,12 @@ macro_rules! faultpoint {
     ($site:expr) => {};
 }
 
-mod fan;
 mod pipe;
 mod producer;
 #[cfg(feature = "obs")]
 mod stats;
 
 pub use blockingq::{CloseCause, Fault};
-pub use fan::{merge, round_robin, FanPolicy, Merge, RoundRobin, MERGE_BATCH_FAIRNESS_CAP};
 pub use pipe::{drain, pipe, pipe_value, FaultPolicy, Pipe, DEFAULT_BATCH, DEFAULT_CAPACITY};
 
 /// Force-create this crate's metric families (and the queue substrate's)
@@ -66,10 +69,8 @@ pub use pipe::{drain, pipe, pipe_value, FaultPolicy, Pipe, DEFAULT_BATCH, DEFAUL
 pub fn obs_register() {
     #[cfg(feature = "obs")]
     {
-        stats::producers(producer::Site::Pipe);
-        stats::producers(producer::Site::Merge);
+        stats::producers();
         stats::pipe();
-        stats::fan();
     }
     blockingq::obs_register();
 }

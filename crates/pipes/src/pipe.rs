@@ -1,6 +1,6 @@
 //! The pipe proxy itself.
 
-use crate::producer::{spawn_producer, Factory, Site};
+use crate::producer::{spawn_run, Factory, STAGE};
 use blockingq::{BlockingQueue, CloseCause, Fault};
 use gde::{BoxGen, Gen, GenExt, Step, Value};
 use std::collections::VecDeque;
@@ -38,8 +38,8 @@ pub const DEFAULT_BATCH: usize = 128;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// Default: the consumer's next `resume` surfaces the fault by
-    /// panicking with the producer's stage label and message. A crashed
-    /// producer is never reported as clean end-of-stream.
+    /// panicking with the fault's stage label (`"pipe"`) and message. A
+    /// crashed producer is never reported as clean end-of-stream.
     #[default]
     Propagate,
     /// Pre-fault-plane behavior, now opt-in: the stream simply ends
@@ -68,9 +68,11 @@ pub enum FaultPolicy {
 /// that queue. The surrounding expression therefore "runs in parallel to
 /// the piped expression" (Sec. III.B).
 ///
-/// Restarting a pipe abandons the current producer (its next `put` fails
-/// and the thread exits) and spawns a fresh one over a fresh queue, matching
-/// the restart-re-evaluates contract of [`Gen`].
+/// Each run spawns exactly one producer: construction is run 0, and only
+/// a restart, a refresh or a `Retry` respawn starts another. Restarting a
+/// pipe abandons the current producer (its next `put` fails and the thread
+/// exits) and spawns a fresh one over a fresh queue, matching the
+/// restart-re-evaluates contract of [`Gen`].
 pub struct Pipe {
     factory: Factory,
     batch: usize,
@@ -81,8 +83,6 @@ pub struct Pipe {
     buf: VecDeque<Value>,
     done: bool,
     produced: u64,
-    /// Stage label stamped into faults (and the producer thread name).
-    label: Arc<str>,
     policy: FaultPolicy,
     /// Last fault observed from the producer (terminal under
     /// `Propagate`/`Truncate`; most recent recovered one under `Retry`).
@@ -126,7 +126,6 @@ impl Pipe {
             Arc::new(make),
             capacity,
             batch.clamp(1, capacity.max(1)),
-            Arc::from("pipe"),
             FaultPolicy::default(),
         )
     }
@@ -151,21 +150,14 @@ impl Pipe {
 
     /// The one place a `Pipe` is built: a producer for the recipe over a
     /// fresh queue, and the consumer at the start of its stream.
-    fn start(
-        factory: Factory,
-        capacity: usize,
-        batch: usize,
-        label: Arc<str>,
-        policy: FaultPolicy,
-    ) -> Pipe {
+    fn start(factory: Factory, capacity: usize, batch: usize, policy: FaultPolicy) -> Pipe {
         Pipe {
-            queue: spawn_run(&factory, capacity, batch, &label),
+            queue: spawn_run(&factory, capacity, batch),
             factory,
             batch,
             buf: VecDeque::new(),
             done: false,
             produced: 0,
-            label,
             policy,
             fault: None,
             retries: 0,
@@ -173,29 +165,15 @@ impl Pipe {
         }
     }
 
-    /// A fresh run of the same recipe (factory, capacity, batch, label,
-    /// policy): what restart and refresh both are.
+    /// A fresh run of the same recipe (factory, capacity, batch, policy):
+    /// what restart and refresh both are.
     fn rerun(&self) -> Pipe {
         Pipe::start(
             Arc::clone(&self.factory),
             self.queue.capacity(),
             self.batch,
-            Arc::clone(&self.label),
             self.policy.clone(),
         )
-    }
-
-    /// Builder-style batch override: abandons the producer spawned by the
-    /// constructor and respawns it with the new batch (exactly like a
-    /// restart, so call it before consuming). `with_batch(1)` disables
-    /// chunking.
-    pub fn with_batch(mut self, batch: usize) -> Pipe {
-        let batch = batch.clamp(1, self.queue.capacity());
-        if batch != self.batch {
-            self.batch = batch;
-            Gen::restart(&mut self);
-        }
-        self
     }
 
     /// Builder-style fault policy override. Purely consumer-side: it
@@ -203,15 +181,6 @@ impl Pipe {
     /// the fault is observed.
     pub fn with_policy(mut self, policy: FaultPolicy) -> Pipe {
         self.policy = policy;
-        self
-    }
-
-    /// Builder-style stage label for fault attribution (also names the
-    /// producer thread). Respawns the producer, exactly like a restart,
-    /// so call it before consuming.
-    pub fn with_label(mut self, label: impl AsRef<str>) -> Pipe {
-        self.label = Arc::from(label.as_ref());
-        Gen::restart(&mut self);
         self
     }
 
@@ -267,7 +236,7 @@ impl Pipe {
                 self.buf.clear();
                 self.replay_skip = self.produced;
                 let capacity = self.queue.capacity();
-                self.queue = spawn_run(&self.factory, capacity, self.batch, &self.label);
+                self.queue = spawn_run(&self.factory, capacity, self.batch);
                 None
             }
             FaultPolicy::Truncate => {
@@ -283,31 +252,10 @@ impl Pipe {
                 // resume must observe end-of-stream, not re-take.
                 self.done = true;
                 self.fault = Some(fault.clone());
-                panic!("pipe `{}` failed: {fault}", self.label);
+                panic!("pipe `{STAGE}` failed: {fault}");
             }
         }
     }
-}
-
-/// Spawn a pipe producer over a fresh queue of `capacity` and return the
-/// queue. The producer's exit closes it with the run's cause: `Finished`,
-/// or `Failed` with the contained fault.
-fn spawn_run(
-    factory: &Factory,
-    capacity: usize,
-    batch: usize,
-    label: &Arc<str>,
-) -> BlockingQueue<Value> {
-    let queue = BlockingQueue::bounded(capacity);
-    spawn_producer(
-        queue.clone(),
-        Arc::clone(factory),
-        batch,
-        Arc::clone(label),
-        Site::Pipe,
-        |queue, fault| queue.close_with(fault.map_or(CloseCause::Finished, CloseCause::Failed)),
-    );
-    queue
 }
 
 impl Gen for Pipe {
@@ -511,13 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn with_batch_builder_respawns() {
-        let p = pipe(|| Box::new(to_range(1, 10, 1))).with_batch(3);
-        assert_eq!(p.batch(), 3);
-        assert_eq!(ints(&drain(p)), (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn restart_discards_locally_buffered_chunk() {
         let mut p = Pipe::batched(|| Box::new(to_range(1, 9, 1)), 16, 4);
         // Consume one value: the consumer buffer now holds 2..=4.
@@ -608,39 +549,50 @@ mod tests {
         }
     }
 
+    /// Each way a run faults, with the clean prefix it delivers and the
+    /// fault's message: the generator panics mid-stream, or the factory
+    /// panics before any generator exists.
+    fn faulting_pipes() -> [(Pipe, Vec<i64>, &'static str); 2] {
+        let src = faulty_src(3, usize::MAX, 10);
+        [
+            (pipe(src), vec![0, 1, 2], "injected producer failure"),
+            (pipe(|| panic!("factory failed")), vec![], "factory failed"),
+        ]
+    }
+
     #[test]
     fn panicking_producer_fails_the_stream_not_clean_eos() {
-        // The satellite regression: a producer that panics mid-stream
-        // must yield `Failed(..)` to the consumer — under the default
-        // `Propagate` policy that surfaces as a labelled panic from
-        // resume, never as a clean end-of-stream (and never a hang).
+        // A producer that panics must yield `Failed(..)` to the consumer —
+        // under the default `Propagate` policy that surfaces as a panic
+        // from resume naming the fault, never as a clean end-of-stream
+        // (and never a hang).
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let src = faulty_src(3, usize::MAX, 10);
-        let mut p = pipe(move || src()).with_label("flaky");
-        // With the default batch the clean prefix 0..=2 arrives in the
-        // chunk flushed by the producer's exit path.
-        let err = catch_unwind(AssertUnwindSafe(|| p.collect_values())).unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("flaky"), "panic names the stage: {msg}");
-        let fault = p.fault().expect("fault recorded");
-        assert_eq!(fault.stage(), "flaky");
-        assert!(fault.message().contains("injected producer failure"));
-        // The cause on the queue itself is Failed, not Finished.
-        assert!(p.queue().close_cause().expect("closed").is_failed());
-        // After a caught propagation the stream reports end-of-stream.
-        assert_eq!(p.resume(), Step::Fail);
+        for (mut p, _, message) in faulting_pipes() {
+            let err = catch_unwind(AssertUnwindSafe(|| p.collect_values())).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("string payload");
+            assert!(msg.contains(message), "panic names the fault: {msg}");
+            let fault = p.fault().expect("fault recorded");
+            assert_eq!(fault.stage(), "pipe");
+            assert!(fault.message().contains(message), "{fault}");
+            // The cause on the queue itself is Failed, not Finished.
+            assert!(p.queue().close_cause().expect("closed").is_failed());
+            // After a caught propagation the stream reports end-of-stream.
+            assert_eq!(p.resume(), Step::Fail);
+        }
     }
 
     #[test]
     fn truncate_policy_keeps_clean_prefix_and_records_fault() {
-        let src = faulty_src(3, usize::MAX, 10);
-        let mut p = pipe(move || src())
-            .with_policy(FaultPolicy::Truncate)
-            .with_label("truncated");
-        let got = ints(&p.collect_values());
-        assert_eq!(got, vec![0, 1, 2], "clean prefix only");
-        assert_eq!(p.fault().expect("fault recorded").stage(), "truncated");
-        assert_eq!(p.resume(), Step::Fail); // stream is closed, not hung
+        for (p, prefix, message) in faulting_pipes() {
+            let mut p = p.with_policy(FaultPolicy::Truncate);
+            // With the default batch the clean prefix arrives in the chunk
+            // flushed by the producer's exit path.
+            assert_eq!(ints(&p.collect_values()), prefix, "clean prefix only");
+            let fault = p.fault().expect("fault recorded");
+            assert_eq!(fault.stage(), "pipe");
+            assert!(fault.message().contains(message), "{fault}");
+            assert_eq!(p.resume(), Step::Fail); // stream is closed, not hung
+        }
     }
 
     #[test]
@@ -650,22 +602,18 @@ mod tests {
         // unfaulted run would have — clean-prefix replay discards the
         // fresh run's already-delivered prefix.
         for batch in [1, 2, 128] {
-            // Two pre-consumption spawns (construction + the with_label
-            // restart) burn runs 0 and 1; the consumer's first observed
-            // run is 1 (faulty), the retry respawn is run 2 (clean).
-            let src = faulty_src(3, 2, 9);
-            let p = Pipe::batched(move || src(), 16, batch)
-                .with_policy(FaultPolicy::Retry {
-                    limit: 2,
-                    backoff: Duration::ZERO,
-                })
-                .with_label("retried");
-            let mut p = p;
+            // Construction spawns run 0 (faulty); the retry respawn is
+            // run 1 (clean).
+            let src = faulty_src(3, 1, 9);
+            let mut p = Pipe::batched(src, 16, batch).with_policy(FaultPolicy::Retry {
+                limit: 2,
+                backoff: Duration::ZERO,
+            });
             let got = ints(&p.collect_values());
             assert_eq!(got, (0..=9).collect::<Vec<_>>(), "batch {batch}");
             assert_eq!(p.retries(), 1);
             // The recovered fault stays inspectable.
-            assert_eq!(p.fault().expect("recovered fault").stage(), "retried");
+            assert_eq!(p.fault().expect("recovered fault").stage(), "pipe");
         }
     }
 
@@ -675,35 +623,32 @@ mod tests {
         // Faults on every run: two respawns are consumed, then the third
         // fault propagates.
         let src = faulty_src(2, usize::MAX, 9);
-        let mut p = pipe(move || src())
-            .with_policy(FaultPolicy::Retry {
-                limit: 2,
-                backoff: Duration::ZERO,
-            })
-            .with_label("doomed");
+        let mut p = pipe(src).with_policy(FaultPolicy::Retry {
+            limit: 2,
+            backoff: Duration::ZERO,
+        });
         let err = catch_unwind(AssertUnwindSafe(|| p.collect_values())).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("doomed"), "{msg}");
+        assert!(msg.contains("injected producer failure"), "{msg}");
+        assert_eq!(p.fault().expect("fault recorded").stage(), "pipe");
         assert_eq!(p.retries(), 2, "both respawns consumed");
         assert_eq!(p.resume(), Step::Fail);
     }
 
     #[test]
     fn restart_resets_fault_state() {
-        // As above: construction + with_label burn runs 0 and 1.
-        let src = faulty_src(3, 2, 5);
-        let mut p = pipe(move || src())
-            .with_policy(FaultPolicy::Retry {
-                limit: 1,
-                backoff: Duration::ZERO,
-            })
-            .with_label("reset");
+        // Construction spawns run 0 (faulty), the retry run 1 (clean).
+        let src = faulty_src(3, 1, 5);
+        let mut p = pipe(src).with_policy(FaultPolicy::Retry {
+            limit: 1,
+            backoff: Duration::ZERO,
+        });
         assert_eq!(ints(&p.collect_values()), (0..=5).collect::<Vec<_>>());
         assert_eq!(p.retries(), 1);
         Gen::restart(&mut p);
         assert_eq!(p.retries(), 0);
         assert!(p.fault().is_none());
-        // The source is clean from run 1 on; the restarted stream is too.
+        // The restart spawns run 2, which is clean like run 1.
         assert_eq!(ints(&p.collect_values()), (0..=5).collect::<Vec<_>>());
     }
 

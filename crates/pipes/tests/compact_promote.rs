@@ -112,7 +112,7 @@ fn restart_replay_delivers_promoted_values_every_time() {
             pos: 0,
         }) as BoxGen
     };
-    let mut p = Pipe::with_capacity(mk, 4).with_batch(4);
+    let mut p = Pipe::batched(mk, 4, 4);
     for replay in 0..3 {
         let mut got = Vec::new();
         while let Some(v) = p.next_value() {
@@ -136,7 +136,7 @@ fn close_under_fire_never_leaks_borrowed_handles() {
                 pos: 0,
             }) as BoxGen
         };
-        let mut p = Pipe::with_capacity(mk, 2).with_batch(3);
+        let mut p = Pipe::batched(mk, 2, 3);
         let mut prefix = Vec::new();
         for _ in 0..cut {
             match p.next_value() {

@@ -1,16 +1,18 @@
-//! Exact transport counts for two fully drained scenarios, one `Pipe` and
-//! one `merge`. Each number is a function of the item count, the batch and
-//! the queue protocol alone (one `put_all` per flushed chunk, one close per
-//! run), never of the schedule, so a refactor of the producer or the queue
-//! must leave them equal. Restarts are left out (how far an abandoned
-//! producer gets is schedule-dependent), and so are merge's `batch_takes`
-//! (its consumer batches by design).
+//! Exact transport counts for a fully drained `Pipe`. Each number is a
+//! function of the item count, the batch and the queue protocol alone (one
+//! `put_all` per flushed chunk, one close per run), never of the schedule,
+//! so a refactor of the producer or the queue must leave them equal. With
+//! restarts and retries only the spawn count is pinned: a run spawns once,
+//! on the consumer's thread, while how far an abandoned producer gets is
+//! schedule-dependent.
 #![cfg(feature = "obs")]
 
 use gde::comb::to_range;
-use gde::{BoxGen, GenExt};
-use pipes::{merge, Pipe};
+use gde::{BoxGen, Gen, GenExt};
+use pipes::{FaultPolicy, Pipe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The obs registry is process-global: one scenario at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -34,14 +36,15 @@ fn deltas(family: [&str; 3], run: impl FnOnce()) -> Vec<u64> {
         .collect()
 }
 
+const PIPE_FAMILY: [&str; 3] = [
+    "pipes.pipe.spawned",
+    "pipes.pipe.items",
+    "pipes.pipe.batch_flushes",
+];
+
 #[test]
 fn pipe_counts_are_exact() {
-    let family = [
-        "pipes.pipe.spawned",
-        "pipes.pipe.items",
-        "pipes.pipe.batch_flushes",
-    ];
-    let d = deltas(family, || {
+    let d = deltas(PIPE_FAMILY, || {
         let mut pipe = Pipe::batched(|| Box::new(to_range(1, 1000, 1)) as BoxGen, 64, 16);
         assert_eq!(pipe.count(), 1000);
     });
@@ -50,21 +53,38 @@ fn pipe_counts_are_exact() {
 }
 
 #[test]
-fn merge_counts_are_exact() {
-    let family = [
-        "pipes.fan.merge_sources",
-        "pipes.fan.merge_items",
-        "pipes.fan.merge_batch_flushes",
-    ];
-    let d = deltas(family, || {
-        let sources = (0..3i64)
-            .map(|k| {
-                Box::new(move || Box::new(to_range(k * 100, k * 100 + 49, 1)) as BoxGen)
-                    as Box<dyn Fn() -> BoxGen + Send + Sync>
-            })
-            .collect();
-        assert_eq!(merge(sources, 8).with_batch(4).count(), 150);
+fn retry_spawns_once_per_run() {
+    // The factory panics on run 0 only: one retry, so 1 + 1 spawns.
+    let runs = AtomicUsize::new(0);
+    let d = deltas(PIPE_FAMILY, || {
+        let mut pipe = Pipe::batched(
+            move || {
+                assert!(runs.fetch_add(1, Ordering::SeqCst) > 0, "run 0 faults");
+                Box::new(to_range(1, 100, 1)) as BoxGen
+            },
+            64,
+            16,
+        )
+        .with_policy(FaultPolicy::Retry {
+            limit: 2,
+            backoff: Duration::ZERO,
+        });
+        assert_eq!(pipe.count(), 100);
+        assert_eq!(pipe.retries(), 1);
     });
-    // Per source 50 = 12 × 4 + 2: 13 flushes, three sources.
-    assert_eq!(d, [3, 150, 39, 150, 39, 150, 1]);
+    assert_eq!(d[0], 2, "pipes.pipe.spawned = 1 + retries");
+}
+
+#[test]
+fn restart_spawns_once_per_run() {
+    // Two restarts, one mid-stream and one after the drain: 1 + 2 spawns.
+    let d = deltas(PIPE_FAMILY, || {
+        let mut pipe = Pipe::batched(|| Box::new(to_range(1, 100, 1)) as BoxGen, 64, 16);
+        assert!(pipe.next_value().is_some());
+        Gen::restart(&mut pipe);
+        assert_eq!(pipe.count(), 100);
+        Gen::restart(&mut pipe);
+        assert_eq!(pipe.count(), 100);
+    });
+    assert_eq!(d[0], 3, "pipes.pipe.spawned = 1 + restarts");
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 use blockingq::{BlockingQueue, CloseCause, Fault};
 use gde::comb::values;
 use gde::{Gen, Step, Value};
-use pipes::{FanPolicy, FaultPolicy, Pipe};
+use pipes::{FaultPolicy, Pipe};
 use schedtest::{check, thread, Config};
 
 fn ints(n: i64) -> impl Fn() -> gde::BoxGen + Send + Sync + 'static {
@@ -158,63 +158,4 @@ fn injected_worker_panic_is_contained_and_counted() {
     });
     assert!(report.complete, "{report:?}");
     assert!(report.explored_schedules > 1, "{report:?}");
-}
-
-/// Fail-fast fan-in: an injected source panic surfaces as a propagation
-/// panic on the consumer with the fault recorded — never a clean EOS.
-#[test]
-fn injected_merge_source_panic_fails_fast() {
-    let report = check("faults_merge_fail_fast", &Config::default(), || {
-        faultinj::scenario("pipes.merge.resume:panic@1");
-        let sources: Vec<Box<dyn Fn() -> gde::BoxGen + Send + Sync>> = vec![Box::new(ints(2))];
-        let mut m = pipes::merge(sources, 1)
-            .with_batch(1)
-            .with_policy(FanPolicy::FailFast);
-        let boom = catch_unwind(AssertUnwindSafe(|| drain(&mut m)));
-        assert!(boom.is_err(), "fault must propagate, not end cleanly");
-        let fault = m.fault().expect("fault recorded");
-        assert!(
-            fault.message().contains("pipes.merge.resume"),
-            "fault names the injection site: {fault}"
-        );
-        faultinj::disarm_all();
-    });
-    assert!(report.complete, "{report:?}");
-}
-
-/// Degrading fan-in: with one faulted and one clean source, every
-/// interleaving drops exactly the faulted source, keeps the survivor's
-/// full FIFO stream, and reaches a *clean* end-of-stream.
-#[test]
-fn injected_merge_source_panic_degrades_and_keeps_survivor() {
-    let cfg = Config {
-        preemption_bound: Some(2),
-        ..Config::default()
-    };
-    let report = check("faults_merge_degrade", &cfg, || {
-        // Both sources hit the shared site; whichever draws hit #1 dies.
-        // The assertions below are attribution-independent.
-        faultinj::scenario("pipes.merge.resume:panic@1");
-        let sources: Vec<Box<dyn Fn() -> gde::BoxGen + Send + Sync>> = vec![
-            Box::new(|| Box::new(values(vec![Value::Int(1), Value::Int(2)]))),
-            Box::new(|| Box::new(values(vec![Value::Int(10), Value::Int(20)]))),
-        ];
-        let mut m = pipes::merge(sources, 2)
-            .with_batch(1)
-            .with_policy(FanPolicy::Degrade);
-        let got = drain(&mut m); // must terminate cleanly: Degrade
-        assert_eq!(m.degraded_sources(), 1, "exactly one source dropped");
-        let a: Vec<i64> = got.iter().copied().filter(|v| *v < 10).collect();
-        let b: Vec<i64> = got.iter().copied().filter(|v| *v >= 10).collect();
-        let prefix_of = |s: &[i64], full: &[i64]| s == &full[..s.len().min(full.len())];
-        assert!(prefix_of(&a, &[1, 2]), "source A FIFO prefix: {got:?}");
-        assert!(prefix_of(&b, &[10, 20]), "source B FIFO prefix: {got:?}");
-        assert!(
-            a.len() == 2 || b.len() == 2,
-            "the surviving source delivers in full: {got:?}"
-        );
-        faultinj::disarm_all();
-    });
-    assert!(report.explored_schedules < 100_000, "{report:?}");
-    assert!(report.failure.is_none(), "{report:?}");
 }

@@ -90,35 +90,6 @@ fn pipe_batched_transport_preserves_stream() {
     assert!(report.complete, "{report:?}");
 }
 
-/// Merge fan-in: values from concurrent sources are conserved and each
-/// source's stream stays FIFO, and the merge queue always closes (last
-/// producer out) so the consumer never hangs. Three threads contending on
-/// one queue defeat sleep sets, so this runs preemption-bounded.
-#[test]
-fn merge_conserves_and_keeps_per_source_fifo() {
-    let cfg = Config {
-        preemption_bound: Some(2),
-        ..Config::default()
-    };
-    let report = check("pipes_merge_fan_in", &cfg, || {
-        let sources: Vec<Box<dyn Fn() -> gde::BoxGen + Send + Sync>> = vec![
-            Box::new(|| Box::new(values(vec![Value::Int(1), Value::Int(2)]))),
-            Box::new(|| Box::new(values(vec![Value::Int(10), Value::Int(20)]))),
-        ];
-        let mut m = pipes::merge(sources, 2).with_batch(1);
-        let got = drain(&mut m);
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2, 10, 20], "conservation: {got:?}");
-        let a: Vec<i64> = got.iter().copied().filter(|v| *v < 10).collect();
-        let b: Vec<i64> = got.iter().copied().filter(|v| *v >= 10).collect();
-        assert_eq!(a, vec![1, 2], "source A FIFO: {got:?}");
-        assert_eq!(b, vec![10, 20], "source B FIFO: {got:?}");
-    });
-    assert!(report.explored_schedules < 100_000, "{report:?}");
-    assert!(report.failure.is_none(), "{report:?}");
-}
-
 /// The singleton pipe forms a future ("a singleton piped iterator that
 /// produces one result forms a future", Sec. III.B): over a one-slot
 /// queue its one result arrives exactly once under every interleaving of

@@ -255,72 +255,6 @@ pub fn pipeline_batched(corpus: &Corpus, weight: Weight, capacity: usize, batch:
     sum_gen(hashed, 0.0)
 }
 
-/// Fan-in embedded word-count: the corpus is split into `sources`
-/// contiguous slices, each run as its own `splitWords` → `wordToNumber` →
-/// `hashNumber` generator on a producer thread; per-word hashes arrive
-/// *tagged with their source index* (as two-element lists) through one
-/// batched [`pipes::merge`], are re-bucketed per source downstream, and
-/// reduced in source order — so the float association is **identical to
-/// [`sequential`]** (the sum is byte-for-byte equal) regardless of the
-/// arrival interleaving.
-pub fn fan_in(
-    corpus: &Corpus,
-    weight: Weight,
-    sources: usize,
-    capacity: usize,
-    batch: usize,
-) -> f64 {
-    let sources = sources.max(1);
-    let slice_len = corpus.lines().len().div_ceil(sources);
-    let mut factories: Vec<Box<dyn Fn() -> BoxGen + Send + Sync>> = Vec::with_capacity(sources);
-    for k in 0..sources {
-        let slice: Value = Value::list(
-            corpus
-                .lines()
-                .iter()
-                .skip(k * slice_len)
-                .take(slice_len)
-                .map(Value::str)
-                .collect(),
-        );
-        // Tag each hash with its source index so the consumer can restore
-        // the sequential reduction order. The tag stage is monogenic, so
-        // it fuses into the same closure as parse and hash — the whole
-        // per-source pipeline is one FlatFused node.
-        let fused = stage_plan(weight)
-            .filter_map(move |h| Some(Value::list(vec![Value::from(k as i64), h.clone()])))
-            .fuse();
-        factories.push(Box::new(move || {
-            fused.instantiate(Box::new(promote_value(slice.clone())))
-        }));
-    }
-    let mut merged = pipes::merge(factories, capacity).with_batch(batch);
-    // Bucket arrivals per source (per-producer FIFO keeps each bucket in
-    // slice order), then reduce buckets in source order: the same hash
-    // sequence — and therefore the same float association — as the
-    // sequential fold.
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); sources];
-    while let Some(tagged) = merged.next_value() {
-        let Some(list) = tagged.as_list().map(|l| l.lock().clone()) else {
-            continue;
-        };
-        let (Some(k), Some(h)) = (
-            list.first().and_then(|v| v.as_int()),
-            list.get(1).and_then(|v| v.as_real()),
-        ) else {
-            continue;
-        };
-        buckets[k as usize].push(h);
-    }
-    let mut total = 0.0;
-    for bucket in buckets {
-        for h in bucket {
-            total += h;
-        }
-    }
-    total
-}
-
 /// Map-reduce embedded word-count: Fig. 4's `mapReduce(hashWords, …,
 /// sumHash, 0)` — chunks of the parsed word stream are mapped and reduced
 /// on pool tasks; the per-chunk partials are summed in order.
@@ -476,29 +410,6 @@ mod tests {
             let got = pipeline_batched(&c, Weight::Light, 16, batch);
             assert_eq!(seq, got, "batch {batch} changed the embedded sum");
         }
-    }
-
-    #[test]
-    fn fan_in_is_bitwise_sequential() {
-        // Source-order bucketing restores the sequential association, so
-        // equality is exact whatever the arrival interleaving was.
-        let c = Corpus::generate(40, 8, 27);
-        let seq = sequential(&c, Weight::Light);
-        for sources in [1, 3, 4] {
-            for batch in [1, 2, 7, 64] {
-                let got = fan_in(&c, Weight::Light, sources, 16, batch);
-                assert_eq!(seq, got, "sources {sources} batch {batch} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn fan_in_empty_and_more_sources_than_lines() {
-        let empty = Corpus::from_lines(vec![]);
-        assert_eq!(fan_in(&empty, Weight::Light, 4, 8, 2), 0.0);
-        let tiny = Corpus::generate(2, 4, 28);
-        let seq = sequential(&tiny, Weight::Light);
-        assert_eq!(seq, fan_in(&tiny, Weight::Light, 8, 8, 3));
     }
 
     #[test]

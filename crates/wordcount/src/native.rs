@@ -89,77 +89,6 @@ pub fn pipeline_batched(lines: &[String], weight: Weight, capacity: usize, batch
     total
 }
 
-/// Fan-in word-count: the corpus is split into `sources` contiguous
-/// slices, each parsed *and hashed* on its own producer thread; per-word
-/// hashes arrive tagged with their source index through one shared
-/// batched queue, are re-bucketed per source, and reduced in source order
-/// — so the fold association is **identical to [`sequential`]** (the sum
-/// is byte-for-byte equal) while every hop uses the batched transport.
-pub fn fan_in(
-    lines: &[String],
-    weight: Weight,
-    sources: usize,
-    capacity: usize,
-    batch: usize,
-) -> f64 {
-    let sources = sources.max(1);
-    let capacity = capacity.max(1);
-    let batch = batch.clamp(1, capacity);
-    let queue: BlockingQueue<(usize, f64)> = BlockingQueue::bounded(capacity);
-    let slice_len = lines.len().div_ceil(sources);
-    let remaining = Arc::new(std::sync::atomic::AtomicUsize::new(sources));
-    let mut producers = Vec::new();
-    for k in 0..sources {
-        let q = queue.clone();
-        let remaining = Arc::clone(&remaining);
-        let slice: Vec<String> = lines
-            .iter()
-            .skip(k * slice_len)
-            .take(slice_len)
-            .cloned()
-            .collect();
-        producers.push(std::thread::spawn(move || {
-            let mut chunk: Vec<(usize, f64)> = Vec::with_capacity(batch);
-            'produce: for line in &slice {
-                for word in split_words(line) {
-                    if let Some(n) = word_to_number(word, weight) {
-                        chunk.push((k, hash_number(&n, weight)));
-                        if chunk.len() >= batch && q.put_all(std::mem::take(&mut chunk)).is_err() {
-                            break 'produce;
-                        }
-                    }
-                }
-            }
-            let _ = q.put_all(chunk);
-            // Last producer out closes the shared queue.
-            if remaining.fetch_sub(1, std::sync::atomic::Ordering::AcqRel) == 1 {
-                q.close();
-            }
-        }));
-    }
-    // Consumer: bucket arrivals per source (per-producer FIFO keeps each
-    // bucket in slice order), then reduce buckets in source order — the
-    // same hash sequence, and therefore the same float association, as
-    // the sequential fold.
-    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); sources];
-    let mut buf: Vec<(usize, f64)> = Vec::new();
-    while queue.drain_into(&mut buf) > 0 {
-        for (k, h) in buf.drain(..) {
-            buckets[k].push(h);
-        }
-    }
-    for p in producers {
-        p.join().expect("fan-in producer panicked");
-    }
-    let mut total = 0.0;
-    for bucket in buckets {
-        for h in bucket {
-            total = sum_hash(total, h);
-        }
-    }
-    total
-}
-
 /// Parallel map-reduce over chunks on a thread pool — the parallel-stream
 /// analogue Fig. 6 normalizes against. Each task maps *and reduces* its
 /// chunk; the per-chunk partials are combined in order.
@@ -322,27 +251,6 @@ mod tests {
             // the sequential association: equality is exact.
             assert_eq!(seq, got, "batch {batch} changed the pipeline sum");
         }
-    }
-
-    #[test]
-    fn fan_in_is_bitwise_sequential() {
-        let c = Corpus::generate(40, 8, 17);
-        let seq = sequential(c.lines(), Weight::Light);
-        for sources in [1, 3, 4] {
-            for batch in [1, 2, 7, 64] {
-                let got = fan_in(c.lines(), Weight::Light, sources, 16, batch);
-                assert_eq!(seq, got, "sources {sources} batch {batch} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn fan_in_empty_and_oversubscribed() {
-        let lines: Vec<String> = Vec::new();
-        assert_eq!(fan_in(&lines, Weight::Light, 4, 8, 2), 0.0);
-        let c = Corpus::generate(2, 4, 18);
-        let seq = sequential(c.lines(), Weight::Light);
-        assert_eq!(seq, fan_in(c.lines(), Weight::Light, 8, 8, 3));
     }
 
     #[test]

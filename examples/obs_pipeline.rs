@@ -1,11 +1,10 @@
-//! Observability demo: instrument a threaded pipeline and a fan-in merge.
+//! Observability demo: instrument a threaded pipeline.
 //!
 //! Builds a Fig. 2-style pipeline — one `Pipe` per stage, each stage a
-//! producer thread over a blocking queue — plus a `pipes::merge` fan-in,
-//! drains both, then prints
-//! the process-wide `obs` registry snapshot. Every queue put/take, pipe
-//! item, and merge arrival seen below happened on the real runtime hot
-//! paths — the demo only *reads* the counters at the end.
+//! producer thread over a blocking queue — drains it, then prints the
+//! process-wide `obs` registry snapshot. Every queue put/take and pipe
+//! item seen below happened on the real runtime hot paths — the demo only
+//! *reads* the counters at the end.
 //!
 //! Run with: `cargo run --example obs_pipeline`
 
@@ -13,11 +12,11 @@ use concurrent_generators::gde::comb::fuse::StagePlan;
 use concurrent_generators::gde::comb::to_range;
 use concurrent_generators::gde::{ops, BoxGen, GenExt, Value};
 use concurrent_generators::obs;
-use concurrent_generators::pipes::{merge, Pipe, DEFAULT_BATCH};
+use concurrent_generators::pipes::{Pipe, DEFAULT_BATCH};
 
 fn main() {
-    // Stage 1: a two-pipe threaded pipeline: 1..=64 squared on one
-    // producer thread, +1 on the next; each pipe carries all 64 values.
+    // A two-pipe threaded pipeline: 1..=64 squared on one producer
+    // thread, +1 on the next; each pipe carries all 64 values.
     let square = StagePlan::new().filter_map(|v| ops::mul(v, v));
     let inc = StagePlan::new().filter_map(|v| ops::add(v, &Value::from(1)));
     let squares = move || {
@@ -31,17 +30,6 @@ fn main() {
         piped.last()
     );
 
-    // Stage 2: fan-in — three producer threads merged into one stream.
-    let sources: Vec<Box<dyn Fn() -> BoxGen + Send + Sync>> = (0..3)
-        .map(|k| {
-            let lo = k * 100 + 1;
-            Box::new(move || Box::new(to_range(lo, lo + 19, 1)) as BoxGen)
-                as Box<dyn Fn() -> BoxGen + Send + Sync>
-        })
-        .collect();
-    let merged = merge(sources, 4).collect_values();
-    println!("merge produced {} values from 3 sources", merged.len());
-
     // Everything above was instrumented as a side effect; read it back.
     let snap = obs::snapshot();
     println!("\nRuntime observability snapshot:");
@@ -52,11 +40,9 @@ fn main() {
     // The results must be right in either build; the counters only exist
     // when instrumentation is compiled in (the root `obs` feature).
     assert_eq!(piped.len(), 64);
-    assert_eq!(merged.len(), 60);
     if cfg!(feature = "obs") {
         assert!(snap.counter("pipes.pipe.items").unwrap_or(0) >= 64 * 2);
-        assert_eq!(snap.counter("pipes.fan.merge_sources"), Some(3));
-        assert_eq!(snap.counter("pipes.fan.merge_items"), Some(60));
+        assert_eq!(snap.counter("pipes.pipe.spawned"), Some(2));
         assert!(snap.counter("blockingq.queue.puts").unwrap_or(0) > 0);
         println!("\nok: counters match the work performed");
     } else {

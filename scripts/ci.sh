@@ -136,11 +136,11 @@ bash benchmark/run.sh --quick > /dev/null
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "   ok: benchmark ran and its own tests are green"
 # Fault-plane smoke: deterministic injection scenarios through every
-# recovery surface (Retry replay, Propagate, degrading fan-in, pool
-# containment), snapshotting the fault counters for the `faults` gate.
+# recovery surface (Retry replay, Propagate, pool containment),
+# snapshotting the fault counters for the `faults` gate.
 # The injected panics print their messages on stderr; so would a
 # scenario that fails, which is why stderr stays (without backtraces:
-# five of the panics are the scenarios themselves).
+# four of the panics are the scenarios themselves).
 RUST_BACKTRACE=0 cargo run --offline -q -p bench --release --features faultinj \
     --bin fault_smoke -- FAULTS_ci.json \
     | sed 's/^/   /'

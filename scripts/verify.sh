@@ -19,6 +19,8 @@
 #                    definition; tables probe without promoting; and
 #                    `||` has one concatenation; every crate root
 #                    forbids `unsafe` and no interner comes back;
+#                    `|>e` is the only concurrent construct (no fan-in)
+#                    and a pipe spawns once per run;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -120,7 +122,7 @@ echo "   ok: one measured surface (no bench targets, no criterion, no figure6 JS
 
 # One transport path (DESIGN.md § Batched transport): the queue has one
 # wait per direction and no try/timed/with-cause variants, and one
-# producer loop moves every pipe and merge result across it.
+# producer loop moves every pipe result across it.
 if hits="$(grep -rnE 'fn (try_put|try_put_all|try_take|take_timeout|is_closed|take_with_cause|take_batch_with_cause)\b|TryPutError|TryTakeError|TimedOut' \
         crates/blockingq/src)"; then
     echo "$hits"
@@ -129,7 +131,7 @@ if hits="$(grep -rnE 'fn (try_put|try_put_all|try_take|take_timeout|is_closed|ta
 fi
 if hits="$(grep -rn 'put_all(' crates/pipes/src | grep -v '^crates/pipes/src/producer\.rs:')"; then
     echo "$hits"
-    echo "FAIL: put_all outside crates/pipes/src/producer.rs; move results through spawn_producer"
+    echo "FAIL: put_all outside crates/pipes/src/producer.rs; move results through spawn_run"
     exit 1
 fi
 echo "   ok: one transport path (16-fn queue, one producer loop)"
@@ -272,6 +274,18 @@ if hits="$(grep -rn 'Value::interned(' crates src tests examples)"; then
     exit 1
 fi
 echo "   ok: no unsafe (every root forbids it); no interner; two string forms"
+
+# `|>e` is the only concurrent construct (DESIGN.md § Batched transport):
+# the fan-in layer, its producer-site switch, its obs family and fault
+# counter stay deleted, and so do the builders that respawned a pipe's
+# producer and the test kit's unused arrival counter.
+if hits="$(grep -rnE '\bpipes::merge\b|\b(Merge|RoundRobin|round_robin|FanPolicy|MERGE_BATCH_FAIRNESS_CAP)\b|\bSite::|pipes\.fan\.|pipes\.merge\.resume|\bdegraded_sources\b|\bwith_label\b|\bfn with_batch\b|\btestkit::Epoch\b' \
+        crates/*/src crates/*/tests src tests examples benchmark/src)"; then
+    echo "$hits"
+    echo "FAIL: the fan-in layer or a respawning Pipe builder is back; |>e is the only concurrent construct, and a run spawns once"
+    exit 1
+fi
+echo "   ok: |>e is the only concurrent construct; one producer spawn per run"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a

@@ -214,34 +214,6 @@ fn batched_pipelines_are_bitwise_sequential_across_batch_sizes() {
     }
 }
 
-/// Same sweep for the fan-in variants: source-order re-bucketing restores
-/// the sequential reduction association, so the sum is byte-identical to
-/// Sequential no matter how many sources raced or how wide the transport
-/// batches were.
-#[test]
-fn fan_in_is_bitwise_sequential_across_batch_sizes() {
-    use concurrent_generators::wordcount::{embedded, native, Corpus, Weight};
-    let corpus = Corpus::generate(60, 8, 2018);
-    let native_seq = native::sequential(corpus.lines(), Weight::Light);
-    let embedded_seq = embedded::sequential(&corpus, Weight::Light);
-    for sources in [1, 3] {
-        for batch in [1, 2, 7, 64] {
-            let n = native::fan_in(corpus.lines(), Weight::Light, sources, 16, batch);
-            assert_eq!(
-                native_seq.to_bits(),
-                n.to_bits(),
-                "native fan-in diverged at sources {sources} batch {batch}"
-            );
-            let e = embedded::fan_in(&corpus, Weight::Light, sources, 16, batch);
-            assert_eq!(
-                embedded_seq.to_bits(),
-                e.to_bits(),
-                "embedded fan-in diverged at sources {sources} batch {batch}"
-            );
-        }
-    }
-}
-
 /// Stage fusion under the batched transport: the embedded variants now
 /// fuse their stage plans ([`gde::comb::fuse`]) at construction, so this
 /// sweep pins fused ≡ *unfused* across every producer/consumer schedule
