@@ -77,16 +77,6 @@ impl BigUint {
         }
     }
 
-    /// Returns `self` if it fits in a `u128`.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some((self.limbs[1] as u128) << 64 | self.limbs[0] as u128),
-            _ => None,
-        }
-    }
-
     /// Lossy conversion to `f64` (rounds; very large values become `inf`).
     pub fn to_f64(&self) -> f64 {
         match self.limbs.len() {
@@ -369,18 +359,6 @@ impl BigUint {
         }
         acc
     }
-
-    /// Greatest common divisor (Euclid).
-    pub fn gcd(&self, other: &Self) -> Self {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        while !b.is_zero() {
-            let r = a.div_rem(&b).1;
-            a = b;
-            b = r;
-        }
-        a
-    }
 }
 
 impl From<u64> for BigUint {
@@ -632,13 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn gcd_basics() {
-        assert_eq!(big("48").gcd(&big("36")), big("12"));
-        assert_eq!(big("17").gcd(&big("5")), BigUint::one());
-        assert_eq!(big("0").gcd(&big("9")), big("9"));
-    }
-
-    #[test]
     fn to_f64_small_and_large() {
         assert_eq!(BigUint::from(12345u64).to_f64(), 12345.0);
         let big128 = BigUint::from(u128::MAX);
@@ -665,7 +636,7 @@ mod tests {
     #[test]
     fn u128_roundtrip() {
         let v = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
-        assert_eq!(BigUint::from(v).to_u128(), Some(v));
+        assert_eq!(BigUint::from(v).to_string(), v.to_string());
         assert_eq!(BigUint::from(7u64).to_u64(), Some(7));
         assert_eq!(BigUint::from(u128::MAX).to_u64(), None);
     }

@@ -79,21 +79,6 @@ impl BigUint {
             candidate = candidate.add_ref(&two);
         }
     }
-
-    /// Count of probable primes in `[2, self]` by sieve-free iteration.
-    ///
-    /// Intended for tests and small ranges only (linear in the range).
-    pub fn count_primes_to(&self) -> u64 {
-        let mut count = 0;
-        let mut p = BigUint::one();
-        loop {
-            p = p.next_probable_prime();
-            if p.cmp_mag(self) == core::cmp::Ordering::Greater {
-                return count;
-            }
-            count += 1;
-        }
-    }
 }
 
 fn trailing_zeros(n: &BigUint) -> u64 {
@@ -186,12 +171,6 @@ mod tests {
         );
         // From a prime, returns the NEXT prime (strictly greater).
         assert_eq!(BigUint::from(7u64).next_probable_prime().to_u64(), Some(11));
-    }
-
-    #[test]
-    fn prime_counting_small() {
-        // pi(100) = 25.
-        assert_eq!(BigUint::from(100u64).count_primes_to(), 25);
     }
 
     #[test]

@@ -30,12 +30,6 @@ impl BigUint {
             x = next;
         }
     }
-
-    /// True iff the value is a perfect square.
-    pub fn is_perfect_square(&self) -> bool {
-        let r = self.sqrt();
-        r.mul_ref(&r) == *self
-    }
 }
 
 fn u64_isqrt(v: u64) -> u64 {
@@ -89,8 +83,7 @@ mod tests {
         let root = BigUint::from_str_radix("123456789123456789123456789", 10).unwrap();
         let square = root.mul_ref(&root);
         assert_eq!(square.sqrt(), root);
-        assert!(square.is_perfect_square());
-        assert!(!square.add_ref(&BigUint::one()).is_perfect_square());
+        assert_eq!(square.add_ref(&BigUint::one()).sqrt(), root);
     }
 
     #[test]

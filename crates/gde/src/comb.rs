@@ -395,11 +395,8 @@ impl Gen for Flat {
 /// Yields `e`'s results, assigning each to `var` as a side effect. This is
 /// the glue of the normalization of Sec. V.A: flattened primaries
 /// communicate through these bindings.
-pub fn bind(var: Var, inner: impl Gen + 'static) -> Bind {
-    Bind {
-        var,
-        inner: Box::new(inner),
-    }
+pub fn bind(var: Var, inner: BoxGen) -> Bind {
+    Bind { var, inner }
 }
 
 pub struct Bind {
@@ -680,13 +677,13 @@ impl Gen for Promote {
 /// (re)start, then delegates all iteration to the chosen branch.
 pub fn if_then_else(
     cond: impl Fn() -> Option<Value> + Send + 'static,
-    then_branch: impl Gen + 'static,
-    else_branch: impl Gen + 'static,
+    then_branch: BoxGen,
+    else_branch: BoxGen,
 ) -> IfThenElse {
     IfThenElse {
         cond: Box::new(cond),
-        then_branch: Box::new(then_branch),
-        else_branch: Box::new(else_branch),
+        then_branch,
+        else_branch,
         chosen: None,
     }
 }
@@ -806,9 +803,9 @@ mod tests {
         let j = Var::null();
         let (i2, j2) = (i.clone(), j.clone());
         let g = product(
-            bind(i.clone(), to_range(1, 2, 1)),
+            bind(i.clone(), Box::new(to_range(1, 2, 1))),
             product(
-                bind(j.clone(), to_range(4, 5, 1)),
+                bind(j.clone(), Box::new(to_range(4, 5, 1))),
                 thunk(move || ops::add(&ops::mul(&i2.get(), &Value::from(10))?, &j2.get())),
             ),
         );
@@ -825,7 +822,7 @@ mod tests {
         let i = Var::null();
         let i2 = i.clone();
         let mut g = product(
-            bind(i.clone(), to_range(1, 3, 1)),
+            bind(i.clone(), Box::new(to_range(1, 3, 1))),
             thunk(move || {
                 let v = i2.get();
                 if v.as_int().unwrap() % 2 == 0 {
@@ -864,8 +861,8 @@ mod tests {
         let y = Var::null();
         let (x2, y2) = (x.clone(), y.clone());
         let mut g = product_all(vec![
-            Box::new(bind(x, to_range(1, 2, 1))),
-            Box::new(bind(y, to_range(1, 2, 1))),
+            Box::new(bind(x, Box::new(to_range(1, 2, 1)))),
+            Box::new(bind(y, Box::new(to_range(1, 2, 1)))),
             Box::new(thunk(move || {
                 ops::add(&ops::mul(&x2.get(), &Value::from(10))?, &y2.get())
             })),
@@ -960,8 +957,8 @@ mod tests {
         let f2 = flag.clone();
         let mut g = if_then_else(
             move || ops::num_eq(&f2.get(), &Value::from(1)),
-            unit(Value::str("then")),
-            unit(Value::str("else")),
+            Box::new(unit(Value::str("then"))),
+            Box::new(unit(Value::str("else"))),
         );
         assert_eq!(g.next_value().unwrap().as_str(), Some("then"));
         flag.set(Value::from(0));

@@ -30,11 +30,23 @@
 //! With the `obs` feature on, `gde.env.slot_hits` counts fast-path slot
 //! accesses and `gde.env.name_fallbacks` counts by-name lookups, so a
 //! benchmark snapshot shows when code is falling off the fast path.
+//!
+//! # Name generation
+//!
+//! Every frame counts the changes to what a by-name lookup through it can
+//! find: [`Env::declare`] (a new name, or a fresh cell for an old one),
+//! [`Env::clear`] and [`Env::touch`] bump it. [`Env::generation`] sums the
+//! counts along the scope chain, so it moves whenever any frame a lookup
+//! would search changes its names. Code that bound cells by name under a
+//! scope keeps the generation it saw before binding; while the scope's
+//! generation reads the same, binding again would find the same cells.
+//! Reading, assigning and slot access leave it alone.
 
 use crate::value::Value;
 use crate::var::Var;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The static shape of a frame: slot-index → name, plus a name → *latest*
@@ -116,6 +128,9 @@ struct Frame {
     /// Dynamically-declared names; checked *before* the slots so a
     /// by-name re-declaration shadows a slot.
     overlay: Mutex<HashMap<String, Var>>,
+    /// Bumped (`Release`) after each change to the names; see
+    /// [`Env::generation`].
+    generation: AtomicU64,
     parent: Option<Env>,
 }
 
@@ -125,6 +140,7 @@ impl Frame {
             slots: (0..layout.len()).map(|_| Var::null()).collect(),
             layout,
             overlay: Mutex::new(HashMap::new()),
+            generation: AtomicU64::new(0),
             parent,
         }
     }
@@ -205,7 +221,23 @@ impl Env {
             .overlay
             .lock()
             .insert(name.to_string(), var.clone());
+        self.touch();
         var
+    }
+
+    /// Bump this frame's name generation, as a declaration does: for a
+    /// change to what its names stand for that the frame cannot see (the
+    /// interpreter's `::` natives, say).
+    pub fn touch(&self) {
+        self.frame.generation.fetch_add(1, Ordering::Release);
+    }
+
+    /// The scope's name generation: the sum of the frames' counts along the
+    /// chain. It moves iff a frame that a by-name lookup from here searches
+    /// declared a name, was cleared or was touched.
+    pub fn generation(&self) -> u64 {
+        let own = self.frame.generation.load(Ordering::Acquire);
+        own + self.frame.parent.as_ref().map_or(0, Env::generation)
     }
 
     /// Find a variable's cell in this frame only (no parent search):
@@ -279,6 +311,7 @@ impl Env {
                 slots,
                 layout: self.frame.layout.clone(),
                 overlay: Mutex::new(copied),
+                generation: AtomicU64::new(0),
                 parent: self.frame.parent.clone(),
             }),
         }
@@ -290,6 +323,7 @@ impl Env {
     /// [`Env::shadow`], no lock is held while the old values drop.
     pub fn clear(&self) {
         let overlay = std::mem::take(&mut *self.frame.overlay.lock());
+        self.touch();
         drop(overlay);
         for cell in self.frame.slots.iter() {
             drop(cell.replace(Value::Null));
@@ -503,6 +537,42 @@ mod tests {
         assert!(env.slot_local(0).get().is_null() && held.get().is_null());
         assert!(env.lookup_local("d").unwrap().same_cell(&held));
         assert_eq!(env.get("outer").as_int(), Some(10));
+    }
+
+    #[test]
+    fn generation_moves_with_the_names_and_only_with_them() {
+        let root = Env::root();
+        let env = root.child_with_layout(FrameLayout::of(["n"]));
+        let mut last = env.generation();
+        let mut moved = |env: &Env| {
+            let (was, now) = (last, env.generation());
+            last = now;
+            now != was
+        };
+        env.declare("x", Value::from(1));
+        assert!(moved(&env), "a new name");
+        env.declare("x", Value::from(2));
+        assert!(moved(&env), "a fresh cell for an old name");
+        env.lookup("x");
+        env.get("n");
+        env.set("x", Value::from(3));
+        env.slot_local(0).set(Value::from(4));
+        env.slot(0, 0).get();
+        assert!(!moved(&env), "reads, assignments and slot writes");
+        env.set("y", Value::from(5));
+        assert!(moved(&env), "an assignment that declares");
+        root.declare("g", Value::Null);
+        assert!(moved(&env), "a declaration in the parent");
+        root.touch();
+        assert!(moved(&env), "touch");
+        env.clear();
+        assert!(moved(&env), "clear");
+        let shadowed = env.shadow();
+        shadowed.declare("z", Value::Null);
+        assert!(!moved(&env), "a declaration in a shadow");
+        root.declare("h", Value::Null);
+        assert_ne!(shadowed.generation(), 0, "a shadow shares the parents");
+        assert!(moved(&env));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Missing arguments read as null; extra arguments are ignored by bodies
 //! that do not unpack them — both Icon behaviours.
 
-use crate::comb::{thunk, Thunk};
+use crate::comb::thunk;
 use crate::gen::BoxGen;
 use crate::value::Value;
 use std::any::Any;
@@ -96,12 +96,6 @@ impl std::fmt::Debug for ProcValue {
 /// (`params.length > i ? params[i] : null` in the paper's Fig. 5).
 pub fn arg(args: &[Value], i: usize) -> Value {
     args.get(i).cloned().unwrap_or(Value::Null)
-}
-
-/// Convenience: a singleton generator reading one value thunk (shorthand
-/// used by emitted code).
-pub fn lifted(f: impl Fn() -> Option<Value> + Send + 'static) -> Thunk {
-    thunk(f)
 }
 
 #[cfg(test)]

@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn bind_tracks_last(xs in prop::collection::vec(-100i64..100, 1..20)) {
         let cell = Var::null();
-        let mut g = bind(cell.clone(), values(int_values(&xs)));
+        let mut g = bind(cell.clone(), Box::new(values(int_values(&xs))));
         let got = drain_ints(&mut g);
         prop_assert_eq!(&got, &xs);
         prop_assert_eq!(cell.get().as_int(), xs.last().copied());

@@ -5,9 +5,10 @@
 //! *lowered once per procedure* to a plan (`junicon::lower`); a call binds
 //! its parameters and instantiates the plan as a tree of [`gde::Gen`]
 //! combinators, which is then driven like any other generator (a call site
-//! calling the same procedure again re-runs that tree in place when a fresh
-//! one would bind the same cells, `rt::invoke`). Because the
-//! whole combinator tree is suspendable, `suspend` works anywhere in a
+//! calling the same procedure again re-runs that tree in place unless a
+//! name was declared in the procedure's scope or a `::` native registered
+//! since the tree was built: one generation check, `rt::invoke`). Because
+//! the whole combinator tree is suspendable, `suspend` works anywhere in a
 //! procedure body — including inside `while`/`every` loops (as Fig. 4's
 //! `chunk` requires) — without any threads, exactly the property the paper
 //! claims for its kernel ("implement it without multithreading", Sec. VIII).
@@ -30,7 +31,7 @@ use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Errors surfaced by the interpreter API.
@@ -61,9 +62,6 @@ pub type NativeFn = Arc<dyn Fn(&Value, &[Value]) -> Option<Value> + Send + Sync>
 pub(crate) struct Shared {
     pub globals: Env,
     pub natives: Mutex<HashMap<String, NativeFn>>,
-    /// Bumped (`Release`) after [`Interp::register_native`]'s insert; read
-    /// (`Acquire`) before an activation binds its `::` calls, then to re-run it.
-    pub natives_gen: AtomicU64,
     /// Completed lines produced by `write`, captured for tests and REPLs.
     pub output: Mutex<Vec<String>>,
     /// Text written by `writes` awaiting its line terminator.
@@ -135,7 +133,6 @@ impl Interp {
         let shared = Arc::new(Shared {
             globals: Env::root(),
             natives: Mutex::new(HashMap::new()),
-            natives_gen: AtomicU64::new(0),
             output: Mutex::new(Vec::new()),
             pending: Mutex::new(String::new()),
             echo: AtomicBool::new(false),
@@ -171,7 +168,9 @@ impl Interp {
     ///
     /// A `::` call is bound to its native when the activation holding it is
     /// built, so a native registered after a call started is seen from the
-    /// next call on (and by expressions compiled after it).
+    /// next call on (and by expressions compiled after it): registering
+    /// touches the globals, so no call site re-runs an activation built
+    /// before it.
     pub fn register_native(
         &self,
         name: &str,
@@ -179,7 +178,7 @@ impl Interp {
     ) {
         let shared = self.shared();
         shared.natives.lock().insert(name.to_string(), Arc::new(f));
-        shared.natives_gen.fetch_add(1, Ordering::Release);
+        shared.globals.touch();
     }
 
     /// Captured `write`/`writes` output so far (a trailing unterminated
@@ -336,7 +335,7 @@ fn lowered(shared: &Arc<Shared>, p: &NProc) -> impl Fn(Env) -> ProcValue {
         });
         let call = Arc::clone(&def);
         ProcValue::defined(&name, Some(def), move |args: Vec<Value>| {
-            call.call(&args, false).root
+            call.call(&args).root
         })
     }
 }

@@ -12,7 +12,9 @@
 //! activation) and [`Plan::print`] *writes* them (the emitter). A row gives
 //! both from one token; an argument kind is made in one place (its `kinds!`
 //! entry) and written in one place (its arm of [`Arg::print`]). A call site
-//! re-runs a procedure's activation in place where it can ([`Proc::recall`]).
+//! re-runs a procedure's activation in place while the scope's name
+//! generation reads what it read when the activation was built
+//! ([`Proc::recall`]): then a fresh one would bind the same cells.
 
 use crate::interp::{NativeFn, Shared};
 use crate::normalize::{Atom, CoKind, NProc, NProgram, Norm, Part, VarRef};
@@ -21,7 +23,7 @@ use crate::rt::{self, Flag, Slot};
 use gde::env::{Env, FrameLayout};
 use gde::{BoxGen, Gen, Value, Var};
 use std::fmt::Write;
-use std::sync::atomic::Ordering::{self, Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// One lowered activation — a procedure body, a deferred body, a top-level
@@ -31,9 +33,9 @@ pub(crate) struct Plan {
     root: Node,
     tmps: u32,
     flags: u32,
-    /// A procedure's names bound by name, for [`Proc::recall`]; `None` for
-    /// other plans and for one that captures its environment.
-    rerun: Option<Vec<String>>,
+    /// Whether a call site may re-run an activation ([`Proc::recall`]):
+    /// a procedure's plan whose deferred bodies capture no environment.
+    rerun: bool,
 }
 
 /// A kernel constructor call.
@@ -179,11 +181,9 @@ pub(crate) struct Activation {
     env: Env,
     tmps: Arc<Vec<Var>>,
     flags: Vec<Flag>,
-    /// The generation of the host's natives its `::` calls were bound at.
-    natives: u64,
-    /// What each of [`Plan::rerun`]'s names resolved to in the scope, if a
+    /// The scope's name generation, read before the tree was built, if a
     /// call site may re-run it.
-    outer: Option<Vec<Option<Var>>>,
+    scope_gen: Option<u64>,
 }
 
 /// A constructor's arguments, made one by one as the call asks for them.
@@ -198,11 +198,10 @@ impl Plan {
         let mut act = Activation {
             root: Box::new(gde::comb::fail()),
             shared: Arc::clone(shared),
-            natives: shared.natives_gen.load(Ordering::Acquire),
             env,
             tmps: rt::tmps(self.tmps),
             flags: rt::flags(self.flags),
-            outer: None,
+            scope_gen: None,
         };
         act.root = self.root.instantiate(&act);
         act
@@ -221,7 +220,7 @@ impl Activation {
     /// cells, so it holds no value across the restart. `None` (drop it) for
     /// an activation that is never re-run.
     pub(crate) fn park(mut self) -> Option<Activation> {
-        self.outer.as_ref()?;
+        self.scope_gen?;
         self.root.restart();
         self.env.reset();
         self.tmps.iter().for_each(|t| drop(t.replace(Value::Null)));
@@ -242,32 +241,24 @@ pub(crate) struct Proc {
 
 impl Proc {
     /// A call: the parameters bound in a fresh frame, the plan instantiated.
-    /// A call site that may re-run it (`keep`) also records what the plan's
-    /// by-name names resolve to, looked up first: a name redefined while
-    /// the tree is built makes `recall` refuse, never re-run a stale binding.
-    pub(crate) fn call(&self, args: &[Value], keep: bool) -> Activation {
+    /// The scope's generation is read first, so a name declared while the
+    /// tree is built makes `recall` refuse, never re-run a stale binding.
+    pub(crate) fn call(&self, args: &[Value]) -> Activation {
         #[cfg(test)]
         tests::BUILT.with(|n| n.set(n.get() + 1));
-        let lookup = |names: &Vec<String>| names.iter().map(|n| self.scope.lookup(n)).collect();
-        let outer = self.plan.rerun.as_ref().filter(|_| keep).map(lookup);
+        let scope_gen = self.plan.rerun.then(|| self.scope.generation());
         let env = rt::frame(&self.scope, &self.layout, self.params, args);
         let mut act = self.plan.instantiate(&self.shared, env);
-        act.outer = outer;
+        act.scope_gen = scope_gen;
         act
     }
 
     /// Re-run a parked `act` over `args`, as if [`Proc::call`] had just
-    /// built it — unless a fresh one could bind differently: a `::` native
-    /// was registered since, or one of the plan's by-name names resolves to
-    /// another cell in the scope (where a fresh, empty frame looks).
+    /// built it — unless a fresh one could bind differently: the scope
+    /// (where a fresh, empty frame looks names up, and whose globals a
+    /// `::` native's registration touches) has moved its generation since.
     pub(crate) fn recall(&self, act: &mut Activation, args: &[Value]) -> bool {
-        let same = |(name, was): (&String, &Option<Var>)| match (self.scope.lookup(name), was) {
-            (Some(now), Some(was)) => now.same_cell(was),
-            (now, was) => now.is_none() && was.is_none(),
-        };
-        let (names, outer) = (self.plan.rerun.iter().flatten(), act.outer.iter().flatten());
-        let natives = self.shared.natives_gen.load(Ordering::Acquire) == act.natives;
-        let fresh = act.outer.is_some() && natives && names.zip(outer).all(same);
+        let fresh = act.scope_gen == Some(self.scope.generation());
         if fresh {
             rt::set_params(&act.env, self.params, args);
         }
@@ -536,7 +527,7 @@ impl Lowering {
             root,
             tmps,
             flags,
-            rerun: None,
+            rerun: false,
         }
     }
 
@@ -702,24 +693,20 @@ pub(crate) fn lower(p: &NProc) -> Plan {
         let stmts = p.body.iter().map(|s| l.stmt(s, None)).collect();
         call(&BODY_ROOT, vec![Arg::Children(stmts), Arg::Flag(RETURNED)])
     });
-    plan.rerun = Some(Vec::new());
-    p.body.iter().for_each(|s| by_name(s, &mut plan.rerun));
+    plan.rerun = !p.body.iter().any(captures);
     plan
 }
 
-/// Add the names `n` binds by name to `names`, each once; `None` once a
-/// deferred body (`<>`, `|<>`, `|>`) captures the environment.
-fn by_name(n: &Norm, names: &mut Option<Vec<String>>) {
+/// Whether a deferred body (`<>`, `|<>`, `|>`) in `n` captures the
+/// environment, which a re-run would reset under it.
+fn captures(n: &Norm) -> bool {
+    let mut found = false;
     n.parts(|part| match part {
-        Part::Read(Atom::Var(name)) | Part::Target(VarRef::Named(name)) => {
-            if let Some(names) = names.as_mut().filter(|ns| !ns.contains(name)) {
-                names.push(name.clone());
-            }
-        }
-        Part::Child(c) => by_name(c, names),
-        Part::Deferred(_) => *names = None,
+        Part::Child(c) => found = found || captures(c),
+        Part::Deferred(_) => found = true,
         Part::Read(_) | Part::Target(_) | Part::Decl(_) => {}
     });
+    found
 }
 
 #[cfg(test)]

@@ -166,9 +166,10 @@ pub fn promote(s: Slot) -> Promote {
 /// Generator-function invocation `callee(args…)` (`IconInvokeIterator`):
 /// callee and arguments are read at the first resume after each restart.
 /// Called again on the procedure it ran last, the node re-runs that
-/// activation in place where a fresh one would bind the same cells
-/// (`lower::Proc::recall`); any other call builds a fresh generator. A
-/// callee that is not a procedure fails until the next restart.
+/// activation in place while the procedure's scope keeps its name
+/// generation (`lower::Proc::recall`); any other call builds a fresh
+/// generator. A callee that is not a procedure fails until the next
+/// restart.
 pub fn invoke(callee: Slot, args: Vec<Slot>) -> Invoke {
     let call = Call::Next(None);
     Invoke { callee, args, call }
@@ -204,7 +205,7 @@ impl Invoke {
                 return Call::Interp(last, act);
             }
         }
-        Call::Interp(p.clone(), def.call(&argv, true))
+        Call::Interp(p.clone(), def.call(&argv))
     }
 }
 

@@ -1,6 +1,9 @@
 //! A call site re-runs its activation: called again on the procedure it
 //! ran last, it runs that activation over the new arguments instead of
-//! building one — where a fresh activation would bind the same cells.
+//! building one — while the procedure's scope keeps the name generation it
+//! had when the activation was built, so a fresh activation would bind the
+//! same cells. A declaration in the scope or its parents (a), or a `::`
+//! native registered with the host (c), moves the generation.
 //!
 //! Each case drives one call site over several calls and runs twice: in
 //! the resolving interpreter and in `load_with_resolve(src, false)`, where
@@ -71,14 +74,21 @@ fn locals_start_null_on_every_call() {
     }
 }
 
-/// (c) A native registered between calls is seen from the next call on.
+/// (c) A native registered between calls is seen from the next call on,
+/// by a procedure and by a method, whose scope is its object's field frame
+/// over the globals.
 #[test]
 fn a_native_registered_between_calls_is_seen_by_the_next_call() {
-    for (resolve, i) in loaded("def n(x) { return x::length(); }") {
-        let mut g = i.gen(r#"n("abc" | "de" | "f")"#).unwrap();
-        assert_eq!(first_int(&mut g), Some(3));
-        i.register_native("length", |_, _| Some(Value::from(99)));
-        assert_eq!(ints(g.collect_values()), [99, 99], "resolve {resolve}");
+    let src = "def n(x) { return x::length(); }
+               class C(f) { method n(x) { return x::length(); } }";
+    for call in [r#"n("abc" | "de" | "f")"#, r#"C(0).n("abc" | "de" | "f")"#] {
+        for (resolve, i) in loaded(src) {
+            let mut g = i.gen(call).unwrap();
+            assert_eq!(first_int(&mut g), Some(3), "{call}");
+            i.register_native("length", |_, _| Some(Value::from(99)));
+            let got = ints(g.collect_values());
+            assert_eq!(got, [99, 99], "{call}, resolve {resolve}");
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The pipe proxy itself.
 
-use crate::producer::{spawn_run, Factory, STAGE};
+use crate::producer::{spawn_run, Factory};
 use blockingq::{BlockingQueue, CloseCause, Fault};
 use gde::{BoxGen, Gen, GenExt, Step, Value};
 use std::collections::VecDeque;
@@ -252,7 +252,7 @@ impl Pipe {
                 // resume must observe end-of-stream, not re-take.
                 self.done = true;
                 self.fault = Some(fault.clone());
-                panic!("pipe `{STAGE}` failed: {fault}");
+                panic!("{fault}");
             }
         }
     }
@@ -571,6 +571,7 @@ mod tests {
             let err = catch_unwind(AssertUnwindSafe(|| p.collect_values())).unwrap_err();
             let msg = err.downcast_ref::<String>().expect("string payload");
             assert!(msg.contains(message), "panic names the fault: {msg}");
+            assert_eq!(msg.matches("failed:").count(), 1, "one stage name: {msg}");
             let fault = p.fault().expect("fault recorded");
             assert_eq!(fault.stage(), "pipe");
             assert!(fault.message().contains(message), "{fault}");

@@ -20,7 +20,8 @@
 #                    `||` has one concatenation; every crate root
 #                    forbids `unsafe` and no interner comes back;
 #                    `|>e` is the only concurrent construct (no fan-in)
-#                    and a pipe spawns once per run;
+#                    and a pipe spawns once per run; a re-run call
+#                    checks one generation and looks no name up;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -102,6 +103,24 @@ if [ -z "$eval_impl" ] || grep -n 'natives' <<< "$eval_impl"; then
     exit 1
 fi
 echo "   ok: one invocation node; :: natives bound per activation"
+
+# A re-run checks one number (DESIGN.md § Two readings): `Proc::call` reads
+# the scope's name generation and `Proc::recall` compares it, so neither
+# looks a name up; the per-name re-lookups, the natives counter and the
+# dead code deleted beside them stay deleted.
+for f in call recall; do
+    body="$(sed -n "/^    pub(crate) fn $f(/,/^    }/p" crates/junicon/src/lower.rs)"
+    if [ -z "$body" ] || grep -n 'lookup' <<< "$body"; then
+        echo "FAIL: Proc::$f looks a name up (or moved); a re-run compares the scope's generation"
+        exit 1
+    fi
+done
+if hits="$(grep -rnE '\bnatives_gen\b|fn by_name\b|\bcount_primes_to\b|\bis_perfect_square\b|fn lifted\b' crates/*/src)"; then
+    echo "$hits"
+    echo "FAIL: a per-name re-run check, the natives counter or deleted dead code is back"
+    exit 1
+fi
+echo "   ok: a re-run call checks one generation and looks no name up"
 
 # One measured surface (DESIGN.md § CI): claims are judged by
 # benchmark/run.sh, so no criterion-style target, shim knob or figure6
