@@ -1,6 +1,7 @@
 //! CI gate runner: evaluates the regression gates (`bench::gates`) against
-//! the result files of one `benchmark/run.sh` run and the last line of the
-//! history file, and prints one PASS/FAIL/SKIP line per gate, then one
+//! the result files of one `benchmark/run.sh` run (with the untraced
+//! re-runs the median rows read, which `scripts/ci.sh` makes) and the last
+//! line of the history file, and prints one PASS/FAIL/SKIP line per gate, then one
 //! `bench-history-v1` JSON line built from the same files (what
 //! `BENCH_history.jsonl` keeps, one line per PR) and a report-only drift
 //! table against that file's last line.

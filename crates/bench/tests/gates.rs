@@ -11,7 +11,7 @@
 
 use bench::gates::{
     drift_table, history_line, run_gates, schedtest_suites, Check, GateReport, GateStatus, Results,
-    Row, Suites, TABLE, WORKLOADS,
+    Row, Suites, RERUNS, TABLE, WORKLOADS,
 };
 use bench::json::Json;
 use std::collections::BTreeMap;
@@ -64,19 +64,42 @@ fn doc_of<'a>(results: &'a mut Results, workload: &'static str, trace: u8) -> &'
         .expect("document parsed")
 }
 
-/// The members a row reads its key from.
-fn read_by<'a>(results: &'a mut Results, row: &Row) -> &'a mut BTreeMap<String, Json> {
+/// The members a row reads its key from, in its run `run`.
+fn read_in<'a>(results: &'a mut Results, row: &Row, run: u8) -> &'a mut BTreeMap<String, Json> {
     let place: &[&str] = match row.check {
         Check::MetricAtMost(_) => &["result", "metrics"],
         _ => &["notes"],
     };
-    members(doc_of(results, row.workload, row.trace), place)
+    members(doc_of(results, row.workload, run), place)
 }
 
-/// Ten minimal result documents on which every gate passes: an untraced
-/// one carries the end-to-end metrics, a traced one the per-layer metrics
-/// and per-path count notes, and each table row's key holds a passing
-/// value where the row reads it.
+/// The members a row reads its key from (in the untraced run, for a
+/// median row).
+fn read_by<'a>(results: &'a mut Results, row: &Row) -> &'a mut BTreeMap<String, Json> {
+    read_in(results, row, row.trace)
+}
+
+/// Every run a row reads: its own, and the re-runs for a median row.
+fn runs_read(row: &Row) -> Vec<u8> {
+    let reruns = matches!(row.check, Check::MedianAtMost(_)).then_some(RERUNS);
+    [row.trace]
+        .into_iter()
+        .chain(reruns.into_iter().flatten())
+        .collect()
+}
+
+/// Set `key` to `v` in every run `row` reads.
+fn set_everywhere(results: &mut Results, row: &Row, key: &str, v: f64) {
+    for run in runs_read(row) {
+        read_in(results, row, run).insert(key.to_string(), value(v));
+    }
+}
+
+/// Ten minimal result documents on which every gate passes, and the two
+/// `seq_light` re-runs the median rows read: an untraced one carries the
+/// end-to-end metrics, a traced one the per-layer metrics and per-path
+/// count notes, and each table row's key holds a passing value in every
+/// run the row reads.
 fn passing() -> Results {
     let mut results = Results::new();
     for workload in WORKLOADS {
@@ -109,15 +132,19 @@ fn passing() -> Results {
     ] {
         notes_of(&mut results, workload).insert(key.into(), value(count));
     }
+    for run in RERUNS {
+        let untraced = results[&("seq_light", 0)].clone();
+        results.insert(("seq_light", run), untraced);
+    }
     for row in TABLE {
         let passing = match row.check {
-            Check::AtMost(cap) | Check::MetricAtMost(cap) => cap * 0.9,
+            Check::AtMost(cap) | Check::MetricAtMost(cap) | Check::MedianAtMost(cap) => cap * 0.9,
             Check::RatioAtMost(denominator, cap) => {
                 read_by(&mut results, &row).insert(denominator.to_string(), value(20_000.0));
                 20_000.0 * cap * 0.1
             }
         };
-        read_by(&mut results, &row).insert(row.key.to_string(), value(passing));
+        set_everywhere(&mut results, &row, row.key, passing);
     }
     results
 }
@@ -202,14 +229,13 @@ fn passing_results_pass_every_gate_under_its_name() {
 fn every_row_trips_alone() {
     for row in TABLE {
         let mut results = passing();
-        let notes = read_by(&mut results, &row);
         let (tripping, shown) = match row.check {
-            Check::AtMost(cap) | Check::MetricAtMost(cap) => {
+            Check::AtMost(cap) | Check::MetricAtMost(cap) | Check::MedianAtMost(cap) => {
                 (cap * 1.3, format!("{:.3}", cap * 1.3))
             }
             Check::RatioAtMost(_, cap) => (20_000.0 * cap * 6.0, format!("{:.4}", cap * 6.0)),
         };
-        notes.insert(row.key.to_string(), value(tripping));
+        set_everywhere(&mut results, &row, row.key, tripping);
         let reports = assert_only_fails(&results, &[row.gate]);
         let detail = &report(&reports, row.gate).detail;
         assert!(
@@ -224,10 +250,16 @@ fn every_row_trips_alone() {
 }
 
 #[test]
-fn interp_freed_trips_at_the_leaking_reading_only() {
+fn interp_freed_trips_at_the_leaking_and_the_pre_cut_readings() {
     // `compile_heavy` `peak_rss_mb` with nine leaked interpreters, then the
-    // largest reading with them freed.
-    for (peak_rss_mb, failing) in [(118.6, &["interp-freed"][..]), (54.99, &[])] {
+    // largest reading with them freed and emitted text twice its size,
+    // then the largest reading with the text cut.
+    let readings = [
+        (118.6, &["interp-freed"][..]),
+        (54.99, &["interp-freed"]),
+        (35.89, &[]),
+    ];
+    for (peak_rss_mb, failing) in readings {
         let mut results = passing();
         let metrics = members(
             doc_of(&mut results, "compile_heavy", 0),
@@ -244,13 +276,85 @@ fn interp_freed_trips_at_the_leaking_reading_only() {
 fn interp_recycled_trips_at_the_per_call_reading_only() {
     // `seq_light` interp/native while every call built its activation, then
     // the largest reading with activations re-run.
+    let row = TABLE
+        .iter()
+        .find(|row| row.gate == "interp-recycled")
+        .unwrap();
     for (ratio, failing) in [(10.3, &["interp-recycled"][..]), (6.694, &[])] {
         let mut results = passing();
-        let notes = members(doc_of(&mut results, "seq_light", 0), &["notes"]);
-        notes.insert("interp_over_native".into(), value(ratio));
+        set_everywhere(&mut results, row, "interp_over_native", ratio);
         let reports = assert_only_fails(&results, failing);
         let detail = &report(&reports, "interp-recycled").detail;
         assert!(detail.contains(&format!("{ratio:.3}")), "{detail}");
+    }
+}
+
+#[test]
+fn a_median_row_reads_three_runs_and_one_high_reading_passes() {
+    // A ratio to one quick run's native rate swings with that run: one
+    // high reading of three passes, two fail, whichever runs they are in,
+    // and the detail shows all three.
+    let medians = TABLE
+        .iter()
+        .filter(|row| matches!(row.check, Check::MedianAtMost(_)));
+    let gates: Vec<&str> = medians.clone().map(|row| row.gate).collect();
+    assert_eq!(gates, ["seq-lw-ratio", "interp-recycled"]);
+    for row in medians {
+        let Check::MedianAtMost(cap) = row.check else {
+            unreachable!()
+        };
+        let (low, high) = (cap * 0.9, cap * 1.1);
+        for mask in 0..8 {
+            let mut results = passing();
+            for (k, run) in runs_read(row).into_iter().enumerate() {
+                let v = if mask & (1 << k) != 0 { high } else { low };
+                read_in(&mut results, row, run).insert(row.key.into(), value(v));
+            }
+            let highs = (mask as u32).count_ones() as usize;
+            let failing: &[&str] = if highs >= 2 { &[row.gate] } else { &[] };
+            let reports = assert_only_fails(&results, failing);
+            let detail = &report(&reports, row.gate).detail;
+            let median = if highs >= 2 { high } else { low };
+            assert!(
+                detail.contains(&format!("median {median:.3} of ")),
+                "{detail}"
+            );
+            assert_eq!(
+                detail.matches(&format!("{high:.3}")).count(),
+                highs + (highs >= 2) as usize
+            );
+        }
+    }
+}
+
+#[test]
+fn a_missing_or_failed_rerun_fails_the_median_rows_alone() {
+    // The `results` gate vouches for the ten files every run makes; a
+    // re-run is checked by the rows that read it.
+    type Doctor = fn(&mut Results);
+    let doctored: [(&str, Doctor); 3] = [
+        ("result-seq_light-run2.json is missing", |r| {
+            r.remove(&("seq_light", 2));
+        }),
+        ("cannot read", |r| {
+            r.insert(("seq_light", 3), Err("cannot read it".into()));
+        }),
+        (
+            "result-seq_light-run3.json: result.correct is Some(Bool(true)), result.failed Some(1)",
+            |r| {
+                let result = members(doc_of(r, "seq_light", 3), &["result"]);
+                result.insert("failed".into(), Json::Num(1.0));
+            },
+        ),
+    ];
+    for (says, doctor) in doctored {
+        let mut results = passing();
+        doctor(&mut results);
+        let reports = assert_only_fails(&results, &["seq-lw-ratio", "interp-recycled"]);
+        for gate in ["seq-lw-ratio", "interp-recycled"] {
+            let detail = &report(&reports, gate).detail;
+            assert!(detail.contains(says), "{detail}");
+        }
     }
 }
 

@@ -11,9 +11,11 @@
 //!
 //! A generated module is a set of functions:
 //!
-//! * `pub fn proc_<name>(globals: &Env) -> gde::ProcValue` — one per
-//!   procedure, a variadic generator function over a fresh frame (the
-//!   "variadic lambda expressions that return an iterator" of Sec. V.C);
+//! * `pub fn proc_<name>(globals: &Env) -> ProcValue` — one per procedure,
+//!   one `rt::proc` call: the name, the frame's slot names, the parameter,
+//!   temporary and flag counts, and the closure that builds an
+//!   activation's tree over them (the "variadic lambda expressions that
+//!   return an iterator" of Sec. V.C);
 //! * `pub fn install(globals: &Env)` — registers every procedure;
 //! * `pub fn toplevel(globals: &Env)` — runs the region's top-level
 //!   statements.
@@ -42,7 +44,8 @@ pub fn emit_program_source(src: &str) -> Result<String, ParseError> {
     Ok(emit_program(&np))
 }
 
-/// Emit a normalized program as Rust source.
+/// Emit a normalized program as Rust source, in a string whose capacity is
+/// its length: a caller may keep many.
 pub fn emit_program(p: &NProgram) -> String {
     let mut out = String::from(HEADER);
     for class in &p.classes {
@@ -56,77 +59,64 @@ pub fn emit_program(p: &NProgram) -> String {
     }
     for proc in &p.procs {
         proc_into(&mut out, proc);
-        out.push('\n');
     }
-    out.push_str("/// Register every generated procedure in `globals`.\n");
-    out.push_str("pub fn install(globals: &Env) {\n");
-    for proc in &p.procs {
-        let (name, proc) = (&proc.name, sanitize(&proc.name));
-        w!(
-            out,
-            "    globals.declare({name:?}, Value::Proc(proc_{proc}(globals)));\n"
-        );
+    out.push_str("pub fn install(globals: &Env) {");
+    if !p.procs.is_empty() {
+        out.push_str("\n    rt::install(globals, &[");
+        for (k, proc) in p.procs.iter().enumerate() {
+            out.push_str(if k > 0 { ", proc_" } else { "proc_" });
+            ident(&mut out, &proc.name);
+        }
+        out.push_str("]);\n");
     }
-    out.push_str("}\n\n");
-    out.push_str("/// Run the region's top-level statements, each an activation of its own.\n");
-    out.push_str("pub fn toplevel(globals: &Env) {\n    let env = globals.clone();\n");
-    for stmt in lower_toplevel(p) {
-        out.push_str("    rt::drive({\n");
-        stmt.print(&mut out, 2);
-        out.push_str("    });\n");
+    out.push_str("}\n\npub fn toplevel(globals: &Env) {");
+    let stmts = lower_toplevel(p);
+    if !stmts.is_empty() {
+        out.push_str("\n    let env = globals.clone();\n");
+        for stmt in stmts {
+            out.push_str("    rt::drive({\n");
+            stmt.print(&mut out, 2);
+            out.push_str("    });\n");
+        }
     }
     out.push_str("}\n");
+    out.shrink_to_fit();
     out
 }
 
 const HEADER: &str = "\
 // Generated by junicon::emit — do not edit.
-#![allow(unused_variables, unused_imports, unused_braces, dead_code, nonstandard_style, clippy::all)]
+#![allow(unused, nonstandard_style, clippy::all)]
 
-use gde::env::Env;
-use gde::{BoxGen, Value};
-use junicon::rt;
+use gde::{env::Env, ProcValue, Value};
+use junicon::rt::{self, Slot::*};
 
 ";
 
-/// Emit one procedure as `pub fn proc_<name>(globals: &Env) -> ProcValue`.
-pub fn emit_proc(p: &NProc) -> String {
-    let mut out = String::new();
-    proc_into(&mut out, p);
-    out
-}
-
-/// The scaffolding of a procedure — one frame layout shared across
-/// activations (parameters first, then statically-scoped locals: the same
-/// coordinates the resolve pass wrote into the body), a fresh frame per
-/// call — around the printed plan of its body.
+/// One procedure: an `rt::proc` call over the printed plan of its body. The
+/// frame layout is shared across activations (parameters first, then
+/// statically-scoped locals: the same coordinates the resolve pass wrote
+/// into the body), and each call gets a fresh frame.
 fn proc_into(out: &mut String, p: &NProc) {
-    let (name, rust_name, params) = (&p.name, sanitize(&p.name), p.params.join(", "));
-    let (slots, arity) = (&p.slots, p.params.len());
-    w!(out, "/// Generator function `{name}({params})`.\n");
-    w!(
-        out,
-        "pub fn proc_{rust_name}(globals: &Env) -> gde::ProcValue {{\n"
-    );
-    out.push_str("    let globals = globals.clone();\n");
-    w!(out, "    let layout = gde::FrameLayout::of({slots:?});\n");
-    w!(
-        out,
-        "    gde::ProcValue::new({name:?}, move |args: Vec<Value>| {{\n"
-    );
-    w!(
-        out,
-        "        let env = rt::frame(&globals, &layout, {arity}, &args);\n"
-    );
-    lower(p).print(out, 2);
-    out.push_str("    })\n}\n");
+    out.push_str("pub fn proc_");
+    ident(out, &p.name);
+    out.push_str("(globals: &Env) -> ProcValue {\n");
+    let (name, slots, arity) = (&p.name, &p.slots, p.params.len());
+    w!(out, "    rt::proc(globals, {name:?}, {slots:?}, {arity}, ");
+    lower(p).print_proc(out, 1);
+    out.push_str(")\n}\n\n");
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+/// `name` as a Rust identifier: each character that cannot be one becomes `_`.
+fn ident(out: &mut String, name: &str) {
+    let safe = |c: char| if c.is_ascii_alphanumeric() { c } else { '_' };
+    out.extend(name.chars().map(safe));
 }
+
+/// The Junicon sources of the executed fixtures.
+#[cfg(test)]
+#[path = "../tests/fixtures/sources.rs"]
+mod fixture_sources;
 
 #[cfg(test)]
 mod tests {
@@ -136,12 +126,18 @@ mod tests {
     fn emits_a_module_with_install_and_toplevel() {
         let src = "def f(x) { return x + 1; }\nwrite(f(1));";
         let code = emit_program_source(src).unwrap();
-        assert!(code.contains("pub fn proc_f(globals: &Env) -> gde::ProcValue"));
-        assert!(code.contains("pub fn install(globals: &Env)"));
+        assert!(code.contains("pub fn proc_f(globals: &Env) -> ProcValue"));
+        assert!(
+            code.contains("pub fn install(globals: &Env) {\n    rt::install(globals, &[proc_f]);")
+        );
         assert!(code.contains("pub fn toplevel(globals: &Env)"));
         assert!(code.contains("::add(&s0.get(), &s1.get())"));
         // The one top-level statement is an activation of its own.
         assert_eq!(code.matches("rt::drive({").count(), 1);
+        // Without statements or procedures, the two functions are empty.
+        let code = emit_program_source("").unwrap();
+        assert!(code
+            .ends_with("pub fn install(globals: &Env) {}\n\npub fn toplevel(globals: &Env) {}\n"));
     }
 
     #[test]
@@ -150,15 +146,17 @@ mod tests {
         //   def spawnMap (f, chunk) { suspend ! (|> f(!chunk)); }
         let src = "def spawnMap(f, chunk) { suspend ! (|> f(!chunk)); }";
         let code = emit_program_source(src).unwrap();
-        // The translation must contain: the variadic ProcValue wrapper,
-        // reified parameters, a pipe over a shadowed environment
-        // (IconCoExpression ... createPipe()), promotion (IconPromote) and
-        // deferred invocation (IconInvokeIterator).
+        // The translation must contain: the variadic procedure, reified
+        // parameters, a pipe over a shadowed environment (IconCoExpression
+        // ... createPipe()), promotion (IconPromote) and deferred invocation
+        // (IconInvokeIterator).
         assert!(code.contains("proc_spawnMap"));
         // Parameters are slot-resolved: a shared layout per procedure,
-        // slot 0 = f, slot 1 = chunk, both bound from the arguments.
-        assert!(code.contains("gde::FrameLayout::of([\"f\", \"chunk\"])"));
-        assert!(code.contains("let env = rt::frame(&globals, &layout, 2, &args);"));
+        // slot 0 = f, slot 1 = chunk, both bound from the arguments; two
+        // temporaries and the return flag per call.
+        assert!(code.contains(
+            "rt::proc(globals, \"spawnMap\", [\"f\", \"chunk\"], 2, 2, 1, |env, tmps, flags| "
+        ));
         assert!(
             code.contains("rt::pipe(&env, |env| {"),
             "the pipe body is its own activation"
@@ -166,7 +164,7 @@ mod tests {
         assert!(code.contains("rt::promote("));
         assert!(code.contains("rt::invoke("));
         assert!(
-            code.contains("product_all"),
+            code.contains("rt::product("),
             "flattening produced a product"
         );
     }
@@ -177,8 +175,8 @@ mod tests {
         // product whose first link binds the range, however static the
         // operands of the later links are.
         let code = emit_program_source("def f(n) { suspend (1 to n) * 2; }").unwrap();
-        let product = code.find("gde::comb::product_all(vec![").expect(&code);
-        let bind = code.find("gde::comb::bind(tmps[0].clone()").expect(&code);
+        let product = code.find("rt::product(vec![").expect(&code);
+        let bind = code.find("rt::bind(tmps[0].clone()").expect(&code);
         let times = code.find("::mul(&s0.get(), &s1.get())").expect(&code);
         assert!(product < bind && bind < times, "{code}");
         assert!(!code.contains("comb::fuse::"), "no fused node:\n{code}");
@@ -200,7 +198,7 @@ mod tests {
             "def f() { while 1 do { break; }; every x := 1 to 3 do { next; }; }",
         )
         .unwrap();
-        assert!(code.contains("let flags = rt::flags(5);"));
+        assert!(code.contains("rt::proc(globals, \"f\", [], 0, 1, 5, |env, tmps, flags| "));
         assert!(code.contains("rt::flag_fail(flags[1].clone())"));
         assert!(code.contains("rt::flag_fail(flags[4].clone())"));
         assert!(code.contains("rt::every_do"));
@@ -239,6 +237,17 @@ mod tests {
     fn native_invoke_emits_rt_dispatch() {
         let code = emit_program_source("def f(l) { return l::split(\" \"); }").unwrap();
         assert!(code.contains("rt::native_method"));
+    }
+
+    #[test]
+    fn emitted_text_carries_no_growth_slack() {
+        use super::fixture_sources::{COUNTDOWN_SRC, FIG4_SRC, PRIMS_SRC, SPAWNMAP_SRC};
+        for src in [SPAWNMAP_SRC, COUNTDOWN_SRC, PRIMS_SRC, FIG4_SRC] {
+            let mut np = normalize_program(&parse_program(src).unwrap());
+            resolve_program(&mut np);
+            let code = emit_program(&np);
+            assert_eq!(code.capacity(), code.len(), "{src}");
+        }
     }
 
     #[test]

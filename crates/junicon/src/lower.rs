@@ -3,7 +3,7 @@
 //! [`lower`] holds the only match over [`Norm`]'s structural variants
 //! outside `normalize`/`resolve`. It turns a procedure body into a [`Plan`]:
 //! a first-order tree whose every node is a call to one kernel constructor
-//! (a [`Ctor`] row naming a `junicon::rt` / `gde::comb` function) with its
+//! (a [`Ctor`] row naming a `junicon::rt` function) with its
 //! arguments already classified ([`Arg`]). Statement-vs-value position, loop
 //! flags and the activations of deferred bodies are decided here, once per
 //! procedure; a product is the paper's product of bound iterators (Sec. V),
@@ -91,22 +91,21 @@ const RETURNED: u32 = 0;
 struct Ctor {
     /// Its path as emitted modules spell it (`use junicon::rt;`).
     path: &'static str,
-    /// Whether it hands back a `BoxGen` already.
-    boxed: bool,
     /// Call it, pulling each argument from the node as it is needed.
     make: fn(&mut Args<'_>) -> BoxGen,
 }
 
-/// The table, handed to the macro named: `NAME: path(argument kinds)
-/// [-> BoxGen];`, a kind being the [`Args`] method that makes the argument.
+/// The table, handed to the macro named: `NAME: path(argument kinds);`, a
+/// kind being the [`Args`] method that makes the argument. Every row is an
+/// `rt` function that hands back a `BoxGen`.
 macro_rules! table {
     ($with:ident) => {
         $with! {
             ATOM: rt::atom(slot);
-            PRODUCT: gde::comb::product_all(gens) -> BoxGen;
-            BIND: gde::comb::bind(tmp, gen);
-            ALT: gde::comb::alt_all(gens);
-            PRIM: gde::comb::thunk(mono);
+            PRODUCT: rt::product(gens);
+            BIND: rt::bind(tmp, gen);
+            ALT: rt::alt(gens);
+            PRIM: rt::thunk(mono);
             PROMOTE: rt::promote(slot);
             INVOKE: rt::invoke(slot, slots);
             SET_VAR: rt::set_var(cell, slot);
@@ -119,11 +118,11 @@ macro_rules! table {
             EVERY: rt::every_do(gen, optgen, flag, flag, aborts);
             NOT: rt::not(gen);
             STMT_SEQ: rt::stmt_seq(gens, aborts);
-            SEQ: gde::comb::seq(gens) -> BoxGen;
+            SEQ: rt::seq(gens);
             MUTE_ONCE: rt::mute_once(gen);
             BODY_ROOT: rt::body_root(gens, flag);
             RETURN: rt::return_gen(optgen, flag);
-            FAIL: gde::comb::fail();
+            FAIL: rt::fail();
             FLAG_FAIL: rt::flag_fail(flag);
             DECL: rt::decl(decl, optgen);
             CO_CREATE: rt::co_create(env, body);
@@ -134,28 +133,12 @@ macro_rules! table {
     };
 }
 
-macro_rules! boxed {
-    (@is) => {
-        false
-    };
-    (@is BoxGen) => {
-        true
-    };
-    (; $call:expr) => {
-        Box::new($call)
-    };
-    (BoxGen; $call:expr) => {
-        $call
-    };
-}
-
 macro_rules! ctors {
-    ($($name:ident: $($f:ident)::+ ($($kind:ident),*) $(-> $boxed:ident)?;)*) => {$(
+    ($($name:ident: $($f:ident)::+ ($($kind:ident),*);)*) => {$(
         static $name: Ctor = Ctor {
             path: path_str!($($f)::+),
-            boxed: boxed!(@is $($boxed)?),
             make: |a| {
-                let made = boxed!($($boxed)?; $($f)::+($(a.$kind()),*));
+                let made = $($f)::+($(a.$kind()),*);
                 debug_assert!(a.rest.len() == 0, "{} takes every argument", $name.path);
                 made
             },
@@ -196,7 +179,7 @@ impl Plan {
     /// A fresh activation over `env`, its tree built last.
     pub(crate) fn instantiate(&self, shared: &Arc<Shared>, env: Env) -> Activation {
         let mut act = Activation {
-            root: Box::new(gde::comb::fail()),
+            root: rt::fail(),
             shared: Arc::clone(shared),
             env,
             tmps: rt::tmps(self.tmps),
@@ -395,19 +378,23 @@ impl Plan {
         self.root.print(out, lvl);
         out.push('\n');
     }
+
+    /// A procedure's activation as the last arguments of its `rt::proc`
+    /// call, at nesting `lvl`: how many temporaries and flags a call
+    /// allocates, and the closure over them that builds the root.
+    pub(crate) fn print_proc(&self, out: &mut String, lvl: usize) {
+        w!(out, "{}, {}, |env, tmps, flags| ", self.tmps, self.flags);
+        self.root.print(out, lvl);
+    }
 }
 
 impl Node {
     fn print(&self, out: &mut String, lvl: usize) {
-        let (open, close) = match self.ctor.boxed {
-            true => ("", ""),
-            false => ("Box::new(", ") as BoxGen"),
-        };
         // A call over several subtrees gets a line per argument.
         let tree = |a: &&Arg| matches!(a, Arg::Child(_) | Arg::Opt(Some(_)));
         let tall = self.args.iter().filter(tree).count() > 1;
         let (i0, i1) = (ind(lvl), ind(lvl + 1));
-        w!(out, "{open}{}(", self.ctor.path);
+        w!(out, "{}(", self.ctor.path);
         for (k, arg) in self.args.iter().enumerate() {
             match (tall, k) {
                 (true, _) => w!(out, "\n{i1}"),
@@ -418,22 +405,23 @@ impl Node {
             out.push_str(if tall { "," } else { "" });
         }
         out.push_str(if tall { "\n" } else { "" });
-        w!(out, "{}){close}", if tall { i0 } else { "" });
+        w!(out, "{})", if tall { i0 } else { "" });
     }
 }
 
+/// An operand slot; emitted modules import the `rt::Slot` variants.
 fn print_slot(out: &mut String, a: &Atom) {
     match a {
-        Atom::Null => out.push_str("rt::Slot::Const(Value::Null)"),
-        Atom::Int(v) => w!(out, "rt::Slot::Const(Value::from({v}i64))"),
+        Atom::Null => out.push_str("Const(Value::Null)"),
+        Atom::Int(v) => w!(out, "Const(Value::from({v}i64))"),
         Atom::Big(lit) => w!(out, "rt::slot_big({:?})", lit.0),
-        Atom::Real(v) => w!(out, "rt::Slot::Const(Value::from({v:?}f64))"),
-        Atom::Str(s) => w!(out, "rt::Slot::Const(Value::str({s:?}))"),
-        Atom::Var(name) if name == "&subject" => out.push_str("rt::Slot::ScanSubject"),
-        Atom::Var(name) if name == "&pos" => out.push_str("rt::Slot::ScanPos"),
-        Atom::Var(name) => w!(out, "rt::Slot::Cell(env.lookup_or_declare({name:?}))"),
-        Atom::Slot(d, i, name) => w!(out, "rt::Slot::Cell(env.slot({d}, {i})) /* {name} */"),
-        Atom::Tmp(i) => w!(out, "rt::Slot::Cell(tmps[{i}].clone())"),
+        Atom::Real(v) => w!(out, "Const(Value::from({v:?}f64))"),
+        Atom::Str(s) => w!(out, "Const(Value::str({s:?}))"),
+        Atom::Var(name) if name == "&subject" => out.push_str("ScanSubject"),
+        Atom::Var(name) if name == "&pos" => out.push_str("ScanPos"),
+        Atom::Var(name) => w!(out, "Cell(env.lookup_or_declare({name:?}))"),
+        Atom::Slot(d, i, name) => w!(out, "Cell(env.slot({d}, {i})) /* {name} */"),
+        Atom::Tmp(i) => w!(out, "Cell(tmps[{i}].clone())"),
     }
 }
 

@@ -16,8 +16,9 @@
 
 use crate::annot::{parse_annotated, AnnotError, Region, Segment};
 use crate::interp::{Interp, JuniconError};
+use crate::lower::w;
 use crate::parse::ParseError;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Error from mixed-language processing.
 #[derive(Debug)]
@@ -100,10 +101,10 @@ pub fn run_mixed(src: &str, interp: &Interp) -> Result<usize, MixedError> {
 }
 
 /// The compilation path: transpile a mixed source, replacing every Junicon
-/// region with a generated Rust module (`mod junicon_region_N`) and leaving
-/// host text verbatim. Foreign embedded regions (`lang="java"` etc.) are
-/// passed through as their raw text, i.e. they are "exempted from being
-/// transformed" (Sec. IV).
+/// region with a generated Rust module (`mod junicon_region_N`, indented)
+/// and leaving host text verbatim. Foreign embedded regions (`lang="java"`
+/// etc.) are passed through as their raw text, i.e. they are "exempted from
+/// being transformed" (Sec. IV). The result's capacity is its length.
 pub fn transpile_mixed(src: &str) -> Result<String, MixedError> {
     let segments = parse_annotated(src)?;
     let mut out = String::new();
@@ -113,29 +114,22 @@ pub fn transpile_mixed(src: &str) -> Result<String, MixedError> {
             Segment::Host(text) => out.push_str(text),
             Segment::Embedded(r) if is_junicon(r) => {
                 let module = crate::emit::emit_program_source(&r.text())?;
-                out.push_str(&format!(
-                    "mod junicon_region_{n} {{\n{}\n}}\n",
-                    indent(&module)
-                ));
+                w!(out, "mod junicon_region_{n} {{\n");
+                for line in module.lines() {
+                    if !line.is_empty() {
+                        out.push_str("    ");
+                    }
+                    out.push_str(line);
+                    out.push('\n');
+                }
+                out.push_str("}\n");
                 n += 1;
             }
             Segment::Embedded(r) => out.push_str(&r.text()),
         }
     }
+    out.shrink_to_fit();
     Ok(out)
-}
-
-fn indent(text: &str) -> String {
-    text.lines()
-        .map(|l| {
-            if l.is_empty() {
-                String::new()
-            } else {
-                format!("    {l}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[cfg(test)]
@@ -201,6 +195,7 @@ mod tests {
         assert!(out.contains("mod junicon_region_0"));
         assert!(out.contains("pub fn proc_id"));
         assert!(!out.contains("@<script"));
+        assert_eq!(out.capacity(), out.len());
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! (`IconIterator`, `IconSequence`, `IconSuspend`, `IconFail`, … — see
 //! Fig. 5). This module is that kernel's public face in the Rust
 //! reproduction: every node of a lowered plan (`junicon::lower`) is a call
-//! to a constructor here or in [`gde::comb`], which the interpreter makes
-//! and the [`crate::emit`] transpiler prints, so a node's meaning is
-//! written once, as code, and interpreted and emitted programs share it.
+//! to a constructor here, which the interpreter makes and the
+//! [`crate::emit`] transpiler prints, so a node's meaning is written once,
+//! as code, and interpreted and emitted programs share it. Every
+//! constructor hands back a [`BoxGen`]; the ones that are a [`gde::comb`]
+//! constructor ([`product`], [`bind`], [`alt`], [`thunk`], [`seq`],
+//! [`fail`]) box it here, so `gde::comb` keeps its concrete types for the
+//! static chains built from it. [`proc`] and [`install`] are the
+//! scaffolding of an emitted procedure and module.
 
 use crate::lower::{Activation, Proc};
-use gde::comb::{self, IfThenElse, Promote, Thunk, ToRangeDyn};
-use gde::env::{Env, FrameLayout};
+use gde::comb;
+use gde::env::{Env, FrameLayout, SlotNames};
 use gde::ops;
 use gde::{BoxGen, Gen, GenExt, ProcValue, Step, Value, Var};
 use std::cell::Cell;
@@ -39,7 +44,7 @@ pub fn tmps(count: u32) -> Arc<Vec<Var>> {
 /// A fresh activation frame under `scope`: slot cells shaped by `layout`,
 /// the first `params` of them set from `args` (missing arguments are null,
 /// the variadic convention).
-pub fn frame(scope: &Env, layout: &Arc<FrameLayout>, params: usize, args: &[Value]) -> Env {
+pub(crate) fn frame(scope: &Env, layout: &Arc<FrameLayout>, params: usize, args: &[Value]) -> Env {
     let env = scope.child_with_layout(layout.clone());
     set_params(&env, params, args);
     env
@@ -49,6 +54,36 @@ pub fn frame(scope: &Env, layout: &Arc<FrameLayout>, params: usize, args: &[Valu
 pub(crate) fn set_params(env: &Env, params: usize, args: &[Value]) {
     for i in 0..params {
         env.slot_local(i).set(gde::func::arg(args, i));
+    }
+}
+
+/// An emitted procedure `name` under `globals` (Sec. V.C's "variadic lambda
+/// expressions that return an iterator"). Each call builds a fresh
+/// [`frame`] shaped by `slots` (parameters first, then the statically
+/// scoped locals), binds the first `params` of them from the arguments,
+/// allocates `tmps` temporaries and `flags` control flags, and hands all
+/// three to `body`, which builds the activation's generator tree.
+pub fn proc(
+    globals: &Env,
+    name: &str,
+    slots: impl SlotNames,
+    params: usize,
+    tmps: u32,
+    flags: u32,
+    body: impl Fn(&Env, &[Var], &[Flag]) -> BoxGen + Send + Sync + 'static,
+) -> ProcValue {
+    let (scope, layout) = (globals.clone(), FrameLayout::of(slots));
+    ProcValue::new(name, move |args: Vec<Value>| {
+        let env = frame(&scope, &layout, params, &args);
+        body(&env, &self::tmps(tmps), &self::flags(flags))
+    })
+}
+
+/// Declare each emitted procedure in `globals`, under its own name.
+pub fn install(globals: &Env, procs: &[fn(&Env) -> ProcValue]) {
+    for make in procs {
+        let proc = make(globals);
+        globals.declare(proc.name(), Value::Proc(proc.clone()));
     }
 }
 
@@ -154,13 +189,13 @@ pub fn field_set(base: &Value, field: &str, v: Value) -> Option<Value> {
 // ---------------------------------------------------------------------------
 
 /// A variable or literal in generator position: its current value, once.
-pub fn atom(s: Slot) -> Thunk {
-    comb::thunk(move || Some(s.get()))
+pub fn atom(s: Slot) -> BoxGen {
+    thunk(move || Some(s.get()))
 }
 
 /// Promotion `!a` of the slot's value, re-read at each restart.
-pub fn promote(s: Slot) -> Promote {
-    comb::promote(move || s.get())
+pub fn promote(s: Slot) -> BoxGen {
+    Box::new(comb::promote(move || s.get()))
 }
 
 /// Generator-function invocation `callee(args…)` (`IconInvokeIterator`):
@@ -170,13 +205,13 @@ pub fn promote(s: Slot) -> Promote {
 /// generation (`lower::Proc::recall`); any other call builds a fresh
 /// generator. A callee that is not a procedure fails until the next
 /// restart.
-pub fn invoke(callee: Slot, args: Vec<Slot>) -> Invoke {
+pub fn invoke(callee: Slot, args: Vec<Slot>) -> BoxGen {
     let call = Call::Next(None);
-    Invoke { callee, args, call }
+    Box::new(Invoke { callee, args, call })
 }
 
 /// The node [`invoke`] builds.
-pub struct Invoke {
+struct Invoke {
     callee: Slot,
     args: Vec<Slot>,
     call: Call,
@@ -231,8 +266,8 @@ impl Gen for Invoke {
 }
 
 /// Assignment `x := a`; yields the assigned value.
-pub fn set_var(cell: Var, from: Slot) -> Thunk {
-    comb::thunk(move || {
+pub fn set_var(cell: Var, from: Slot) -> BoxGen {
+    thunk(move || {
         let v = from.get();
         cell.set(v.clone());
         Some(v)
@@ -240,12 +275,48 @@ pub fn set_var(cell: Var, from: Slot) -> Thunk {
 }
 
 /// `from to to by by` with the bounds re-read at each restart.
-pub fn to_range(from: Slot, to: Slot, by: Slot) -> ToRangeDyn {
-    comb::to_range_dyn(
+pub fn to_range(from: Slot, to: Slot, by: Slot) -> BoxGen {
+    Box::new(comb::to_range_dyn(
         move || from.to_i64(),
         move || to.to_i64(),
         move || by.to_i64(),
-    )
+    ))
+}
+
+// ---------------------------------------------------------------------------
+// The `gde::comb` constructors, boxed
+// ---------------------------------------------------------------------------
+
+/// The product of bound iterators `e1 & e2 & …` (`IconProduct`).
+pub fn product(factors: Vec<BoxGen>) -> BoxGen {
+    comb::product_all(factors)
+}
+
+/// The bound iterator `x in e` (`IconIn`): each result of `inner` is
+/// stored in `var`, then passed on.
+pub fn bind(var: Var, inner: BoxGen) -> BoxGen {
+    Box::new(comb::bind(var, inner))
+}
+
+/// Alternation `e1 | e2 | …`.
+pub fn alt(items: Vec<BoxGen>) -> BoxGen {
+    Box::new(comb::alt_all(items))
+}
+
+/// A monogenic evaluation: at most one value per (re)start.
+pub fn thunk(f: impl Fn() -> Option<Value> + Send + 'static) -> BoxGen {
+    Box::new(comb::thunk(f))
+}
+
+/// An expression sequence (`IconSequence`): the leading expressions bounded
+/// and silent, the last delegating.
+pub fn seq(exprs: Vec<BoxGen>) -> BoxGen {
+    comb::seq(exprs)
+}
+
+/// Failure.
+pub fn fail() -> BoxGen {
+    Box::new(comb::fail())
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +326,7 @@ pub fn to_range(from: Slot, to: Slot, by: Slot) -> ToRangeDyn {
 /// Sequential statement driver: runs each statement generator to failure in
 /// order, passing through suspended values; aborts early when any abort
 /// flag (return / break / next) is raised.
-pub struct StmtSeq {
+struct StmtSeq {
     stmts: Vec<BoxGen>,
     pos: usize,
     aborts: Vec<Flag>,
@@ -263,24 +334,28 @@ pub struct StmtSeq {
     root: bool,
 }
 
-/// Build a [`StmtSeq`].
-pub fn stmt_seq(stmts: Vec<BoxGen>, aborts: Vec<Flag>) -> StmtSeq {
-    StmtSeq {
+/// Statements in order, each run to failure, their suspensions passed
+/// through; ends early when any of `aborts` (return / break / next) is
+/// raised.
+pub fn stmt_seq(stmts: Vec<BoxGen>, aborts: Vec<Flag>) -> BoxGen {
+    Box::new(StmtSeq {
         stmts,
         pos: 0,
         aborts,
         root: false,
-    }
+    })
 }
 
 /// Procedure-body root: the statements abort on the return flag, which a
 /// restart lowers (the `IconSequence(..., IconNullIterator, IconFail)`
 /// wrapper of Fig. 5).
-pub fn body_root(stmts: Vec<BoxGen>, returned: Flag) -> StmtSeq {
-    StmtSeq {
+pub fn body_root(stmts: Vec<BoxGen>, returned: Flag) -> BoxGen {
+    Box::new(StmtSeq {
+        stmts,
+        pos: 0,
+        aborts: vec![returned],
         root: true,
-        ..stmt_seq(stmts, vec![returned])
-    }
+    })
 }
 
 impl Gen for StmtSeq {
@@ -307,15 +382,14 @@ impl Gen for StmtSeq {
     }
 }
 
-/// Bounded, silent evaluation of an expression statement.
-pub struct MuteOnce {
+struct MuteOnce {
     inner: BoxGen,
     done: bool,
 }
 
-/// Build a [`MuteOnce`].
-pub fn mute_once(inner: BoxGen) -> MuteOnce {
-    MuteOnce { inner, done: false }
+/// Bounded, silent evaluation of an expression statement.
+pub fn mute_once(inner: BoxGen) -> BoxGen {
+    Box::new(MuteOnce { inner, done: false })
 }
 
 impl Gen for MuteOnce {
@@ -332,21 +406,20 @@ impl Gen for MuteOnce {
     }
 }
 
-/// `return [e]`: yields the first value of `e` (or null for a bare
-/// `return`), then raises the returned flag.
-pub struct ReturnGen {
+struct ReturnGen {
     value: Option<BoxGen>,
     returned: Flag,
     done: bool,
 }
 
-/// Build a [`ReturnGen`].
-pub fn return_gen(value: Option<BoxGen>, returned: Flag) -> ReturnGen {
-    ReturnGen {
+/// `return [e]`: yields the first value of `e` (or null for a bare
+/// `return`), then raises the returned flag.
+pub fn return_gen(value: Option<BoxGen>, returned: Flag) -> BoxGen {
+    Box::new(ReturnGen {
         value,
         returned,
         done: false,
-    }
+    })
 }
 
 impl Gen for ReturnGen {
@@ -373,14 +446,13 @@ impl Gen for ReturnGen {
     }
 }
 
-/// `fail` / `break` / `next`: raise a flag and fail.
-pub struct FlagFail {
+struct FlagFail {
     flag: Flag,
 }
 
-/// Build a [`FlagFail`].
-pub fn flag_fail(flag: Flag) -> FlagFail {
-    FlagFail { flag }
+/// `fail` / `break` / `next`: raise a flag and fail.
+pub fn flag_fail(flag: Flag) -> BoxGen {
+    Box::new(FlagFail { flag })
 }
 
 impl Gen for FlagFail {
@@ -406,7 +478,7 @@ enum Head {
 
 /// A loop: starts a pass as its head says, runs the body (a statement)
 /// to completion, yields the body's suspensions, fails at the end.
-pub struct LoopGen {
+struct LoopGen {
     head: Head,
     body: Option<BoxGen>,
     in_pass: bool,
@@ -417,37 +489,31 @@ pub struct LoopGen {
     aborts: Vec<Flag>,
 }
 
-fn loop_gen(head: Head, body: Option<BoxGen>, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> LoopGen {
-    LoopGen {
+fn loop_gen(head: Head, body: Option<BoxGen>, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> BoxGen {
+    Box::new(LoopGen {
         head,
         body,
         in_pass: false,
         break_f: brk,
         next_f: nxt,
         aborts,
-    }
+    })
 }
 
 type LoopBody = Option<BoxGen>;
 
 /// `while cond do body` (`repeat body` is `while &null do body`).
-pub fn while_do(cond: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> LoopGen {
+pub fn while_do(cond: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> BoxGen {
     loop_gen(Head::Test { cond, until: false }, body, brk, nxt, aborts)
 }
 
 /// `until cond do body`.
-pub fn until_do(cond: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> LoopGen {
+pub fn until_do(cond: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> BoxGen {
     loop_gen(Head::Test { cond, until: true }, body, brk, nxt, aborts)
 }
 
 /// `every source do body`: one body pass per source value.
-pub fn every_do(
-    source: BoxGen,
-    body: LoopBody,
-    brk: Flag,
-    nxt: Flag,
-    aborts: Vec<Flag>,
-) -> LoopGen {
+pub fn every_do(source: BoxGen, body: LoopBody, brk: Flag, nxt: Flag, aborts: Vec<Flag>) -> BoxGen {
     loop_gen(Head::Every(source), body, brk, nxt, aborts)
 }
 
@@ -518,15 +584,15 @@ fn bounded(child: BoxGen) -> impl Fn() -> Option<Value> + Send {
 /// `if cond then e1 else e2`: evaluates the bounded condition once per
 /// (re)start, then delegates all iteration to the chosen branch (a missing
 /// `else` fails).
-pub fn if_gen(cond: BoxGen, then: BoxGen, els: Option<BoxGen>) -> IfThenElse {
-    let els = els.unwrap_or_else(|| Box::new(comb::fail()));
-    comb::if_then_else(bounded(cond), then, els)
+pub fn if_gen(cond: BoxGen, then: BoxGen, els: Option<BoxGen>) -> BoxGen {
+    let els = els.unwrap_or_else(fail);
+    Box::new(comb::if_then_else(bounded(cond), then, els))
 }
 
 /// `not e`: succeeds (null) iff the bounded `e` fails.
-pub fn not(inner: BoxGen) -> Thunk {
+pub fn not(inner: BoxGen) -> BoxGen {
     let inner = bounded(inner);
-    comb::thunk(move || match inner() {
+    thunk(move || match inner() {
         Some(_) => None,
         None => Some(Value::Null),
     })
@@ -535,9 +601,9 @@ pub fn not(inner: BoxGen) -> Thunk {
 /// `local x [:= e]`: the cell exists from construction (so later lookups
 /// bind it); each evaluation sets it to the bounded initializer's value,
 /// or null.
-pub fn decl(cell: Var, init: Option<BoxGen>) -> Thunk {
+pub fn decl(cell: Var, init: Option<BoxGen>) -> BoxGen {
     let init = init.map(bounded);
-    comb::thunk(move || {
+    thunk(move || {
         cell.set(init.as_ref().and_then(|f| f()).unwrap_or(Value::Null));
         Some(Value::Null)
     })
@@ -553,9 +619,9 @@ pub fn decl(cell: Var, init: Option<BoxGen>) -> Thunk {
 
 /// `<>e` / `create e`: a first-class co-expression over the current
 /// environment.
-pub fn co_create(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> Thunk {
+pub fn co_create(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> BoxGen {
     let (env, body) = (env.clone(), Arc::new(body));
-    comb::thunk(move || {
+    thunk(move || {
         let (env, body) = (env.clone(), Arc::clone(&body));
         Some(coexpr::create(move || body(env.clone())))
     })
@@ -565,9 +631,9 @@ pub fn co_create(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static
 pub fn co_create_shadowed(
     env: &Env,
     body: impl Fn(Env) -> BoxGen + Send + Sync + 'static,
-) -> Thunk {
+) -> BoxGen {
     let (env, body) = (env.clone(), Arc::new(body));
-    comb::thunk(move || {
+    thunk(move || {
         let body = Arc::clone(&body);
         Some(coexpr::create_shadowed(&env, move |shadow| {
             body(shadow.clone())
@@ -579,9 +645,9 @@ pub fn co_create_shadowed(
 /// the environment (the pipe wraps a co-expression, `|>e → c=|<>e; …`) and
 /// spawns a fresh producer thread; the resulting `Value::Co` can be
 /// assigned, activated with `@`, promoted with `!`, or refreshed with `^`.
-pub fn pipe(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> Thunk {
+pub fn pipe(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> BoxGen {
     let (env, body) = (env.clone(), Arc::new(body));
-    comb::thunk(move || {
+    thunk(move || {
         let (pristine, body) = (env.shadow(), Arc::clone(&body));
         Some(pipes::pipe_value(
             move || body(pristine.shadow()),
@@ -590,21 +656,21 @@ pub fn pipe(env: &Env, body: impl Fn(Env) -> BoxGen + Send + Sync + 'static) -> 
     })
 }
 
-/// `e \ n` where `n` is re-read from its slot at each restart.
-pub struct DynLimit {
+struct DynLimit {
     inner: BoxGen,
     n: Slot,
     remaining: Option<i64>,
 }
 
-/// Build a [`DynLimit`]. The bound comes first because it binds first: in
-/// `{ local x := 3; x to 9 } \ x` the bound is the *outer* `x`.
-pub fn dyn_limit(n: Slot, inner: BoxGen) -> DynLimit {
-    DynLimit {
+/// `e \ n` where `n` is re-read from its slot at each restart. The bound
+/// comes first because it binds first: in `{ local x := 3; x to 9 } \ x`
+/// the bound is the *outer* `x`.
+pub fn dyn_limit(n: Slot, inner: BoxGen) -> BoxGen {
+    Box::new(DynLimit {
         inner,
         n,
         remaining: None,
-    }
+    })
 }
 
 impl Gen for DynLimit {
@@ -630,23 +696,22 @@ impl Gen for DynLimit {
     }
 }
 
-/// Reversible assignment `x <- e` (Sec. V.B's "optionally reversible"
-/// iteration): the first resume saves the cell's value, assigns, and
-/// suspends the new value; being resumed again — i.e. backtracked into —
-/// restores the saved value and fails, undoing the binding.
-pub struct RevSetGen {
+struct RevSetGen {
     cell: Var,
     value: Slot,
     saved: Option<Value>,
 }
 
-/// Build a [`RevSetGen`].
-pub fn rev_set(cell: Var, value: Slot) -> RevSetGen {
-    RevSetGen {
+/// Reversible assignment `x <- e` (Sec. V.B's "optionally reversible"
+/// iteration): the first resume saves the cell's value, assigns, and
+/// suspends the new value; being resumed again — i.e. backtracked into —
+/// restores the saved value and fails, undoing the binding.
+pub fn rev_set(cell: Var, value: Slot) -> BoxGen {
+    Box::new(RevSetGen {
         cell,
         value,
         saved: None,
-    }
+    })
 }
 
 impl Gen for RevSetGen {
@@ -734,11 +799,7 @@ pub fn scan_set_pos(pos: i64) -> bool {
     })
 }
 
-/// The scanning generator `e1 ? e2`: evaluates the subject (bounded),
-/// pushes a scanning environment, yields the body's results, and pops the
-/// environment when the body fails. Restart pops any active frame and
-/// starts over.
-pub struct ScanGen {
+struct ScanGen {
     subject: BoxGen,
     body: BoxGen,
     active: bool,
@@ -748,14 +809,17 @@ pub struct ScanGen {
     saved: Option<ScanFrame>,
 }
 
-/// Build a [`ScanGen`].
-pub fn scan_gen(subject: BoxGen, body: BoxGen) -> ScanGen {
-    ScanGen {
+/// The scanning generator `e1 ? e2`: evaluates the subject (bounded),
+/// pushes a scanning environment, yields the body's results, and pops the
+/// environment when the body fails. Restart pops any active frame and
+/// starts over.
+pub fn scan_gen(subject: BoxGen, body: BoxGen) -> BoxGen {
+    Box::new(ScanGen {
         subject,
         body,
         active: false,
         saved: None,
-    }
+    })
 }
 
 impl Gen for ScanGen {
@@ -911,7 +975,7 @@ mod tests {
     fn body_root_resets_flag_on_restart() {
         let f = flag();
         let mut b = body_root(
-            vec![Box::new(return_gen(Some(Box::new(unit(Value::from(3)))), f.clone())) as BoxGen],
+            vec![return_gen(Some(Box::new(unit(Value::from(3)))), f.clone())],
             f.clone(),
         );
         assert_eq!(b.next_value().unwrap().as_int(), Some(3));
@@ -923,7 +987,7 @@ mod tests {
     /// A three-pass loop under either head. Its body suspends 10, raises
     /// `raise` during the second pass it ever runs, then suspends 20. Also
     /// returns the cell the `while` head counts passes in.
-    fn three_passes(every: bool, raise: Option<Flag>, flags: [Flag; 3]) -> (LoopGen, Var) {
+    fn three_passes(every: bool, raise: Option<Flag>, flags: [Flag; 3]) -> (BoxGen, Var) {
         let [outer, brk, nxt] = flags;
         let count = |cell: Var| {
             let k = cell.get().as_int().unwrap() + 1;
@@ -953,13 +1017,13 @@ mod tests {
         ];
         let body = stmt_seq(stmts, vec![outer.clone(), brk.clone(), nxt.clone()]);
         let make = if every { every_do } else { while_do };
-        let l = make(head, Some(Box::new(body)), brk, nxt, vec![outer]);
+        let l = make(head, Some(body), brk, nxt, vec![outer]);
         (l, passes)
     }
 
     #[test]
     fn both_loop_heads_honour_break_next_outer_abort_and_restart() {
-        let ints = |l: &mut LoopGen| -> Vec<i64> {
+        let ints = |l: &mut BoxGen| -> Vec<i64> {
             let values = l.collect_values();
             values.iter().map(|v| v.as_int().unwrap()).collect()
         };

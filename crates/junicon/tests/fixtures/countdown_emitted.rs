@@ -1,98 +1,87 @@
 // Generated by junicon::emit — do not edit.
-#![allow(unused_variables, unused_imports, unused_braces, dead_code, nonstandard_style, clippy::all)]
+#![allow(unused, nonstandard_style, clippy::all)]
 
-use gde::env::Env;
-use gde::{BoxGen, Value};
-use junicon::rt;
+use gde::{env::Env, ProcValue, Value};
+use junicon::rt::{self, Slot::*};
 
-/// Generator function `countdown(n)`.
-pub fn proc_countdown(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["n"]);
-    gde::ProcValue::new("countdown", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 1, &args);
-        let tmps = rt::tmps(1);
-        let flags = rt::flags(3);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::while_do(
-                Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* n */; let s1 = rt::Slot::Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) })) as BoxGen,
-                Some(Box::new(rt::stmt_seq(vec![
-                    Box::new(rt::atom(rt::Slot::Cell(env.slot(0, 0)) /* n */)) as BoxGen,
-                    Box::new(rt::mute_once(gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[0].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* n */; let s1 = rt::Slot::Const(Value::from(1i64)); move || gde::ops::sub(&s0.get(), &s1.get()) })) as BoxGen)) as BoxGen,
-                        Box::new(rt::set_var(env.slot(0, 0) /* n */, rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
-                    ]))) as BoxGen,
-                ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])) as BoxGen),
-                flags[1].clone(),
-                flags[2].clone(),
-                vec![flags[0].clone()],
-            )) as BoxGen,
-        ], flags[0].clone())) as BoxGen
-    })
+pub fn proc_countdown(globals: &Env) -> ProcValue {
+    rt::proc(globals, "countdown", ["n"], 1, 1, 3, |env, tmps, flags| rt::body_root(vec![
+        rt::while_do(
+            rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* n */; let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+            Some(rt::stmt_seq(vec![
+                rt::atom(Cell(env.slot(0, 0)) /* n */),
+                rt::mute_once(rt::product(vec![
+                    rt::bind(tmps[0].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* n */; let s1 = Const(Value::from(1i64)); move || gde::ops::sub(&s0.get(), &s1.get()) })),
+                    rt::set_var(env.slot(0, 0) /* n */, Cell(tmps[0].clone())),
+                ])),
+            ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
+            flags[1].clone(),
+            flags[2].clone(),
+            vec![flags[0].clone()],
+        ),
+    ], flags[0].clone()))
 }
 
-/// Register every generated procedure in `globals`.
 pub fn install(globals: &Env) {
-    globals.declare("countdown", Value::Proc(proc_countdown(globals)));
+    rt::install(globals, &[proc_countdown]);
 }
 
-/// Run the region's top-level statements, each an activation of its own.
 pub fn toplevel(globals: &Env) {
     let env = globals.clone();
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(1);
-        Box::new(rt::mute_once(Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("write")), vec![rt::Slot::Const(Value::str("a"))])) as BoxGen)) as BoxGen
+        rt::mute_once(rt::invoke(Cell(env.lookup_or_declare("write")), vec![Const(Value::str("a"))]))
     });
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(1);
-        Box::new(rt::return_gen(None, flags[0].clone())) as BoxGen
+        rt::return_gen(None, flags[0].clone())
     });
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(1);
-        Box::new(rt::mute_once(Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("write")), vec![rt::Slot::Const(Value::str("b"))])) as BoxGen)) as BoxGen
+        rt::mute_once(rt::invoke(Cell(env.lookup_or_declare("write")), vec![Const(Value::str("b"))]))
     });
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(1);
-        Box::new(rt::flag_fail(flags[0].clone())) as BoxGen
+        rt::flag_fail(flags[0].clone())
     });
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(1);
-        Box::new(rt::mute_once(gde::comb::seq(vec![
-            Box::new(rt::decl(env.declare("t", Value::Null), Some(Box::new(rt::atom(rt::Slot::Const(Value::from(0i64)))) as BoxGen))) as BoxGen,
-        ]))) as BoxGen
+        rt::mute_once(rt::seq(vec![
+            rt::decl(env.declare("t", Value::Null), Some(rt::atom(Const(Value::from(0i64))))),
+        ]))
     });
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(3);
-        Box::new(rt::every_do(
-            gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[0].clone(), Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("countdown")), vec![rt::Slot::Const(Value::from(5i64))])) as BoxGen)) as BoxGen,
-                Box::new(rt::set_var(env.lookup_or_declare("i"), rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
+        rt::every_do(
+            rt::product(vec![
+                rt::bind(tmps[0].clone(), rt::invoke(Cell(env.lookup_or_declare("countdown")), vec![Const(Value::from(5i64))])),
+                rt::set_var(env.lookup_or_declare("i"), Cell(tmps[0].clone())),
             ]),
-            Some(Box::new(rt::stmt_seq(vec![
-                Box::new(rt::if_gen(
-                    Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.lookup_or_declare("i")); let s1 = rt::Slot::Const(Value::from(3i64)); move || gde::ops::lt(&s0.get(), &s1.get()) })) as BoxGen,
-                    Box::new(rt::flag_fail(flags[1].clone())) as BoxGen,
+            Some(rt::stmt_seq(vec![
+                rt::if_gen(
+                    rt::thunk({ let s0 = Cell(env.lookup_or_declare("i")); let s1 = Const(Value::from(3i64)); move || gde::ops::lt(&s0.get(), &s1.get()) }),
+                    rt::flag_fail(flags[1].clone()),
                     None,
-                )) as BoxGen,
-                Box::new(rt::mute_once(gde::comb::product_all(vec![
-                    Box::new(gde::comb::bind(tmps[1].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.lookup_or_declare("t")); let s1 = rt::Slot::Cell(env.lookup_or_declare("i")); move || gde::ops::add(&s0.get(), &s1.get()) })) as BoxGen)) as BoxGen,
-                    Box::new(rt::set_var(env.lookup_or_declare("t"), rt::Slot::Cell(tmps[1].clone()))) as BoxGen,
-                ]))) as BoxGen,
-            ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])) as BoxGen),
+                ),
+                rt::mute_once(rt::product(vec![
+                    rt::bind(tmps[1].clone(), rt::thunk({ let s0 = Cell(env.lookup_or_declare("t")); let s1 = Cell(env.lookup_or_declare("i")); move || gde::ops::add(&s0.get(), &s1.get()) })),
+                    rt::set_var(env.lookup_or_declare("t"), Cell(tmps[1].clone())),
+                ])),
+            ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
             flags[1].clone(),
             flags[2].clone(),
             vec![flags[0].clone()],
-        )) as BoxGen
+        )
     });
     rt::drive({
         let tmps = rt::tmps(2);
         let flags = rt::flags(1);
-        Box::new(rt::mute_once(Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("write")), vec![rt::Slot::Const(Value::str("t=")), rt::Slot::Cell(env.lookup_or_declare("t")), rt::Slot::Const(Value::str(" i=")), rt::Slot::Cell(env.lookup_or_declare("i"))])) as BoxGen)) as BoxGen
+        rt::mute_once(rt::invoke(Cell(env.lookup_or_declare("write")), vec![Const(Value::str("t=")), Cell(env.lookup_or_declare("t")), Const(Value::str(" i=")), Cell(env.lookup_or_declare("i"))]))
     });
 }

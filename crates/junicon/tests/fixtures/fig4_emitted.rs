@@ -1,270 +1,203 @@
 // Generated by junicon::emit — do not edit.
-#![allow(unused_variables, unused_imports, unused_braces, dead_code, nonstandard_style, clippy::all)]
+#![allow(unused, nonstandard_style, clippy::all)]
 
-use gde::env::Env;
-use gde::{BoxGen, Value};
-use junicon::rt;
+use gde::{env::Env, ProcValue, Value};
+use junicon::rt::{self, Slot::*};
 
-/// Generator function `readLines()`.
-pub fn proc_readLines(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of([]);
-    gde::ProcValue::new("readLines", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 0, &args);
-        let tmps = rt::tmps(0);
-        let flags = rt::flags(1);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::promote(rt::Slot::Cell(env.lookup_or_declare("lines")))) as BoxGen,
-        ], flags[0].clone())) as BoxGen
-    })
+pub fn proc_readLines(globals: &Env) -> ProcValue {
+    rt::proc(globals, "readLines", [], 0, 0, 1, |env, tmps, flags| rt::body_root(vec![
+        rt::promote(Cell(env.lookup_or_declare("lines"))),
+    ], flags[0].clone()))
 }
 
-/// Generator function `splitWords(line)`.
-pub fn proc_splitWords(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["line"]);
-    gde::ProcValue::new("splitWords", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 1, &args);
-        let tmps = rt::tmps(1);
-        let flags = rt::flags(1);
-        Box::new(rt::body_root(vec![
-            gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[0].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* line */; let s1 = rt::Slot::Const(Value::str("\\s+")); move || rt::native_method(&s0.get(), "split", &[s1.get()]) })) as BoxGen)) as BoxGen,
-                Box::new(rt::promote(rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
+pub fn proc_splitWords(globals: &Env) -> ProcValue {
+    rt::proc(globals, "splitWords", ["line"], 1, 1, 1, |env, tmps, flags| rt::body_root(vec![
+        rt::product(vec![
+            rt::bind(tmps[0].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* line */; let s1 = Const(Value::str("\\s+")); move || rt::native_method(&s0.get(), "split", &[s1.get()]) })),
+            rt::promote(Cell(tmps[0].clone())),
+        ]),
+    ], flags[0].clone()))
+}
+
+pub fn proc_chunk(globals: &Env) -> ProcValue {
+    rt::proc(globals, "chunk", ["e", "c"], 1, 5, 3, |env, tmps, flags| rt::body_root(vec![
+        rt::mute_once(rt::seq(vec![
+            rt::decl(env.slot_local(1) /* c */, None),
+        ])),
+        rt::mute_once(rt::product(vec![
+            rt::bind(tmps[0].clone(), rt::thunk({ move || rt::list(vec![]) })),
+            rt::set_var(env.slot(0, 1) /* c */, Cell(tmps[0].clone())),
+        ])),
+        rt::while_do(
+            rt::product(vec![
+                rt::bind(tmps[1].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* e */; move || coexpr::activate(&s0.get()) })),
+                rt::invoke(Cell(env.lookup_or_declare("put")), vec![Cell(env.slot(0, 1)) /* c */, Cell(tmps[1].clone())]),
             ]),
-        ], flags[0].clone())) as BoxGen
-    })
+            Some(rt::stmt_seq(vec![
+                rt::if_gen(
+                    rt::product(vec![
+                        rt::bind(tmps[2].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })),
+                        rt::thunk({ let s0 = Cell(tmps[2].clone()); let s1 = Cell(env.lookup_or_declare("chunkSize")); move || gde::ops::ge(&s0.get(), &s1.get()) }),
+                    ]),
+                    rt::stmt_seq(vec![
+                        rt::atom(Cell(env.slot(0, 1)) /* c */),
+                        rt::mute_once(rt::product(vec![
+                            rt::bind(tmps[3].clone(), rt::thunk({ move || rt::list(vec![]) })),
+                            rt::set_var(env.slot(0, 1) /* c */, Cell(tmps[3].clone())),
+                        ])),
+                    ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()]),
+                    None,
+                ),
+            ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
+            flags[1].clone(),
+            flags[2].clone(),
+            vec![flags[0].clone()],
+        ),
+        rt::if_gen(
+            rt::product(vec![
+                rt::bind(tmps[4].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })),
+                rt::thunk({ let s0 = Cell(tmps[4].clone()); let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+            ]),
+            rt::stmt_seq(vec![
+                rt::return_gen(Some(rt::atom(Cell(env.slot(0, 1)) /* c */)), flags[0].clone()),
+            ], vec![flags[0].clone()]),
+            None,
+        ),
+    ], flags[0].clone()))
 }
 
-/// Generator function `chunk(e)`.
-pub fn proc_chunk(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["e", "c"]);
-    gde::ProcValue::new("chunk", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 1, &args);
-        let tmps = rt::tmps(5);
-        let flags = rt::flags(3);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::mute_once(gde::comb::seq(vec![
-                Box::new(rt::decl(env.slot_local(1) /* c */, None)) as BoxGen,
-            ]))) as BoxGen,
-            Box::new(rt::mute_once(gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[0].clone(), Box::new(gde::comb::thunk({ move || rt::list(vec![]) })) as BoxGen)) as BoxGen,
-                Box::new(rt::set_var(env.slot(0, 1) /* c */, rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
-            ]))) as BoxGen,
-            Box::new(rt::while_do(
-                gde::comb::product_all(vec![
-                    Box::new(gde::comb::bind(tmps[1].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* e */; move || coexpr::activate(&s0.get()) })) as BoxGen)) as BoxGen,
-                    Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("put")), vec![rt::Slot::Cell(env.slot(0, 1)) /* c */, rt::Slot::Cell(tmps[1].clone())])) as BoxGen,
-                ]),
-                Some(Box::new(rt::stmt_seq(vec![
-                    Box::new(rt::if_gen(
-                        gde::comb::product_all(vec![
-                            Box::new(gde::comb::bind(tmps[2].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })) as BoxGen)) as BoxGen,
-                            Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(tmps[2].clone()); let s1 = rt::Slot::Cell(env.lookup_or_declare("chunkSize")); move || gde::ops::ge(&s0.get(), &s1.get()) })) as BoxGen,
+pub fn proc_mapReduce(globals: &Env) -> ProcValue {
+    rt::proc(globals, "mapReduce", ["f", "s", "r", "init", "c", "t", "tasks"], 4, 7, 3, |env, tmps, flags| rt::body_root(vec![
+        rt::mute_once(rt::seq(vec![
+            rt::decl(env.slot_local(4) /* c */, None),
+            rt::decl(env.slot_local(5) /* t */, None),
+            rt::decl(env.slot_local(6) /* tasks */, None),
+        ])),
+        rt::mute_once(rt::product(vec![
+            rt::bind(tmps[0].clone(), rt::thunk({ move || rt::list(vec![]) })),
+            rt::set_var(env.slot(0, 6) /* tasks */, Cell(tmps[0].clone())),
+        ])),
+        rt::every_do(
+            rt::product(vec![
+                rt::bind(tmps[1].clone(), rt::invoke(Cell(env.lookup_or_declare("chunk")), vec![Cell(env.slot(0, 1)) /* s */])),
+                rt::set_var(env.slot(0, 4) /* c */, Cell(tmps[1].clone())),
+            ]),
+            Some(rt::stmt_seq(vec![
+                rt::mute_once(rt::product(vec![
+                    rt::bind(tmps[2].clone(), rt::pipe(&env, |env| {
+                        let tmps = rt::tmps(7);
+                        let flags = rt::flags(3);
+                        rt::seq(vec![
+                            rt::mute_once(rt::seq(vec![
+                                rt::decl(env.declare("x", Value::Null), None),
+                            ])),
+                            rt::mute_once(rt::set_var(env.lookup_or_declare("x"), Cell(env.lookup_or_declare("init")))),
+                            rt::every_do(rt::product(vec![
+                                rt::bind(tmps[3].clone(), rt::product(vec![
+                                    rt::bind(tmps[4].clone(), rt::product(vec![
+                                        rt::bind(tmps[5].clone(), rt::promote(Cell(env.lookup_or_declare("c")))),
+                                        rt::invoke(Cell(env.lookup_or_declare("f")), vec![Cell(tmps[5].clone())]),
+                                    ])),
+                                    rt::invoke(Cell(env.lookup_or_declare("r")), vec![Cell(env.lookup_or_declare("x")), Cell(tmps[4].clone())]),
+                                ])),
+                                rt::set_var(env.lookup_or_declare("x"), Cell(tmps[3].clone())),
+                            ]), None, flags[1].clone(), flags[2].clone(), vec![flags[0].clone()]),
+                            rt::atom(Cell(env.lookup_or_declare("x"))),
+                        ])
+                    })),
+                    rt::set_var(env.slot(0, 5) /* t */, Cell(tmps[2].clone())),
+                ])),
+                rt::mute_once(rt::thunk({ let s0 = Cell(env.slot(0, 6)) /* tasks */; let s1 = Cell(env.slot(0, 5)) /* t */; move || rt::native_method(&s0.get(), "add", &[s1.get()]) })),
+            ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
+            flags[1].clone(),
+            flags[2].clone(),
+            vec![flags[0].clone()],
+        ),
+        rt::product(vec![
+            rt::bind(tmps[6].clone(), rt::promote(Cell(env.slot(0, 6)) /* tasks */)),
+            rt::promote(Cell(tmps[6].clone())),
+        ]),
+    ], flags[0].clone()))
+}
+
+pub fn proc_wordSize(globals: &Env) -> ProcValue {
+    rt::proc(globals, "wordSize", ["w"], 1, 0, 1, |env, tmps, flags| rt::body_root(vec![
+        rt::return_gen(Some(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* w */; move || rt::size(&s0.get()) })), flags[0].clone()),
+    ], flags[0].clone()))
+}
+
+pub fn proc_sum(globals: &Env) -> ProcValue {
+    rt::proc(globals, "sum", ["a", "b"], 2, 0, 1, |env, tmps, flags| rt::body_root(vec![
+        rt::return_gen(Some(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* a */; let s1 = Cell(env.slot(0, 1)) /* b */; move || gde::ops::add(&s0.get(), &s1.get()) })), flags[0].clone()),
+    ], flags[0].clone()))
+}
+
+pub fn proc_freqReport(globals: &Env) -> ProcValue {
+    rt::proc(globals, "freqReport", ["counts", "w", "n"], 0, 9, 5, |env, tmps, flags| rt::body_root(vec![
+        rt::mute_once(rt::seq(vec![
+            rt::decl(env.slot_local(0) /* counts */, None),
+            rt::decl(env.slot_local(1) /* w */, None),
+            rt::decl(env.slot_local(2) /* n */, None),
+        ])),
+        rt::mute_once(rt::product(vec![
+            rt::bind(tmps[0].clone(), rt::invoke(Cell(env.lookup_or_declare("table")), vec![Const(Value::from(0i64))])),
+            rt::set_var(env.slot(0, 0) /* counts */, Cell(tmps[0].clone())),
+        ])),
+        rt::every_do(
+            rt::product(vec![
+                rt::bind(tmps[1].clone(), rt::product(vec![
+                    rt::bind(tmps[2].clone(), rt::invoke(Cell(env.lookup_or_declare("readLines")), vec![])),
+                    rt::invoke(Cell(env.lookup_or_declare("splitWords")), vec![Cell(tmps[2].clone())]),
+                ])),
+                rt::set_var(env.slot(0, 1) /* w */, Cell(tmps[1].clone())),
+            ]),
+            Some(rt::stmt_seq(vec![
+                rt::mute_once(rt::product(vec![
+                    rt::bind(tmps[3].clone(), rt::product(vec![
+                        rt::bind(tmps[4].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; move || gde::ops::index(&s0.get(), &s1.get()) })),
+                        rt::thunk({ let s0 = Cell(tmps[4].clone()); let s1 = Const(Value::from(1i64)); move || gde::ops::add(&s0.get(), &s1.get()) }),
+                    ])),
+                    rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; let s2 = Cell(tmps[3].clone()); move || gde::ops::index_assign(&s0.get(), &s1.get(), s2.get()) }),
+                ])),
+            ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
+            flags[1].clone(),
+            flags[2].clone(),
+            vec![flags[0].clone()],
+        ),
+        rt::every_do(
+            rt::product(vec![
+                rt::bind(tmps[5].clone(), rt::product(vec![
+                    rt::bind(tmps[6].clone(), rt::invoke(Cell(env.lookup_or_declare("readLines")), vec![])),
+                    rt::invoke(Cell(env.lookup_or_declare("splitWords")), vec![Cell(tmps[6].clone())]),
+                ])),
+                rt::set_var(env.slot(0, 1) /* w */, Cell(tmps[5].clone())),
+            ]),
+            Some(rt::stmt_seq(vec![
+                rt::mute_once(rt::product(vec![
+                    rt::bind(tmps[7].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; move || gde::ops::index(&s0.get(), &s1.get()) })),
+                    rt::set_var(env.slot(0, 2) /* n */, Cell(tmps[7].clone())),
+                ])),
+                rt::if_gen(
+                    rt::thunk({ let s0 = Cell(env.slot(0, 2)) /* n */; let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+                    rt::stmt_seq(vec![
+                        rt::mute_once(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; let s2 = Const(Value::from(0i64)); move || gde::ops::index_assign(&s0.get(), &s1.get(), s2.get()) })),
+                        rt::product(vec![
+                            rt::bind(tmps[8].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* w */; let s1 = Const(Value::str("=")); move || gde::ops::concat(&s0.get(), &s1.get()) })),
+                            rt::thunk({ let s0 = Cell(tmps[8].clone()); let s1 = Cell(env.slot(0, 2)) /* n */; move || gde::ops::concat(&s0.get(), &s1.get()) }),
                         ]),
-                        Box::new(rt::stmt_seq(vec![
-                            Box::new(rt::atom(rt::Slot::Cell(env.slot(0, 1)) /* c */)) as BoxGen,
-                            Box::new(rt::mute_once(gde::comb::product_all(vec![
-                                Box::new(gde::comb::bind(tmps[3].clone(), Box::new(gde::comb::thunk({ move || rt::list(vec![]) })) as BoxGen)) as BoxGen,
-                                Box::new(rt::set_var(env.slot(0, 1) /* c */, rt::Slot::Cell(tmps[3].clone()))) as BoxGen,
-                            ]))) as BoxGen,
-                        ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])) as BoxGen,
-                        None,
-                    )) as BoxGen,
-                ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])) as BoxGen),
-                flags[1].clone(),
-                flags[2].clone(),
-                vec![flags[0].clone()],
-            )) as BoxGen,
-            Box::new(rt::if_gen(
-                gde::comb::product_all(vec![
-                    Box::new(gde::comb::bind(tmps[4].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })) as BoxGen)) as BoxGen,
-                    Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(tmps[4].clone()); let s1 = rt::Slot::Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) })) as BoxGen,
-                ]),
-                Box::new(rt::stmt_seq(vec![
-                    Box::new(rt::return_gen(Some(Box::new(rt::atom(rt::Slot::Cell(env.slot(0, 1)) /* c */)) as BoxGen), flags[0].clone())) as BoxGen,
-                ], vec![flags[0].clone()])) as BoxGen,
-                None,
-            )) as BoxGen,
-        ], flags[0].clone())) as BoxGen
-    })
+                    ], vec![flags[0].clone(), flags[3].clone(), flags[4].clone()]),
+                    None,
+                ),
+            ], vec![flags[0].clone(), flags[3].clone(), flags[4].clone()])),
+            flags[3].clone(),
+            flags[4].clone(),
+            vec![flags[0].clone()],
+        ),
+    ], flags[0].clone()))
 }
 
-/// Generator function `mapReduce(f, s, r, init)`.
-pub fn proc_mapReduce(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["f", "s", "r", "init", "c", "t", "tasks"]);
-    gde::ProcValue::new("mapReduce", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 4, &args);
-        let tmps = rt::tmps(7);
-        let flags = rt::flags(3);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::mute_once(gde::comb::seq(vec![
-                Box::new(rt::decl(env.slot_local(4) /* c */, None)) as BoxGen,
-                Box::new(rt::decl(env.slot_local(5) /* t */, None)) as BoxGen,
-                Box::new(rt::decl(env.slot_local(6) /* tasks */, None)) as BoxGen,
-            ]))) as BoxGen,
-            Box::new(rt::mute_once(gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[0].clone(), Box::new(gde::comb::thunk({ move || rt::list(vec![]) })) as BoxGen)) as BoxGen,
-                Box::new(rt::set_var(env.slot(0, 6) /* tasks */, rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
-            ]))) as BoxGen,
-            Box::new(rt::every_do(
-                gde::comb::product_all(vec![
-                    Box::new(gde::comb::bind(tmps[1].clone(), Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("chunk")), vec![rt::Slot::Cell(env.slot(0, 1)) /* s */])) as BoxGen)) as BoxGen,
-                    Box::new(rt::set_var(env.slot(0, 4) /* c */, rt::Slot::Cell(tmps[1].clone()))) as BoxGen,
-                ]),
-                Some(Box::new(rt::stmt_seq(vec![
-                    Box::new(rt::mute_once(gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[2].clone(), Box::new(rt::pipe(&env, |env| {
-                            let tmps = rt::tmps(7);
-                            let flags = rt::flags(3);
-                            gde::comb::seq(vec![
-                                Box::new(rt::mute_once(gde::comb::seq(vec![
-                                    Box::new(rt::decl(env.declare("x", Value::Null), None)) as BoxGen,
-                                ]))) as BoxGen,
-                                Box::new(rt::mute_once(Box::new(rt::set_var(env.lookup_or_declare("x"), rt::Slot::Cell(env.lookup_or_declare("init")))) as BoxGen)) as BoxGen,
-                                Box::new(rt::every_do(gde::comb::product_all(vec![
-                                    Box::new(gde::comb::bind(tmps[3].clone(), gde::comb::product_all(vec![
-                                        Box::new(gde::comb::bind(tmps[4].clone(), gde::comb::product_all(vec![
-                                            Box::new(gde::comb::bind(tmps[5].clone(), Box::new(rt::promote(rt::Slot::Cell(env.lookup_or_declare("c")))) as BoxGen)) as BoxGen,
-                                            Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("f")), vec![rt::Slot::Cell(tmps[5].clone())])) as BoxGen,
-                                        ]))) as BoxGen,
-                                        Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("r")), vec![rt::Slot::Cell(env.lookup_or_declare("x")), rt::Slot::Cell(tmps[4].clone())])) as BoxGen,
-                                    ]))) as BoxGen,
-                                    Box::new(rt::set_var(env.lookup_or_declare("x"), rt::Slot::Cell(tmps[3].clone()))) as BoxGen,
-                                ]), None, flags[1].clone(), flags[2].clone(), vec![flags[0].clone()])) as BoxGen,
-                                Box::new(rt::atom(rt::Slot::Cell(env.lookup_or_declare("x")))) as BoxGen,
-                            ])
-                        })) as BoxGen)) as BoxGen,
-                        Box::new(rt::set_var(env.slot(0, 5) /* t */, rt::Slot::Cell(tmps[2].clone()))) as BoxGen,
-                    ]))) as BoxGen,
-                    Box::new(rt::mute_once(Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 6)) /* tasks */; let s1 = rt::Slot::Cell(env.slot(0, 5)) /* t */; move || rt::native_method(&s0.get(), "add", &[s1.get()]) })) as BoxGen)) as BoxGen,
-                ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])) as BoxGen),
-                flags[1].clone(),
-                flags[2].clone(),
-                vec![flags[0].clone()],
-            )) as BoxGen,
-            gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[6].clone(), Box::new(rt::promote(rt::Slot::Cell(env.slot(0, 6)) /* tasks */)) as BoxGen)) as BoxGen,
-                Box::new(rt::promote(rt::Slot::Cell(tmps[6].clone()))) as BoxGen,
-            ]),
-        ], flags[0].clone())) as BoxGen
-    })
-}
-
-/// Generator function `wordSize(w)`.
-pub fn proc_wordSize(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["w"]);
-    gde::ProcValue::new("wordSize", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 1, &args);
-        let tmps = rt::tmps(0);
-        let flags = rt::flags(1);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::return_gen(Some(Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* w */; move || rt::size(&s0.get()) })) as BoxGen), flags[0].clone())) as BoxGen,
-        ], flags[0].clone())) as BoxGen
-    })
-}
-
-/// Generator function `sum(a, b)`.
-pub fn proc_sum(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["a", "b"]);
-    gde::ProcValue::new("sum", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 2, &args);
-        let tmps = rt::tmps(0);
-        let flags = rt::flags(1);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::return_gen(Some(Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* a */; let s1 = rt::Slot::Cell(env.slot(0, 1)) /* b */; move || gde::ops::add(&s0.get(), &s1.get()) })) as BoxGen), flags[0].clone())) as BoxGen,
-        ], flags[0].clone())) as BoxGen
-    })
-}
-
-/// Generator function `freqReport()`.
-pub fn proc_freqReport(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["counts", "w", "n"]);
-    gde::ProcValue::new("freqReport", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 0, &args);
-        let tmps = rt::tmps(9);
-        let flags = rt::flags(5);
-        Box::new(rt::body_root(vec![
-            Box::new(rt::mute_once(gde::comb::seq(vec![
-                Box::new(rt::decl(env.slot_local(0) /* counts */, None)) as BoxGen,
-                Box::new(rt::decl(env.slot_local(1) /* w */, None)) as BoxGen,
-                Box::new(rt::decl(env.slot_local(2) /* n */, None)) as BoxGen,
-            ]))) as BoxGen,
-            Box::new(rt::mute_once(gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[0].clone(), Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("table")), vec![rt::Slot::Const(Value::from(0i64))])) as BoxGen)) as BoxGen,
-                Box::new(rt::set_var(env.slot(0, 0) /* counts */, rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
-            ]))) as BoxGen,
-            Box::new(rt::every_do(
-                gde::comb::product_all(vec![
-                    Box::new(gde::comb::bind(tmps[1].clone(), gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[2].clone(), Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("readLines")), vec![])) as BoxGen)) as BoxGen,
-                        Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("splitWords")), vec![rt::Slot::Cell(tmps[2].clone())])) as BoxGen,
-                    ]))) as BoxGen,
-                    Box::new(rt::set_var(env.slot(0, 1) /* w */, rt::Slot::Cell(tmps[1].clone()))) as BoxGen,
-                ]),
-                Some(Box::new(rt::stmt_seq(vec![
-                    Box::new(rt::mute_once(gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[3].clone(), gde::comb::product_all(vec![
-                            Box::new(gde::comb::bind(tmps[4].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* counts */; let s1 = rt::Slot::Cell(env.slot(0, 1)) /* w */; move || gde::ops::index(&s0.get(), &s1.get()) })) as BoxGen)) as BoxGen,
-                            Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(tmps[4].clone()); let s1 = rt::Slot::Const(Value::from(1i64)); move || gde::ops::add(&s0.get(), &s1.get()) })) as BoxGen,
-                        ]))) as BoxGen,
-                        Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* counts */; let s1 = rt::Slot::Cell(env.slot(0, 1)) /* w */; let s2 = rt::Slot::Cell(tmps[3].clone()); move || gde::ops::index_assign(&s0.get(), &s1.get(), s2.get()) })) as BoxGen,
-                    ]))) as BoxGen,
-                ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])) as BoxGen),
-                flags[1].clone(),
-                flags[2].clone(),
-                vec![flags[0].clone()],
-            )) as BoxGen,
-            Box::new(rt::every_do(
-                gde::comb::product_all(vec![
-                    Box::new(gde::comb::bind(tmps[5].clone(), gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[6].clone(), Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("readLines")), vec![])) as BoxGen)) as BoxGen,
-                        Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("splitWords")), vec![rt::Slot::Cell(tmps[6].clone())])) as BoxGen,
-                    ]))) as BoxGen,
-                    Box::new(rt::set_var(env.slot(0, 1) /* w */, rt::Slot::Cell(tmps[5].clone()))) as BoxGen,
-                ]),
-                Some(Box::new(rt::stmt_seq(vec![
-                    Box::new(rt::mute_once(gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[7].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* counts */; let s1 = rt::Slot::Cell(env.slot(0, 1)) /* w */; move || gde::ops::index(&s0.get(), &s1.get()) })) as BoxGen)) as BoxGen,
-                        Box::new(rt::set_var(env.slot(0, 2) /* n */, rt::Slot::Cell(tmps[7].clone()))) as BoxGen,
-                    ]))) as BoxGen,
-                    Box::new(rt::if_gen(
-                        Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 2)) /* n */; let s1 = rt::Slot::Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) })) as BoxGen,
-                        Box::new(rt::stmt_seq(vec![
-                            Box::new(rt::mute_once(Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 0)) /* counts */; let s1 = rt::Slot::Cell(env.slot(0, 1)) /* w */; let s2 = rt::Slot::Const(Value::from(0i64)); move || gde::ops::index_assign(&s0.get(), &s1.get(), s2.get()) })) as BoxGen)) as BoxGen,
-                            gde::comb::product_all(vec![
-                                Box::new(gde::comb::bind(tmps[8].clone(), Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(env.slot(0, 1)) /* w */; let s1 = rt::Slot::Const(Value::str("=")); move || gde::ops::concat(&s0.get(), &s1.get()) })) as BoxGen)) as BoxGen,
-                                Box::new(gde::comb::thunk({ let s0 = rt::Slot::Cell(tmps[8].clone()); let s1 = rt::Slot::Cell(env.slot(0, 2)) /* n */; move || gde::ops::concat(&s0.get(), &s1.get()) })) as BoxGen,
-                            ]),
-                        ], vec![flags[0].clone(), flags[3].clone(), flags[4].clone()])) as BoxGen,
-                        None,
-                    )) as BoxGen,
-                ], vec![flags[0].clone(), flags[3].clone(), flags[4].clone()])) as BoxGen),
-                flags[3].clone(),
-                flags[4].clone(),
-                vec![flags[0].clone()],
-            )) as BoxGen,
-        ], flags[0].clone())) as BoxGen
-    })
-}
-
-/// Register every generated procedure in `globals`.
 pub fn install(globals: &Env) {
-    globals.declare("readLines", Value::Proc(proc_readLines(globals)));
-    globals.declare("splitWords", Value::Proc(proc_splitWords(globals)));
-    globals.declare("chunk", Value::Proc(proc_chunk(globals)));
-    globals.declare("mapReduce", Value::Proc(proc_mapReduce(globals)));
-    globals.declare("wordSize", Value::Proc(proc_wordSize(globals)));
-    globals.declare("sum", Value::Proc(proc_sum(globals)));
-    globals.declare("freqReport", Value::Proc(proc_freqReport(globals)));
+    rt::install(globals, &[proc_readLines, proc_splitWords, proc_chunk, proc_mapReduce, proc_wordSize, proc_sum, proc_freqReport]);
 }
 
-/// Run the region's top-level statements, each an activation of its own.
-pub fn toplevel(globals: &Env) {
-    let env = globals.clone();
-}
+pub fn toplevel(globals: &Env) {}

@@ -1,40 +1,27 @@
 // Generated by junicon::emit — do not edit.
-#![allow(unused_variables, unused_imports, unused_braces, dead_code, nonstandard_style, clippy::all)]
+#![allow(unused, nonstandard_style, clippy::all)]
 
-use gde::env::Env;
-use gde::{BoxGen, Value};
-use junicon::rt;
+use gde::{env::Env, ProcValue, Value};
+use junicon::rt::{self, Slot::*};
 
-/// Generator function `spawnMap(f, chunk)`.
-pub fn proc_spawnMap(globals: &Env) -> gde::ProcValue {
-    let globals = globals.clone();
-    let layout = gde::FrameLayout::of(["f", "chunk"]);
-    gde::ProcValue::new("spawnMap", move |args: Vec<Value>| {
-        let env = rt::frame(&globals, &layout, 2, &args);
-        let tmps = rt::tmps(2);
-        let flags = rt::flags(1);
-        Box::new(rt::body_root(vec![
-            gde::comb::product_all(vec![
-                Box::new(gde::comb::bind(tmps[0].clone(), Box::new(rt::pipe(&env, |env| {
-                    let tmps = rt::tmps(2);
-                    let flags = rt::flags(1);
-                    gde::comb::product_all(vec![
-                        Box::new(gde::comb::bind(tmps[1].clone(), Box::new(rt::promote(rt::Slot::Cell(env.lookup_or_declare("chunk")))) as BoxGen)) as BoxGen,
-                        Box::new(rt::invoke(rt::Slot::Cell(env.lookup_or_declare("f")), vec![rt::Slot::Cell(tmps[1].clone())])) as BoxGen,
-                    ])
-                })) as BoxGen)) as BoxGen,
-                Box::new(rt::promote(rt::Slot::Cell(tmps[0].clone()))) as BoxGen,
-            ]),
-        ], flags[0].clone())) as BoxGen
-    })
+pub fn proc_spawnMap(globals: &Env) -> ProcValue {
+    rt::proc(globals, "spawnMap", ["f", "chunk"], 2, 2, 1, |env, tmps, flags| rt::body_root(vec![
+        rt::product(vec![
+            rt::bind(tmps[0].clone(), rt::pipe(&env, |env| {
+                let tmps = rt::tmps(2);
+                let flags = rt::flags(1);
+                rt::product(vec![
+                    rt::bind(tmps[1].clone(), rt::promote(Cell(env.lookup_or_declare("chunk")))),
+                    rt::invoke(Cell(env.lookup_or_declare("f")), vec![Cell(tmps[1].clone())]),
+                ])
+            })),
+            rt::promote(Cell(tmps[0].clone())),
+        ]),
+    ], flags[0].clone()))
 }
 
-/// Register every generated procedure in `globals`.
 pub fn install(globals: &Env) {
-    globals.declare("spawnMap", Value::Proc(proc_spawnMap(globals)));
+    rt::install(globals, &[proc_spawnMap]);
 }
 
-/// Run the region's top-level statements, each an activation of its own.
-pub fn toplevel(globals: &Env) {
-    let env = globals.clone();
-}
+pub fn toplevel(globals: &Env) {}

@@ -22,6 +22,8 @@
 #                    `|>e` is the only concurrent construct (no fan-in)
 #                    and a pipe spawns once per run; a re-run call
 #                    checks one generation and looks no name up;
+#                    emitted code is `rt` calls, with no boxing or
+#                    per-procedure scaffolding spelled out;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -121,6 +123,25 @@ if hits="$(grep -rnE '\bnatives_gen\b|fn by_name\b|\bcount_primes_to\b|\bis_perf
     exit 1
 fi
 echo "   ok: a re-run call checks one generation and looks no name up"
+
+# Emitted code at the paper's scale (DESIGN.md § One lowering): every
+# constructor row is an `rt` function that hands back a `BoxGen`, and a
+# procedure is one `rt::proc` call, so the executed fixtures carry no
+# boxing, no `gde::comb` path, no spelled-out `rt::Slot`, no per-procedure
+# scaffolding and no per-procedure `declare`; the table's boxing column
+# and the uncalled per-procedure entry point stay deleted.
+if hits="$(grep -nE 'as BoxGen|Box::new\(|gde::comb::|rt::Slot::|ProcValue::new|FrameLayout::of|rt::frame\(|globals\.declare\(|/// Generator function' \
+        crates/junicon/tests/fixtures/*_emitted.rs)"; then
+    echo "$hits"
+    echo "FAIL: emitted code spells out what rt holds; print rt::proc, rt::install and the boxed rt constructors"
+    exit 1
+fi
+if hits="$(grep -rnE 'fn emit_proc\b|macro_rules! boxed\b' crates/*/src benchmark/src)"; then
+    echo "$hits"
+    echo "FAIL: emit_proc or the constructor table's boxing column is back"
+    exit 1
+fi
+echo "   ok: emitted code is rt calls only (no boxing, no scaffolding)"
 
 # One measured surface (DESIGN.md § CI): claims are judged by
 # benchmark/run.sh, so no criterion-style target, shim knob or figure6
