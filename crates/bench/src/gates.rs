@@ -155,12 +155,12 @@ pub const MAX_BLOCKED_TAKES_PER_WORD: f64 = 0.0747;
 /// the PR's `BENCH_history.jsonl` line record the move.
 pub const MAX_SEQ_LIGHT_EMBEDDED_OVER_NATIVE: f64 = 1.81;
 
-/// `peak_rss_mb` on untraced `compile_heavy` (118.6 while set-ups leaked; 54.1–55.0
-/// while emitted text was twice its size and kept its growth slack), derived
-/// 2026-10-19 as above: max(35.84 35.83 35.83 35.74 35.89 35.82 35.77 35.76 35.84
-/// 35.76) × 1.15 = 41.27. It was 63.3 over 54.99. Growth slack alone reads 39.4, under
-/// the cap: `junicon::emit`'s `emitted_text_carries_no_growth_slack` test catches that.
-pub const MAX_COMPILE_HEAVY_PEAK_RSS_MB: f64 = 41.3;
+/// `peak_rss_mb` on untraced `compile_heavy` (118.6 while set-ups leaked; 54.1–55.0 while
+/// emitted text was twice its size; 39.4 with its growth slack kept). Memory spreads far
+/// less than a rate, so the cap is max + max(10 × (max − min), 1 MB) over ten quick readings,
+/// derived 2026-10-20 (35.820 35.789 35.820 35.902 35.887 35.820 35.813 35.805 35.887 35.809):
+/// 35.902 + 10 × 0.113 = 37.04. It was 41.3 (max × 1.15), which 39.4 passed.
+pub const MAX_COMPILE_HEAVY_PEAK_RSS_MB: f64 = 37.04;
 
 /// `interp_over_native` on untraced `seq_light`, the median of three quick
 /// runs (9.78–10.28 while every call built its activation), derived
@@ -200,7 +200,7 @@ pub const TABLE: [Row; 5] = [
         trace: 0,
         key: "peak_rss_mb",
         check: Check::MetricAtMost(MAX_COMPILE_HEAVY_PEAK_RSS_MB),
-        guards: "a dropped interpreter is no longer freed (DESIGN.md § 6, Interpreter lifetime), or emitted text is back at its pre-cut size (DESIGN.md § One lowering)",
+        guards: "a dropped interpreter is no longer freed (DESIGN.md § 6, Interpreter lifetime), or emitted text is back at its pre-cut size or keeps its growth slack (DESIGN.md § One lowering)",
     },
     Row {
         gate: "interp-recycled",

@@ -41,13 +41,17 @@
 //! scope keeps the generation it saw before binding; while the scope's
 //! generation reads the same, binding again would find the same cells.
 //! Reading, assigning and slot access leave it alone.
+//!
+//! A frame that holds itself through a value (an object's field frame holds
+//! the object as `self`) is adopted by the root of its scope chain
+//! ([`Env::adopt`]): clearing the root clears it, which breaks the cycle.
 
 use crate::value::Value;
 use crate::var::Var;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// The static shape of a frame: slot-index → name, plus a name → *latest*
 /// slot index map for the by-name fallback path.
@@ -132,6 +136,8 @@ struct Frame {
     /// [`Env::generation`].
     generation: AtomicU64,
     parent: Option<Env>,
+    /// A root's register of the frames adopted under it; `None` below.
+    adopted: Option<Box<Mutex<Vec<Weak<Frame>>>>>,
 }
 
 impl Frame {
@@ -141,6 +147,7 @@ impl Frame {
             layout,
             overlay: Mutex::new(HashMap::new()),
             generation: AtomicU64::new(0),
+            adopted: parent.is_none().then(Box::default),
             parent,
         }
     }
@@ -150,12 +157,6 @@ impl Frame {
 #[derive(Clone)]
 pub struct Env {
     frame: Arc<Frame>,
-}
-
-impl Default for Env {
-    fn default() -> Self {
-        Self::root()
-    }
 }
 
 impl Env {
@@ -313,14 +314,15 @@ impl Env {
                 overlay: Mutex::new(copied),
                 generation: AtomicU64::new(0),
                 parent: self.frame.parent.clone(),
+                adopted: self.frame.parent.is_none().then(Box::default),
             }),
         }
     }
 
-    /// Empty this frame: drop every overlay name and set every slot to
-    /// null. Code still holding one of its `Var`s keeps the cell; only
-    /// by-name lookups made afterwards find nothing. As in
-    /// [`Env::shadow`], no lock is held while the old values drop.
+    /// Empty this frame: drop every overlay name, set every slot to null,
+    /// and (a root) clear and forget the frames adopted under it. Code still
+    /// holding a `Var` keeps the cell; by-name lookups made afterwards find
+    /// nothing. As in [`Env::shadow`], no lock is held while values drop.
     pub fn clear(&self) {
         let overlay = std::mem::take(&mut *self.frame.overlay.lock());
         self.touch();
@@ -328,6 +330,29 @@ impl Env {
         for cell in self.frame.slots.iter() {
             drop(cell.replace(Value::Null));
         }
+        if let Some(adopted) = &self.frame.adopted {
+            let adopted = std::mem::take(&mut *adopted.lock());
+            for frame in adopted.iter().filter_map(Weak::upgrade) {
+                Env { frame }.clear();
+            }
+        }
+    }
+
+    /// Have the root of this scope chain adopt `frame`: clearing the root
+    /// clears `frame` too. The root holds it weakly, and drops the handles
+    /// of freed frames whenever its register would grow.
+    pub fn adopt(&self, frame: &Env) {
+        if let Some(parent) = &self.frame.parent {
+            return parent.adopt(frame);
+        }
+        let mut adopted = match &self.frame.adopted {
+            Some(register) => register.lock(),
+            None => unreachable!("a frame without a parent keeps a register"),
+        };
+        if adopted.len() == adopted.capacity() {
+            adopted.retain(|f| f.strong_count() > 0);
+        }
+        adopted.push(Arc::downgrade(&frame.frame));
     }
 
     /// Null every cell of this frame and keep its names: the values a fresh
@@ -524,6 +549,29 @@ mod tests {
         held.set(Value::from(2));
         assert_eq!(held.get().as_int(), Some(2));
         assert_eq!(env.get("outer").as_int(), Some(10));
+    }
+
+    #[test]
+    fn clearing_a_root_clears_the_frames_adopted_under_it() {
+        let root = Env::root();
+        let scope = root.child();
+        let adopted = scope.child_with_layout(FrameLayout::of(["n"]));
+        adopted.slot_local(0).set(Value::from(7));
+        scope.adopt(&adopted);
+        let dropped = root.child();
+        root.adopt(&dropped);
+        let gone = Arc::downgrade(&dropped.frame);
+        drop(dropped);
+        assert!(gone.upgrade().is_none(), "an adopted frame is held weakly");
+        // Clearing a frame that is not a root leaves what its root adopted.
+        scope.clear();
+        assert_eq!(adopted.slot_local(0).get().as_int(), Some(7));
+        root.clear();
+        assert!(adopted.slot_local(0).get().is_null());
+        // The register is emptied: a cell set afterwards stays set.
+        adopted.slot_local(0).set(Value::from(8));
+        root.clear();
+        assert_eq!(adopted.slot_local(0).get().as_int(), Some(8));
     }
 
     #[test]

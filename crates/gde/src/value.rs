@@ -38,35 +38,33 @@ pub type CoRef = Arc<Mutex<dyn Coroutine>>;
 ///
 /// Fields live in an [`Env`] frame — each field is thereby available "in
 /// both plain and reified form" (the env's [`Var`] cells are the reified
-/// `x_r` side; [`ObjData::get_field`] is the plain side). Methods are
-/// procedures pre-bound to this object's field environment.
+/// `x_r` side; [`ObjData::get_field`] is the plain side). The frame is laid
+/// out `[fields…, methods…, "self"]`, the methods bound to it.
 pub struct ObjData {
     pub class_name: Arc<str>,
     pub fields: Env,
-    pub methods: Arc<std::collections::HashMap<String, ProcValue>>,
+    /// How many leading slots of `fields` are declared fields.
+    pub declared: usize,
 }
 
 /// Shared handle to an object.
 pub type ObjRef = Arc<ObjData>;
 
 impl ObjData {
-    /// Read a field (null if unset); `None` if the name is not a field.
-    /// Only the instance's own frame is consulted — the enclosing scope
-    /// (globals) is not a field.
+    /// Read a field (null if unset) or a bound method; `None` for any
+    /// other name, `self` included.
     pub fn get_field(&self, name: &str) -> Option<Value> {
-        self.fields.lookup_local(name).map(|v| v.get())
+        let idx = self.fields.layout().slot_of(name)?;
+        (idx + 1 < self.fields.layout().len()).then(|| self.fields.slot_local(idx).get())
     }
 
-    /// Write a field; fails if the name is not a declared field.
+    /// Write a declared field; fails for any other name, a method or
+    /// `self` included.
     pub fn set_field(&self, name: &str, v: Value) -> Option<Value> {
-        let cell = self.fields.lookup_local(name)?;
-        cell.set(v.clone());
+        let idx = self.fields.layout().slot_of(name);
+        let idx = idx.filter(|&idx| idx < self.declared)?;
+        self.fields.slot_local(idx).set(v.clone());
         Some(v)
-    }
-
-    /// Look up a method bound to this object.
-    pub fn method(&self, name: &str) -> Option<ProcValue> {
-        self.methods.get(name).cloned()
     }
 }
 

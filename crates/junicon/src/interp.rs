@@ -21,40 +21,16 @@
 mod builtins;
 
 use crate::lower::{lower, lower_expr, lower_toplevel, Proc};
-use crate::normalize::{normalize_program, NClass, NProc};
+use crate::normalize::{normalize_program, NProc};
 use crate::parse::{parse_expr, parse_program, ParseError};
 use crate::resolve::resolve_program;
 use crate::rt;
-use gde::comb;
 use gde::env::{Env, FrameLayout};
-use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Value};
+use gde::{BoxGen, Gen, GenExt, ProcValue, Step, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-
-/// Errors surfaced by the interpreter API.
-#[derive(Debug)]
-pub enum JuniconError {
-    Parse(ParseError),
-}
-
-impl fmt::Display for JuniconError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JuniconError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for JuniconError {}
-
-impl From<ParseError> for JuniconError {
-    fn from(e: ParseError) -> Self {
-        JuniconError::Parse(e)
-    }
-}
+use std::sync::Arc;
 
 /// A native (`::`) method: receives the target value and the arguments.
 pub type NativeFn = Arc<dyn Fn(&Value, &[Value]) -> Option<Value> + Send + Sync>;
@@ -68,8 +44,6 @@ pub(crate) struct Shared {
     pub pending: Mutex<String>,
     /// Also echo writes to stdout.
     pub echo: AtomicBool,
-    /// Every object the session made, for [`Session`]'s teardown.
-    objects: Mutex<Vec<Weak<ObjData>>>,
 }
 
 /// The Junicon interpreter: loads embedded programs, registers host
@@ -88,17 +62,14 @@ pub struct Interp {
 
 /// An interpreter's lifetime. Procedures capture `Arc<Shared>`, never the
 /// session (that would be a cycle), and the globals hold the procedures;
-/// objects hold themselves as `self`. Ending the session clears the
-/// globals and every object's field frame, which breaks both cycles.
+/// an object holds itself as `self`, and the globals adopt its field frame
+/// (`rt::class`). Ending the session clears the globals, and with them
+/// every frame they adopted, which breaks both cycles.
 struct Session(Arc<Shared>);
 
 impl Drop for Session {
     fn drop(&mut self) {
         self.0.globals.clear();
-        let objects = std::mem::take(&mut *self.0.objects.lock());
-        for obj in objects.iter().filter_map(Weak::upgrade) {
-            obj.fields.clear();
-        }
     }
 }
 
@@ -136,7 +107,6 @@ impl Interp {
             output: Mutex::new(Vec::new()),
             pending: Mutex::new(String::new()),
             echo: AtomicBool::new(false),
-            objects: Mutex::new(Vec::new()),
         });
         let interp = Interp {
             session: Arc::new(Session(shared)),
@@ -203,9 +173,10 @@ impl Interp {
     }
 
     /// Load an embedded program: procedure declarations are registered as
-    /// global generator functions; top-level statements are executed in
+    /// global generator functions and class declarations as their
+    /// constructors (`rt::class`); top-level statements are executed in
     /// order (each bounded, as at the outermost level of a program).
-    pub fn load(&self, src: &str) -> Result<(), JuniconError> {
+    pub fn load(&self, src: &str) -> Result<(), ParseError> {
         self.load_with_resolve(src, true)
     }
 
@@ -217,7 +188,7 @@ impl Interp {
     /// identical; the differential property suite
     /// (`tests/resolver_differential.rs`) holds us to that. Not useful
     /// outside testing: by-name frames are strictly slower.
-    pub fn load_with_resolve(&self, src: &str, resolve: bool) -> Result<(), JuniconError> {
+    pub fn load_with_resolve(&self, src: &str, resolve: bool) -> Result<(), ParseError> {
         let prog = parse_program(src)?;
         let mut nprog = normalize_program(&prog);
         if resolve {
@@ -238,11 +209,14 @@ impl Interp {
     pub fn load_normalized(&self, nprog: &crate::normalize::NProgram) {
         let (shared, globals) = (self.shared(), self.globals());
         for p in &nprog.procs {
-            let proc = lowered(shared, p)(globals.clone());
+            let proc = lowered(shared, p)(globals);
             globals.declare(&p.name, Value::Proc(proc));
         }
         for c in &nprog.classes {
-            globals.declare(&c.name, Value::Proc(self.make_class(c)));
+            let methods: Vec<_> = c.methods.iter().map(|m| lowered(shared, m)).collect();
+            let bind = move |fields: &Env| methods.iter().map(|m| m(fields)).collect();
+            let class = rt::class(globals, &c.name, &c.slots[..], c.fields.len(), bind);
+            globals.declare(&c.name, Value::Proc(class));
         }
         // Top-level statements: drive each once (bounded), like field
         // initializers / main in the paper's model.
@@ -255,7 +229,7 @@ impl Interp {
     /// environment — the `for (Object i : @<script>…@</script>)` interop
     /// of Fig. 3: the embedded expression "returns a generator, exposed as
     /// a Java Iterator".
-    pub fn gen(&self, src: &str) -> Result<BoxGen, JuniconError> {
+    pub fn gen(&self, src: &str) -> Result<BoxGen, ParseError> {
         let expr = parse_expr(src)?;
         let (norm, tmp_count) = crate::normalize::normalize_expr(&expr);
         let plan = lower_expr(&norm, tmp_count);
@@ -266,52 +240,14 @@ impl Interp {
     }
 
     /// Evaluate an expression, returning *all* its results.
-    pub fn eval(&self, src: &str) -> Result<Vec<Value>, JuniconError> {
+    pub fn eval(&self, src: &str) -> Result<Vec<Value>, ParseError> {
         Ok(self.gen(src)?.collect_values())
     }
 
     /// Evaluate an expression, returning its first result (or `None` on
     /// failure).
-    pub fn eval_first(&self, src: &str) -> Result<Option<Value>, JuniconError> {
+    pub fn eval_first(&self, src: &str) -> Result<Option<Value>, ParseError> {
         Ok(self.gen(src)?.next_value())
-    }
-
-    /// Build the constructor [`ProcValue`] for a normalized class: calling
-    /// `Name(args)` creates an instance whose fields are initialized
-    /// positionally and whose methods are bound to the instance's field
-    /// environment (the Sec. V.C class transformation: fields exist in
-    /// plain and reified form; methods become variadic generator lambdas).
-    fn make_class(&self, nclass: &NClass) -> ProcValue {
-        let shared = Arc::clone(self.shared());
-        let class_name: Arc<str> = Arc::from(nclass.name.as_str());
-        let method = |m: &NProc| (m.name.clone(), lowered(&shared, m));
-        let methods: Vec<_> = nclass.methods.iter().map(method).collect();
-        // One shared field layout per class: `[fields..., "self"]` — the
-        // same coordinates the resolve pass hands to method bodies as
-        // depth-1 slots.
-        let field_names = nclass.fields.iter().map(String::as_str).chain(["self"]);
-        let field_names: Vec<Arc<str>> = field_names.map(Arc::from).collect();
-        let field_layout = FrameLayout::of(&field_names[..]);
-        let nfields = nclass.fields.len();
-        ProcValue::new(&nclass.name, move |args: Vec<Value>| {
-            let fields = rt::frame(&shared.globals, &field_layout, nfields, &args);
-            let bound = methods
-                .iter()
-                .map(|(name, bind)| (name.clone(), bind(fields.clone())));
-            let obj = Arc::new(ObjData {
-                class_name: Arc::clone(&class_name),
-                fields: fields.clone(),
-                methods: Arc::new(bound.collect()),
-            });
-            // Make `self` visible to method bodies: it occupies the last
-            // field-frame slot. The object therefore lives for the session,
-            // whose end clears the frame (see `Session`).
-            fields
-                .slot_local(nfields)
-                .set(Value::Object(Arc::clone(&obj)));
-            shared.objects.lock().push(Arc::downgrade(&obj));
-            Box::new(comb::unit(Value::Object(obj))) as BoxGen
-        })
     }
 }
 
@@ -320,18 +256,17 @@ impl Interp {
 /// as a [`ProcValue`] defined by a [`Proc`]: invoking it binds the
 /// parameters in a fresh child frame and instantiates the plan, and a call
 /// site may re-run an activation it built. Nothing of the source IR is kept.
-fn lowered(shared: &Arc<Shared>, p: &NProc) -> impl Fn(Env) -> ProcValue {
+fn lowered(shared: &Arc<Shared>, p: &NProc) -> impl Fn(&Env) -> ProcValue {
     let (shared, name, params) = (Arc::clone(shared), p.name.clone(), p.params.len());
     let layout = FrameLayout::of(&p.slots[..]);
     let plan = Arc::new(lower(p));
-    move |scope| {
-        let (shared, layout, plan) = (shared.clone(), layout.clone(), plan.clone());
+    move |scope: &Env| {
         let def = Arc::new(Proc {
-            shared,
-            scope,
-            layout,
+            shared: shared.clone(),
+            scope: scope.clone(),
+            layout: layout.clone(),
             params,
-            plan,
+            plan: plan.clone(),
         });
         let call = Arc::clone(&def);
         ProcValue::defined(&name, Some(def), move |args: Vec<Value>| {

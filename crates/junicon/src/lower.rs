@@ -769,13 +769,14 @@ mod tests {
 
     #[test]
     fn every_row_is_called_by_an_executed_fixture() {
-        // `emitted_exec` compiles and runs these four files, so a path they
+        // `emitted_exec` compiles and runs these five files, so a path they
         // mention resolves and its call type-checks.
         let fixtures = [
             include_str!("../tests/fixtures/spawnmap_emitted.rs"),
             include_str!("../tests/fixtures/countdown_emitted.rs"),
             include_str!("../tests/fixtures/prims_emitted.rs"),
             include_str!("../tests/fixtures/fig4_emitted.rs"),
+            include_str!("../tests/fixtures/classes_emitted.rs"),
         ];
         macro_rules! rows {
             ($($name:ident: $($f:ident)::+ ($($kind:ident),*) $(-> $boxed:ident)?;)*) => {

@@ -15,7 +15,7 @@
 //! Unicon unchanged".
 
 use crate::annot::{parse_annotated, AnnotError, Region, Segment};
-use crate::interp::{Interp, JuniconError};
+use crate::interp::Interp;
 use crate::lower::w;
 use crate::parse::ParseError;
 use std::fmt::{self, Write};
@@ -47,14 +47,6 @@ impl From<AnnotError> for MixedError {
 impl From<ParseError> for MixedError {
     fn from(e: ParseError) -> Self {
         MixedError::Parse(e)
-    }
-}
-
-impl From<JuniconError> for MixedError {
-    fn from(e: JuniconError) -> Self {
-        match e {
-            JuniconError::Parse(p) => MixedError::Parse(p),
-        }
     }
 }
 

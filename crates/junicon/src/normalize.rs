@@ -319,6 +319,9 @@ pub struct NClass {
     pub name: String,
     pub fields: Vec<String>,
     pub methods: Vec<NProc>,
+    /// An object's field-frame layout, `[fields…, methods…, "self"]`: the
+    /// depth-1 slots of method bodies, and the frame `rt::class` builds.
+    pub slots: Vec<Arc<str>>,
 }
 
 /// A normalized program.
@@ -362,10 +365,13 @@ pub fn normalize_program(p: &Program) -> NProgram {
 
 /// Normalize one class declaration.
 pub fn normalize_class(c: &ClassDecl) -> NClass {
+    let methods = c.methods.iter().map(|m| &m.name);
+    let slots = c.fields.iter().chain(methods).map(String::as_str);
     NClass {
         name: c.name.clone(),
         fields: c.fields.clone(),
         methods: c.methods.iter().map(normalize_proc).collect(),
+        slots: slots.chain(["self"]).map(Arc::from).collect(),
     }
 }
 

@@ -24,8 +24,9 @@
 //!   name, which gets its *own fresh slot*, exactly as re-`declare` used
 //!   to create a fresh cell).
 //! * **Fields** (methods only): the enclosing field frame is laid out as
-//!   `[fields..., "self"]`; a method-body reference to a field that is not
-//!   (yet) shadowed by a method-local declaration resolves to depth 1.
+//!   `NClass::slots` says, `[fields..., methods..., "self"]`; a method-body
+//!   reference to a field, a sibling method or `self` that is not (yet)
+//!   shadowed by a method-local declaration resolves to depth 1.
 //! * **`local` declarations** on the main compile stream get a fresh
 //!   depth-0 slot each; references after the declaration resolve to the
 //!   latest slot.
@@ -56,7 +57,7 @@
 //! that binding exactly — including against [`gde::env::Env::shadow`]
 //! copies, which preserve the layout.
 
-use crate::normalize::{Atom, NClass, NProc, NProgram, Norm, Part, VarRef};
+use crate::normalize::{Atom, NProc, NProgram, Norm, Part, VarRef};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -65,31 +66,20 @@ use std::sync::Arc;
 /// left fully dynamic.
 pub fn resolve_program(p: &mut NProgram) {
     for proc in &mut p.procs {
-        resolve_proc(proc, None);
+        resolve_proc(proc, &HashMap::new());
     }
     for class in &mut p.classes {
-        let fields = field_coords(class);
+        // Duplicates resolve to the last occurrence, as `FrameLayout` has it.
+        let fields = class.slots.iter().cloned().zip(0..).collect();
         for method in &mut class.methods {
-            resolve_proc(method, Some(&fields));
+            resolve_proc(method, &fields);
         }
     }
 }
 
-/// Field-frame coordinates for a class: name → depth-1 slot index, laid
-/// out `[fields..., "self"]` (duplicates resolve to the last occurrence,
-/// matching [`gde::env::FrameLayout`]'s latest-wins index). Each key is
-/// the one name every reference to that field shares.
-fn field_coords(class: &NClass) -> HashMap<Arc<str>, u16> {
-    let names = class.fields.iter().map(String::as_str).chain(["self"]);
-    names.zip(0..).map(|(f, i)| (Arc::from(f), i)).collect()
-}
-
-/// Resolve one procedure (or method, when `fields` carries the enclosing
-/// field frame's coordinates).
-pub fn resolve_proc(proc: &mut NProc, fields: Option<&HashMap<Arc<str>, u16>>) {
-    let empty = HashMap::new();
-    let fields = fields.unwrap_or(&empty);
-
+/// Resolve one procedure under the depth-1 coordinates `fields`: the
+/// enclosing field frame's for a method, none for a procedure.
+pub fn resolve_proc(proc: &mut NProc, fields: &HashMap<Arc<str>, u16>) {
     // Pass 1: find poisoned names.
     let mut scan = PoisonScan {
         declared: proc.params.iter().cloned().collect(),
@@ -348,7 +338,7 @@ mod tests {
     #[test]
     fn method_field_refs_resolve_to_depth1() {
         let np = resolved(
-            "class Point(x, y) { def getx() { return x; } def setx(v) { x := v; return self; } }",
+            "class Point(x, y) { def getx() { return x; } def setx(v) { x := v; getx(); return self; } }",
         );
         let class = &np.classes[0];
         let getx = &class.methods[0];
@@ -360,8 +350,9 @@ mod tests {
         let setx = &class.methods[1];
         let refs = proc_slot_refs(setx);
         assert!(refs.contains(&(1, 0, "x".into())));
-        // `self` is the last field-frame slot.
-        assert!(refs.contains(&(1, 2, "self".into())));
+        // The methods follow the fields, and `self` is the last slot.
+        assert!(refs.contains(&(1, 2, "getx".into())), "{refs:?}");
+        assert!(refs.contains(&(1, 4, "self".into())));
     }
 
     #[test]

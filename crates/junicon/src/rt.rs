@@ -10,14 +10,14 @@
 //! constructor hands back a [`BoxGen`]; the ones that are a [`gde::comb`]
 //! constructor ([`product`], [`bind`], [`alt`], [`thunk`], [`seq`],
 //! [`fail`]) box it here, so `gde::comb` keeps its concrete types for the
-//! static chains built from it. [`proc`] and [`install`] are the
-//! scaffolding of an emitted procedure and module.
+//! static chains built from it. [`proc`], [`class`] and [`install`] are the
+//! scaffolding of an emitted module; [`class`] builds loaded classes too.
 
 use crate::lower::{Activation, Proc};
 use gde::comb;
 use gde::env::{Env, FrameLayout, SlotNames};
 use gde::ops;
-use gde::{BoxGen, Gen, GenExt, ProcValue, Step, Value, Var};
+use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Value, Var};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -57,14 +57,14 @@ pub(crate) fn set_params(env: &Env, params: usize, args: &[Value]) {
     }
 }
 
-/// An emitted procedure `name` under `globals` (Sec. V.C's "variadic lambda
+/// An emitted procedure `name` under `scope` (Sec. V.C's "variadic lambda
 /// expressions that return an iterator"). Each call builds a fresh
 /// [`frame`] shaped by `slots` (parameters first, then the statically
 /// scoped locals), binds the first `params` of them from the arguments,
 /// allocates `tmps` temporaries and `flags` control flags, and hands all
 /// three to `body`, which builds the activation's generator tree.
 pub fn proc(
-    globals: &Env,
+    scope: &Env,
     name: &str,
     slots: impl SlotNames,
     params: usize,
@@ -72,14 +72,43 @@ pub fn proc(
     flags: u32,
     body: impl Fn(&Env, &[Var], &[Flag]) -> BoxGen + Send + Sync + 'static,
 ) -> ProcValue {
-    let (scope, layout) = (globals.clone(), FrameLayout::of(slots));
+    let (scope, layout) = (scope.clone(), FrameLayout::of(slots));
     ProcValue::new(name, move |args: Vec<Value>| {
         let env = frame(&scope, &layout, params, &args);
         body(&env, &self::tmps(tmps), &self::flags(flags))
     })
 }
 
-/// Declare each emitted procedure in `globals`, under its own name.
+/// Class `name` under `globals`: its constructor (Sec. V.C's class
+/// transformation). A call builds the object's field frame from `slots`
+/// (`[fields…, methods…, "self"]`), then sets the fields from the arguments,
+/// each method `methods` binds to the frame, and the object. The object
+/// holds itself, so the root of `globals` adopts the frame ([`Env::adopt`]).
+pub fn class(
+    globals: &Env,
+    name: &str,
+    slots: impl SlotNames,
+    fields: usize,
+    methods: impl Fn(&Env) -> Vec<ProcValue> + Send + Sync + 'static,
+) -> ProcValue {
+    let (scope, layout, class_name) = (globals.clone(), FrameLayout::of(slots), Arc::from(name));
+    ProcValue::new(name, move |args: Vec<Value>| {
+        let env = frame(&scope, &layout, fields, &args);
+        for (k, method) in methods(&env).into_iter().enumerate() {
+            env.slot_local(fields + k).set(Value::Proc(method));
+        }
+        let obj = Value::Object(Arc::new(ObjData {
+            class_name: Arc::clone(&class_name),
+            fields: env.clone(),
+            declared: fields,
+        }));
+        env.slot_local(layout.len() - 1).set(obj.clone());
+        scope.adopt(&env);
+        Box::new(comb::unit(obj)) as BoxGen
+    })
+}
+
+/// Declare each emitted procedure and class in `globals`, by its name.
 pub fn install(globals: &Env, procs: &[fn(&Env) -> ProcValue]) {
     for make in procs {
         let proc = make(globals);
@@ -162,20 +191,18 @@ pub fn list(items: Vec<Value>) -> Option<Value> {
     Some(Value::list(items))
 }
 
-/// Field read `base.field`: objects read their field (or produce a bound
-/// method); tables fall back to string-keyed lookup.
+/// Field read `base.field`: objects read their field or bound method;
+/// tables fall back to string-keyed lookup.
 pub fn field_get(base: &Value, field: &str) -> Option<Value> {
     match base.deref() {
-        Value::Object(o) => o
-            .get_field(field)
-            .or_else(|| o.method(field).map(Value::Proc)),
+        Value::Object(o) => o.get_field(field),
         Value::Table(_) => ops::index(&base.deref(), &Value::str(field)),
         _ => None,
     }
 }
 
-/// Field write `base.field := v`: objects must have the field declared;
-/// tables insert under the string key.
+/// Field write `base.field := v`: objects must have the field declared
+/// (a method or `self` is not one); tables insert under the string key.
 pub fn field_set(base: &Value, field: &str, v: Value) -> Option<Value> {
     match base.deref() {
         Value::Object(o) => o.set_field(field, v),

@@ -131,7 +131,9 @@ fn objects_cross_the_host_boundary() {
         Value::Object(o) => {
             assert_eq!(o.class_name.as_ref(), "Greeter");
             assert_eq!(o.get_field("who").unwrap().to_string(), "world");
-            let m = o.method("greet").expect("bound method");
+            let Some(Value::Proc(m)) = o.get_field("greet") else {
+                panic!("greet is a bound method");
+            };
             let out = gde::GenExt::next_value(&mut m.invoke(vec![])).unwrap();
             assert_eq!(out.to_string(), "hi world");
         }
@@ -150,9 +152,25 @@ fn methods_and_pipes_compose() {
 }
 
 #[test]
-fn emitter_notes_classes() {
-    let code =
-        junicon::emit::emit_program_source("class C(x)\n method m() { return x; }\n end").unwrap();
-    assert!(code.contains("class C(x)"));
-    assert!(code.contains("interpreter-only"));
+fn self_and_methods_are_not_fields() {
+    let i = Interp::new();
+    i.load(
+        "class Point(x, y) {\n\
+             method me() { return self; }\n\
+         }",
+    )
+    .unwrap();
+    i.eval("p := Point(3, 4)").unwrap();
+    // `self` is neither read nor written as a field, and a method is not
+    // a field to assign.
+    assert!(i.eval("p.self").unwrap().is_empty());
+    assert!(i.eval("p.self := 7").unwrap().is_empty());
+    assert!(i.eval("p.me := 7").unwrap().is_empty());
+    assert_eq!(i.eval("p.me() === p").unwrap().len(), 1);
+    // `o.m` still reads the bound method.
+    assert_eq!(i.eval("type(p.me)").unwrap()[0].to_string(), "procedure");
+    assert_eq!(i.eval("(p.me)() === p").unwrap().len(), 1);
+    // Declared fields stay writable.
+    assert_eq!(ints(&i, "p.x := 5"), vec![5]);
+    assert_eq!(ints(&i, "p.x"), vec![5]);
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's Fig. 5 shows the Java translation of
 //! `def spawnMap (f, chunk) { suspend ! (|> f(!chunk)); }`.
-//! Here that procedure and three more sources (`fixtures/sources.rs`) are
+//! Here that procedure and four more sources (`fixtures/sources.rs`) are
 //! transpiled to Rust; each checked-in fixture is compared byte-for-byte
 //! against the current emitter output, and the `emitted_exec` test compiles
 //! and runs the very same fixtures. Regenerate with
@@ -49,4 +49,9 @@ fn prims_fixture_is_current() {
 #[test]
 fn fig4_fixture_is_current() {
     check_fixture(sources::FIG4_SRC, "fig4");
+}
+
+#[test]
+fn classes_fixture_is_current() {
+    check_fixture(sources::CLASSES_SRC, "classes");
 }

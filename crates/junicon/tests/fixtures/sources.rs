@@ -125,3 +125,36 @@ def freqReport() {
     };
 }
 "#;
+
+/// Classes (Sec. V.C): Fig. 4's `DataParallel` as the paper writes it, a
+/// class whose methods call each other unqualified (`chunk(s)`) and read
+/// the field `chunkSize`; a class whose method assigns a field and returns
+/// `self`; and a class with fields only.
+pub const CLASSES_SRC: &str = r#"
+class DataParallel(chunkSize) {
+    method chunk(e) {
+        local c;
+        c := [];
+        while put(c, @e) do {
+            if *c >= chunkSize then { suspend c; c := []; };
+        };
+        if *c > 0 then { return c; };
+    }
+    method mapReduce(f, s, r, init) {
+        local c, t, tasks;
+        tasks := [];
+        every c := chunk(s) do {
+            t := |> { local x; x := init; every x := r(x, f(!c)); x };
+            tasks::add(t);
+        };
+        suspend ! (! tasks);
+    }
+}
+class Counter(n) {
+    method bump(k) { n := n + k; return self; }
+    method total() { return n; }
+}
+class Pair(first, second) {}
+def square(x) { return x * x; }
+def sum(a, b) { return a + b; }
+"#;

@@ -7,6 +7,11 @@
 //! native's closure owns the `Arc`, and only the interpreter's shared state
 //! holds its natives — so it dies exactly when that state is freed.
 
+// Byte-exact emitter output (see emit_fixture.rs), so rustfmt leaves it.
+#[rustfmt::skip]
+#[path = "fixtures/classes_emitted.rs"]
+mod classes;
+
 use blockingq::testkit::wait_until;
 use gde::{comb, GenExt, ObjData, ProcValue, Value};
 use junicon::Interp;
@@ -180,4 +185,31 @@ fn a_promoted_table_key_is_freed_with_the_session() {
     assert!(key.upgrade().is_some(), "the table holds its key");
     drop(interp);
     assert!(key.upgrade().is_none(), "the key is freed with the session");
+}
+
+/// (f) An emitted class installed into an interpreter's globals: its
+/// objects are adopted by those globals, as loaded ones are, and freed
+/// when the session ends.
+#[test]
+fn emitted_objects_are_freed_with_the_session() {
+    let interp = Interp::new();
+    classes::install(interp.globals());
+    interp.load("kept := Counter(1);").unwrap();
+    let got = interp.eval("Counter(2).bump(3).total() | kept.bump(1).total()");
+    assert_eq!(strings(got.unwrap()), ["5", "2"]);
+    let kept = match interp.globals().get("kept") {
+        Value::Object(o) => Arc::downgrade(&o),
+        other => panic!("kept is {other:?}"),
+    };
+    let dropped = match interp.eval("Counter(4)").unwrap().remove(0) {
+        Value::Object(o) => Arc::downgrade(&o),
+        other => panic!("Counter(4) is {other:?}"),
+    };
+    let shared = shared_probe(&interp);
+    assert!(kept.upgrade().is_some() && dropped.upgrade().is_some());
+
+    drop(interp);
+    assert!(kept.upgrade().is_none(), "the global object is freed");
+    assert!(dropped.upgrade().is_none(), "the dropped object is freed");
+    assert!(shared.upgrade().is_none(), "the interpreter is freed");
 }

@@ -23,7 +23,8 @@
 #                    and a pipe spawns once per run; a re-run call
 #                    checks one generation and looks no name up;
 #                    emitted code is `rt` calls, with no boxing or
-#                    per-procedure scaffolding spelled out;
+#                    per-procedure scaffolding spelled out; a class is
+#                    one `rt::class` call in both back ends;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -326,6 +327,19 @@ if hits="$(grep -rnE '\bpipes::merge\b|\b(Merge|RoundRobin|round_robin|FanPolicy
     exit 1
 fi
 echo "   ok: |>e is the only concurrent construct; one producer spawn per run"
+
+# A class is one `rt::class` call in both back ends (DESIGN.md § One
+# lowering): the interpreter's own class lowering, the emitter's comment in
+# its place, an object's per-instance method map and the one-variant
+# interpreter error stay deleted.
+hits="$(grep -rnE '\bfn make_class\b|\bJuniconError\b|\binterpreter-only\b' crates/*/src; \
+    grep -nHE '\bmethods: Arc<' crates/gde/src/value.rs || true)"
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "FAIL: a second class lowering, the per-object method map or JuniconError is back; build classes with rt::class"
+    exit 1
+fi
+echo "   ok: a class is one rt::class call (no make_class, no method map)"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a
