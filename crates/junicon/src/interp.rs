@@ -2,8 +2,9 @@
 //!
 //! This is the interactive half of the paper's harness (the Groovy path of
 //! Sec. VI): embedded Junicon text is parsed, normalized, resolved and
-//! *lowered once per procedure* to a plan (`junicon::lower`); a call binds
-//! its parameters and instantiates the plan as a tree of [`gde::Gen`]
+//! *lowered once per procedure* to a plan (`junicon::lower`), defined as
+//! the [`rt::Def`] an emitted module makes for it. A call binds its
+//! parameters and instantiates the plan as a tree of [`gde::Gen`]
 //! combinators, which is then driven like any other generator (a call site
 //! calling the same procedure again re-runs that tree in place unless a
 //! name was declared in the procedure's scope or a `::` native registered
@@ -20,12 +21,12 @@
 
 mod builtins;
 
-use crate::lower::{lower, lower_expr, lower_toplevel, Proc};
+use crate::lower::{define, lower_expr, lower_toplevel};
 use crate::normalize::{normalize_program, NProc};
 use crate::parse::{parse_expr, parse_program, ParseError};
 use crate::resolve::resolve_program;
 use crate::rt;
-use gde::env::{Env, FrameLayout};
+use gde::env::Env;
 use gde::{BoxGen, Gen, GenExt, ProcValue, Step, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -172,10 +173,11 @@ impl Interp {
         &self.session.0
     }
 
-    /// Load an embedded program: procedure declarations are registered as
-    /// global generator functions and class declarations as their
-    /// constructors (`rt::class`); top-level statements are executed in
-    /// order (each bounded, as at the outermost level of a program).
+    /// Load an embedded program: each procedure and class declaration
+    /// becomes an `rt::Def` (a class's by `rt::class`), which one
+    /// `rt::install` registers as a global generator function or
+    /// constructor; top-level statements are executed in order (each
+    /// bounded, as at the outermost level of a program).
     pub fn load(&self, src: &str) -> Result<(), ParseError> {
         self.load_with_resolve(src, true)
     }
@@ -208,20 +210,16 @@ impl Interp {
     #[doc(hidden)]
     pub fn load_normalized(&self, nprog: &crate::normalize::NProgram) {
         let (shared, globals) = (self.shared(), self.globals());
-        for p in &nprog.procs {
-            let proc = lowered(shared, p)(globals);
-            globals.declare(&p.name, Value::Proc(proc));
-        }
-        for c in &nprog.classes {
-            let methods: Vec<_> = c.methods.iter().map(|m| lowered(shared, m)).collect();
-            let bind = move |fields: &Env| methods.iter().map(|m| m(fields)).collect();
-            let class = rt::class(globals, &c.name, &c.slots[..], c.fields.len(), bind);
-            globals.declare(&c.name, Value::Proc(class));
-        }
+        let def = |p: &NProc| define(p, shared);
+        let classes = nprog.classes.iter().map(|c| {
+            let methods = c.methods.iter().map(def).collect();
+            rt::class(&c.name, &c.slots[..], c.fields.len(), methods)
+        });
+        rt::install(globals, nprog.procs.iter().map(def).chain(classes));
         // Top-level statements: drive each once (bounded), like field
         // initializers / main in the paper's model.
         for stmt in lower_toplevel(nprog) {
-            rt::drive(stmt.instantiate(shared, globals.clone()).root);
+            rt::drive(stmt.instantiate(shared, globals));
         }
     }
 
@@ -234,7 +232,7 @@ impl Interp {
         let (norm, tmp_count) = crate::normalize::normalize_expr(&expr);
         let plan = lower_expr(&norm, tmp_count);
         Ok(Box::new(SessionGen {
-            gen: plan.instantiate(self.shared(), self.globals().clone()).root,
+            gen: plan.instantiate(self.shared(), self.globals()),
             _session: Arc::clone(&self.session),
         }))
     }
@@ -248,30 +246,6 @@ impl Interp {
     /// failure).
     pub fn eval_first(&self, src: &str) -> Result<Option<Value>, ParseError> {
         Ok(self.gen(src)?.next_value())
-    }
-}
-
-/// Lower a procedure once, at load. What comes back binds it under a scope
-/// (the globals for free procedures, an instance's field env for methods),
-/// as a [`ProcValue`] defined by a [`Proc`]: invoking it binds the
-/// parameters in a fresh child frame and instantiates the plan, and a call
-/// site may re-run an activation it built. Nothing of the source IR is kept.
-fn lowered(shared: &Arc<Shared>, p: &NProc) -> impl Fn(&Env) -> ProcValue {
-    let (shared, name, params) = (Arc::clone(shared), p.name.clone(), p.params.len());
-    let layout = FrameLayout::of(&p.slots[..]);
-    let plan = Arc::new(lower(p));
-    move |scope: &Env| {
-        let def = Arc::new(Proc {
-            shared: shared.clone(),
-            scope: scope.clone(),
-            layout: layout.clone(),
-            params,
-            plan: plan.clone(),
-        });
-        let call = Arc::clone(&def);
-        ProcValue::defined(&name, Some(def), move |args: Vec<Value>| {
-            call.call(&args).root
-        })
     }
 }
 

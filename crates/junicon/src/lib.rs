@@ -55,6 +55,9 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)] // The emitted fixtures the tests compile in name the crate.
+extern crate self as junicon;
+
 pub mod annot;
 pub mod ast;
 pub mod emit;

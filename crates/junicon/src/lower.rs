@@ -11,19 +11,17 @@
 //! that tree: [`Plan::instantiate`] *makes* the calls (the interpreter, per
 //! activation) and [`Plan::print`] *writes* them (the emitter). A row gives
 //! both from one token; an argument kind is made in one place (its `kinds!`
-//! entry) and written in one place (its arm of [`Arg::print`]). A call site
-//! re-runs a procedure's activation in place while the scope's name
-//! generation reads what it read when the activation was built
-//! ([`Proc::recall`]): then a fresh one would bind the same cells.
+//! entry) and written in one place (its arm of [`Arg::print`]). Either way
+//! a procedure becomes one `rt::Def` ([`define`], [`Plan::print_proc`]),
+//! whose activations a call site re-runs by one rule (`rt::invoke`).
 
 use crate::interp::{NativeFn, Shared};
 use crate::normalize::{Atom, CoKind, NProc, NProgram, Norm, Part, VarRef};
 use crate::prim::{path_str, vals, Prim};
-use crate::rt::{self, Flag, Slot};
-use gde::env::{Env, FrameLayout};
-use gde::{BoxGen, Gen, Value, Var};
+use crate::rt::{self, Def, Flag, Slot};
+use gde::env::Env;
+use gde::{BoxGen, Value, Var};
 use std::fmt::Write;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// One lowered activation — a procedure body, a deferred body, a top-level
@@ -33,7 +31,7 @@ pub(crate) struct Plan {
     root: Node,
     tmps: u32,
     flags: u32,
-    /// Whether a call site may re-run an activation ([`Proc::recall`]):
+    /// Whether a call site may re-run an activation (`rt::Def`'s `rerun`):
     /// a procedure's plan whose deferred bodies capture no environment.
     rerun: bool,
 }
@@ -156,97 +154,55 @@ fn call(ctor: &'static Ctor, args: Vec<Arg>) -> Node {
 // Back end 1: make the calls
 // ---------------------------------------------------------------------------
 
-/// One activation: its generator tree and what its nodes are built over,
-/// which a call site keeps to re-run it ([`Proc::recall`]).
-pub(crate) struct Activation {
-    pub(crate) root: BoxGen,
-    shared: Arc<Shared>,
-    env: Env,
-    tmps: Arc<Vec<Var>>,
-    flags: Vec<Flag>,
-    /// The scope's name generation, read before the tree was built, if a
-    /// call site may re-run it.
-    scope_gen: Option<u64>,
+/// What one activation's nodes are built over.
+struct Over<'a> {
+    shared: &'a Arc<Shared>,
+    env: &'a Env,
+    tmps: &'a [Var],
+    flags: &'a [Flag],
 }
 
 /// A constructor's arguments, made one by one as the call asks for them.
 struct Args<'a> {
     rest: std::slice::Iter<'a, Arg>,
-    act: &'a Activation,
+    act: &'a Over<'a>,
 }
 
 impl Plan {
-    /// A fresh activation over `env`, its tree built last.
-    pub(crate) fn instantiate(&self, shared: &Arc<Shared>, env: Env) -> Activation {
-        let mut act = Activation {
-            root: rt::fail(),
-            shared: Arc::clone(shared),
+    /// A fresh activation over `env`: its temporaries and flags allocated,
+    /// its tree built.
+    pub(crate) fn instantiate(&self, shared: &Arc<Shared>, env: &Env) -> BoxGen {
+        let (tmps, flags) = (rt::tmps(self.tmps), rt::flags(self.flags));
+        self.build(shared, env, &tmps, &flags)
+    }
+
+    /// The activation's tree over cells allocated by the caller.
+    fn build(&self, shared: &Arc<Shared>, env: &Env, tmps: &[Var], flags: &[Flag]) -> BoxGen {
+        self.root.instantiate(&Over {
+            shared,
             env,
-            tmps: rt::tmps(self.tmps),
-            flags: rt::flags(self.flags),
-            scope_gen: None,
-        };
-        act.root = self.root.instantiate(&act);
-        act
+            tmps,
+            flags,
+        })
     }
 }
 
 impl Node {
-    fn instantiate(&self, act: &Activation) -> BoxGen {
+    fn instantiate(&self, act: &Over<'_>) -> BoxGen {
         let rest = self.args.iter();
         (self.ctor.make)(&mut Args { rest, act })
     }
 }
 
-impl Activation {
-    /// Keep the activation for a re-run: restart its tree and null its
-    /// cells, so it holds no value across the restart. `None` (drop it) for
-    /// an activation that is never re-run.
-    pub(crate) fn park(mut self) -> Option<Activation> {
-        self.scope_gen?;
-        self.root.restart();
-        self.env.reset();
-        self.tmps.iter().for_each(|t| drop(t.replace(Value::Null)));
-        self.flags.iter().for_each(|f| f.store(false, Relaxed));
-        Some(self)
-    }
-}
-
-/// A procedure as the interpreter loads it: its plan, bound under a scope
-/// (the globals, or an object's field frame for a method).
-pub(crate) struct Proc {
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) scope: Env,
-    pub(crate) layout: Arc<FrameLayout>,
-    pub(crate) params: usize,
-    pub(crate) plan: Arc<Plan>,
-}
-
-impl Proc {
-    /// A call: the parameters bound in a fresh frame, the plan instantiated.
-    /// The scope's generation is read first, so a name declared while the
-    /// tree is built makes `recall` refuse, never re-run a stale binding.
-    pub(crate) fn call(&self, args: &[Value]) -> Activation {
-        #[cfg(test)]
-        tests::BUILT.with(|n| n.set(n.get() + 1));
-        let scope_gen = self.plan.rerun.then(|| self.scope.generation());
-        let env = rt::frame(&self.scope, &self.layout, self.params, args);
-        let mut act = self.plan.instantiate(&self.shared, env);
-        act.scope_gen = scope_gen;
-        act
-    }
-
-    /// Re-run a parked `act` over `args`, as if [`Proc::call`] had just
-    /// built it — unless a fresh one could bind differently: the scope
-    /// (where a fresh, empty frame looks names up, and whose globals a
-    /// `::` native's registration touches) has moved its generation since.
-    pub(crate) fn recall(&self, act: &mut Activation, args: &[Value]) -> bool {
-        let fresh = act.scope_gen == Some(self.scope.generation());
-        if fresh {
-            rt::set_params(&act.env, self.params, args);
-        }
-        fresh
-    }
+/// A procedure as the interpreter defines it at load: lowered once, its
+/// `rt::Def` body a closure over the plan that instantiates it per call.
+/// Nothing of the source IR is kept.
+pub(crate) fn define(p: &NProc, shared: &Arc<Shared>) -> Def {
+    let (name, params) = (&p.name, p.params.len());
+    let (plan, shared) = (lower(p), Arc::clone(shared));
+    let (tmps, flags, rerun) = (plan.tmps, plan.flags, plan.rerun);
+    let body = move |env: &Env, tmps: &[Var], flags: &[Flag]| plan.build(&shared, env, tmps, flags);
+    Def::new(name, &p.slots[..], params, tmps, flags, rerun, body)
 }
 
 /// The argument kinds. `fn kind(act: pattern) -> made { how }` takes the
@@ -281,13 +237,13 @@ kinds! {
         let own = lp.iter().flat_map(|(brk, nxt)| [*brk, *nxt]);
         [RETURNED].into_iter().chain(own).map(|i| act.flags[i as usize].clone()).collect()
     }
-    fn env(act: Arg::Env) -> &'a Env { &act.env }
+    fn env(act: Arg::Env) -> &'a Env { act.env }
     fn gen(act: Arg::Child(n)) -> BoxGen { n.instantiate(act) }
     fn gens(act: Arg::Children(ns)) -> Vec<BoxGen> { ns.iter().map(|n| n.instantiate(act)).collect() }
     fn optgen(act: Arg::Opt(n)) -> Option<BoxGen> { n.as_ref().map(|n| n.instantiate(act)) }
     fn body(act: Arg::Body(plan)) -> impl Fn(Env) -> BoxGen + Send + Sync + 'static {
-        let (plan, shared) = (Arc::clone(plan), Arc::clone(&act.shared));
-        move |env| plan.instantiate(&shared, env).root
+        let (plan, shared) = (Arc::clone(plan), Arc::clone(act.shared));
+        move |env| plan.instantiate(&shared, &env)
     }
     fn mono(act: Arg::Mono(m)) -> impl Fn() -> Option<Value> + Send + Sync + 'static {
         let eval = act.eval(m);
@@ -315,7 +271,7 @@ impl Eval {
     }
 }
 
-impl Activation {
+impl Over<'_> {
     fn slot(&self, a: &Atom) -> Slot {
         match a {
             Atom::Null => Slot::Const(Value::Null),
@@ -379,11 +335,13 @@ impl Plan {
         out.push('\n');
     }
 
-    /// A procedure's activation as the last arguments of its `rt::proc`
+    /// A procedure's activation as the last arguments of its `Def::new`
     /// call, at nesting `lvl`: how many temporaries and flags a call
-    /// allocates, and the closure over them that builds the root.
+    /// allocates, whether a call site may re-run it, and the closure over
+    /// them that builds the root — what [`define`] hands the interpreter's.
     pub(crate) fn print_proc(&self, out: &mut String, lvl: usize) {
-        w!(out, "{}, {}, |env, tmps, flags| ", self.tmps, self.flags);
+        let (tmps, flags, rerun) = (self.tmps, self.flags, self.rerun);
+        w!(out, "{tmps}, {flags}, {rerun}, |env, tmps, flags| ");
         self.root.print(out, lvl);
     }
 }
@@ -700,14 +658,13 @@ fn captures(n: &Norm) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rt::BUILT;
     use crate::Interp;
     use gde::GenExt;
 
     thread_local! {
         /// Procedures lowered on this thread.
         pub(super) static LOWERED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        /// Procedure activations built on this thread.
-        pub(super) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     #[test]
@@ -779,7 +736,7 @@ mod tests {
             include_str!("../tests/fixtures/classes_emitted.rs"),
         ];
         macro_rules! rows {
-            ($($name:ident: $($f:ident)::+ ($($kind:ident),*) $(-> $boxed:ident)?;)*) => {
+            ($($name:ident: $($f:ident)::+ ($($kind:ident),*);)*) => {
                 [$(&$name),*]
             };
         }
@@ -787,7 +744,7 @@ mod tests {
         for row in rows {
             let call = format!("{}(", row.path);
             assert!(fixtures.iter().any(|f| f.contains(&call)), "{call}");
-            assert!(row.path.starts_with("rt::") || row.path.starts_with("gde::comb::"));
+            assert!(row.path.starts_with("rt::"), "{}", row.path);
         }
     }
 }

@@ -10,10 +10,9 @@
 //! constructor hands back a [`BoxGen`]; the ones that are a [`gde::comb`]
 //! constructor ([`product`], [`bind`], [`alt`], [`thunk`], [`seq`],
 //! [`fail`]) box it here, so `gde::comb` keeps its concrete types for the
-//! static chains built from it. [`proc`], [`class`] and [`install`] are the
-//! scaffolding of an emitted module; [`class`] builds loaded classes too.
+//! static chains built from it. A procedure, method or class constructor is
+//! one [`Def`] in both back ends, re-run by [`invoke`] under one rule.
 
-use crate::lower::{Activation, Proc};
 use gde::comb;
 use gde::env::{Env, FrameLayout, SlotNames};
 use gde::ops;
@@ -37,82 +36,173 @@ pub fn flags(count: u32) -> Vec<Flag> {
 }
 
 /// A vector of fresh temporaries (the reified `x_N_r` cells of Fig. 5).
-pub fn tmps(count: u32) -> Arc<Vec<Var>> {
-    Arc::new((0..count).map(|_| Var::null()).collect())
+pub fn tmps(count: u32) -> Vec<Var> {
+    (0..count).map(|_| Var::null()).collect()
 }
 
-/// A fresh activation frame under `scope`: slot cells shaped by `layout`,
-/// the first `params` of them set from `args` (missing arguments are null,
-/// the variadic convention).
-pub(crate) fn frame(scope: &Env, layout: &Arc<FrameLayout>, params: usize, args: &[Value]) -> Env {
-    let env = scope.child_with_layout(layout.clone());
-    set_params(&env, params, args);
-    env
-}
+/// A procedure's definition (Sec. V.C's "variadic lambda expressions that
+/// return an iterator"), made once and bound under any number of scopes:
+/// the globals, or each object's field frame for a method.
+#[derive(Clone)]
+pub struct Def(Arc<Defined<Body>>);
 
-/// Set the first `params` slots of `env` from `args`, as [`frame`] does.
-pub(crate) fn set_params(env: &Env, params: usize, args: &[Value]) {
-    for i in 0..params {
-        env.slot_local(i).set(gde::func::arg(args, i));
-    }
-}
-
-/// An emitted procedure `name` under `scope` (Sec. V.C's "variadic lambda
-/// expressions that return an iterator"). Each call builds a fresh
-/// [`frame`] shaped by `slots` (parameters first, then the statically
-/// scoped locals), binds the first `params` of them from the arguments,
-/// allocates `tmps` temporaries and `flags` control flags, and hands all
-/// three to `body`, which builds the activation's generator tree.
-pub fn proc(
-    scope: &Env,
-    name: &str,
-    slots: impl SlotNames,
+/// A definition's parts; the body, last, is stored inline.
+struct Defined<F: ?Sized> {
+    name: Box<str>,
+    /// Parameters first, then the statically scoped locals.
+    layout: Arc<FrameLayout>,
     params: usize,
     tmps: u32,
     flags: u32,
-    body: impl Fn(&Env, &[Var], &[Flag]) -> BoxGen + Send + Sync + 'static,
-) -> ProcValue {
-    let (scope, layout) = (scope.clone(), FrameLayout::of(slots));
-    ProcValue::new(name, move |args: Vec<Value>| {
-        let env = frame(&scope, &layout, params, &args);
-        body(&env, &self::tmps(tmps), &self::flags(flags))
-    })
+    /// Whether a call site may re-run an activation: no deferred body in
+    /// the procedure captures its environment.
+    rerun: bool,
+    body: F,
 }
 
-/// Class `name` under `globals`: its constructor (Sec. V.C's class
-/// transformation). A call builds the object's field frame from `slots`
-/// (`[fields…, methods…, "self"]`), then sets the fields from the arguments,
-/// each method `methods` binds to the frame, and the object. The object
-/// holds itself, so the root of `globals` adopts the frame ([`Env::adopt`]).
-pub fn class(
-    globals: &Env,
-    name: &str,
-    slots: impl SlotNames,
-    fields: usize,
-    methods: impl Fn(&Env) -> Vec<ProcValue> + Send + Sync + 'static,
-) -> ProcValue {
-    let (scope, layout, class_name) = (globals.clone(), FrameLayout::of(slots), Arc::from(name));
-    ProcValue::new(name, move |args: Vec<Value>| {
-        let env = frame(&scope, &layout, fields, &args);
-        for (k, method) in methods(&env).into_iter().enumerate() {
-            env.slot_local(fields + k).set(Value::Proc(method));
+/// What builds an activation's tree over its frame, temporaries and flags.
+type Body = dyn Fn(&Env, &[Var], &[Flag]) -> BoxGen + Send + Sync;
+
+impl Def {
+    /// Procedure `name`. A call builds a frame shaped by `slots`, sets its
+    /// first `params` cells from the arguments (missing ones are null),
+    /// allocates `tmps` temporaries and `flags` control flags, and hands
+    /// all three to `body`, which builds the activation's generator tree.
+    /// `rerun` lets a call site run that tree again in place ([`invoke`]).
+    pub fn new(
+        name: &str,
+        slots: impl SlotNames,
+        params: usize,
+        tmps: u32,
+        flags: u32,
+        rerun: bool,
+        body: impl Fn(&Env, &[Var], &[Flag]) -> BoxGen + Send + Sync + 'static,
+    ) -> Def {
+        Def(Arc::new(Defined {
+            name: name.into(),
+            layout: FrameLayout::of(slots),
+            params,
+            tmps,
+            flags,
+            rerun,
+            body,
+        }))
+    }
+
+    /// The procedure this definition makes under `scope`: a [`ProcValue`]
+    /// defined by the pair, so a call site can do more than invoke it.
+    fn bind(&self, scope: &Env) -> ProcValue {
+        let bound = Arc::new((self.clone(), scope.clone()));
+        let call = Arc::clone(&bound);
+        ProcValue::defined(&self.0.name, Some(bound), move |args: Vec<Value>| {
+            let (def, scope) = &*call;
+            def.call(scope, &args).root
+        })
+    }
+
+    /// A call under `scope`: the parameters bound in a fresh frame, the tree
+    /// built. The scope's generation is read first, so a name declared
+    /// while the tree is built makes `recall` refuse, never re-run a stale
+    /// binding.
+    fn call(&self, scope: &Env, args: &[Value]) -> Activation {
+        #[cfg(test)]
+        BUILT.with(|n| n.set(n.get() + 1));
+        let def = &self.0;
+        let scope_gen = def.rerun.then(|| scope.generation());
+        let env = scope.child_with_layout(Arc::clone(&def.layout));
+        self.pass(&env, args);
+        let (tmps, flags) = (tmps(def.tmps), flags(def.flags));
+        Activation {
+            root: (def.body)(&env, &tmps, &flags),
+            env,
+            tmps,
+            flags,
+            scope_gen,
+        }
+    }
+
+    /// Re-run a parked `act` over `args`, as if [`Def::call`] had just
+    /// built it — unless a fresh one could bind differently: the scope
+    /// (where a fresh, empty frame looks names up, and whose globals a
+    /// `::` native's registration touches) has moved its generation since.
+    fn recall(&self, scope: &Env, act: &mut Activation, args: &[Value]) -> bool {
+        let fresh = act.scope_gen == Some(scope.generation());
+        if fresh {
+            self.pass(&act.env, args);
+        }
+        fresh
+    }
+
+    /// Set the parameter cells of `env`, a frame of this definition's.
+    fn pass(&self, env: &Env, args: &[Value]) {
+        for i in 0..self.0.params {
+            env.slot_local(i).set(gde::func::arg(args, i));
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Procedure activations built on this thread.
+    pub(crate) static BUILT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// One activation: its generator tree and what the tree is built over,
+/// which a call site keeps to re-run it ([`Def::recall`]).
+struct Activation {
+    root: BoxGen,
+    env: Env,
+    tmps: Vec<Var>,
+    flags: Vec<Flag>,
+    /// The scope's name generation, read before the tree was built, if a
+    /// call site may re-run it.
+    scope_gen: Option<u64>,
+}
+
+impl Activation {
+    /// Keep the activation for a re-run: restart its tree and null its
+    /// cells, so it holds no value across the restart. `None` (drop it) for
+    /// an activation that is never re-run.
+    fn park(mut self) -> Option<Activation> {
+        self.scope_gen?;
+        self.root.restart();
+        self.env.reset();
+        self.tmps.iter().for_each(|t| drop(t.replace(Value::Null)));
+        self.flags
+            .iter()
+            .for_each(|f| f.store(false, Ordering::Relaxed));
+        Some(self)
+    }
+}
+
+/// Class `name`'s constructor (Sec. V.C's class transformation). A call
+/// builds the object's field frame from `slots` (`[fields…, methods…,
+/// "self"]`) and sets the fields from the arguments, each of `methods`
+/// bound to the frame, and the object, which holds itself: so the root of
+/// the scope adopts the frame ([`Env::adopt`]).
+pub fn class(name: &str, slots: impl SlotNames, fields: usize, methods: Vec<Def>) -> Def {
+    let class_name: Arc<str> = Arc::from(name);
+    Def::new(name, slots, fields, 0, 0, false, move |env, _, _| {
+        for (k, method) in methods.iter().enumerate() {
+            env.slot_local(fields + k)
+                .set(Value::Proc(method.bind(env)));
         }
         let obj = Value::Object(Arc::new(ObjData {
             class_name: Arc::clone(&class_name),
             fields: env.clone(),
             declared: fields,
         }));
-        env.slot_local(layout.len() - 1).set(obj.clone());
-        scope.adopt(&env);
-        Box::new(comb::unit(obj)) as BoxGen
+        env.slot_local(env.layout().len() - 1).set(obj.clone());
+        env.adopt(env);
+        Box::new(comb::unit(obj))
     })
 }
 
-/// Declare each emitted procedure and class in `globals`, by its name.
-pub fn install(globals: &Env, procs: &[fn(&Env) -> ProcValue]) {
-    for make in procs {
-        let proc = make(globals);
-        globals.declare(proc.name(), Value::Proc(proc.clone()));
+/// Bind each definition under `globals` and declare it there by its name:
+/// the procedures and classes of a loaded program or an emitted module.
+pub fn install(globals: &Env, defs: impl IntoIterator<Item = Def>) {
+    for def in defs {
+        globals.declare(&def.0.name, Value::Proc(def.bind(globals)));
     }
 }
 
@@ -229,7 +319,7 @@ pub fn promote(s: Slot) -> BoxGen {
 /// callee and arguments are read at the first resume after each restart.
 /// Called again on the procedure it ran last, the node re-runs that
 /// activation in place while the procedure's scope keeps its name
-/// generation (`lower::Proc::recall`); any other call builds a fresh
+/// generation (`Def::recall`); any other call builds a fresh
 /// generator. A callee that is not a procedure fails until the next
 /// restart.
 pub fn invoke(callee: Slot, args: Vec<Slot>) -> BoxGen {
@@ -247,8 +337,8 @@ struct Invoke {
 enum Call {
     /// Call at the next resume; the last activation, parked, if it is kept.
     Next(Option<(ProcValue, Activation)>),
-    /// An activation of an interpreted procedure.
-    Interp(ProcValue, Activation),
+    /// An activation of a procedure made from a [`Def`].
+    Defined(ProcValue, Activation),
     /// Any other callee's generator (failure, when it is not a procedure).
     Other(BoxGen),
 }
@@ -259,15 +349,15 @@ impl Invoke {
         let Value::Proc(p) = self.callee.get().deref() else {
             return Call::Other(Box::new(comb::fail()));
         };
-        let Some(def) = p.def::<Proc>() else {
+        let Some((def, scope)) = p.def::<(Def, Env)>() else {
             return Call::Other(p.invoke(argv));
         };
         if let Some((last, mut act)) = kept.filter(|(last, _)| last.same(&p)) {
-            if def.recall(&mut act, &argv) {
-                return Call::Interp(last, act);
+            if def.recall(scope, &mut act, &argv) {
+                return Call::Defined(last, act);
             }
         }
-        Call::Interp(p.clone(), def.call(&argv))
+        Call::Defined(p.clone(), def.call(scope, &argv))
     }
 }
 
@@ -278,14 +368,14 @@ impl Gen for Invoke {
             self.call = self.dispatch(kept);
         }
         match &mut self.call {
-            Call::Interp(_, act) => act.root.resume(),
+            Call::Defined(_, act) => act.root.resume(),
             Call::Other(g) => g.resume(),
             Call::Next(_) => unreachable!("dispatched above"),
         }
     }
     fn restart(&mut self) {
         self.call = match std::mem::replace(&mut self.call, Call::Next(None)) {
-            Call::Interp(p, act) => Call::Next(act.park().map(|act| (p, act))),
+            Call::Defined(p, act) => Call::Next(act.park().map(|act| (p, act))),
             Call::Next(kept) => Call::Next(kept),
             Call::Other(_) => Call::Next(None),
         };
@@ -943,10 +1033,82 @@ pub fn native_method(target: &Value, method: &str, args: &[Value]) -> Option<Val
     }
 }
 
+/// The emitted `classes` fixture, compiled into the crate's tests.
+#[cfg(test)]
+#[rustfmt::skip]
+#[path = "../tests/fixtures/classes_emitted.rs"]
+mod classes_emitted;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gde::comb::{thunk, to_range, unit};
+
+    /// `def twice(x) { return x * 2; }` as emitted code defines it; with
+    /// `pipe`, behind a branch never taken, `if &fail then |> x` first.
+    fn twice(pipe: bool) -> Def {
+        Def::new("twice", ["x"], 1, 0, 1, !pipe, move |env, _, flags| {
+            let x = Slot::Cell(env.slot(0, 0));
+            let double = super::thunk(move || ops::mul(&x.get(), &Value::from(2)));
+            let ret = return_gen(Some(double), flags[0].clone());
+            let never = |env: &Env| {
+                let x = Slot::Cell(env.slot(0, 0));
+                if_gen(fail(), self::pipe(env, move |_| atom(x.clone())), None)
+            };
+            body_root(
+                pipe.then(|| never(env)).into_iter().chain([ret]).collect(),
+                flags[0].clone(),
+            )
+        })
+    }
+
+    #[test]
+    fn an_emitted_call_site_re_runs_its_activation_unless_the_body_captures() {
+        for (pipe, builds) in [(false, 0..=1), (true, 1000..=1000)] {
+            let globals = Env::root();
+            install(&globals, [twice(pipe)]);
+            let arg = Var::null();
+            let mut call = invoke(
+                Slot::Const(globals.get("twice")),
+                vec![Slot::Cell(arg.clone())],
+            );
+            let before = BUILT.get();
+            for k in 0..1000 {
+                arg.set(Value::from(k));
+                call.restart();
+                assert_eq!(call.collect_values(), [Value::from(2 * k)]);
+            }
+            let built = BUILT.get() - before;
+            assert!(builds.contains(&built), "{built} built");
+        }
+    }
+
+    #[test]
+    fn an_emitted_class_lays_out_each_method_frame_once() {
+        let globals = Env::root();
+        classes_emitted::install(&globals);
+        let method = |obj: &Value, name: &str| -> Arc<FrameLayout> {
+            let Value::Object(o) = obj else {
+                panic!("{obj:?}")
+            };
+            let Some(Value::Proc(p)) = o.get_field(name) else {
+                panic!("{name}")
+            };
+            let (def, _) = p
+                .def::<(Def, Env)>()
+                .expect("a method is a bound definition");
+            Arc::clone(&def.0.layout)
+        };
+        let Value::Proc(new) = globals.get("DataParallel") else {
+            panic!()
+        };
+        let a = new.invoke(vec![Value::from(3)]).next_value().unwrap();
+        let b = new.invoke(vec![Value::from(4)]).next_value().unwrap();
+        for name in ["chunk", "mapReduce"] {
+            assert!(Arc::ptr_eq(&method(&a, name), &method(&b, name)), "{name}");
+        }
+        globals.clear();
+    }
 
     #[test]
     fn stmt_seq_passes_suspensions_in_order() {

@@ -24,7 +24,8 @@
 #                    checks one generation and looks no name up;
 #                    emitted code is `rt` calls, with no boxing or
 #                    per-procedure scaffolding spelled out; a class is
-#                    one `rt::class` call in both back ends;
+#                    one `rt::class` call in both back ends; and a
+#                    procedure is one `rt::Def` in both back ends;
 #   2. metadata    — `cargo metadata` must resolve to path-only packages
 #                    (every package's `source` is null), for the workspace
 #                    and for the benchmark's own;
@@ -107,14 +108,15 @@ if [ -z "$eval_impl" ] || grep -n 'natives' <<< "$eval_impl"; then
 fi
 echo "   ok: one invocation node; :: natives bound per activation"
 
-# A re-run checks one number (DESIGN.md § Two readings): `Proc::call` reads
-# the scope's name generation and `Proc::recall` compares it, so neither
+# A re-run checks one number (DESIGN.md § Two readings): `Def::call` reads
+# the scope's name generation and `Def::recall` compares it, so neither
 # looks a name up; the per-name re-lookups, the natives counter and the
 # dead code deleted beside them stay deleted.
+def_impl="$(sed -n '/^impl Def {/,/^}/p' crates/junicon/src/rt.rs)"
 for f in call recall; do
-    body="$(sed -n "/^    pub(crate) fn $f(/,/^    }/p" crates/junicon/src/lower.rs)"
+    body="$(sed -n "/^    fn $f(/,/^    }/p" <<< "$def_impl")"
     if [ -z "$body" ] || grep -n 'lookup' <<< "$body"; then
-        echo "FAIL: Proc::$f looks a name up (or moved); a re-run compares the scope's generation"
+        echo "FAIL: Def::$f looks a name up (or moved); a re-run compares the scope's generation"
         exit 1
     fi
 done
@@ -127,14 +129,14 @@ echo "   ok: a re-run call checks one generation and looks no name up"
 
 # Emitted code at the paper's scale (DESIGN.md § One lowering): every
 # constructor row is an `rt` function that hands back a `BoxGen`, and a
-# procedure is one `rt::proc` call, so the executed fixtures carry no
+# procedure is one `Def::new` call, so the executed fixtures carry no
 # boxing, no `gde::comb` path, no spelled-out `rt::Slot`, no per-procedure
 # scaffolding and no per-procedure `declare`; the table's boxing column
 # and the uncalled per-procedure entry point stay deleted.
 if hits="$(grep -nE 'as BoxGen|Box::new\(|gde::comb::|rt::Slot::|ProcValue::new|FrameLayout::of|rt::frame\(|globals\.declare\(|/// Generator function' \
         crates/junicon/tests/fixtures/*_emitted.rs)"; then
     echo "$hits"
-    echo "FAIL: emitted code spells out what rt holds; print rt::proc, rt::install and the boxed rt constructors"
+    echo "FAIL: emitted code spells out what rt holds; print one Def::new per procedure, rt::class, rt::install and the boxed rt constructors"
     exit 1
 fi
 if hits="$(grep -rnE 'fn emit_proc\b|macro_rules! boxed\b' crates/*/src benchmark/src)"; then
@@ -340,6 +342,24 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "   ok: a class is one rt::class call (no make_class, no method map)"
+
+# A procedure is one `rt::Def` in both back ends (DESIGN.md § Two
+# readings): `Def::bind` is the one place a procedure value gets its
+# definition, so loaded and emitted procedures, methods and classes all
+# re-run by one rule; the interpreter's own lowered-procedure binder and
+# the free frame helper stay deleted.
+defined="$(grep -rn 'ProcValue::defined(' crates/junicon/src || true)"
+if [ "$(grep -c . <<< "$defined")" -ne 1 ]; then
+    echo "$defined"
+    echo "FAIL: ProcValue::defined( has $(grep -c . <<< "$defined") call sites in crates/junicon/src, not one; bind a procedure through rt::Def"
+    exit 1
+fi
+if hits="$(grep -rnE '\bfn lowered\b|rt::frame\(' crates/junicon/src)"; then
+    echo "$hits"
+    echo "FAIL: a second procedure mechanism is back; define procedures with rt::Def"
+    exit 1
+fi
+echo "   ok: a procedure is one rt::Def (one ProcValue::defined site)"
 
 echo "== [2/3] cargo metadata: path-only package sources"
 # Capture first: in an `if` a failing pipeline is just "false", so a
