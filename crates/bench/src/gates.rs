@@ -124,7 +124,9 @@ pub enum Check {
     RatioAtMost(&'static str, f64),
     /// The median over the untraced run and its [`RERUNS`] at most the cap:
     /// a ratio to one quick run's `native_words_per_s`, which swings by a
-    /// quarter from one quick run to the next on a one-core host.
+    /// quarter from one quick run to the next on a one-core host. A re-run
+    /// whose `seed` or `seconds` differs from the run's FAILs: it is not a
+    /// re-run of that run.
     MedianAtMost(f64),
 }
 
@@ -242,6 +244,21 @@ fn check_result(doc: &Json) -> Result<(), String> {
     }
 }
 
+/// A re-run repeats its run: the same `seed` and `seconds` (a quick and a
+/// full-size run differ in the second). `Err` names the first that differs.
+fn same_run(run: &Json, rerun: &Json) -> Result<(), String> {
+    for field in ["seed", "seconds"] {
+        let (want, got) = (
+            run.get(field).and_then(Json::as_f64),
+            rerun.get(field).and_then(Json::as_f64),
+        );
+        if want.is_none() || got != want {
+            return Err(format!("{field} is {got:?}, not {want:?}"));
+        }
+    }
+    Ok(())
+}
+
 impl Row {
     /// Evaluate on `results`, whose runs 0 and 1 the `results` gate
     /// vouched for; a re-run is checked here, as that gate checks a run.
@@ -273,9 +290,16 @@ impl Row {
                 (format!("{at} = {v:.3} (cap {cap})"), v <= cap)
             }
             Check::MedianAtMost(cap) => {
-                let mut vs = Vec::new();
-                for run in [self.trace].into_iter().chain(RERUNS) {
-                    vs.push(read(doc(run)?, key).ok_or_else(|| absent(run))?);
+                let first = doc(self.trace)?;
+                let mut vs = vec![read(first, key).ok_or_else(|| absent(self.trace))?];
+                for run in RERUNS {
+                    let rerun = doc(run)?;
+                    let (file, of) = (
+                        file_name(self.workload, run),
+                        file_name(self.workload, self.trace),
+                    );
+                    same_run(first, rerun).map_err(|e| format!("{file}: {e} as in {of}"))?;
+                    vs.push(read(rerun, key).ok_or_else(|| absent(run))?);
                 }
                 let shown: Vec<String> = vs.iter().map(|v| format!("{v:.3}")).collect();
                 vs.sort_by(f64::total_cmp);

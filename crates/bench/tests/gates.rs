@@ -110,6 +110,8 @@ fn passing() -> Results {
                 .collect();
             let doc = obj([
                 ("workload", Json::Str(workload.to_string())),
+                ("seed", Json::Num(42.0)),
+                ("seconds", Json::Num(2.8)),
                 (
                     "result",
                     obj([
@@ -348,6 +350,34 @@ fn a_missing_or_failed_rerun_fails_the_median_rows_alone() {
                 result.insert("failed".into(), Json::Num(1.0));
             },
         ),
+    ];
+    for (says, doctor) in doctored {
+        let mut results = passing();
+        doctor(&mut results);
+        let reports = assert_only_fails(&results, &["seq-lw-ratio", "interp-recycled"]);
+        for gate in ["seq-lw-ratio", "interp-recycled"] {
+            let detail = &report(&reports, gate).detail;
+            assert!(detail.contains(says), "{detail}");
+        }
+    }
+}
+
+#[test]
+fn a_rerun_of_another_run_fails_the_median_rows_alone() {
+    // A full-size run 0 (28 s) beside quick re-runs (2.8 s) left from an
+    // earlier session, or re-runs over another seed, are no median of one
+    // run: the rows FAIL and name the first re-run that differs.
+    type Doctor = fn(&mut Results);
+    let doctored: [(&str, Doctor); 3] = [
+        ("result-seq_light-run2.json: seconds is Some(2.8), not Some(28.0) as in result-seq_light-trace0.json", |r| {
+            members(doc_of(r, "seq_light", 0), &[]).insert("seconds".into(), Json::Num(28.0));
+        }),
+        ("result-seq_light-run3.json: seed is Some(7.0), not Some(42.0)", |r| {
+            members(doc_of(r, "seq_light", 3), &[]).insert("seed".into(), Json::Num(7.0));
+        }),
+        ("result-seq_light-run2.json: seconds is None, not Some(2.8)", |r| {
+            members(doc_of(r, "seq_light", 2), &[]).remove("seconds");
+        }),
     ];
     for (says, doctor) in doctored {
         let mut results = passing();

@@ -34,8 +34,8 @@
 //! # Name generation
 //!
 //! Every frame counts the changes to what a by-name lookup through it can
-//! find: [`Env::declare`] (a new name, or a fresh cell for an old one),
-//! [`Env::clear`] and [`Env::touch`] bump it. [`Env::generation`] sums the
+//! find: [`Env::declare`] (a new name, or a fresh cell for an old one) and
+//! [`Env::clear`] bump it. [`Env::generation`] sums the
 //! counts along the scope chain, so it moves whenever any frame a lookup
 //! would search changes its names. Code that bound cells by name under a
 //! scope keeps the generation it saw before binding; while the scope's
@@ -226,16 +226,15 @@ impl Env {
         var
     }
 
-    /// Bump this frame's name generation, as a declaration does: for a
-    /// change to what its names stand for that the frame cannot see (the
-    /// interpreter's `::` natives, say).
-    pub fn touch(&self) {
+    /// Bump this frame's name generation: a declaration or a clear changed
+    /// what its names stand for.
+    fn touch(&self) {
         self.frame.generation.fetch_add(1, Ordering::Release);
     }
 
     /// The scope's name generation: the sum of the frames' counts along the
     /// chain. It moves iff a frame that a by-name lookup from here searches
-    /// declared a name, was cleared or was touched.
+    /// declared a name or was cleared.
     pub fn generation(&self) -> u64 {
         let own = self.frame.generation.load(Ordering::Acquire);
         own + self.frame.parent.as_ref().map_or(0, Env::generation)
@@ -611,8 +610,6 @@ mod tests {
         assert!(moved(&env), "an assignment that declares");
         root.declare("g", Value::Null);
         assert!(moved(&env), "a declaration in the parent");
-        root.touch();
-        assert!(moved(&env), "touch");
         env.clear();
         assert!(moved(&env), "clear");
         let shadowed = env.shadow();

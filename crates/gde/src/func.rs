@@ -22,6 +22,9 @@ struct Body<F: ?Sized> {
 
 type ProcFn = Body<dyn Fn(Vec<Value>) -> BoxGen + Send + Sync>;
 
+/// A plain native function, as [`ProcValue::native`] lifts it.
+pub type Native = Arc<dyn Fn(&[Value]) -> Option<Value> + Send + Sync>;
+
 /// A first-class procedure: invocation returns a suspendable generator.
 #[derive(Clone)]
 pub struct ProcValue {
@@ -58,14 +61,16 @@ impl ProcValue {
 
     /// Lift a plain (non-generator) native function: its result is promoted
     /// to a singleton iterator, `None` to failure — the treatment of "plain
-    /// Java methods" in Sec. V.A.
+    /// Java methods" in Sec. V.A. The function is also the procedure's
+    /// definition (`def::<Native>()`), for a caller that calls it directly.
     pub fn native(
         name: impl AsRef<str>,
         f: impl Fn(&[Value]) -> Option<Value> + Send + Sync + 'static,
     ) -> ProcValue {
-        let f = Arc::new(f);
-        ProcValue::new(name, move |args: Vec<Value>| {
-            let f = Arc::clone(&f);
+        let f: Native = Arc::new(f);
+        let call = Arc::clone(&f);
+        ProcValue::defined(name, Some(Arc::new(f)), move |args: Vec<Value>| {
+            let f = Arc::clone(&call);
             Box::new(thunk(move || f(&args))) as BoxGen
         })
     }

@@ -24,14 +24,14 @@
 //! * `pub fn toplevel(globals: &Env)` — runs the region's top-level
 //!   statements.
 //!
-//! Generated code needs the `gde` and `junicon` crates in scope, and also
-//! `coexpr`: the `@` and `^` rows of `junicon::prim` print
-//! `coexpr::activate` and `coexpr::refresh` (ROADMAP 18a would fold that
-//! crate into `gde`). The fixtures under `tests/fixtures/` are checked-in
-//! emissions that are both snapshot-compared against the current emitter
-//! output *and* compiled and executed by the `emitted_exec` integration
-//! test, so the generated code is proven to compile and to agree with the
-//! interpreter.
+//! Generated code needs the `gde` and `junicon` crates in scope, and
+//! nothing else. A `::` call binds the native its host declared
+//! (`rt::declare_native`, which `Interp::register_native` calls too) when
+//! its activation is built. The fixtures under `tests/fixtures/` are
+//! checked-in emissions that are both snapshot-compared against the
+//! current emitter output *and* compiled and executed by the
+//! `emitted_exec` integration test, so the generated code is proven to
+//! compile and to agree with the interpreter.
 
 use crate::lower::{lower, lower_toplevel, w};
 use crate::normalize::{normalize_program, NClass, NProc, NProgram};
@@ -158,7 +158,7 @@ mod tests {
             code.contains("pub fn install(globals: &Env) {\n    rt::install(globals, [proc_f()]);")
         );
         assert!(code.contains("pub fn toplevel(globals: &Env)"));
-        assert!(code.contains("::add(&s0.get(), &s1.get())"));
+        assert!(code.contains("::add, Cell(env.slot(0, 0)) /* x */, Const(Value::from(1i64)))"));
         // The one top-level statement is an activation of its own.
         assert_eq!(code.matches("rt::drive({").count(), 1);
         // Without statements or procedures, the two functions are empty.
@@ -205,7 +205,9 @@ mod tests {
         let code = emit_program_source("def f(n) { suspend (1 to n) * 2; }").unwrap();
         let product = code.find("rt::product(vec![").expect(&code);
         let bind = code.find("rt::bind(tmps[0].clone()").expect(&code);
-        let times = code.find("::mul(&s0.get(), &s1.get())").expect(&code);
+        let times = code
+            .find("::mul, Cell(tmps[0].clone()), Const(")
+            .expect(&code);
         assert!(product < bind && bind < times, "{code}");
         assert!(!code.contains("comb::fuse::"), "no fused node:\n{code}");
     }
@@ -264,7 +266,8 @@ mod tests {
     #[test]
     fn native_invoke_emits_rt_dispatch() {
         let code = emit_program_source("def f(l) { return l::split(\" \"); }").unwrap();
-        assert!(code.contains("rt::native_method"));
+        let call = "rt::native(&env, \"split\", Cell(env.slot(0, 0)) /* l */, vec![Const(Value::str(\" \"))])";
+        assert!(code.contains(call), "{code}");
     }
 
     #[test]

@@ -22,23 +22,18 @@
 mod builtins;
 
 use crate::lower::{define, lower_expr, lower_toplevel};
-use crate::normalize::{normalize_program, NProc};
+use crate::normalize::normalize_program;
 use crate::parse::{parse_expr, parse_program, ParseError};
 use crate::resolve::resolve_program;
 use crate::rt;
 use gde::env::Env;
 use gde::{BoxGen, Gen, GenExt, ProcValue, Step, Value};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A native (`::`) method: receives the target value and the arguments.
-pub type NativeFn = Arc<dyn Fn(&Value, &[Value]) -> Option<Value> + Send + Sync>;
-
 pub(crate) struct Shared {
     pub globals: Env,
-    pub natives: Mutex<HashMap<String, NativeFn>>,
     /// Completed lines produced by `write`, captured for tests and REPLs.
     pub output: Mutex<Vec<String>>,
     /// Text written by `writes` awaiting its line terminator.
@@ -61,11 +56,12 @@ pub struct Interp {
     session: Arc<Session>,
 }
 
-/// An interpreter's lifetime. Procedures capture `Arc<Shared>`, never the
-/// session (that would be a cycle), and the globals hold the procedures;
-/// an object holds itself as `self`, and the globals adopt its field frame
-/// (`rt::class`). Ending the session clears the globals, and with them
-/// every frame they adopted, which breaks both cycles.
+/// An interpreter's lifetime. Builtins capture `Arc<Shared>`, never the
+/// session (that would be a cycle), and the globals hold the builtins,
+/// procedures and `::` natives; an object holds itself as `self`, and the
+/// globals adopt its field frame (`rt::class`). Ending the session clears
+/// the globals, and with them every frame they adopted, which breaks both
+/// cycles.
 struct Session(Arc<Shared>);
 
 impl Drop for Session {
@@ -104,7 +100,6 @@ impl Interp {
     pub fn new() -> Interp {
         let shared = Arc::new(Shared {
             globals: Env::root(),
-            natives: Mutex::new(HashMap::new()),
             output: Mutex::new(Vec::new()),
             pending: Mutex::new(String::new()),
             echo: AtomicBool::new(false),
@@ -135,21 +130,21 @@ impl Interp {
         self.globals().declare(&name, Value::Proc(p));
     }
 
-    /// Register a native `::` method (e.g. `this::wordToNumber(w)`).
+    /// Register a native `::` method (e.g. `this::wordToNumber(w)`): one
+    /// [`rt::declare_native`] in the globals, as an emitted module's host
+    /// declares it.
     ///
     /// A `::` call is bound to its native when the activation holding it is
     /// built, so a native registered after a call started is seen from the
     /// next call on (and by expressions compiled after it): registering
-    /// touches the globals, so no call site re-runs an activation built
-    /// before it.
+    /// declares a name in the globals, so no call site re-runs an
+    /// activation built before it.
     pub fn register_native(
         &self,
         name: &str,
         f: impl Fn(&Value, &[Value]) -> Option<Value> + Send + Sync + 'static,
     ) {
-        let shared = self.shared();
-        shared.natives.lock().insert(name.to_string(), Arc::new(f));
-        shared.globals.touch();
+        rt::declare_native(self.globals(), name, f);
     }
 
     /// Captured `write`/`writes` output so far (a trailing unterminated
@@ -209,17 +204,16 @@ impl Interp {
     /// surface.
     #[doc(hidden)]
     pub fn load_normalized(&self, nprog: &crate::normalize::NProgram) {
-        let (shared, globals) = (self.shared(), self.globals());
-        let def = |p: &NProc| define(p, shared);
+        let globals = self.globals();
         let classes = nprog.classes.iter().map(|c| {
-            let methods = c.methods.iter().map(def).collect();
+            let methods = c.methods.iter().map(define).collect();
             rt::class(&c.name, &c.slots[..], c.fields.len(), methods)
         });
-        rt::install(globals, nprog.procs.iter().map(def).chain(classes));
+        rt::install(globals, nprog.procs.iter().map(define).chain(classes));
         // Top-level statements: drive each once (bounded), like field
         // initializers / main in the paper's model.
         for stmt in lower_toplevel(nprog) {
-            rt::drive(stmt.instantiate(shared, globals));
+            rt::drive(stmt.instantiate(globals));
         }
     }
 
@@ -232,7 +226,7 @@ impl Interp {
         let (norm, tmp_count) = crate::normalize::normalize_expr(&expr);
         let plan = lower_expr(&norm, tmp_count);
         Ok(Box::new(SessionGen {
-            gen: plan.instantiate(self.shared(), self.globals()),
+            gen: plan.instantiate(self.globals()),
             _session: Arc::clone(&self.session),
         }))
     }

@@ -1,9 +1,10 @@
-//! Builtin procedures and native-method fallbacks.
+//! Builtin procedures.
 //!
 //! These are the subset of Icon's built-in functions the paper's examples
 //! rely on (`write`, `put`, list and table construction, `sqrt`, the
-//! `isprime` filter of the Sec. II example) plus the `::` method fallbacks
-//! used in Fig. 3 (`split`, `add`).
+//! `isprime` filter of the Sec. II example). The `::` method fallbacks
+//! used in Fig. 3 (`split`, `add`) are `rt::native_method`, shared with
+//! emitted code.
 
 use super::Interp;
 use bigint::BigInt;

@@ -12,7 +12,7 @@
 //!   slotted IR ──[lower]──► plan: a tree of kernel-constructor calls ([rt], gde::comb)
 //!   plan ──[interp]──► the calls made: gde combinator trees (executable)
 //!       └─[emit]────► the calls printed: Rust source targeting the gde runtime
-//!          ▲ [lower] asks [prim] what a primitive means / how it is spelled
+//!          ▲ [lower] asks [prim] which function an operator applies
 //! ```
 //!
 //! * [`annot`] — the *scoped annotations* metaparser: recognizes
@@ -30,8 +30,10 @@
 //!   The IR's operand/child structure is written once
 //!   ([`normalize::Norm::parts`]); every analysis is a caller of it.
 //! * [`prim`] — the primitive table: each monogenic operation over atom
-//!   operands is one row giving the function the interpreter calls and the
-//!   Rust path the emitter prints, derived from one token.
+//!   operands is one constructor row of `lower`; an operator's row is
+//!   `rt::op1`/`rt::op2` over the function it names, given as the function
+//!   the interpreter passes and the Rust path the emitter prints, from one
+//!   token.
 //! * `lower` (crate-private) — the one lowering both back ends share:
 //!   `Norm → Plan`, once per procedure. A plan node is a call to one kernel
 //!   constructor of [`rt`] / `gde::comb` with classified arguments;

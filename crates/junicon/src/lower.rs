@@ -15,9 +15,8 @@
 //! a procedure becomes one `rt::Def` ([`define`], [`Plan::print_proc`]),
 //! whose activations a call site re-runs by one rule (`rt::invoke`).
 
-use crate::interp::{NativeFn, Shared};
 use crate::normalize::{Atom, CoKind, NProc, NProgram, Norm, Part, VarRef};
-use crate::prim::{path_str, vals, Prim};
+use crate::prim::{path_str, Func, Prim};
 use crate::rt::{self, Def, Flag, Slot};
 use gde::env::Env;
 use gde::{BoxGen, Value, Var};
@@ -67,13 +66,11 @@ enum Arg {
     Opt(Option<Node>),
     /// A deferred body: an activation of its own at each creation.
     Body(Arc<Plan>),
-    /// A monogenic evaluation, as a closure.
-    Mono(Mono),
+    /// The function an operator applies (`junicon::prim`).
+    Func(Func),
+    /// A field or `::` method name.
+    Name(Arc<str>),
 }
-
-/// A monogenic evaluation over operand slots, the `PRIM` thunk's: a row of
-/// `junicon::prim` and its operands. At most one value, no state.
-struct Mono(Prim, Vec<Atom>);
 
 /// The break/next flag indices of the innermost enclosing loop.
 type Loop = Option<(u32, u32)>;
@@ -103,7 +100,13 @@ macro_rules! table {
             PRODUCT: rt::product(gens);
             BIND: rt::bind(tmp, gen);
             ALT: rt::alt(gens);
-            PRIM: rt::thunk(mono);
+            OP1: rt::op1(fn1, slot);
+            OP2: rt::op2(fn2, slot, slot);
+            SET_INDEX: rt::set_index(slot, slot, slot);
+            FIELD: rt::field(name, slot);
+            SET_FIELD: rt::set_field(name, slot, slot);
+            LIST: rt::list(slots);
+            NATIVE: rt::native(env, name, slot, slots);
             PROMOTE: rt::promote(slot);
             INVOKE: rt::invoke(slot, slots);
             SET_VAR: rt::set_var(cell, slot);
@@ -156,7 +159,6 @@ fn call(ctor: &'static Ctor, args: Vec<Arg>) -> Node {
 
 /// What one activation's nodes are built over.
 struct Over<'a> {
-    shared: &'a Arc<Shared>,
     env: &'a Env,
     tmps: &'a [Var],
     flags: &'a [Flag],
@@ -171,19 +173,14 @@ struct Args<'a> {
 impl Plan {
     /// A fresh activation over `env`: its temporaries and flags allocated,
     /// its tree built.
-    pub(crate) fn instantiate(&self, shared: &Arc<Shared>, env: &Env) -> BoxGen {
+    pub(crate) fn instantiate(&self, env: &Env) -> BoxGen {
         let (tmps, flags) = (rt::tmps(self.tmps), rt::flags(self.flags));
-        self.build(shared, env, &tmps, &flags)
+        self.build(env, &tmps, &flags)
     }
 
     /// The activation's tree over cells allocated by the caller.
-    fn build(&self, shared: &Arc<Shared>, env: &Env, tmps: &[Var], flags: &[Flag]) -> BoxGen {
-        self.root.instantiate(&Over {
-            shared,
-            env,
-            tmps,
-            flags,
-        })
+    fn build(&self, env: &Env, tmps: &[Var], flags: &[Flag]) -> BoxGen {
+        self.root.instantiate(&Over { env, tmps, flags })
     }
 }
 
@@ -197,11 +194,10 @@ impl Node {
 /// A procedure as the interpreter defines it at load: lowered once, its
 /// `rt::Def` body a closure over the plan that instantiates it per call.
 /// Nothing of the source IR is kept.
-pub(crate) fn define(p: &NProc, shared: &Arc<Shared>) -> Def {
-    let (name, params) = (&p.name, p.params.len());
-    let (plan, shared) = (lower(p), Arc::clone(shared));
+pub(crate) fn define(p: &NProc) -> Def {
+    let (name, params, plan) = (&p.name, p.params.len(), lower(p));
     let (tmps, flags, rerun) = (plan.tmps, plan.flags, plan.rerun);
-    let body = move |env: &Env, tmps: &[Var], flags: &[Flag]| plan.build(&shared, env, tmps, flags);
+    let body = move |env: &Env, tmps: &[Var], flags: &[Flag]| plan.build(env, tmps, flags);
     Def::new(name, &p.slots[..], params, tmps, flags, rerun, body)
 }
 
@@ -241,34 +237,13 @@ kinds! {
     fn gen(act: Arg::Child(n)) -> BoxGen { n.instantiate(act) }
     fn gens(act: Arg::Children(ns)) -> Vec<BoxGen> { ns.iter().map(|n| n.instantiate(act)).collect() }
     fn optgen(act: Arg::Opt(n)) -> Option<BoxGen> { n.as_ref().map(|n| n.instantiate(act)) }
-    fn body(act: Arg::Body(plan)) -> impl Fn(Env) -> BoxGen + Send + Sync + 'static {
-        let (plan, shared) = (Arc::clone(plan), Arc::clone(act.shared));
-        move |env| plan.instantiate(&shared, &env)
+    fn body(_: Arg::Body(plan)) -> impl Fn(Env) -> BoxGen + Send + Sync + 'static {
+        let plan = Arc::clone(plan);
+        move |env| plan.instantiate(&env)
     }
-    fn mono(act: Arg::Mono(m)) -> impl Fn() -> Option<Value> + Send + Sync + 'static {
-        let eval = act.eval(m);
-        move || eval.run()
-    }
-}
-
-/// A [`Mono`] over its cells.
-enum Eval {
-    /// The row's function, the operand slots and the primitive (its name).
-    Prim(PrimFn, Vec<Slot>, Prim),
-    /// A `::` call, bound when the activation was built to the native the
-    /// host registered under its name (to the row, when there was none).
-    Native(NativeFn, Vec<Slot>),
-}
-
-type PrimFn = fn(&[Slot], &str) -> Option<Value>;
-
-impl Eval {
-    fn run(&self) -> Option<Value> {
-        match self {
-            Eval::Prim(eval, slots, op) => eval(slots, op.name()),
-            Eval::Native(native, slots) => native(&slots[0].get(), &vals(&slots[1..])),
-        }
-    }
+    fn fn1(_: Arg::Func(Func::One(_, f))) -> fn(&Value) -> Option<Value> { *f }
+    fn fn2(_: Arg::Func(Func::Two(_, f))) -> fn(&Value, &Value) -> Option<Value> { *f }
+    fn name(_: Arg::Name(n)) -> Arc<str> { Arc::clone(n) }
 }
 
 impl Over<'_> {
@@ -292,15 +267,6 @@ impl Over<'_> {
         match t {
             VarRef::Named(name) => self.env.lookup_or_declare(name),
             VarRef::Slot(depth, idx, _) => self.env.slot(*depth as usize, *idx as usize),
-        }
-    }
-
-    fn eval(&self, Mono(op, args): &Mono) -> Eval {
-        let slots = args.iter().map(|a| self.slot(a)).collect();
-        let native = || self.shared.natives.lock().get(op.name()).cloned();
-        match op.is_host_call().then(native).flatten() {
-            Some(native) => Eval::Native(native, slots),
-            None => Eval::Prim(op.row().eval, slots, op.clone()),
         }
     }
 }
@@ -437,18 +403,8 @@ impl Arg {
                 plan.print(out, lvl + 1);
                 w!(out, "{i0}}}");
             }
-            // Operand `k` is captured as `s{k}` where the node is
-            // constructed; the closure over them is what [`Eval::run`] does.
-            Arg::Mono(Mono(op, args)) => {
-                out.push('{');
-                for (k, a) in args.iter().enumerate() {
-                    w!(out, " let s{k} = ");
-                    print_slot(out, a);
-                    out.push(';');
-                }
-                let run = (op.row().spell)(args.len(), op.name());
-                w!(out, " move || {run} }}");
-            }
+            Arg::Func(f) => out.push_str(f.path()),
+            Arg::Name(name) => w!(out, "{name:?}"),
         }
     }
 }
@@ -528,7 +484,7 @@ impl Lowering {
                 let items = items.iter().map(|i| self.node(i, lp, stmt)).collect();
                 call(&ALT, vec![Arg::Children(items)])
             }
-            Norm::Prim { op, args } => call(&PRIM, vec![Arg::Mono(Mono(op.clone(), args.clone()))]),
+            Norm::Prim { op, args } => prim(op, args),
             Norm::Promote(a) => call(&PROMOTE, vec![Arg::Read(a.clone())]),
             Norm::Invoke { callee, args } => {
                 let args = Arg::Reads(args.clone());
@@ -614,6 +570,31 @@ impl Lowering {
                 call(&SCAN, vec![self.value(subject, lp), body])
             }
         }
+    }
+}
+
+/// A primitive: an operator is `OP1` or `OP2` over its function, any other
+/// primitive a row of its own. The operands are read in order.
+fn prim(op: &Prim, args: &[Atom]) -> Node {
+    let reads = |head: Vec<Arg>| {
+        head.into_iter()
+            .chain(args.iter().cloned().map(Arg::Read))
+            .collect()
+    };
+    let name = |n: &Arc<str>| Arg::Name(Arc::clone(n));
+    match (op, op.func()) {
+        (_, Some(f @ Func::One(..))) => call(&OP1, reads(vec![Arg::Func(f)])),
+        (_, Some(f @ Func::Two(..))) => call(&OP2, reads(vec![Arg::Func(f)])),
+        (Prim::IndexAssign, _) => call(&SET_INDEX, reads(vec![])),
+        (Prim::FieldGet(n), _) => call(&FIELD, reads(vec![name(n)])),
+        (Prim::FieldSet(n), _) => call(&SET_FIELD, reads(vec![name(n)])),
+        (Prim::List, _) => call(&LIST, vec![Arg::Reads(args.to_vec())]),
+        (Prim::Native(n), _) => {
+            let (target, rest) = args.split_first().expect("a `::` call has a target");
+            let (target, rest) = (Arg::Read(target.clone()), Arg::Reads(rest.to_vec()));
+            call(&NATIVE, vec![Arg::Env, name(n), target, rest])
+        }
+        (_, None) => unreachable!("an operator names its function"),
     }
 }
 
@@ -740,7 +721,7 @@ mod tests {
                 [$(&$name),*]
             };
         }
-        let rows: [&Ctor; 28] = table!(rows);
+        let rows: [&Ctor; 34] = table!(rows);
         for row in rows {
             let call = format!("{}(", row.path);
             assert!(fixtures.iter().any(|f| f.contains(&call)), "{call}");

@@ -8,13 +8,17 @@
 //! [`crate::emit`] transpiler prints, so a node's meaning is written once,
 //! as code, and interpreted and emitted programs share it. Every
 //! constructor hands back a [`BoxGen`]; the ones that are a [`gde::comb`]
-//! constructor ([`product`], [`bind`], [`alt`], [`thunk`], [`seq`],
-//! [`fail`]) box it here, so `gde::comb` keeps its concrete types for the
-//! static chains built from it. A procedure, method or class constructor is
-//! one [`Def`] in both back ends, re-run by [`invoke`] under one rule.
+//! constructor ([`product`], [`bind`], [`alt`], [`seq`], [`fail`]) box it
+//! here, so `gde::comb` keeps its concrete types for the static chains
+//! built from it. A primitive is one call too: [`op1`] or [`op2`] over the
+//! function an operator names, or a constructor of its own ([`set_index`],
+//! [`field`], [`set_field`], [`native`], [`list`]). A procedure, method or
+//! class constructor is one [`Def`] in both back ends, re-run by [`invoke`]
+//! under one rule.
 
 use gde::comb;
 use gde::env::{Env, FrameLayout, SlotNames};
+use gde::func::Native;
 use gde::ops;
 use gde::{BoxGen, Gen, GenExt, ObjData, ProcValue, Step, Value, Var};
 use std::cell::Cell;
@@ -123,8 +127,8 @@ impl Def {
 
     /// Re-run a parked `act` over `args`, as if [`Def::call`] had just
     /// built it — unless a fresh one could bind differently: the scope
-    /// (where a fresh, empty frame looks names up, and whose globals a
-    /// `::` native's registration touches) has moved its generation since.
+    /// (where a fresh, empty frame looks names up, `::` natives included)
+    /// has moved its generation since.
     fn recall(&self, scope: &Env, act: &mut Activation, args: &[Value]) -> bool {
         let fresh = act.scope_gen == Some(scope.generation());
         if fresh {
@@ -276,34 +280,102 @@ pub fn size(v: &Value) -> Option<Value> {
     v.size().map(Value::from)
 }
 
-/// `[items…]`: list construction (never fails).
-pub fn list(items: Vec<Value>) -> Option<Value> {
-    Some(Value::list(items))
-}
-
-/// Field read `base.field`: objects read their field or bound method;
-/// tables fall back to string-keyed lookup.
-pub fn field_get(base: &Value, field: &str) -> Option<Value> {
-    match base.deref() {
-        Value::Object(o) => o.get_field(field),
-        Value::Table(_) => ops::index(&base.deref(), &Value::str(field)),
-        _ => None,
-    }
-}
-
-/// Field write `base.field := v`: objects must have the field declared
-/// (a method or `self` is not one); tables insert under the string key.
-pub fn field_set(base: &Value, field: &str, v: Value) -> Option<Value> {
-    match base.deref() {
-        Value::Object(o) => o.set_field(field, v),
-        Value::Table(_) => ops::index_assign(&base.deref(), &Value::str(field), v),
-        _ => None,
-    }
-}
+/// Co-expression activation `@v` and refresh `^v`, the functions of the
+/// `@` and `^` primitives.
+pub use coexpr::{activate, refresh};
 
 // ---------------------------------------------------------------------------
 // Nodes over operand slots
 // ---------------------------------------------------------------------------
+
+/// A unary operator, `f(a)` (`-a`, `*a`, `@a`, `^a`): at most one value per
+/// (re)start, the operand read at each evaluation.
+pub fn op1(f: fn(&Value) -> Option<Value>, a: Slot) -> BoxGen {
+    thunk(move || f(&a.get()))
+}
+
+/// A binary operator, `f(a, b)` (the 20 of `a op b`, and `a[i]`).
+pub fn op2(f: fn(&Value, &Value) -> Option<Value>, a: Slot, b: Slot) -> BoxGen {
+    thunk(move || f(&a.get(), &b.get()))
+}
+
+/// Subscript assignment `base[index] := value`.
+pub fn set_index(base: Slot, index: Slot, value: Slot) -> BoxGen {
+    thunk(move || ops::index_assign(&base.get(), &index.get(), value.get()))
+}
+
+/// Field read `base.name`: objects read their field or bound method;
+/// tables fall back to string-keyed lookup.
+pub fn field(name: impl Into<Arc<str>>, base: Slot) -> BoxGen {
+    let name = name.into();
+    thunk(move || match base.get().deref() {
+        Value::Object(o) => o.get_field(&name),
+        table @ Value::Table(_) => ops::index(&table, &Value::str(&*name)),
+        _ => None,
+    })
+}
+
+/// Field write `base.name := value`: objects must have the field declared
+/// (a method or `self` is not one); tables insert under the string key.
+pub fn set_field(name: impl Into<Arc<str>>, base: Slot, value: Slot) -> BoxGen {
+    let name = name.into();
+    thunk(move || match base.get().deref() {
+        Value::Object(o) => o.set_field(&name, value.get()),
+        table @ Value::Table(_) => ops::index_assign(&table, &Value::str(&*name), value.get()),
+        _ => None,
+    })
+}
+
+/// List construction `[items…]` (never fails).
+pub fn list(items: Vec<Slot>) -> BoxGen {
+    thunk(move || Some(Value::list(items.iter().map(Slot::get).collect())))
+}
+
+/// Host-native call `target::name(args…)`: the native [`declare_native`]
+/// declared is looked up when the node is built ([`native_method`] when
+/// there is none), so an evaluation looks nothing up.
+pub fn native(env: &Env, name: impl Into<Arc<str>>, target: Slot, args: Vec<Slot>) -> BoxGen {
+    let name: Arc<str> = name.into();
+    let mut declared: Option<Native> = None;
+    if let Some(cell) = env.lookup(&native_key(&name)) {
+        // Read in place: binding clones the function, not the procedure.
+        cell.update(|v| {
+            if let Value::Proc(p) = v {
+                declared = p.def::<Native>().cloned();
+            }
+        });
+    }
+    thunk(move || {
+        let mut operands = Vec::with_capacity(1 + args.len());
+        operands.push(target.get());
+        operands.extend(args.iter().map(Slot::get));
+        match &declared {
+            Some(f) => f(&operands),
+            None => native_method(&operands[0], &name, &operands[1..]),
+        }
+    })
+}
+
+/// Declare `f` as the `::` native `name` in `globals`, under a name no
+/// Junicon identifier can spell, for every [`native`] node built after: a
+/// declaration moves the name generation, so no call site re-runs an older
+/// activation. Interpreters (`Interp::register_native`) and hosts of
+/// emitted modules call it alike.
+pub fn declare_native(
+    globals: &Env,
+    name: &str,
+    f: impl Fn(&Value, &[Value]) -> Option<Value> + Send + Sync + 'static,
+) {
+    let native = ProcValue::native(name, move |operands| match operands.split_first() {
+        Some((target, args)) => f(target, args),
+        None => f(&Value::Null, &[]),
+    });
+    globals.declare(&native_key(name), Value::Proc(native));
+}
+
+fn native_key(name: &str) -> String {
+    ["::", name].concat()
+}
 
 /// A variable or literal in generator position: its current value, once.
 pub fn atom(s: Slot) -> BoxGen {
@@ -421,7 +493,7 @@ pub fn alt(items: Vec<BoxGen>) -> BoxGen {
 }
 
 /// A monogenic evaluation: at most one value per (re)start.
-pub fn thunk(f: impl Fn() -> Option<Value> + Send + 'static) -> BoxGen {
+fn thunk(f: impl Fn() -> Option<Value> + Send + 'static) -> BoxGen {
     Box::new(comb::thunk(f))
 }
 
@@ -983,9 +1055,9 @@ impl Drop for ScanGen {
     }
 }
 
-/// Built-in `::` methods available on any value (used by emitted code and
-/// as the interpreter's fallback when no host native of that name is
-/// registered): the string/list operations of Fig. 3.
+/// Built-in `::` methods available on any value, what a [`native`] call
+/// runs when no native of its name is declared: the string/list
+/// operations of Fig. 3.
 pub fn native_method(target: &Value, method: &str, args: &[Value]) -> Option<Value> {
     match method {
         // ((String) line)::split("\\s+") — whitespace or literal separator.
@@ -1048,8 +1120,8 @@ mod tests {
     /// `pipe`, behind a branch never taken, `if &fail then |> x` first.
     fn twice(pipe: bool) -> Def {
         Def::new("twice", ["x"], 1, 0, 1, !pipe, move |env, _, flags| {
-            let x = Slot::Cell(env.slot(0, 0));
-            let double = super::thunk(move || ops::mul(&x.get(), &Value::from(2)));
+            let (x, two) = (Slot::Cell(env.slot(0, 0)), Slot::Const(Value::from(2)));
+            let double = op2(ops::mul, x, two);
             let ret = return_gen(Some(double), flags[0].clone());
             let never = |env: &Env| {
                 let x = Slot::Cell(env.slot(0, 0));

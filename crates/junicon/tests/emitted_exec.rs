@@ -145,6 +145,34 @@ fn emitted_fig4_agrees_with_interpreter() {
 }
 
 #[test]
+fn emitted_code_calls_the_natives_the_host_registered() {
+    // A `split` that differs from the builtin (`rt::native_method` splits
+    // on white space), and Fig. 3's `this::` hashers, which have no
+    // builtin: emitted code binds the host's natives, as `load` does.
+    let got = emitted_equals_interpreted(
+        sources::FIG4_SRC,
+        fig4::install,
+        |i| {
+            i.register_native("split", |line, _| {
+                let parts = line.as_str()?.split(',').map(Value::str).collect();
+                Some(Value::list(parts))
+            });
+            i.register_native("wordToNumber", |_, args| {
+                args.first()?.size().map(Value::from)
+            });
+            i.register_native("hashNumber", |_, args| {
+                gde::ops::mul(args.first()?, &Value::from(10))
+            });
+        },
+        &["splitWords(\"a b,cc\")", "hashWords(\"a b,cc\")"],
+    );
+    let shown =
+        |vals: Vec<Value>| -> Vec<String> { vals.iter().map(|v| format!("{v:?}")).collect() };
+    assert_eq!(got[0], shown(vec![Value::str("a b"), Value::str("cc")]));
+    assert_eq!(got[1], shown(vec![Value::from(30), Value::from(20)]));
+}
+
+#[test]
 fn emitted_classes_agree_with_interpreter() {
     let got = emitted_equals_interpreted(
         sources::CLASSES_SRC,

@@ -6,13 +6,13 @@ use junicon::rt::{self, Def, Slot::*};
 
 pub fn proc_square() -> Def {
     Def::new("square", ["x"], 1, 0, 1, true, |env, tmps, flags| rt::body_root(vec![
-        rt::return_gen(Some(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* x */; let s1 = Cell(env.slot(0, 0)) /* x */; move || gde::ops::mul(&s0.get(), &s1.get()) })), flags[0].clone()),
+        rt::return_gen(Some(rt::op2(gde::ops::mul, Cell(env.slot(0, 0)) /* x */, Cell(env.slot(0, 0)) /* x */)), flags[0].clone()),
     ], flags[0].clone()))
 }
 
 pub fn proc_sum() -> Def {
     Def::new("sum", ["a", "b"], 2, 0, 1, true, |env, tmps, flags| rt::body_root(vec![
-        rt::return_gen(Some(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* a */; let s1 = Cell(env.slot(0, 1)) /* b */; move || gde::ops::add(&s0.get(), &s1.get()) })), flags[0].clone()),
+        rt::return_gen(Some(rt::op2(gde::ops::add, Cell(env.slot(0, 0)) /* a */, Cell(env.slot(0, 1)) /* b */)), flags[0].clone()),
     ], flags[0].clone()))
 }
 
@@ -22,24 +22,24 @@ pub fn method_DataParallel_chunk() -> Def {
             rt::decl(env.slot_local(1) /* c */, None),
         ])),
         rt::mute_once(rt::product(vec![
-            rt::bind(tmps[0].clone(), rt::thunk({ move || rt::list(vec![]) })),
+            rt::bind(tmps[0].clone(), rt::list(vec![])),
             rt::set_var(env.slot(0, 1) /* c */, Cell(tmps[0].clone())),
         ])),
         rt::while_do(
             rt::product(vec![
-                rt::bind(tmps[1].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* e */; move || coexpr::activate(&s0.get()) })),
+                rt::bind(tmps[1].clone(), rt::op1(rt::activate, Cell(env.slot(0, 0)) /* e */)),
                 rt::invoke(Cell(env.lookup_or_declare("put")), vec![Cell(env.slot(0, 1)) /* c */, Cell(tmps[1].clone())]),
             ]),
             Some(rt::stmt_seq(vec![
                 rt::if_gen(
                     rt::product(vec![
-                        rt::bind(tmps[2].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })),
-                        rt::thunk({ let s0 = Cell(tmps[2].clone()); let s1 = Cell(env.slot(1, 0)) /* chunkSize */; move || gde::ops::ge(&s0.get(), &s1.get()) }),
+                        rt::bind(tmps[2].clone(), rt::op1(rt::size, Cell(env.slot(0, 1)) /* c */)),
+                        rt::op2(gde::ops::ge, Cell(tmps[2].clone()), Cell(env.slot(1, 0)) /* chunkSize */),
                     ]),
                     rt::stmt_seq(vec![
                         rt::atom(Cell(env.slot(0, 1)) /* c */),
                         rt::mute_once(rt::product(vec![
-                            rt::bind(tmps[3].clone(), rt::thunk({ move || rt::list(vec![]) })),
+                            rt::bind(tmps[3].clone(), rt::list(vec![])),
                             rt::set_var(env.slot(0, 1) /* c */, Cell(tmps[3].clone())),
                         ])),
                     ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()]),
@@ -52,8 +52,8 @@ pub fn method_DataParallel_chunk() -> Def {
         ),
         rt::if_gen(
             rt::product(vec![
-                rt::bind(tmps[4].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })),
-                rt::thunk({ let s0 = Cell(tmps[4].clone()); let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+                rt::bind(tmps[4].clone(), rt::op1(rt::size, Cell(env.slot(0, 1)) /* c */)),
+                rt::op2(gde::ops::gt, Cell(tmps[4].clone()), Const(Value::from(0i64))),
             ]),
             rt::stmt_seq(vec![
                 rt::return_gen(Some(rt::atom(Cell(env.slot(0, 1)) /* c */)), flags[0].clone()),
@@ -71,7 +71,7 @@ pub fn method_DataParallel_mapReduce() -> Def {
             rt::decl(env.slot_local(6) /* tasks */, None),
         ])),
         rt::mute_once(rt::product(vec![
-            rt::bind(tmps[0].clone(), rt::thunk({ move || rt::list(vec![]) })),
+            rt::bind(tmps[0].clone(), rt::list(vec![])),
             rt::set_var(env.slot(0, 6) /* tasks */, Cell(tmps[0].clone())),
         ])),
         rt::every_do(
@@ -104,7 +104,7 @@ pub fn method_DataParallel_mapReduce() -> Def {
                     })),
                     rt::set_var(env.slot(0, 5) /* t */, Cell(tmps[2].clone())),
                 ])),
-                rt::mute_once(rt::thunk({ let s0 = Cell(env.slot(0, 6)) /* tasks */; let s1 = Cell(env.slot(0, 5)) /* t */; move || rt::native_method(&s0.get(), "add", &[s1.get()]) })),
+                rt::mute_once(rt::native(&env, "add", Cell(env.slot(0, 6)) /* tasks */, vec![Cell(env.slot(0, 5)) /* t */])),
             ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
             flags[1].clone(),
             flags[2].clone(),
@@ -124,7 +124,7 @@ pub fn class_DataParallel() -> Def {
 pub fn method_Counter_bump() -> Def {
     Def::new("bump", ["k"], 1, 1, 1, true, |env, tmps, flags| rt::body_root(vec![
         rt::mute_once(rt::product(vec![
-            rt::bind(tmps[0].clone(), rt::thunk({ let s0 = Cell(env.slot(1, 0)) /* n */; let s1 = Cell(env.slot(0, 0)) /* k */; move || gde::ops::add(&s0.get(), &s1.get()) })),
+            rt::bind(tmps[0].clone(), rt::op2(gde::ops::add, Cell(env.slot(1, 0)) /* n */, Cell(env.slot(0, 0)) /* k */)),
             rt::set_var(env.slot(1, 0) /* n */, Cell(tmps[0].clone())),
         ])),
         rt::return_gen(Some(rt::atom(Cell(env.slot(1, 3)) /* self */)), flags[0].clone()),

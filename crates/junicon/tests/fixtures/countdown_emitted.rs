@@ -7,11 +7,11 @@ use junicon::rt::{self, Def, Slot::*};
 pub fn proc_countdown() -> Def {
     Def::new("countdown", ["n"], 1, 1, 3, true, |env, tmps, flags| rt::body_root(vec![
         rt::while_do(
-            rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* n */; let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+            rt::op2(gde::ops::gt, Cell(env.slot(0, 0)) /* n */, Const(Value::from(0i64))),
             Some(rt::stmt_seq(vec![
                 rt::atom(Cell(env.slot(0, 0)) /* n */),
                 rt::mute_once(rt::product(vec![
-                    rt::bind(tmps[0].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* n */; let s1 = Const(Value::from(1i64)); move || gde::ops::sub(&s0.get(), &s1.get()) })),
+                    rt::bind(tmps[0].clone(), rt::op2(gde::ops::sub, Cell(env.slot(0, 0)) /* n */, Const(Value::from(1i64)))),
                     rt::set_var(env.slot(0, 0) /* n */, Cell(tmps[0].clone())),
                 ])),
             ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
@@ -65,12 +65,12 @@ pub fn toplevel(globals: &Env) {
             ]),
             Some(rt::stmt_seq(vec![
                 rt::if_gen(
-                    rt::thunk({ let s0 = Cell(env.lookup_or_declare("i")); let s1 = Const(Value::from(3i64)); move || gde::ops::lt(&s0.get(), &s1.get()) }),
+                    rt::op2(gde::ops::lt, Cell(env.lookup_or_declare("i")), Const(Value::from(3i64))),
                     rt::flag_fail(flags[1].clone()),
                     None,
                 ),
                 rt::mute_once(rt::product(vec![
-                    rt::bind(tmps[1].clone(), rt::thunk({ let s0 = Cell(env.lookup_or_declare("t")); let s1 = Cell(env.lookup_or_declare("i")); move || gde::ops::add(&s0.get(), &s1.get()) })),
+                    rt::bind(tmps[1].clone(), rt::op2(gde::ops::add, Cell(env.lookup_or_declare("t")), Cell(env.lookup_or_declare("i")))),
                     rt::set_var(env.lookup_or_declare("t"), Cell(tmps[1].clone())),
                 ])),
             ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),

@@ -13,8 +13,20 @@ pub fn proc_readLines() -> Def {
 pub fn proc_splitWords() -> Def {
     Def::new("splitWords", ["line"], 1, 1, 1, true, |env, tmps, flags| rt::body_root(vec![
         rt::product(vec![
-            rt::bind(tmps[0].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* line */; let s1 = Const(Value::str("\\s+")); move || rt::native_method(&s0.get(), "split", &[s1.get()]) })),
+            rt::bind(tmps[0].clone(), rt::native(&env, "split", Cell(env.slot(0, 0)) /* line */, vec![Const(Value::str("\\s+"))])),
             rt::promote(Cell(tmps[0].clone())),
+        ]),
+    ], flags[0].clone()))
+}
+
+pub fn proc_hashWords() -> Def {
+    Def::new("hashWords", ["line"], 1, 2, 1, true, |env, tmps, flags| rt::body_root(vec![
+        rt::product(vec![
+            rt::bind(tmps[0].clone(), rt::product(vec![
+                rt::bind(tmps[1].clone(), rt::invoke(Cell(env.lookup_or_declare("splitWords")), vec![Cell(env.slot(0, 0)) /* line */])),
+                rt::native(&env, "wordToNumber", Cell(env.lookup_or_declare("this")), vec![Cell(tmps[1].clone())]),
+            ])),
+            rt::native(&env, "hashNumber", Cell(env.lookup_or_declare("this")), vec![Cell(tmps[0].clone())]),
         ]),
     ], flags[0].clone()))
 }
@@ -25,24 +37,24 @@ pub fn proc_chunk() -> Def {
             rt::decl(env.slot_local(1) /* c */, None),
         ])),
         rt::mute_once(rt::product(vec![
-            rt::bind(tmps[0].clone(), rt::thunk({ move || rt::list(vec![]) })),
+            rt::bind(tmps[0].clone(), rt::list(vec![])),
             rt::set_var(env.slot(0, 1) /* c */, Cell(tmps[0].clone())),
         ])),
         rt::while_do(
             rt::product(vec![
-                rt::bind(tmps[1].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* e */; move || coexpr::activate(&s0.get()) })),
+                rt::bind(tmps[1].clone(), rt::op1(rt::activate, Cell(env.slot(0, 0)) /* e */)),
                 rt::invoke(Cell(env.lookup_or_declare("put")), vec![Cell(env.slot(0, 1)) /* c */, Cell(tmps[1].clone())]),
             ]),
             Some(rt::stmt_seq(vec![
                 rt::if_gen(
                     rt::product(vec![
-                        rt::bind(tmps[2].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })),
-                        rt::thunk({ let s0 = Cell(tmps[2].clone()); let s1 = Cell(env.lookup_or_declare("chunkSize")); move || gde::ops::ge(&s0.get(), &s1.get()) }),
+                        rt::bind(tmps[2].clone(), rt::op1(rt::size, Cell(env.slot(0, 1)) /* c */)),
+                        rt::op2(gde::ops::ge, Cell(tmps[2].clone()), Cell(env.lookup_or_declare("chunkSize"))),
                     ]),
                     rt::stmt_seq(vec![
                         rt::atom(Cell(env.slot(0, 1)) /* c */),
                         rt::mute_once(rt::product(vec![
-                            rt::bind(tmps[3].clone(), rt::thunk({ move || rt::list(vec![]) })),
+                            rt::bind(tmps[3].clone(), rt::list(vec![])),
                             rt::set_var(env.slot(0, 1) /* c */, Cell(tmps[3].clone())),
                         ])),
                     ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()]),
@@ -55,8 +67,8 @@ pub fn proc_chunk() -> Def {
         ),
         rt::if_gen(
             rt::product(vec![
-                rt::bind(tmps[4].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* c */; move || rt::size(&s0.get()) })),
-                rt::thunk({ let s0 = Cell(tmps[4].clone()); let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+                rt::bind(tmps[4].clone(), rt::op1(rt::size, Cell(env.slot(0, 1)) /* c */)),
+                rt::op2(gde::ops::gt, Cell(tmps[4].clone()), Const(Value::from(0i64))),
             ]),
             rt::stmt_seq(vec![
                 rt::return_gen(Some(rt::atom(Cell(env.slot(0, 1)) /* c */)), flags[0].clone()),
@@ -74,7 +86,7 @@ pub fn proc_mapReduce() -> Def {
             rt::decl(env.slot_local(6) /* tasks */, None),
         ])),
         rt::mute_once(rt::product(vec![
-            rt::bind(tmps[0].clone(), rt::thunk({ move || rt::list(vec![]) })),
+            rt::bind(tmps[0].clone(), rt::list(vec![])),
             rt::set_var(env.slot(0, 6) /* tasks */, Cell(tmps[0].clone())),
         ])),
         rt::every_do(
@@ -107,7 +119,7 @@ pub fn proc_mapReduce() -> Def {
                     })),
                     rt::set_var(env.slot(0, 5) /* t */, Cell(tmps[2].clone())),
                 ])),
-                rt::mute_once(rt::thunk({ let s0 = Cell(env.slot(0, 6)) /* tasks */; let s1 = Cell(env.slot(0, 5)) /* t */; move || rt::native_method(&s0.get(), "add", &[s1.get()]) })),
+                rt::mute_once(rt::native(&env, "add", Cell(env.slot(0, 6)) /* tasks */, vec![Cell(env.slot(0, 5)) /* t */])),
             ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
             flags[1].clone(),
             flags[2].clone(),
@@ -122,13 +134,13 @@ pub fn proc_mapReduce() -> Def {
 
 pub fn proc_wordSize() -> Def {
     Def::new("wordSize", ["w"], 1, 0, 1, true, |env, tmps, flags| rt::body_root(vec![
-        rt::return_gen(Some(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* w */; move || rt::size(&s0.get()) })), flags[0].clone()),
+        rt::return_gen(Some(rt::op1(rt::size, Cell(env.slot(0, 0)) /* w */)), flags[0].clone()),
     ], flags[0].clone()))
 }
 
 pub fn proc_sum() -> Def {
     Def::new("sum", ["a", "b"], 2, 0, 1, true, |env, tmps, flags| rt::body_root(vec![
-        rt::return_gen(Some(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* a */; let s1 = Cell(env.slot(0, 1)) /* b */; move || gde::ops::add(&s0.get(), &s1.get()) })), flags[0].clone()),
+        rt::return_gen(Some(rt::op2(gde::ops::add, Cell(env.slot(0, 0)) /* a */, Cell(env.slot(0, 1)) /* b */)), flags[0].clone()),
     ], flags[0].clone()))
 }
 
@@ -154,10 +166,10 @@ pub fn proc_freqReport() -> Def {
             Some(rt::stmt_seq(vec![
                 rt::mute_once(rt::product(vec![
                     rt::bind(tmps[3].clone(), rt::product(vec![
-                        rt::bind(tmps[4].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; move || gde::ops::index(&s0.get(), &s1.get()) })),
-                        rt::thunk({ let s0 = Cell(tmps[4].clone()); let s1 = Const(Value::from(1i64)); move || gde::ops::add(&s0.get(), &s1.get()) }),
+                        rt::bind(tmps[4].clone(), rt::op2(gde::ops::index, Cell(env.slot(0, 0)) /* counts */, Cell(env.slot(0, 1)) /* w */)),
+                        rt::op2(gde::ops::add, Cell(tmps[4].clone()), Const(Value::from(1i64))),
                     ])),
-                    rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; let s2 = Cell(tmps[3].clone()); move || gde::ops::index_assign(&s0.get(), &s1.get(), s2.get()) }),
+                    rt::set_index(Cell(env.slot(0, 0)) /* counts */, Cell(env.slot(0, 1)) /* w */, Cell(tmps[3].clone())),
                 ])),
             ], vec![flags[0].clone(), flags[1].clone(), flags[2].clone()])),
             flags[1].clone(),
@@ -174,16 +186,16 @@ pub fn proc_freqReport() -> Def {
             ]),
             Some(rt::stmt_seq(vec![
                 rt::mute_once(rt::product(vec![
-                    rt::bind(tmps[7].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; move || gde::ops::index(&s0.get(), &s1.get()) })),
+                    rt::bind(tmps[7].clone(), rt::op2(gde::ops::index, Cell(env.slot(0, 0)) /* counts */, Cell(env.slot(0, 1)) /* w */)),
                     rt::set_var(env.slot(0, 2) /* n */, Cell(tmps[7].clone())),
                 ])),
                 rt::if_gen(
-                    rt::thunk({ let s0 = Cell(env.slot(0, 2)) /* n */; let s1 = Const(Value::from(0i64)); move || gde::ops::gt(&s0.get(), &s1.get()) }),
+                    rt::op2(gde::ops::gt, Cell(env.slot(0, 2)) /* n */, Const(Value::from(0i64))),
                     rt::stmt_seq(vec![
-                        rt::mute_once(rt::thunk({ let s0 = Cell(env.slot(0, 0)) /* counts */; let s1 = Cell(env.slot(0, 1)) /* w */; let s2 = Const(Value::from(0i64)); move || gde::ops::index_assign(&s0.get(), &s1.get(), s2.get()) })),
+                        rt::mute_once(rt::set_index(Cell(env.slot(0, 0)) /* counts */, Cell(env.slot(0, 1)) /* w */, Const(Value::from(0i64)))),
                         rt::product(vec![
-                            rt::bind(tmps[8].clone(), rt::thunk({ let s0 = Cell(env.slot(0, 1)) /* w */; let s1 = Const(Value::str("=")); move || gde::ops::concat(&s0.get(), &s1.get()) })),
-                            rt::thunk({ let s0 = Cell(tmps[8].clone()); let s1 = Cell(env.slot(0, 2)) /* n */; move || gde::ops::concat(&s0.get(), &s1.get()) }),
+                            rt::bind(tmps[8].clone(), rt::op2(gde::ops::concat, Cell(env.slot(0, 1)) /* w */, Const(Value::str("=")))),
+                            rt::op2(gde::ops::concat, Cell(tmps[8].clone()), Cell(env.slot(0, 2)) /* n */),
                         ]),
                     ], vec![flags[0].clone(), flags[3].clone(), flags[4].clone()]),
                     None,
@@ -197,7 +209,7 @@ pub fn proc_freqReport() -> Def {
 }
 
 pub fn install(globals: &Env) {
-    rt::install(globals, [proc_readLines(), proc_splitWords(), proc_chunk(), proc_mapReduce(), proc_wordSize(), proc_sum(), proc_freqReport()]);
+    rt::install(globals, [proc_readLines(), proc_splitWords(), proc_hashWords(), proc_chunk(), proc_mapReduce(), proc_wordSize(), proc_sum(), proc_freqReport()]);
 }
 
 pub fn toplevel(globals: &Env) {}

@@ -92,10 +92,11 @@ def deferred(n) {
 
 /// Fig. 4 (`chunk` / `mapReduce`) and the two-pass frequency report, as
 /// the benchmark's `mapreduce.jn` / `freqreport.jn` have them, over the
-/// Fig. 3 readers.
+/// Fig. 3 readers and hasher (whose `this::` natives the host registers).
 pub const FIG4_SRC: &str = r#"
 def readLines() { suspend !lines; }
 def splitWords(line) { suspend ! line::split("\\s+"); }
+def hashWords(line) { suspend this::hashNumber(this::wordToNumber(splitWords(line))); }
 def chunk(e) {
     local c;
     c := [];

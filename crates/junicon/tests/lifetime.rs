@@ -4,8 +4,8 @@
 //!
 //! Each probe is a `Weak` (the pattern of `gde/tests/promote_prop.rs`):
 //! dead means freed. [`shared_probe`] watches the interpreter itself — a
-//! native's closure owns the `Arc`, and only the interpreter's shared state
-//! holds its natives — so it dies exactly when that state is freed.
+//! native's closure owns the `Arc`, and only the interpreter's globals hold
+//! its natives — so it dies exactly when the session ends and clears them.
 
 // Byte-exact emitter output (see emit_fixture.rs), so rustfmt leaves it.
 #[rustfmt::skip]
@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-/// A `Weak` that dies when `interp`'s shared state is freed.
+/// A `Weak` that dies when `interp`'s session ends.
 fn shared_probe(interp: &Interp) -> Weak<()> {
     let marker = Arc::new(());
     let probe = Arc::downgrade(&marker);
@@ -212,4 +212,29 @@ fn emitted_objects_are_freed_with_the_session() {
     assert!(kept.upgrade().is_none(), "the global object is freed");
     assert!(dropped.upgrade().is_none(), "the dropped object is freed");
     assert!(shared.upgrade().is_none(), "the interpreter is freed");
+}
+
+/// (g) A `::` native is declared in the globals, so it lives as long as a
+/// handle or a generator does, and no longer.
+#[test]
+fn natives_are_freed_with_the_session() {
+    let interp = Interp::new();
+    let held = Arc::new(());
+    let native = Arc::downgrade(&held);
+    interp.register_native("held", move |_, _| {
+        Some(Value::from(Arc::strong_count(&held) as i64))
+    });
+    interp
+        .load("def twice() { suspend this::held() | this::held(); }")
+        .unwrap();
+    let mut g = interp.gen("twice()").unwrap();
+    assert_eq!(strings(g.next_value().into_iter().collect()), ["1"]);
+    drop(interp);
+    assert!(native.upgrade().is_some(), "a generator is still alive");
+    assert_eq!(strings(g.collect_values()), ["1"]);
+    drop(g);
+    assert!(
+        native.upgrade().is_none(),
+        "the native is freed with the session"
+    );
 }

@@ -12,7 +12,9 @@
 #                    second measured surface stays deleted (ISSUE 23); and
 #                    the transport keeps one path (ISSUE 25);
 #                    calls have one invocation node, whose `::` natives
-#                    are bound per activation, not per evaluation; one
+#                    are bound per activation, not per evaluation; a
+#                    primitive is one `rt` row, with no printed thunk
+#                    and no interpreter-only natives registry; one
 #                    blocking primitive; one fuser (`StagePlan`'s); one
 #                    counts contract; every backticked repo path in the
 #                    docs exists and every backticked crate path names a
@@ -95,18 +97,37 @@ echo "   ok: the back ends consume Plan, not Norm"
 
 # A call site re-runs its activation (DESIGN.md § One lowering): `rt::invoke`
 # is the one invocation node, and a `::` call is bound to its native when
-# the activation is built, so evaluating it never takes the natives' lock.
+# the activation is built: `rt::native` looks the native up in the scope
+# before its first `thunk(move`, and the closures it returns look nothing
+# up and take no lock.
 if hits="$(grep -rnE '\b(invoke_iter|InvokeIter)\b' crates/*/src)"; then
     echo "$hits"
     echo "FAIL: a second invocation node is back beside rt::invoke"
     exit 1
 fi
-eval_impl="$(sed -n '/^impl Eval {/,/^}/p' crates/junicon/src/lower.rs)"
-if [ -z "$eval_impl" ] || grep -n 'natives' <<< "$eval_impl"; then
-    echo "FAIL: Eval::run reads the natives (or impl Eval moved); bind a :: call when its activation is built"
+native_fn="$(sed -n '/^pub fn native(/,/^}/p' crates/junicon/src/rt.rs)"
+built="$(sed '/thunk(move/,$d' <<< "$native_fn")"
+run="$(sed -n '/thunk(move/,$p' <<< "$native_fn")"
+if [ -z "$run" ] || ! grep -qE 'env\.(get|lookup)\(' <<< "$built" \
+        || grep -nE 'lookup|env\.|\.lock\(|native_key' <<< "$run"; then
+    echo "FAIL: rt::native binds its native per evaluation (or moved); look it up when the node is built"
     exit 1
 fi
 echo "   ok: one invocation node; :: natives bound per activation"
+
+# A primitive is one constructor row in both back ends (DESIGN.md § The
+# primitive table): no closure over operands is printed, and the natives
+# live in the globals, so the thunk column, its argument kind and the
+# interpreter's natives registry stay deleted.
+hits="$(grep -rnE '\bstruct Mono\b|\benum Eval\b|\bfn gets\b|\bis_host_call\b' crates/*/src; \
+    grep -nE '^[[:space:]]*(pub[[:space:]]+)?natives[[:space:]]*:' crates/junicon/src/interp.rs; \
+    grep -n 'move ||' crates/junicon/tests/fixtures/*_emitted.rs || true)"
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "FAIL: a printed thunk or an interpreter-only natives registry is back; lower a primitive to its rt row and declare natives with rt::declare_native"
+    exit 1
+fi
+echo "   ok: a primitive is one rt row (no printed thunk, no natives registry)"
 
 # A re-run checks one number (DESIGN.md § Two readings): `Def::call` reads
 # the scope's name generation and `Def::recall` compares it, so neither
@@ -131,9 +152,10 @@ echo "   ok: a re-run call checks one generation and looks no name up"
 # constructor row is an `rt` function that hands back a `BoxGen`, and a
 # procedure is one `Def::new` call, so the executed fixtures carry no
 # boxing, no `gde::comb` path, no spelled-out `rt::Slot`, no per-procedure
-# scaffolding and no per-procedure `declare`; the table's boxing column
-# and the uncalled per-procedure entry point stay deleted.
-if hits="$(grep -nE 'as BoxGen|Box::new\(|gde::comb::|rt::Slot::|ProcValue::new|FrameLayout::of|rt::frame\(|globals\.declare\(|/// Generator function' \
+# scaffolding, no per-procedure `declare` and no `coexpr` path (emitted
+# modules need only `gde` and `junicon`); the table's boxing column and
+# the uncalled per-procedure entry point stay deleted.
+if hits="$(grep -nE 'as BoxGen|Box::new\(|gde::comb::|rt::Slot::|ProcValue::new|FrameLayout::of|rt::frame\(|globals\.declare\(|/// Generator function|coexpr::' \
         crates/junicon/tests/fixtures/*_emitted.rs)"; then
     echo "$hits"
     echo "FAIL: emitted code spells out what rt holds; print one Def::new per procedure, rt::class, rt::install and the boxed rt constructors"
